@@ -28,7 +28,7 @@ from polyserend import (
     check_conditions,
     coefficient_bound,
     generic_diagonal_coefficients,
-    index_sets,
+    pair_order,
 )
 
 
@@ -55,7 +55,7 @@ def diagonal_columns_max(poly: Polygon) -> tuple[float, float]:
     diag_block = A[:, 2 * poly.n:]
     peak = float(np.max(np.abs(diag_block))) if diag_block.size else 0.0
     s_max = 0.0
-    for a, b in index_sets(poly.n).diagonal_pairs:
+    for a, b in pair_order(poly.n)[2 * poly.n:]:
         s_max = max(s_max, generic_diagonal_coefficients(poly, a, b).s)
     return peak, s_max
 

@@ -74,7 +74,6 @@ from .serendipity import (
     CoefficientBlowupError,
     ConstraintReport,
     DiagonalCoefficients,
-    IndexSets,
     SerendipityError,
     SerendipityEval,
     SerendipityMap,
@@ -92,8 +91,6 @@ from .serendipity import (
     eval_basis,
     eval_basis_batch,
     generic_diagonal_coefficients,
-    index_sets,
-    is_regular,
     lagrange_table,
     precision_residuals,
     quadrilateral_diagonal_coefficients,

@@ -25,7 +25,6 @@ from .geometry import GeometryError, Polygon, load_polygon, sample_interior
 from .linalg import ConvergenceError
 from .serendipity import (
     CoefficientBlowupError,
-    Strategy,
     build_map,
     eval_basis_batch,
     lagrange_table,
@@ -41,7 +40,6 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 _KINDS = [k.value for k in CoordinateKind]
-_STRATEGIES = ["auto"] + [s.value for s in Strategy]
 
 
 @dataclass
@@ -51,7 +49,6 @@ class CliConfig:
     subcommand: str
     path: Path | None = None
     kind: str = CoordinateKind.MEAN_VALUE.value
-    strategy: str = "auto"
     tol: float = 1e-9
     samples: int = 50
     seed: int = 0
@@ -81,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check basis constraints on one polygon")
     p_verify.add_argument("path", type=Path, help="polygon JSON file")
     add_kind(p_verify)
-    p_verify.add_argument("--strategy", choices=_STRATEGIES, default="auto")
     p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("--samples", type=int, default=50,
                           help="random interior points for reproduction residuals")
@@ -93,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="sample basis values on an interior grid")
     p_sample.add_argument("path", type=Path, help="polygon JSON file")
     add_kind(p_sample)
-    p_sample.add_argument("--strategy", choices=_STRATEGIES, default="auto")
     p_sample.add_argument("--resolution", type=int, default=25,
                           help="grid points per axis across the bounding box")
     p_sample.add_argument("--output", type=Path, help="CSV file (default stdout)")
@@ -139,8 +134,7 @@ def cmd_verify(cfg: CliConfig) -> int:
     # Straight (angle pi) vertices are a supported element feature, so the
     # loader accepts them here; reflex vertices still fail validation.
     polygon = load_polygon(cfg.path, allow_flat=True)
-    strategy = None if cfg.strategy == "auto" else cfg.strategy
-    smap = build_map(polygon, strategy)
+    smap = build_map(polygon)
     report = verify_constraints(polygon, smap, tol=cfg.tol)
     table = lagrange_table(polygon, smap)
     lagrange_dev = float(np.max(np.abs(table - np.eye(2 * polygon.n))))
@@ -180,8 +174,7 @@ def cmd_verify(cfg: CliConfig) -> int:
 
 def cmd_sample(cfg: CliConfig) -> int:
     polygon = load_polygon(cfg.path, allow_flat=True)
-    strategy = None if cfg.strategy == "auto" else cfg.strategy
-    smap = build_map(polygon, strategy)
+    smap = build_map(polygon)
     n = polygon.n
     header = "x,y," + ",".join(f"psi_{k + 1}" for k in range(2 * n))
     rows: list[str] = []

@@ -106,6 +106,9 @@ class PolyMesh:
             polygons.append(poly)
         if not cell_tuples:
             raise MeshError("mesh has no cells")
+        unused = set(range(n_verts)).difference(*cell_tuples)
+        if unused:
+            raise MeshError(f"vertex {min(unused)} is used by no cell ({len(unused)} unused)")
         return cls(vertices=verts, cells=tuple(cell_tuples), polygons=tuple(polygons))
 
     @property
@@ -211,7 +214,7 @@ def node_coordinates(mesh: PolyMesh, dofmap: DofMap) -> np.ndarray:
 
 
 def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
-    """Serendipity reduction for every cell (auto strategy)."""
+    """Serendipity reduction for every cell."""
     return tuple(build_map(poly) for poly in mesh.polygons)
 
 
@@ -378,9 +381,11 @@ def convergence_study(
 
     Defaults to the zero-source Dirichlet problem whose solution is the
     harmonic field sin(x) e^y.  Rates compare successive levels through the
-    mesh-size ratio, so any increasing sequence of n works; doubling gives
-    the classic log2 ratios.
+    mesh-size ratio, so any strictly increasing sequence of n works (others
+    raise MeshError); doubling gives the classic log2 ratios.
     """
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise MeshError(f"levels must be strictly increasing, got {tuple(levels)}")
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for n in levels:

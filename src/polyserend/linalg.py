@@ -46,23 +46,11 @@ class SparseMatrix:
         rows: np.ndarray,
         cols: np.ndarray,
         values: np.ndarray,
-        symmetric: bool = False,
     ) -> "SparseMatrix":
-        """Build from COO triplets, summing duplicates.
-
-        With ``symmetric=True`` each strictly-off-diagonal triplet also
-        contributes its transpose, so callers may assemble only one triangle.
-        """
+        """Build from COO triplets, summing duplicates."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=float)
-        if symmetric:
-            off = rows != cols
-            rows, cols, values = (
-                np.concatenate([rows, cols[off]]),
-                np.concatenate([cols, rows[off]]),
-                np.concatenate([values, values[off]]),
-            )
         m = sp.coo_matrix((values, (rows, cols)), shape=(dim, dim)).tocsr()
         m.sum_duplicates()
         return cls(dim=dim, data=m.data, indices=m.indices, indptr=m.indptr)
@@ -83,10 +71,6 @@ class SparseMatrix:
         """Principal submatrix on the index set ``keep`` (order preserved)."""
         sub = self._csr()[np.ix_(keep, keep)].tocsr()
         return SparseMatrix(dim=len(keep), data=sub.data, indices=sub.indices, indptr=sub.indptr)
-
-    def columns(self, cols: np.ndarray) -> np.ndarray:
-        """Dense copy of the selected columns, shape (dim, len(cols))."""
-        return self._csr()[:, cols].toarray()
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ basis psi that interpolates at the vertices and edge midpoints.
 The first 2n columns of A are the identity (products indexed by vertices and
 edges are kept); each strict-diagonal product is redistributed onto the six
 functions touching its two endpoints.  Column coefficients are found in a
-rigid frame that puts the diagonal on the x axis, with specialized closed
-forms for quadrilaterals and regular polygons and a 2x2 solve per diagonal
-endpoint in the general case.
+rigid frame that puts the diagonal on the x axis: quadrilaterals, where the
+general construction is undefined, have a closed form, and every other
+polygon takes a 2x2 solve per diagonal endpoint.  The unit-square and
+regular-polygon closed forms are kept as reference oracles for tests.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .barycentric import (
     CoordinateKind,
+    _pair_arrays,
     eval_boundary,
     eval_coords_batch,
     pair_order,
@@ -41,8 +42,6 @@ __all__ = [
     "SerendipityError",
     "CoefficientBlowupError",
     "Strategy",
-    "IndexSets",
-    "index_sets",
     "SerendipityMap",
     "DiagonalCoefficients",
     "build_B",
@@ -51,7 +50,6 @@ __all__ = [
     "build_A_regular",
     "build_A_generic",
     "build_map",
-    "is_regular",
     "quadrilateral_diagonal_coefficients",
     "generic_diagonal_coefficients",
     "SerendipityEval",
@@ -77,42 +75,8 @@ class CoefficientBlowupError(SerendipityError):
 
 
 class Strategy(str, Enum):
-    UNIT_SQUARE = "unitsquare"
     QUADRILATERAL = "quadrilateral"
-    REGULAR = "regular"
     GENERIC = "generic"
-
-
-@dataclass(frozen=True)
-class IndexSets:
-    """Unordered pair index sets for n vertices: squares V, edges E, diagonals D."""
-
-    n: int
-    vertex_pairs: tuple[tuple[int, int], ...]
-    edge_pairs: tuple[tuple[int, int], ...]
-    diagonal_pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return self.vertex_pairs + self.edge_pairs + self.diagonal_pairs
-
-    def column(self, a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        for idx, (p, q) in enumerate(self.pairs):
-            if (min(p, q), max(p, q)) == key:
-                return idx
-        raise KeyError(f"pair ({a}, {b}) out of range for n={self.n}")
-
-
-@lru_cache(maxsize=None)
-def index_sets(n: int) -> IndexSets:
-    pairs = pair_order(n)
-    return IndexSets(
-        n=n,
-        vertex_pairs=pairs[:n],
-        edge_pairs=pairs[n : 2 * n],
-        diagonal_pairs=pairs[2 * n :],
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +134,7 @@ def build_B(n: int) -> np.ndarray:
 
 
 def build_A_unit_square() -> np.ndarray:
-    """Hand-checked reduction for the unit square (0,0),(1,0),(1,1),(0,1).
+    """Hand-checked reduction for the unit square (0,0),(1,0),(1,1),(0,1); a test oracle.
 
     The two diagonal products are split evenly over the four edge functions
     with weight 1/2 and subtracted from the opposite vertex functions.
@@ -188,13 +152,6 @@ def build_A_unit_square() -> np.ndarray:
         ]
     )
     return np.hstack([np.eye(8), cols])
-
-
-_UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-
-
-def _is_unit_square(polygon: Polygon, tol: float = 1e-12) -> bool:
-    return polygon.n == 4 and bool(np.max(np.abs(polygon.vertices - _UNIT_SQUARE)) <= tol)
 
 
 def quadrilateral_diagonal_coefficients(polygon: Polygon, a: int) -> DiagonalCoefficients:
@@ -244,7 +201,7 @@ def _place_column(A: np.ndarray, n: int, col: int, co: DiagonalCoefficients) -> 
 def build_A_quadrilateral(polygon: Polygon) -> np.ndarray:
     if polygon.n != 4:
         raise SerendipityError("quadrilateral construction requires n = 4")
-    A = np.hstack([np.eye(8), np.zeros((8, 2))])
+    A = np.eye(8, 10)
     for col, (a, _) in zip((8, 9), ((0, 2), (1, 3))):
         _place_column(A, 4, col, quadrilateral_diagonal_coefficients(polygon, a))
     return A
@@ -274,22 +231,19 @@ def _regular_closed_form(theta: float, sigma: float) -> tuple[float, float, floa
 
 
 def build_A_regular(n: int) -> np.ndarray:
-    """Reduction matrix for the regular n-gon (any similar copy shares it).
+    """Reduction matrix for the regular n-gon (any similar copy shares it); a test oracle.
 
     Every diagonal is mirror-symmetric in a rotated frame, which collapses
     the six coefficients to three; they depend only on the angular step
     sigma = 2 pi / n and the half-opening theta = k sigma / 2, where k is the
     number of boundary steps along the short side of the diagonal.
     """
-    if n < 4:
-        if n == 3:
-            return np.eye(6)
+    if n < 3:
         raise SerendipityError("regular construction requires n >= 3")
-    sets = index_sets(n)
-    P = len(sets.pairs)
-    A = np.hstack([np.eye(2 * n), np.zeros((2 * n, P - 2 * n))])
+    pairs = pair_order(n)
+    A = np.eye(2 * n, len(pairs))
     sigma = 2.0 * math.pi / n
-    for col, (p, q) in enumerate(sets.diagonal_pairs, start=2 * n):
+    for col, (p, q) in enumerate(pairs[2 * n :], start=2 * n):
         m0 = q - p
         if m0 <= n - m0:
             a, b, k = q, p, m0
@@ -384,61 +338,26 @@ def build_A_generic(polygon: Polygon) -> np.ndarray:
             "the generic construction is undefined for quadrilaterals; "
             "use the quadrilateral strategy"
         )
-    sets = index_sets(n)
-    P = len(sets.pairs)
-    A = np.hstack([np.eye(2 * n), np.zeros((2 * n, P - 2 * n))])
-    for col, (p, q) in enumerate(sets.diagonal_pairs, start=2 * n):
+    pairs = pair_order(n)
+    A = np.eye(2 * n, len(pairs))
+    for col, (p, q) in enumerate(pairs[2 * n :], start=2 * n):
         _place_column(A, n, col, generic_diagonal_coefficients(polygon, p, q))
     return A
 
 
-def is_regular(polygon: Polygon, rtol: float = 1e-9) -> bool:
-    """True if vertices sit on a circle at equal angular steps (within rtol)."""
-    v = polygon.vertices - polygon.centroid
-    radii = np.hypot(v[:, 0], v[:, 1])
-    mean_r = float(np.mean(radii))
-    if np.max(np.abs(radii - mean_r)) > rtol * mean_r:
-        return False
-    angles = np.arctan2(v[:, 1], v[:, 0])
-    steps = np.mod(np.diff(angles, append=angles[:1] + 2.0 * np.pi), 2.0 * np.pi)
-    target = 2.0 * np.pi / polygon.n
-    return bool(np.max(np.abs(steps - target)) <= rtol * target)
-
-
-def build_map(polygon: Polygon, strategy: Strategy | str | None = None) -> SerendipityMap:
+def build_map(polygon: Polygon) -> SerendipityMap:
     """Build the serendipity reduction for a polygon.
 
-    With no strategy the builder is chosen automatically: triangles need no
-    reduction, quadrilaterals use the closed quadrilateral form, detected
-    regular polygons use the closed regular form, everything else the generic
-    per-diagonal solve.  A forced strategy incompatible with the polygon is
-    an error.
+    Quadrilaterals use the closed quadrilateral form, the one case where the
+    per-diagonal solve is undefined; every other polygon uses the generic
+    solve, which for a triangle has no diagonals and returns the identity.
     """
     n = polygon.n
-    if strategy is None or strategy == "auto":
-        if n == 3:
-            resolved = Strategy.GENERIC
-        elif n == 4:
-            resolved = Strategy.QUADRILATERAL
-        elif is_regular(polygon):
-            resolved = Strategy.REGULAR
-        else:
-            resolved = Strategy.GENERIC
+    if n == 4:
+        A, strategy = build_A_quadrilateral(polygon), Strategy.QUADRILATERAL
     else:
-        resolved = Strategy(strategy)
-    if resolved is Strategy.UNIT_SQUARE:
-        if not _is_unit_square(polygon):
-            raise SerendipityError("unit-square strategy forced on a different polygon")
-        A = build_A_unit_square()
-    elif resolved is Strategy.QUADRILATERAL:
-        A = build_A_quadrilateral(polygon)
-    elif resolved is Strategy.REGULAR:
-        if not is_regular(polygon):
-            raise SerendipityError("regular strategy forced on an irregular polygon")
-        A = build_A_regular(n)
-    else:
-        A = build_A_generic(polygon)
-    return SerendipityMap(n=n, A=A, B=build_B(n), strategy=resolved)
+        A, strategy = build_A_generic(polygon), Strategy.GENERIC
+    return SerendipityMap(n=n, A=A, B=build_B(n), strategy=strategy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,11 +432,8 @@ def boundary_basis_values(
     is kind-independent and valid on the boundary itself.
     """
     lam = eval_boundary(polygon, edge, t)
-    ia, ib = np.array([p[0] for p in pair_order(polygon.n)]), np.array(
-        [p[1] for p in pair_order(polygon.n)]
-    )
-    mu = lam[ia] * lam[ib]
-    return smap.B @ (smap.A @ mu)
+    ia, ib = _pair_arrays(polygon.n)
+    return smap.B @ (smap.A @ (lam[ia] * lam[ib]))
 
 
 def lagrange_table(polygon: Polygon, smap: SerendipityMap) -> np.ndarray:
@@ -587,10 +503,8 @@ def verify_constraints(
         raise SerendipityError("map size does not match polygon")
     verts = (polygon.vertices - polygon.centroid) / polygon.diameter
     n = polygon.n
-    sets = index_sets(n)
-    pairs = sets.pairs
-    ia = np.array([p[0] for p in pairs])
-    ib = np.array([p[1] for p in pairs])
+    pairs = pair_order(n)
+    ia, ib = _pair_arrays(n)
     m1, m2, m3 = _constraint_matrices(verts)
     # Unordered-pair weights: the ordered-pair reproduction identities count
     # a square (a, a) once but an off-diagonal product twice.

@@ -16,9 +16,9 @@ import pytest
 import corpus
 from polyserend import (
     CoordinateKind,
-    Strategy,
     assemble,
     build_A_quadrilateral,
+    build_A_regular,
     build_A_unit_square,
     build_map,
     cell_maps,
@@ -63,10 +63,10 @@ def shape_regular():
     return corpus.shape_regular_corpus(rng, 200)
 
 
-def precision_case(poly, smap, kind, points):
+def precision_case(poly, A, kind, points):
     lam, dlam = eval_coords_batch(poly, kind, points)
     mu, _ = pairwise_batch(lam, dlam)
-    xi = mu @ smap.A.T
+    xi = mu @ A.T
     return float(np.max(precision_residuals(poly, xi, points)))
 
 
@@ -74,29 +74,30 @@ class TestAcceptance:
     def test_1_quadratic_precision_across_constructions(
         self, criterion, quad_corpus, shape_regular
     ):
-        """Every construction on its full domain reproduces all quadratics
-        at randomly sampled interior points, for all three coordinate kinds."""
+        """Every construction, and every closed-form oracle, on its full
+        domain reproduces all quadratics at randomly sampled interior points,
+        for all three coordinate kinds."""
         start = time.monotonic()
         rng = np.random.default_rng(1)
         cases = []
         square = corpus.unit_square()
-        for strategy in (Strategy.UNIT_SQUARE, Strategy.QUADRILATERAL,
-                         Strategy.REGULAR):
-            cases.append((square, build_map(square, strategy)))
+        for A in (build_A_unit_square(), build_A_quadrilateral(square),
+                  build_A_regular(4)):
+            cases.append((square, A))
         for quad in quad_corpus:
-            cases.append((quad, build_map(quad)))
+            cases.append((quad, build_map(quad).A))
         for n in range(5, 13):
             reg = corpus.regular_polygon(n)
-            cases.append((reg, build_map(reg, Strategy.REGULAR)))
-            cases.append((reg, build_map(reg, Strategy.GENERIC)))
+            cases.append((reg, build_A_regular(n)))
+            cases.append((reg, build_map(reg).A))
         for poly in shape_regular:
-            cases.append((poly, build_map(poly)))
+            cases.append((poly, build_map(poly).A))
 
         worst = 0.0
-        for poly, smap in cases:
+        for poly, A in cases:
             pts = sample_interior(poly, 50, rng, margin=1e-4 * poly.diameter)
             for kind in KINDS:
-                worst = max(worst, precision_case(poly, smap, kind, pts))
+                worst = max(worst, precision_case(poly, A, kind, pts))
         elapsed = time.monotonic() - start
         ok = worst <= 1e-9 and elapsed < 120.0
         assert criterion(

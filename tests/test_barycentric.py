@@ -14,6 +14,7 @@ import corpus
 from polyserend import (
     BoundaryEvaluationError,
     CoordinateKind,
+    GeometryError,
     Polygon,
     eval_boundary,
     eval_coords,
@@ -268,6 +269,10 @@ class TestPairOrder:
         pairs = pair_order(n)
         assert len(pairs) == n * (n + 1) // 2
         assert len(pairs) - 2 * n == n * (n - 3) // 2
+
+    def test_too_small(self):
+        with pytest.raises(GeometryError):
+            pair_order(2)
 
 
 class TestPairwiseProducts:

@@ -45,12 +45,11 @@ class TestVerify:
         rc, out, _ = run(capsys, ["verify", str(path)])
         assert rc == cli.EXIT_OK
         assert "result: PASS" in out
-        assert "strategy regular" in out
+        assert "strategy generic" in out
 
-    def test_forced_generic_on_regular_polygon(self, tmp_path, capsys):
+    def test_regular_polygon_uses_generic(self, tmp_path, capsys):
         path = write_polygon(tmp_path, corpus.regular_polygon(12))
-        rc, out, _ = run(capsys, ["verify", str(path), "--strategy", "generic",
-                                  "--json"])
+        rc, out, _ = run(capsys, ["verify", str(path), "--json"])
         assert rc == cli.EXIT_OK
         payload = json.loads(out)
         assert payload["strategy"] == "generic"
@@ -204,6 +203,12 @@ class TestConvergence:
         assert "levels" in err
         rc2, _, err2 = run(capsys, ["convergence", "--levels", "0,2"])
         assert rc2 == cli.EXIT_INPUT
+
+    def test_repeated_level_is_input_error(self, capsys):
+        rc, out, err = run(capsys, ["convergence", "--levels", "2,2", "--json"])
+        assert rc == cli.EXIT_INPUT
+        assert out == ""
+        assert "strictly increasing" in err
 
     def test_solver_failure_maps_to_exit_three(self, capsys, monkeypatch):
         def explode(*args, **kwargs):

@@ -136,6 +136,13 @@ class TestPolyMeshValidation:
         with pytest.raises(MeshError, match="directed edge"):
             PolyMesh.build(verts, [(0, 1, 2, 3), (0, 1, 2, 3)])
 
+    def test_orphan_vertex_rejected(self):
+        """A vertex no cell uses would leave a zero row in the stiffness
+        matrix; the mesh is refused before assembly."""
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 2.0]])
+        with pytest.raises(MeshError, match="vertex 3 is used by no cell"):
+            PolyMesh.build(verts, [(0, 1, 2)])
+
     def test_empty_mesh_rejected(self):
         with pytest.raises(MeshError, match="no cells"):
             PolyMesh.build(np.zeros((3, 2)), [])
@@ -401,6 +408,13 @@ class TestConvergenceStudy:
         assert rows[2].h1_rate == pytest.approx(2.0, abs=0.2)
         assert rows[0].dofs == 21
         assert [r.n for r in rows] == [2, 4, 8]
+
+    @pytest.mark.parametrize("levels", [(2, 2), (4, 2)])
+    def test_levels_must_increase(self, levels):
+        """Equal or decreasing sizes give a zero or negative log ratio, so
+        the rates would be NaN or meaningless."""
+        with pytest.raises(MeshError, match="strictly increasing"):
+            convergence_study(levels, kind=MV)
 
 
 class TestMeshSerialization:

@@ -1,5 +1,6 @@
-"""The quadratic serendipity reduction: index bookkeeping, the four matrix
-constructions, constraint verification, Lagrange structure, and bounds."""
+"""The quadratic serendipity reduction: the two constructions build_map picks
+between, the closed-form oracles they are checked against, constraint
+verification, Lagrange structure, and bounds."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import corpus
 from polyserend import (
     CoefficientBlowupError,
     CoordinateKind,
-    GeometryError,
     Polygon,
     SerendipityError,
     Strategy,
@@ -33,8 +33,6 @@ from polyserend import (
     eval_basis_batch,
     eval_coords_batch,
     generic_diagonal_coefficients,
-    index_sets,
-    is_regular,
     lagrange_table,
     pair_order,
     pairwise_batch,
@@ -56,34 +54,6 @@ UNIT_SQUARE_A = np.hstack([
         [0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5],
     ]),
 ])
-
-
-class TestIndexSets:
-    def test_square(self):
-        s = index_sets(4)
-        assert s.vertex_pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
-        assert s.edge_pairs == ((0, 1), (1, 2), (2, 3), (3, 0))
-        assert s.diagonal_pairs == ((0, 2), (1, 3))
-
-    def test_triangle(self):
-        s = index_sets(3)
-        assert s.diagonal_pairs == ()
-        assert len(s.pairs) == 6
-
-    def test_hexagon_counts(self):
-        s = index_sets(6)
-        assert len(s.diagonal_pairs) == 9
-        assert len(s.pairs) == 21
-
-    def test_matches_pair_order(self):
-        for n in (3, 4, 5, 8):
-            s = index_sets(n)
-            assert s.pairs == pair_order(n)
-            assert s.pairs == s.vertex_pairs + s.edge_pairs + s.diagonal_pairs
-
-    def test_too_small(self):
-        with pytest.raises(GeometryError):
-            index_sets(2)
 
 
 class TestNodalTransform:
@@ -211,7 +181,7 @@ class TestRegular:
         """Across the long diagonal of a regular hexagon the vertex rebalance
         weight reaches -3 and all four edge weights are 1."""
         A = build_A_regular(6)
-        col = list(index_sets(6).pairs).index((0, 3))
+        col = pair_order(6).index((0, 3))
         assert A[0, col] == pytest.approx(-3.0, abs=1e-12)
         assert A[3, col] == pytest.approx(-3.0, abs=1e-12)
         for edge_row in (6 + 5, 6 + 3, 6 + 0, 6 + 2):
@@ -228,13 +198,16 @@ class TestRegular:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 9, 12])
     def test_constraints_pass(self, n):
+        """Regular polygons go through the generic solve; it and the closed
+        form both satisfy the constraints."""
         poly = corpus.regular_polygon(n)
         smap = build_map(poly)
-        assert smap.strategy is Strategy.REGULAR
-        report = verify_constraints(poly, smap, tol=1e-10)
-        assert report.passed, report.max_residual
+        assert smap.strategy is Strategy.GENERIC
+        for candidate in (smap, replace(smap, A=build_A_regular(n))):
+            report = verify_constraints(poly, candidate, tol=1e-10)
+            assert report.passed, report.max_residual
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("n", range(5, 13))
     def test_agrees_with_generic_solver(self, n):
         """The per-diagonal linear systems have unique solutions, so the
         closed form and the numeric solve must coincide on regular polygons."""
@@ -246,8 +219,9 @@ class TestRegular:
     def test_rotation_and_scale_invariance(self):
         poly = corpus.regular_polygon(7, radius=3.2, rotation=0.61)
         smap = build_map(poly)
-        assert smap.strategy is Strategy.REGULAR
+        assert smap.strategy is Strategy.GENERIC
         assert verify_constraints(poly, smap, tol=1e-10).passed
+        assert np.max(np.abs(smap.A - build_A_regular(7))) <= 1e-10
 
 
 class TestGeneric:
@@ -287,7 +261,7 @@ class TestGeneric:
     def test_edge_coefficients_split_s(self):
         rng = np.random.default_rng(14)
         poly = corpus.random_convex_polygon(rng, 8)
-        for (a, b) in index_sets(8).diagonal_pairs:
+        for (a, b) in pair_order(8)[16:]:
             co = generic_diagonal_coefficients(poly, a, b)
             assert -1.0 <= co.d_a <= 1.0 and -1.0 <= co.d_b <= 1.0
             assert co.s == pytest.approx(2.0 / (2.0 - (co.d_a + co.d_b)), abs=1e-12)
@@ -318,7 +292,8 @@ class TestBlowupFamily:
 
     def test_construction_still_consistent_under_stress(self):
         poly = corpus.blowup_hexagon(1e-4)
-        smap = build_map(poly, Strategy.GENERIC)
+        smap = build_map(poly)
+        assert smap.strategy is Strategy.GENERIC
         assert verify_constraints(poly, smap, tol=1e-8).passed
 
     def test_guard_raises_past_the_threshold(self):
@@ -399,37 +374,31 @@ class TestBuildMapDispatch:
         assert build_map(tri).strategy is Strategy.GENERIC
         assert build_map(tri).A == pytest.approx(np.eye(6), abs=0.0)
         assert build_map(SQUARE).strategy is Strategy.QUADRILATERAL
-        assert build_map(corpus.regular_polygon(5)).strategy is Strategy.REGULAR
+        assert build_map(corpus.regular_polygon(5)).strategy is Strategy.GENERIC
         rng = np.random.default_rng(2)
         assert build_map(corpus.random_convex_polygon(rng, 5)).strategy is Strategy.GENERIC
 
     def test_forced_strategies_validated(self):
+        """Called directly, each construction refuses polygons outside its
+        domain."""
         rng = np.random.default_rng(3)
-        jittered = corpus.random_convex_polygon(rng, 5)
         with pytest.raises(SerendipityError):
-            build_map(jittered, Strategy.REGULAR)
+            build_A_quadrilateral(corpus.random_convex_polygon(rng, 5))
         with pytest.raises(SerendipityError):
-            build_map(corpus.regular_polygon(5), Strategy.UNIT_SQUARE)
+            build_A_generic(SQUARE)
         with pytest.raises(SerendipityError):
-            build_map(SQUARE, Strategy.GENERIC)
-        with pytest.raises(ValueError):
-            build_map(SQUARE, "nonsense")
+            build_A_regular(2)
 
     def test_unit_square_strategy(self):
-        smap = build_map(SQUARE, Strategy.UNIT_SQUARE)
+        smap = build_map(SQUARE)
+        assert smap.strategy is Strategy.QUADRILATERAL
         assert smap.A == pytest.approx(UNIT_SQUARE_A, abs=0.0)
 
     def test_regular_pentagon_both_strategies_valid(self):
         poly = corpus.regular_polygon(5)
-        for strategy in (Strategy.REGULAR, Strategy.GENERIC):
-            smap = build_map(poly, strategy)
-            assert verify_constraints(poly, smap, tol=1e-10).passed
-
-    def test_is_regular_detection(self):
-        assert is_regular(corpus.regular_polygon(9, radius=2.0, rotation=1.0))
-        assert is_regular(SQUARE)
-        rng = np.random.default_rng(4)
-        assert not is_regular(corpus.random_convex_polygon(rng, 9))
+        smap = build_map(poly)
+        for A in (smap.A, build_A_regular(5)):
+            assert verify_constraints(poly, replace(smap, A=A), tol=1e-10).passed
 
 
 class TestConstraintReport:
@@ -458,7 +427,7 @@ class TestConstraintReport:
         corrupted = replace(smap, A=A)
         report = verify_constraints(poly, corrupted)
         assert not report.passed
-        assert report.worst_pair == index_sets(6).diagonal_pairs[3]
+        assert report.worst_pair == pair_order(6)[12 + 3]
         assert report.max_residual > 1e-5
 
     def test_mismatched_size_rejected(self):

@@ -10,14 +10,9 @@ quadrature and sparse linear algebra modules.
 from .barycentric import (
     DEFAULT_BOUNDARY_EPS,
     BoundaryEvaluationError,
-    CoordEval,
     CoordinateKind,
-    PairwiseEval,
     eval_boundary,
-    eval_coords,
     eval_coords_batch,
-    eval_gradients,
-    eval_pairwise,
     fan_apex,
     pair_order,
     pairwise_batch,
@@ -75,7 +70,6 @@ from .serendipity import (
     ConstraintReport,
     DiagonalCoefficients,
     SerendipityError,
-    SerendipityEval,
     SerendipityMap,
     Strategy,
     basis_nodes,
@@ -88,7 +82,6 @@ from .serendipity import (
     build_B,
     build_map,
     coefficient_bound,
-    eval_basis,
     eval_basis_batch,
     generic_diagonal_coefficients,
     lagrange_table,

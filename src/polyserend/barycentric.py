@@ -20,7 +20,6 @@ separately through the exact piecewise-linear trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -32,15 +31,10 @@ __all__ = [
     "fan_apex",
     "CoordinateKind",
     "BoundaryEvaluationError",
-    "CoordEval",
-    "PairwiseEval",
     "DEFAULT_BOUNDARY_EPS",
-    "eval_coords",
     "eval_coords_batch",
-    "eval_gradients",
     "eval_boundary",
     "pair_order",
-    "eval_pairwise",
     "pairwise_batch",
 ]
 
@@ -56,30 +50,6 @@ class CoordinateKind(str, Enum):
 
 class BoundaryEvaluationError(GeometryError):
     """Interior-only evaluation was requested on or outside the boundary."""
-
-
-@dataclass(frozen=True, eq=False)
-class CoordEval:
-    """Coordinate values and gradients at a single interior point."""
-
-    point: np.ndarray       # (2,)
-    values: np.ndarray      # (n,)
-    gradients: np.ndarray   # (n, 2)
-
-
-@dataclass(frozen=True, eq=False)
-class PairwiseEval:
-    """Products L_a * L_b for all unordered coordinate pairs.
-
-    Ordering follows ``pair_order(n)``: the n squares (a, a), then the n
-    edge-neighbor products (a, a+1), then strict diagonal pairs in
-    lexicographic order.
-    """
-
-    point: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-    values: np.ndarray      # (n(n+1)/2,)
-    gradients: np.ndarray   # (n(n+1)/2, 2)
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -199,16 +169,16 @@ def eval_coords_batch(
     polygon: Polygon,
     kind: CoordinateKind | str,
     points: np.ndarray,
-    boundary_eps: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate values (m, n) and gradients (m, n, 2) at interior points (m, 2)."""
     kind = CoordinateKind(kind)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError("points must have shape (m, 2)")
-    eps = DEFAULT_BOUNDARY_EPS * polygon.diameter if boundary_eps is None else boundary_eps
+    eps = DEFAULT_BOUNDARY_EPS * polygon.diameter
     closest = np.min(polygon.edge_distances(pts), axis=1)
-    if np.any(closest <= eps):
+    # Negated so that non-finite points (NaN distances) are rejected too.
+    if not np.all(closest > eps):
         bad = pts[int(np.argmin(closest))]
         raise BoundaryEvaluationError(
             f"point ({bad[0]:.6g}, {bad[1]:.6g}) is not strictly inside the polygon "
@@ -219,40 +189,24 @@ def eval_coords_batch(
     return _DISPATCH[kind](polygon.vertices, pts)
 
 
-def eval_coords(
-    polygon: Polygon,
-    kind: CoordinateKind | str,
-    point: np.ndarray,
-    boundary_eps: float | None = None,
-) -> CoordEval:
-    """Values and gradients of all n coordinates at one strictly interior point."""
-    pt = np.asarray(point, dtype=float).reshape(2)
-    values, gradients = eval_coords_batch(polygon, kind, pt[None, :], boundary_eps)
-    return CoordEval(point=pt, values=values[0], gradients=gradients[0])
+def eval_boundary(polygon: Polygon, edges: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Exact boundary trace (m, n) on edges (v_e, v_e+1) at parameters t in [0, 1].
 
-
-def eval_gradients(
-    polygon: Polygon,
-    kind: CoordinateKind | str,
-    point: np.ndarray,
-) -> np.ndarray:
-    return eval_coords(polygon, kind, point).gradients
-
-
-def eval_boundary(polygon: Polygon, edge: int, t: float) -> np.ndarray:
-    """Exact boundary trace on edge (v_edge, v_edge+1) at parameter t in [0, 1].
-
-    Along the boundary every coordinate kind reduces to the same piecewise
-    linear hat functions, so this path is kind-independent and avoids the
-    singular rational formulas.
+    ``edges`` and ``ts`` broadcast against each other to m points.  Along the
+    boundary every coordinate kind reduces to the same piecewise linear hat
+    functions, so this path is kind-independent and avoids the singular
+    rational formulas.
     """
     n = polygon.n
-    edge %= n
-    if not 0.0 <= t <= 1.0:
-        raise GeometryError(f"edge parameter t={t} outside [0, 1]")
-    values = np.zeros(n)
-    values[edge] = 1.0 - t
-    values[(edge + 1) % n] = t
+    edges, ts = np.broadcast_arrays(np.asarray(edges, dtype=int) % n, np.asarray(ts, float))
+    edges, ts = edges.ravel(), ts.ravel()
+    outside = ~((ts >= 0.0) & (ts <= 1.0))
+    if np.any(outside):
+        raise GeometryError(f"edge parameter t={ts[outside][0]} outside [0, 1]")
+    rows = np.arange(len(ts))
+    values = np.zeros((len(ts), n))
+    values[rows, edges] = 1.0 - ts
+    values[rows, (edges + 1) % n] = ts
     return values
 
 
@@ -285,31 +239,13 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pairwise_batch(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Products and product gradients for batched coordinate evaluations."""
+    """Products (m, n(n+1)/2) and their gradients, ordered as ``pair_order(n)``.
+
+    Weighted sums of the products recover 1, x and x x^T exactly (partition,
+    midpoint and second-moment identities), which is the property the
+    serendipity reduction preserves.
+    """
     ia, ib = _pair_arrays(values.shape[1])
     mu = values[:, ia] * values[:, ib]
     dmu = values[:, ia, None] * gradients[:, ib, :] + values[:, ib, None] * gradients[:, ia, :]
     return mu, dmu
-
-
-def eval_pairwise(
-    polygon: Polygon,
-    kind: CoordinateKind | str,
-    point: np.ndarray,
-    boundary_eps: float | None = None,
-) -> PairwiseEval:
-    """All pairwise coordinate products at one interior point.
-
-    The products reproduce every quadratic polynomial: their weighted sums
-    recover 1, x and x x^T exactly (partition, midpoint and second-moment
-    identities), which is the property the serendipity reduction preserves.
-    """
-    pt = np.asarray(point, dtype=float).reshape(2)
-    values, gradients = eval_coords_batch(polygon, kind, pt[None, :], boundary_eps)
-    mu, dmu = pairwise_batch(values, gradients)
-    return PairwiseEval(
-        point=pt,
-        pairs=pair_order(polygon.n),
-        values=mu[0],
-        gradients=dmu[0],
-    )

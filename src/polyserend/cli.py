@@ -123,6 +123,13 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
             raise GeometryError(f"bad --levels value: {cfg.levels!r}")
         if not cfg.levels or any(n < 1 for n in cfg.levels):
             raise GeometryError(f"--levels must be positive integers, got {cfg.levels}")
+    for flag, value in (("--tol", cfg.tol), ("--cg-tol", cfg.cg_tol)):
+        if not 0.0 < value < np.inf:
+            raise GeometryError(f"{flag} must be finite and positive, got {value}")
+    for flag, value in (("--samples", cfg.samples), ("--resolution", cfg.resolution),
+                        ("--seed", cfg.seed)):
+        if value < 0:
+            raise GeometryError(f"{flag} must be non-negative, got {value}")
     return cfg
 
 

@@ -345,7 +345,9 @@ def sample_interior(
     Points are convex combinations with Dirichlet weights, so they are interior
     by construction; the margin is enforced by rejection.
     """
-    out: list[np.ndarray] = []
+    if count < 0:
+        raise GeometryError(f"sample count must be non-negative, got {count}")
+    out = [np.empty((0, 2))]
     attempts = 0
     while sum(len(p) for p in out) < count:
         if attempts > 200:

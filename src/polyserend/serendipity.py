@@ -52,8 +52,6 @@ __all__ = [
     "build_map",
     "quadrilateral_diagonal_coefficients",
     "generic_diagonal_coefficients",
-    "SerendipityEval",
-    "eval_basis",
     "eval_basis_batch",
     "basis_nodes",
     "boundary_basis_values",
@@ -360,22 +358,6 @@ def build_map(polygon: Polygon) -> SerendipityMap:
     return SerendipityMap(n=n, A=A, B=build_B(n), strategy=strategy)
 
 
-@dataclass(frozen=True, eq=False)
-class SerendipityEval:
-    """Serendipity basis values at one interior point.
-
-    ``xi`` is the reduced quadratic-precision basis, ``psi`` the Lagrange
-    basis; entries are ordered vertex functions first, then edge functions.
-    """
-
-    point: np.ndarray
-    nodes: np.ndarray           # (2n, 2): vertices then edge midpoints
-    xi_values: np.ndarray       # (2n,)
-    xi_gradients: np.ndarray    # (2n, 2)
-    psi_values: np.ndarray      # (2n,)
-    psi_gradients: np.ndarray   # (2n, 2)
-
-
 def basis_nodes(polygon: Polygon) -> np.ndarray:
     """Interpolation nodes: the n vertices followed by the n edge midpoints."""
     v = polygon.vertices
@@ -387,10 +369,9 @@ def eval_basis_batch(
     kind: CoordinateKind | str,
     smap: SerendipityMap,
     points: np.ndarray,
-    boundary_eps: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lagrange basis values (m, 2n) and gradients (m, 2n, 2) at interior points."""
-    values, gradients = eval_coords_batch(polygon, kind, points, boundary_eps)
+    values, gradients = eval_coords_batch(polygon, kind, points)
     mu, dmu = pairwise_batch(values, gradients)
     BA = smap.B @ smap.A
     psi = mu @ BA.T
@@ -398,53 +379,26 @@ def eval_basis_batch(
     return psi, dpsi
 
 
-def eval_basis(
-    polygon: Polygon,
-    kind: CoordinateKind | str,
-    smap: SerendipityMap,
-    point: np.ndarray,
-    boundary_eps: float | None = None,
-) -> SerendipityEval:
-    pt = np.asarray(point, dtype=float).reshape(2)
-    values, gradients = eval_coords_batch(polygon, kind, pt[None, :], boundary_eps)
-    mu, dmu = pairwise_batch(values, gradients)
-    xi = smap.A @ mu[0]
-    dxi = smap.A @ dmu[0]
-    return SerendipityEval(
-        point=pt,
-        nodes=basis_nodes(polygon),
-        xi_values=xi,
-        xi_gradients=dxi,
-        psi_values=smap.B @ xi,
-        psi_gradients=smap.B @ dxi,
-    )
-
-
 def boundary_basis_values(
     polygon: Polygon,
     smap: SerendipityMap,
-    edge: int,
-    t: float,
+    edges: np.ndarray,
+    ts: np.ndarray,
 ) -> np.ndarray:
-    """Lagrange basis values on edge (v_edge, v_edge+1) at parameter t.
+    """Lagrange basis values (m, 2n) on edges (v_e, v_e+1) at parameters t.
 
     Uses the exact piecewise-linear boundary trace of the coordinates, so it
     is kind-independent and valid on the boundary itself.
     """
-    lam = eval_boundary(polygon, edge, t)
+    lam = eval_boundary(polygon, edges, ts)
     ia, ib = _pair_arrays(polygon.n)
-    return smap.B @ (smap.A @ (lam[ia] * lam[ib]))
+    return (lam[:, ia] * lam[:, ib]) @ smap.A.T @ smap.B.T
 
 
 def lagrange_table(polygon: Polygon, smap: SerendipityMap) -> np.ndarray:
     """Matrix T[p, q] = psi_q(node_p); equals the identity for a correct map."""
     n = polygon.n
-    rows = []
-    for j in range(n):
-        rows.append(boundary_basis_values(polygon, smap, j, 0.0))
-    for j in range(n):
-        rows.append(boundary_basis_values(polygon, smap, j, 0.5))
-    return np.array(rows)
+    return boundary_basis_values(polygon, smap, np.tile(np.arange(n), 2), np.repeat([0.0, 0.5], n))
 
 
 @dataclass(frozen=True, eq=False)

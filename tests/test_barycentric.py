@@ -17,10 +17,7 @@ from polyserend import (
     GeometryError,
     Polygon,
     eval_boundary,
-    eval_coords,
     eval_coords_batch,
-    eval_gradients,
-    eval_pairwise,
     pair_order,
     pairwise_batch,
     sample_interior,
@@ -170,50 +167,50 @@ class TestGradients:
             err = corpus.relative_gradient_error(grad, fd)
             assert err <= 1e-5, f"{name}: {err:.2e}"
 
-    def test_single_point_helpers_agree_with_batch(self):
-        poly = corpus.regular_polygon(5)
-        x = np.array([0.1, 0.2])
-        ev = eval_coords(poly, CoordinateKind.MEAN_VALUE, x)
-        lam, grad = eval_coords_batch(poly, CoordinateKind.MEAN_VALUE, x[None, :])
-        assert ev.values == pytest.approx(lam[0], abs=0.0)
-        assert ev.gradients == pytest.approx(grad[0], abs=0.0)
-        assert eval_gradients(poly, CoordinateKind.MEAN_VALUE, x) == pytest.approx(
-            grad[0], abs=0.0
-        )
-
 
 class TestBoundaryTrace:
     def test_midpoint_values(self):
         poly = corpus.regular_polygon(6)
         lam = eval_boundary(poly, 1, 0.5)
-        assert lam[1] == pytest.approx(0.5)
-        assert lam[2] == pytest.approx(0.5)
+        assert lam.shape == (1, 6)
+        assert lam[0, 1] == pytest.approx(0.5)
+        assert lam[0, 2] == pytest.approx(0.5)
         assert np.count_nonzero(lam) == 2
 
     def test_endpoint_is_vertex_indicator(self):
         poly = corpus.regular_polygon(5)
-        lam = eval_boundary(poly, 2, 0.0)
-        expected = np.zeros(5)
-        expected[2] = 1.0
-        assert lam == pytest.approx(expected, abs=0.0)
+        lam = eval_boundary(poly, np.arange(5), 0.0)
+        assert lam == pytest.approx(np.eye(5), abs=0.0)
 
     def test_quarter_point_on_pentagon(self):
         poly = corpus.regular_polygon(5)
-        lam = eval_boundary(poly, 2, 0.25)
+        lam = eval_boundary(poly, 2, 0.25)[0]
         assert lam[2] == pytest.approx(0.75)
         assert lam[3] == pytest.approx(0.25)
         assert np.count_nonzero(lam) == 2
 
     def test_wrap_edge(self):
         poly = corpus.regular_polygon(5)
-        lam = eval_boundary(poly, 4, 0.5)
+        lam = eval_boundary(poly, 4, 0.5)[0]
         assert lam[4] == pytest.approx(0.5)
         assert lam[0] == pytest.approx(0.5)
 
+    def test_edges_broadcast_against_parameters(self):
+        poly = corpus.regular_polygon(5)
+        ts = np.array([0.0, 0.3, 1.0])
+        lam = eval_boundary(poly, np.arange(5)[:, None], ts[None, :])
+        assert lam.shape == (15, 5)
+        for row, (edge, t) in enumerate((e, t) for e in range(5) for t in ts):
+            expected = np.zeros(5)
+            expected[edge] += 1.0 - t
+            expected[(edge + 1) % 5] += t
+            assert lam[row] == pytest.approx(expected, abs=0.0)
+
     def test_parameter_range_validated(self):
         poly = corpus.regular_polygon(5)
-        with pytest.raises(Exception, match="outside"):
-            eval_boundary(poly, 0, 1.5)
+        for ts in (1.5, [0.5, -0.1], [0.2, math.nan]):
+            with pytest.raises(GeometryError, match="outside"):
+                eval_boundary(poly, 0, ts)
 
     def test_interior_formulas_approach_trace(self):
         poly = corpus.regular_polygon(5)
@@ -234,12 +231,17 @@ class TestBoundaryRejection:
             with pytest.raises(BoundaryEvaluationError):
                 eval_coords_batch(SQUARE, CoordinateKind.WACHSPRESS, np.array([bad]))
 
-    def test_custom_margin_widens_rejection(self):
+    def test_near_edge_point_accepted_at_default_margin(self):
         x = np.array([[0.5, 0.01]])
         lam, _ = eval_coords_batch(SQUARE, CoordinateKind.MEAN_VALUE, x)
         assert lam.shape == (1, 4)
-        with pytest.raises(BoundaryEvaluationError):
-            eval_coords_batch(SQUARE, CoordinateKind.MEAN_VALUE, x, boundary_eps=0.1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [[math.nan, 0.5], [math.inf, 0.5]])
+    def test_non_finite_point_rejected(self, kind, bad):
+        pts = np.array([[0.5, 0.5], bad])
+        with pytest.raises(BoundaryEvaluationError, match="not strictly inside"):
+            eval_coords_batch(SQUARE, kind, pts)
 
 
 class TestPairOrder:
@@ -277,8 +279,9 @@ class TestPairOrder:
 
 class TestPairwiseProducts:
     def test_square_center_products(self):
-        ev = eval_pairwise(SQUARE, CoordinateKind.WACHSPRESS, np.array([0.5, 0.5]))
-        assert ev.values == pytest.approx(np.full(10, 1.0 / 16.0), abs=1e-12)
+        lam, grad = eval_coords_batch(SQUARE, CoordinateKind.WACHSPRESS, np.array([[0.5, 0.5]]))
+        mu, _ = pairwise_batch(lam, grad)
+        assert mu == pytest.approx(np.full((1, 10), 1.0 / 16.0), abs=1e-12)
 
     def test_square_diagonal_product_closed_form(self):
         rng = np.random.default_rng(2)
@@ -333,8 +336,8 @@ class TestPairwiseProducts:
 
     def test_ordering_tag_matches_pair_order(self):
         poly = corpus.regular_polygon(5)
-        ev = eval_pairwise(poly, CoordinateKind.MEAN_VALUE, np.array([0.05, 0.1]))
-        assert ev.pairs == pair_order(5)
-        lam = eval_coords(poly, CoordinateKind.MEAN_VALUE, np.array([0.05, 0.1])).values
-        manual = np.array([lam[a] * lam[b] for a, b in pair_order(5)])
-        assert ev.values == pytest.approx(manual, abs=1e-15)
+        pts = np.array([[0.05, 0.1], [-0.2, 0.3]])
+        lam, grad = eval_coords_batch(poly, CoordinateKind.MEAN_VALUE, pts)
+        mu, _ = pairwise_batch(lam, grad)
+        manual = np.array([[row[a] * row[b] for a, b in pair_order(5)] for row in lam])
+        assert mu == pytest.approx(manual, abs=1e-15)

@@ -273,6 +273,28 @@ class TestErrorPaths:
         assert rc == cli.EXIT_INPUT
         assert "vertices" in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify", "--tol", "-1"),
+        ("verify", "--tol", "0"),
+        ("verify", "--tol", "inf"),
+        ("verify", "--samples", "-3"),
+        ("verify", "--seed", "-1"),
+        ("sample", "--resolution", "-2"),
+        ("convergence", "--cg-tol", "-1"),
+        ("convergence", "--cg-tol", "0"),
+        ("convergence", "--cg-tol", "nan"),
+    ])
+    def test_invalid_numeric_flag_is_input_error(self, tmp_path, capsys, command, flag, value):
+        argv = [command, flag, value]
+        if command != "convergence":
+            argv.insert(1, str(write_polygon(tmp_path, corpus.unit_square())))
+        else:
+            argv += ["--levels", "2"]
+        rc, out, err = run(capsys, argv)
+        assert rc == cli.EXIT_INPUT
+        assert out == ""
+        assert flag in err
+
 
 class TestEntryPoint:
     def test_module_help_runs(self):

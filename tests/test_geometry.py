@@ -326,6 +326,14 @@ class TestInteriorSampling:
         with pytest.raises(GeometryError, match="margin"):
             sample_interior(poly, 10, np.random.default_rng(0), margin=10.0)
 
+    def test_zero_count_gives_empty_array(self):
+        pts = sample_interior(Polygon(SQUARE), 0, np.random.default_rng(0))
+        assert pts.shape == (0, 2)
+
+    def test_negative_count_raises(self):
+        with pytest.raises(GeometryError, match="non-negative"):
+            sample_interior(Polygon(SQUARE), -1, np.random.default_rng(0))
+
 
 class TestJsonIO:
     def test_roundtrip(self, tmp_path):

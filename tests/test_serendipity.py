@@ -12,6 +12,7 @@ import pytest
 
 import corpus
 from polyserend import (
+    BoundaryEvaluationError,
     CoefficientBlowupError,
     CoordinateKind,
     Polygon,
@@ -29,7 +30,6 @@ from polyserend import (
     check_conditions,
     coefficient_bound,
     diagonal_frame,
-    eval_basis,
     eval_basis_batch,
     eval_coords_batch,
     generic_diagonal_coefficients,
@@ -119,8 +119,10 @@ class TestUnitSquare:
 
     def test_center_value(self):
         smap = build_map(SQUARE)
-        ev = eval_basis(SQUARE, CoordinateKind.WACHSPRESS, smap, np.array([0.5, 0.5]))
-        assert ev.xi_values[0] == pytest.approx(0.0, abs=1e-14)
+        lam, dlam = eval_coords_batch(SQUARE, CoordinateKind.WACHSPRESS, np.array([[0.5, 0.5]]))
+        mu, _ = pairwise_batch(lam, dlam)
+        xi = mu @ smap.A.T
+        assert xi[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_cubic_monomials_in_span(self):
         """x^2 y and x y^2 are exact combinations of the reduced functions:
@@ -479,12 +481,13 @@ class TestBasisEvaluation:
         poly = corpus.random_convex_polygon(rng, 7)
         smap = build_map(poly)
         ts = np.linspace(0.0, 1.0, 5)
-        for edge in range(poly.n):
-            rows = np.stack([boundary_basis_values(poly, smap, edge, t) for t in ts])
-            vander = np.vander(ts, 3)
-            coeffs, *_ = np.linalg.lstsq(vander, rows, rcond=None)
-            residual = np.max(np.abs(vander @ coeffs - rows))
-            assert residual <= 1e-9
+        values = boundary_basis_values(poly, smap, np.arange(poly.n)[:, None], ts[None, :])
+        # (edge, t, basis) -> (t, edge * basis): one quadratic fit per column.
+        rows = values.reshape(poly.n, len(ts), -1).transpose(1, 0, 2).reshape(len(ts), -1)
+        vander = np.vander(ts, 3)
+        coeffs, *_ = np.linalg.lstsq(vander, rows, rcond=None)
+        residual = np.max(np.abs(vander @ coeffs - rows))
+        assert residual <= 1e-9
 
     def test_gradients_match_value_differences(self):
         poly = corpus.regular_polygon(6)
@@ -500,16 +503,25 @@ class TestBasisEvaluation:
         assert corpus.relative_gradient_error(dpsi, fd) <= 1e-5
 
     def test_pointwise_eval_consistency(self):
+        """psi = B xi at every point, for values and gradients."""
         poly = corpus.regular_polygon(5)
         smap = build_map(poly)
-        x = np.array([0.07, -0.22])
-        ev = eval_basis(poly, CoordinateKind.WACHSPRESS, smap, x)
-        psi, dpsi = eval_basis_batch(poly, CoordinateKind.WACHSPRESS, smap, x[None, :])
-        # batch multiplies (B @ A) @ mu, pointwise B @ (A @ mu): equal up to
+        pts = np.array([[0.07, -0.22], [0.3, 0.1]])
+        psi, dpsi = eval_basis_batch(poly, CoordinateKind.WACHSPRESS, smap, pts)
+        lam, dlam = eval_coords_batch(poly, CoordinateKind.WACHSPRESS, pts)
+        mu, dmu = pairwise_batch(lam, dlam)
+        xi = mu @ smap.A.T
+        dxi = np.einsum("rp,mpd->mrd", smap.A, dmu)
+        # psi multiplies (B @ A) @ mu, B @ xi is B @ (A @ mu): equal up to
         # rounding, not bitwise
-        assert ev.psi_values == pytest.approx(psi[0], abs=1e-13)
-        assert ev.psi_gradients == pytest.approx(dpsi[0], abs=1e-12)
-        assert ev.psi_values == pytest.approx(smap.B @ ev.xi_values, abs=1e-15)
+        assert psi == pytest.approx(xi @ smap.B.T, abs=1e-13)
+        assert dpsi == pytest.approx(np.einsum("rs,msd->mrd", smap.B, dxi), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0.5], [0.5, math.inf]])
+    def test_non_finite_point_rejected(self, bad):
+        smap = build_map(SQUARE)
+        with pytest.raises(BoundaryEvaluationError, match="not strictly inside"):
+            eval_basis_batch(SQUARE, CoordinateKind.MEAN_VALUE, smap, np.array([bad]))
 
     def test_precision_residuals_flag_corruption(self):
         poly = corpus.regular_polygon(6)

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import GeometryError, Polygon
+from .geometry import GeometryError, Polygon, _neighbours, polygon_batch
 
 __all__ = [
     "fan_apex",
@@ -57,49 +58,57 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _edge_rotations(verts: np.ndarray) -> np.ndarray:
-    """Constant gradient of the area A(x, v_i, v_{i+1}) with respect to x."""
-    nxt = np.roll(verts, -1, axis=0)
-    return 0.5 * np.stack([verts[:, 1] - nxt[:, 1], nxt[:, 0] - verts[:, 0]], axis=1)
+    """Constant gradient (c, 2, n, 1) of the area A(x, v_i, v_{i+1}) with respect to x."""
+    nxt = verts[:, _neighbours(verts.shape[1])[0]]
+    rot = 0.5 * np.stack([verts[..., 1] - nxt[..., 1], nxt[..., 0] - verts[..., 0]], axis=1)
+    return rot[..., None]
+
+
+# The kernels below take vertices (c, n, 2) and points (c, m, 2) and return
+# values (c, n, m) and gradients (c, 2, n, m).  With the points last, every
+# elementwise step, every shift to a neighbouring vertex and every sum over
+# vertices runs along rows of m contiguous values.
+
+
+def _offsets(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Vertex offsets v_i - x, (c, 2, n, m)."""
+    return np.swapaxes(verts, 1, 2)[..., None] - np.swapaxes(pts, 1, 2)[:, :, None, :]
 
 
 def _wachspress(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = verts[None, :, :] - pts[:, None, :]          # (m, n, 2)
-    dn = np.roll(d, -1, axis=1)
-    area = 0.5 * _cross(d, dn)                       # A(x, v_i, v_{i+1}) > 0 inside
-    area_prev = np.roll(area, 1, axis=1)
-    prv = np.roll(verts, 1, axis=0)
-    nxt = np.roll(verts, -1, axis=0)
-    corner = 0.5 * _cross(verts - prv, nxt - verts)  # A(v_{i-1}, v_i, v_{i+1}); 0 at flat vertices
-    grad_area = _edge_rotations(verts)               # (n, 2)
-    grad_prev = np.roll(grad_area, 1, axis=0)
-    w = corner[None, :] / (area_prev * area)
-    ratio = grad_prev[None] / area_prev[..., None] + grad_area[None] / area[..., None]
-    total = np.sum(w, axis=1, keepdims=True)
-    lam = w / total
-    mean_ratio = np.sum(lam[..., None] * ratio, axis=1, keepdims=True)
-    grads = lam[..., None] * (mean_ratio - ratio)
+    nxt, prv = _neighbours(verts.shape[1])
+    d = _offsets(verts, pts)
+    dn = d[:, :, nxt]
+    area = 0.5 * (d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0])  # A(x, v_i, v_{i+1}) > 0 inside
+    area_prev = area[:, prv]
+    corner = 0.5 * _cross(verts - verts[:, prv], verts[:, nxt] - verts)  # 0 at flat vertices
+    grad_area = _edge_rotations(verts)
+    w = corner[..., None] / (area_prev * area)
+    ratio = grad_area[:, :, prv] / area_prev[:, None] + grad_area / area[:, None]
+    lam = w / np.sum(w, axis=1, keepdims=True)
+    mean_ratio = np.sum(lam[:, None] * ratio, axis=2, keepdims=True)
+    grads = lam[:, None] * (mean_ratio - ratio)
     return lam, grads
 
 
 def _mean_value(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = verts[None, :, :] - pts[:, None, :]
-    r = np.hypot(d[..., 0], d[..., 1])
-    dn = np.roll(d, -1, axis=1)
-    rn = np.roll(r, -1, axis=1)
-    crs = _cross(d, dn)                      # 2 * A(x, v_i, v_{i+1}) > 0 inside
-    dot = np.einsum("mnd,mnd->mn", d, dn)
-    t = (r * rn - dot) / crs                 # tan of half the subtended angle
-    grad_crs = 2.0 * _edge_rotations(verts)  # constant in x
+    nxt, prv = _neighbours(verts.shape[1])
+    d = _offsets(verts, pts)
+    dn = d[:, :, nxt]
+    r = np.hypot(d[:, 0], d[:, 1])
+    rn = r[:, nxt]
+    crs = d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0]  # 2 A(x, v_i, v_{i+1}) > 0 inside
+    dot = d[:, 0] * dn[:, 0] + d[:, 1] * dn[:, 1]
+    t = (r * rn - dot) / crs                       # tan of half the subtended angle
+    grad_crs = 2.0 * _edge_rotations(verts)        # constant in x
     grad_dot = -(d + dn)
-    grad_rr = -(rn / r)[..., None] * d - (r / rn)[..., None] * dn
-    grad_t = (grad_rr - grad_dot - t[..., None] * grad_crs[None]) / crs[..., None]
-    t_prev = np.roll(t, 1, axis=1)
-    grad_t_prev = np.roll(grad_t, 1, axis=1)
-    w = (t_prev + t) / r
-    grad_w = (grad_t_prev + grad_t) / r[..., None] + (w / (r * r))[..., None] * d
+    grad_rr = -(rn / r)[:, None] * d - (r / rn)[:, None] * dn
+    grad_t = (grad_rr - grad_dot - t[:, None] * grad_crs) / crs[:, None]
+    w = (t[:, prv] + t) / r
+    grad_w = (grad_t[:, :, prv] + grad_t) / r[:, None] + (w / (r * r))[:, None] * d
     total = np.sum(w, axis=1, keepdims=True)
     lam = w / total
-    grads = (grad_w - lam[..., None] * np.sum(grad_w, axis=1, keepdims=True)) / total[..., None]
+    grads = (grad_w - lam[:, None] * np.sum(grad_w, axis=2, keepdims=True)) / total[:, None]
     return lam, grads
 
 
@@ -109,53 +118,68 @@ def _fan_triangles(n: int, apex: int) -> np.ndarray:
     return np.array(idx, dtype=int)
 
 
-def fan_apex(polygon: Polygon) -> int:
+def _fan_apices(verts: np.ndarray, diameters: np.ndarray) -> np.ndarray:
+    """``fan_apex`` of every polygon of a batch."""
+    n = verts.shape[1]
+    floor = 1e-12 * diameters ** 2
+    apex = np.full(len(verts), -1)
+    for candidate in range(n):
+        todo = np.flatnonzero(apex < 0)
+        if not todo.size:
+            break
+        tri = verts[todo][:, _fan_triangles(n, candidate)]       # (k, n - 2, 3, 2)
+        areas = 0.5 * _cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
+        apex[todo[np.all(areas > floor[todo, None], axis=1)]] = candidate
+    if np.any(apex < 0):
+        raise GeometryError("no valid fan triangulation; polygon is degenerate")
+    return apex
+
+
+def fan_apex(polygon: Polygon | Sequence[Polygon]) -> int | np.ndarray:
     """First vertex whose fan contains no degenerate triangle.
 
     For strictly convex polygons this is always vertex 0; flat vertices can
     make some fans degenerate, in which case the apex advances deterministically.
+    A batch of polygons gets one apex each.
     """
-    verts = polygon.vertices
-    n = polygon.n
-    floor = 1e-12 * polygon.diameter ** 2
-    for apex in range(n):
-        tri = verts[_fan_triangles(n, apex)]
-        areas = 0.5 * _cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        if np.all(areas > floor):
-            return apex
-    raise GeometryError("no valid fan triangulation; polygon is degenerate")
+    _, verts, diameters = polygon_batch(polygon)
+    apex = _fan_apices(verts, diameters)
+    return int(apex[0]) if isinstance(polygon, Polygon) else apex
 
 
-def _triangulation(polygon: Polygon, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    verts = polygon.vertices
-    n = polygon.n
-    m = len(pts)
-    tris = _fan_triangles(n, fan_apex(polygon))
-    p, q, s = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    area2 = _cross(q - p, s - p)                              # (T,)
-    # Barycentric coordinates of every point in every fan triangle.
-    x = pts[:, None, :]
-    b0 = _cross(q[None] - x, s[None] - x) / area2[None]
-    b1 = _cross(s[None] - x, p[None] - x) / area2[None]
-    b2 = _cross(p[None] - x, q[None] - x) / area2[None]
-    bary = np.stack([b0, b1, b2], axis=-1)                    # (m, T, 3)
-    inside = np.all(bary >= -1e-12, axis=-1)
-    # Points on interior fan edges belong to the lowest-index triangle.
-    tsel = np.argmax(inside, axis=1)
-    missed = ~inside[np.arange(m), tsel]
-    if np.any(missed):
-        tsel[missed] = np.argmax(np.min(bary[missed], axis=-1), axis=1)
+def _triangulation(
+    verts: np.ndarray, diameters: np.ndarray, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    c, n, _ = verts.shape
+    m = pts.shape[1]
+    tris = (_fan_triangles(n, 0) + _fan_apices(verts, diameters)[:, None, None]) % n
+    rows = np.arange(c)[:, None]
+    p, q, s = (verts[rows, tris[..., k]] for k in range(3))  # (c, T, 2)
+    area2 = _cross(q - p, s - p)                              # (c, T)
     # Constant gradients of the three linear shape functions per triangle.
-    g0 = 0.5 * np.stack([q[:, 1] - s[:, 1], s[:, 0] - q[:, 0]], axis=1)
-    g1 = 0.5 * np.stack([s[:, 1] - p[:, 1], p[:, 0] - s[:, 0]], axis=1)
-    g2 = 0.5 * np.stack([p[:, 1] - q[:, 1], q[:, 0] - p[:, 0]], axis=1)
-    gall = np.stack([g0, g1, g2], axis=1) / (0.5 * area2)[:, None, None]
-    rows = np.repeat(np.arange(m), 3)
-    cols = tris[tsel].ravel()
-    lam = np.zeros((m, n))
-    lam[rows, cols] = bary[np.arange(m), tsel].ravel()
-    grads = np.zeros((m, n, 2))
-    grads[rows, cols] = gall[tsel].reshape(-1, 2)
+    g0 = 0.5 * np.stack([q[..., 1] - s[..., 1], s[..., 0] - q[..., 0]], axis=-1)
+    g1 = 0.5 * np.stack([s[..., 1] - p[..., 1], p[..., 0] - s[..., 0]], axis=-1)
+    g2 = 0.5 * np.stack([p[..., 1] - q[..., 1], q[..., 0] - p[..., 0]], axis=-1)
+    gall = np.stack([g0, g1, g2], axis=-1) / (0.5 * area2)[..., None, None]  # (c, T, 2, 3)
+    # Barycentric coordinates of every point in every fan triangle.
+    x = pts[:, :, None, :]
+    p, q, s, area2 = p[:, None], q[:, None], s[:, None], area2[:, None]
+    b0 = _cross(q - x, s - x) / area2
+    b1 = _cross(s - x, p - x) / area2
+    b2 = _cross(p - x, q - x) / area2
+    bary = np.stack([b0, b1, b2], axis=-1)                    # (c, m, T, 3)
+    inside = np.all(bary >= -1e-12, axis=-1)
+    # Points on interior fan edges belong to the lowest-index triangle; a
+    # point in none (round-off) to the triangle it is least outside of.
+    tsel = np.where(np.any(inside, axis=-1), np.argmax(inside, axis=-1),
+                    np.argmax(np.min(bary, axis=-1), axis=-1))  # (c, m)
+    cols = np.swapaxes(tris[rows, tsel], 1, 2)                # (c, 3, m)
+    picked = np.take_along_axis(bary, tsel[..., None, None], axis=2)[:, :, 0]
+    lam = np.zeros((c, n, m))
+    np.put_along_axis(lam, cols, np.swapaxes(picked, 1, 2), axis=1)
+    grads = np.zeros((c, 2, n, m))
+    np.put_along_axis(grads, np.broadcast_to(cols[:, None], (c, 2, 3, m)),
+                      np.moveaxis(gall[rows, tsel], 1, 3), axis=2)
     return lam, grads
 
 
@@ -165,28 +189,57 @@ _DISPATCH = {
 }
 
 
+def _reject_boundary_points(polys: tuple[Polygon, ...], verts: np.ndarray,
+                            diameters: np.ndarray, pts: np.ndarray) -> None:
+    """Raise unless every point (c, m, 2) lies strictly inside its polygon."""
+    finite = np.all(np.isfinite(pts), axis=-1)
+    if not np.all(finite):
+        bad = pts[~finite][0]
+        raise BoundaryEvaluationError(
+            f"point ({bad[0]:.6g}, {bad[1]:.6g}) is not strictly inside the polygon "
+            "(non-finite coordinate)"
+        )
+    normals = np.stack([p.inward_normals for p in polys])     # (c, n, 2)
+    offsets = np.einsum("cnd,cnd->cn", normals, verts)
+    dist = normals @ np.swapaxes(pts, 1, 2) - offsets[..., None]  # (c, n, m)
+    closest = np.min(dist, axis=1)
+    eps = DEFAULT_BOUNDARY_EPS * diameters[:, None]
+    if not np.all(closest > eps):
+        cell, point = np.unravel_index(np.argmin(closest - eps), closest.shape)
+        bad = pts[cell, point]
+        raise BoundaryEvaluationError(
+            f"point ({bad[0]:.6g}, {bad[1]:.6g}) is not strictly inside the polygon "
+            f"(closest edge distance {closest[cell, point]:.3e}, "
+            f"required > {eps[cell, 0]:.3e})"
+        )
+
+
 def eval_coords_batch(
-    polygon: Polygon,
+    polygon: Polygon | Sequence[Polygon],
     kind: CoordinateKind | str,
     points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate values (m, n) and gradients (m, n, 2) at interior points (m, 2)."""
+    """Coordinate values (m, n) and gradients (m, n, 2) at interior points (m, 2).
+
+    Given a batch of c polygons that share a vertex count, ``points`` is
+    (c, m, 2), one row of points per polygon, and the results gain a leading
+    axis: values (c, m, n) and gradients (c, m, n, 2).
+    """
     kind = CoordinateKind(kind)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise GeometryError("points must have shape (m, 2)")
-    eps = DEFAULT_BOUNDARY_EPS * polygon.diameter
-    closest = np.min(polygon.edge_distances(pts), axis=1)
-    # Negated so that non-finite points (NaN distances) are rejected too.
-    if not np.all(closest > eps):
-        bad = pts[int(np.argmin(closest))]
-        raise BoundaryEvaluationError(
-            f"point ({bad[0]:.6g}, {bad[1]:.6g}) is not strictly inside the polygon "
-            f"(closest edge distance {float(np.min(closest)):.3e}, required > {eps:.3e})"
-        )
+    polys, verts, diameters = polygon_batch(polygon)
+    pts = np.asarray(points, dtype=float)
+    if isinstance(polygon, Polygon):
+        pts = np.atleast_2d(pts)[None]
+    if pts.ndim != 3 or pts.shape[0] != len(polys) or pts.shape[2] != 2:
+        raise GeometryError("points must have shape (m, 2), or (c, m, 2) for c polygons")
+    _reject_boundary_points(polys, verts, diameters, pts)
     if kind is CoordinateKind.TRIANGULATION:
-        return _triangulation(polygon, pts)
-    return _DISPATCH[kind](polygon.vertices, pts)
+        lam, grads = _triangulation(verts, diameters, pts)
+    else:
+        lam, grads = _DISPATCH[kind](verts, pts)
+    # Views of the points-last arrays, which pairwise_batch takes back.
+    lam, grads = np.swapaxes(lam, 1, 2), np.swapaxes(grads, 1, 3)
+    return (lam[0], grads[0]) if isinstance(polygon, Polygon) else (lam, grads)
 
 
 def eval_boundary(polygon: Polygon, edges: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -239,13 +292,20 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pairwise_batch(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Products (m, n(n+1)/2) and their gradients, ordered as ``pair_order(n)``.
+    """Products (..., m, n(n+1)/2) and gradients (..., m, n(n+1)/2, 2), in ``pair_order(n)``.
 
-    Weighted sums of the products recover 1, x and x x^T exactly (partition,
-    midpoint and second-moment identities), which is the property the
-    serendipity reduction preserves.
+    ``values`` (..., m, n) and ``gradients`` (..., m, n, 2) at m points may
+    carry any leading axes, such as one per polygon.  Weighted sums of the
+    products recover 1, x and x x^T exactly (partition, midpoint and
+    second-moment identities), which is the property the serendipity
+    reduction preserves.
     """
-    ia, ib = _pair_arrays(values.shape[1])
-    mu = values[:, ia] * values[:, ib]
-    dmu = values[:, ia, None] * gradients[:, ib, :] + values[:, ib, None] * gradients[:, ia, :]
-    return mu, dmu
+    ia, ib = _pair_arrays(values.shape[-1])
+    # Points-last views (..., n, m) and (..., 2, n, m); the results are views
+    # of points-last arrays too (see eval_coords_batch).
+    v = np.swapaxes(values, -1, -2)
+    g = np.swapaxes(gradients, -1, -3)
+    va, vb = v[..., ia, :], v[..., ib, :]
+    mu = va * vb
+    dmu = va[..., None, :, :] * g[..., ib, :] + vb[..., None, :, :] * g[..., ia, :]
+    return np.swapaxes(mu, -1, -2), np.swapaxes(dmu, -1, -3)

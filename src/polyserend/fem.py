@@ -7,9 +7,12 @@ is the univariate quadratic Lagrange polynomial of its three edge nodes,
 matching nodes across cells give a globally continuous space regardless of
 the coordinate kind or cell shapes.
 
-The flagship problem is the Poisson equation with Dirichlet data, assembled
-cell by cell with centroid-fan quadrature and solved with preconditioned
-conjugate gradients after symmetric elimination of boundary values.
+The flagship problem is the Poisson equation with Dirichlet data, solved
+with preconditioned conjugate gradients after symmetric elimination of
+boundary values.  Assembly and error norms share one element kernel that
+runs over chunks of cells with the same quadrature layout: it maps the rule,
+evaluates coordinates, products and basis with a leading cell axis, and
+forms every element stiffness of a chunk in one batched product.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .barycentric import CoordinateKind, fan_apex
 from .geometry import GeometryError, Polygon
 from .linalg import SolveReport, SparseMatrix, cg_solve
-from .quadrature import QuadratureRule, fan_rule, polygon_rule
+from .quadrature import fan_rule, polygon_rule, rule_layouts
 from .serendipity import SerendipityMap, build_map, eval_basis_batch
 
 __all__ = [
@@ -218,16 +221,39 @@ def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
     return tuple(build_map(poly) for poly in mesh.polygons)
 
 
-def _cell_rule(poly: Polygon, kind: CoordinateKind, degree: int) -> QuadratureRule:
-    """Quadrature adapted to the coordinate kind.
+# Quadrature points per chunk of the element kernel.  Much below this the
+# fixed cost of each numpy call dominates; above it the kernel's temporaries
+# (about 1.3 KB per point) raise peak memory and are no faster, since every
+# fresh large temporary is page-faulted in again.
+CHUNK_POINTS = 1024
 
-    Triangulation coordinates are piecewise polynomial on their own vertex
-    fan, so a fan-aligned rule integrates them exactly; the other kinds use
-    the vertex-clustered centroid decomposition.
+
+def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], kind: CoordinateKind,
+                    degree: int):
+    """The element kernel: basis values at the quadrature points of chunks of cells.
+
+    Cells are grouped by the point layout of their rules and taken in chunks
+    of about ``CHUNK_POINTS`` points, so every stage (rule, coordinates,
+    products, basis) is one array operation over the chunk.  Triangulation
+    coordinates are piecewise polynomial on their own vertex fan, so a
+    fan-aligned rule integrates them exactly; the other kinds use the
+    vertex-clustered centroid decomposition.
+
+    Yields (cells, rule, psi, dpsi) with rule points (c, m, 2), weights
+    (c, m), psi (c, m, 2n) and dpsi (c, m, 2n, 2).
     """
-    if kind is CoordinateKind.TRIANGULATION:
-        return fan_rule(poly, degree, fan_apex(poly))
-    return polygon_rule(poly, degree)
+    fan = kind is CoordinateKind.TRIANGULATION
+    for group, size in rule_layouts(mesh.polygons, degree, fan=fan):
+        step = max(1, CHUNK_POINTS // size)
+        for start in range(0, len(group), step):
+            cells = group[start:start + step]
+            polys = [mesh.polygons[i] for i in cells]
+            if fan:
+                rule = fan_rule(polys, degree, fan_apex(polys))
+            else:
+                rule = polygon_rule(polys, degree)
+            psi, dpsi = eval_basis_batch(polys, kind, [maps[i] for i in cells], rule.points)
+            yield cells, rule, psi, dpsi
 
 
 def assemble(
@@ -252,17 +278,18 @@ def assemble(
     ndof = dofmap.n_dofs
     rows, cols, vals = [], [], []
     rhs = np.zeros(ndof)
-    for poly, smap, dofs in zip(mesh.polygons, maps, dofmap.cell_dofs):
-        rule = _cell_rule(poly, kind, quad_degree)
-        psi, dpsi = eval_basis_batch(poly, kind, smap, rule.points)
-        k_loc = np.einsum("q,qid,qjd->ij", rule.weights, dpsi, dpsi, optimize=True)
-        m = len(dofs)
-        rows.append(np.repeat(dofs, m))
-        cols.append(np.tile(dofs, m))
+    for cells, rule, psi, dpsi in _element_chunks(mesh, maps, kind, quad_degree):
+        dofs = np.stack([dofmap.cell_dofs[i] for i in cells])      # (c, 2n)
+        grad = np.swapaxes(dpsi, 1, 3)                              # (c, 2, 2n, m)
+        k_loc = np.sum((grad * rule.weights[:, None, None]) @ np.swapaxes(grad, 2, 3), axis=1)
+        size = dofs.shape[1]
+        rows.append(np.repeat(dofs, size, axis=1).ravel())
+        cols.append(np.tile(dofs, size).ravel())
         vals.append(k_loc.ravel())
         if source is not None:
-            f_vals = np.asarray(source(rule.points), dtype=float)
-            rhs[dofs] += psi.T @ (rule.weights * f_vals)
+            f_vals = np.asarray(source(rule.points.reshape(-1, 2)), dtype=float)
+            wf = rule.weights * f_vals.reshape(rule.weights.shape)
+            np.add.at(rhs, dofs, (np.swapaxes(psi, 1, 2) @ wf[..., None])[..., 0])
     matrix = SparseMatrix.from_triplets(
         ndof, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
@@ -329,18 +356,19 @@ def error_norms(
 ) -> ErrorNorms:
     acc_l2 = 0.0
     acc_h1 = 0.0
-    for poly, smap, dofs in zip(
-        solution.mesh.polygons, solution.maps, solution.dofmap.cell_dofs
+    for cells, rule, psi, dpsi in _element_chunks(
+        solution.mesh, solution.maps, solution.kind, quad_degree
     ):
-        rule = _cell_rule(poly, solution.kind, quad_degree)
-        psi, dpsi = eval_basis_batch(poly, solution.kind, smap, rule.points)
-        coeff = solution.values[dofs]
-        u_h = psi @ coeff
-        g_h = np.einsum("qid,i->qd", dpsi, coeff)
-        du = u_h - np.asarray(u_exact(rule.points), dtype=float)
-        dg = g_h - np.asarray(grad_u_exact(rule.points), dtype=float)
-        acc_l2 += float(rule.weights @ du**2)
-        acc_h1 += float(rule.weights @ np.sum(dg**2, axis=1))
+        dofs = np.stack([solution.dofmap.cell_dofs[i] for i in cells])
+        coeff = solution.values[dofs][:, None, :]                   # (c, 1, 2n)
+        points = rule.points.reshape(-1, 2)
+        weights = rule.weights.ravel()
+        u_h = (coeff @ np.swapaxes(psi, 1, 2)).ravel()
+        g_h = (coeff[:, None] @ np.swapaxes(dpsi, 1, 3))[:, :, 0]   # (c, 2, m)
+        du = u_h - np.asarray(u_exact(points), dtype=float)
+        dg = np.swapaxes(g_h, 1, 2).reshape(-1, 2) - np.asarray(grad_u_exact(points), dtype=float)
+        acc_l2 += float(weights @ du**2)
+        acc_h1 += float(weights @ np.sum(dg**2, axis=1))
     return ErrorNorms(l2=float(np.sqrt(acc_l2)), h1=float(np.sqrt(acc_h1)))
 
 

@@ -11,7 +11,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +20,7 @@ __all__ = [
     "GeometryError",
     "InvalidPolygonError",
     "Polygon",
+    "polygon_batch",
     "ShapeMetrics",
     "ShapeConditions",
     "DiagonalFrame",
@@ -48,6 +50,16 @@ _CONVEXITY_RTOL = 1e-12
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+@lru_cache(maxsize=None)
+def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the next and the previous vertex, (i + 1) % n and (i - 1) % n."""
+    nxt = (np.arange(n) + 1) % n
+    prv = (np.arange(n) - 1) % n
+    nxt.setflags(write=False)
+    prv.setflags(write=False)
+    return nxt, prv
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,17 +92,16 @@ class Polygon:
         np.fill_diagonal(dist, np.inf)
         if float(np.min(dist)) <= 1e-12 * scale:
             raise InvalidPolygonError("repeated vertices")
-        area2 = float(
-            np.sum(verts[:, 0] * np.roll(verts[:, 1], -1) - np.roll(verts[:, 0], -1) * verts[:, 1])
-        )
+        nxt, _ = _neighbours(n)
+        area2 = float(np.sum(verts[:, 0] * verts[nxt, 1] - verts[nxt, 0] * verts[:, 1]))
         if area2 < 1e-12 * scale * scale:
             if area2 <= 0.0 and abs(area2) > 1e-12 * scale * scale:
                 raise InvalidPolygonError("vertices must be in counterclockwise order")
             raise InvalidPolygonError("degenerate polygon: near-zero area")
-        edges = np.roll(verts, -1, axis=0) - verts
+        edges = verts[nxt] - verts
         elen = np.hypot(edges[:, 0], edges[:, 1])
-        turn = _cross(edges, np.roll(edges, -1, axis=0))
-        limit = _CONVEXITY_RTOL * elen * np.roll(elen, -1)
+        turn = _cross(edges, edges[nxt])
+        limit = _CONVEXITY_RTOL * elen * elen[nxt]
         if self.allow_flat:
             if np.any(turn < -limit):
                 raise InvalidPolygonError("polygon is not convex (reflex vertex)")
@@ -106,16 +117,16 @@ class Polygon:
     @cached_property
     def area(self) -> float:
         v = self.vertices
-        return 0.5 * float(
-            np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
-        )
+        nxt, _ = _neighbours(self.n)
+        return 0.5 * float(np.sum(v[:, 0] * v[nxt, 1] - v[nxt, 0] * v[:, 1]))
 
     @cached_property
     def centroid(self) -> np.ndarray:
         """Area centroid (always strictly interior for a convex polygon)."""
         v = self.vertices
-        w = v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]
-        c = np.sum((v + np.roll(v, -1, axis=0)) * w[:, None], axis=0) / (6.0 * self.area)
+        nxt, _ = _neighbours(self.n)
+        w = v[:, 0] * v[nxt, 1] - v[nxt, 0] * v[:, 1]
+        c = np.sum((v + v[nxt]) * w[:, None], axis=0) / (6.0 * self.area)
         c.setflags(write=False)
         return c
 
@@ -128,7 +139,7 @@ class Polygon:
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        e = np.roll(self.vertices, -1, axis=0) - self.vertices
+        e = self.vertices[_neighbours(self.n)[0]] - self.vertices
         out = np.hypot(e[:, 0], e[:, 1])
         out.setflags(write=False)
         return out
@@ -136,7 +147,7 @@ class Polygon:
     @cached_property
     def inward_normals(self) -> np.ndarray:
         """Unit normals of edge i = (v_i, v_{i+1}) pointing into the polygon."""
-        e = np.roll(self.vertices, -1, axis=0) - self.vertices
+        e = self.vertices[_neighbours(self.n)[0]] - self.vertices
         nrm = np.stack([-e[:, 1], e[:, 0]], axis=1) / self.edge_lengths[:, None]
         nrm.setflags(write=False)
         return nrm
@@ -154,6 +165,22 @@ class Polygon:
 
     def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
         return bool(np.min(self.edge_distances(point)) >= -tol)
+
+
+def polygon_batch(
+    polygons: Polygon | Sequence[Polygon],
+) -> tuple[tuple[Polygon, ...], np.ndarray, np.ndarray]:
+    """Polygons that share a vertex count, their vertices (c, n, 2) and diameters (c,).
+
+    A single polygon is a batch of one.
+    """
+    polys = (polygons,) if isinstance(polygons, Polygon) else tuple(polygons)
+    if not polys:
+        raise GeometryError("a polygon batch needs at least one polygon")
+    if any(p.n != polys[0].n for p in polys):
+        raise GeometryError("polygons of one batch must share a vertex count")
+    verts = np.stack([p.vertices for p in polys])
+    return polys, verts, np.array([p.diameter for p in polys])
 
 
 def interior_angles(polygon: Polygon) -> np.ndarray:

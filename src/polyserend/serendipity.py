@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -365,18 +366,31 @@ def basis_nodes(polygon: Polygon) -> np.ndarray:
 
 
 def eval_basis_batch(
-    polygon: Polygon,
+    polygon: Polygon | Sequence[Polygon],
     kind: CoordinateKind | str,
-    smap: SerendipityMap,
+    smap: SerendipityMap | Sequence[SerendipityMap],
     points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange basis values (m, 2n) and gradients (m, 2n, 2) at interior points."""
+    """Lagrange basis values (m, 2n) and gradients (m, 2n, 2) at interior points.
+
+    Given a batch of c polygons that share a vertex count, one map each and
+    points (c, m, 2), the results are (c, m, 2n) and (c, m, 2n, 2).
+    """
     values, gradients = eval_coords_batch(polygon, kind, points)
     mu, dmu = pairwise_batch(values, gradients)
-    BA = smap.B @ smap.A
-    psi = mu @ BA.T
-    dpsi = np.einsum("rp,mpd->mrd", BA, dmu)
-    return psi, dpsi
+    single = values.ndim == 2
+    maps = (smap,) if isinstance(smap, SerendipityMap) else tuple(smap)
+    n = values.shape[-1]
+    if len(maps) != (1 if single else len(values)) or any(sm.n != n for sm in maps):
+        raise SerendipityError("needs one serendipity map per polygon, built for that polygon")
+    c, P = len(maps), mu.shape[-1]
+    # Contract on the points-last layout of the products: B A of every
+    # polygon (c, 2n, P) times products (c, P, m) and gradients (c, 2, P, m).
+    BA = maps[0].B @ np.stack([sm.A for sm in maps])
+    psi = BA @ np.swapaxes(mu, -1, -2).reshape(c, P, -1)
+    dpsi = BA[:, None] @ np.swapaxes(dmu, -1, -3).reshape(c, 2, P, -1)
+    psi, dpsi = np.swapaxes(psi, 1, 2), np.swapaxes(dpsi, 1, 3)
+    return (psi[0], dpsi[0]) if single else (psi, dpsi)
 
 
 def boundary_basis_values(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, Voronoi
 
 from polyserend import GeometryError, PolyMesh, Polygon, check_conditions, sample_interior
 from polyserend.barycentric import fan_apex
@@ -123,6 +123,30 @@ def mixed_mesh() -> PolyMesh:
     ])
     cells = ((0, 1, 2, 3), (3, 2, 5, 4), (2, 1, 6, 7, 5))
     return PolyMesh.build(vertices, cells)
+
+
+def voronoi_mesh(per_side: int = 4, seed: int = 0) -> PolyMesh:
+    """Clipped Voronoi mesh of the unit square from a jittered hexagonal
+    lattice of per_side x per_side sites: mixed vertex counts, cells on the
+    generic construction, no two cells alike.  Mirroring the sites across the
+    four sides puts the sides on Voronoi edges, so the cells tile the square."""
+    rng = np.random.default_rng(seed)
+    j, i = np.mgrid[0:per_side, 0:per_side]
+    sites = np.stack([i.ravel() + 0.25 + 0.5 * (j.ravel() % 2), j.ravel() + 0.5], axis=1)
+    sites = (sites + rng.uniform(-0.15, 0.15, sites.shape)) / per_side
+    x, y = sites.T
+    vor = Voronoi(np.vstack([sites, np.c_[-x, y], np.c_[2.0 - x, y],
+                             np.c_[x, -y], np.c_[x, 2.0 - y]]))
+    corners = vor.vertices.copy()
+    for side in (0.0, 1.0):
+        corners[np.abs(corners - side) < 1e-12] = side
+    index: dict[int, int] = {}
+    cells = []
+    for s, site in enumerate(sites):
+        region = vor.regions[vor.point_region[s]]
+        angle = np.arctan2(*(corners[region] - site).T[::-1])
+        cells.append([index.setdefault(region[k], len(index)) for k in np.argsort(angle)])
+    return PolyMesh.build(corners[list(index)], cells)
 
 
 def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

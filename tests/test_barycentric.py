@@ -236,12 +236,55 @@ class TestBoundaryRejection:
         lam, _ = eval_coords_batch(SQUARE, CoordinateKind.MEAN_VALUE, x)
         assert lam.shape == (1, 4)
 
+    # Rejected before any distance is computed, so no RuntimeWarning either.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("bad", [[math.nan, 0.5], [math.inf, 0.5]])
     def test_non_finite_point_rejected(self, kind, bad):
         pts = np.array([[0.5, 0.5], bad])
         with pytest.raises(BoundaryEvaluationError, match="not strictly inside"):
             eval_coords_batch(SQUARE, kind, pts)
+
+
+class TestBatchedEvaluation:
+    """A batch of polygons is evaluated at once; each row equals a single call."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_equal_single_calls(self, kind):
+        rng = np.random.default_rng(53)
+        flat = corpus.degenerate_pentagon()
+        rolled = Polygon(np.roll(flat.vertices, 1, axis=0), allow_flat=True)  # fan apex 1
+        polys = [corpus.random_convex_polygon(rng, 5) for _ in range(3)] + [flat, rolled]
+        pts = np.stack([sample_interior(p, 7, rng, margin=1e-3) for p in polys])
+        lam, dlam = eval_coords_batch(polys, kind, pts)
+        assert lam.shape == (5, 7, 5) and dlam.shape == (5, 7, 5, 2)
+        for k, poly in enumerate(polys):
+            want, dwant = eval_coords_batch(poly, kind, pts[k])
+            assert np.array_equal(lam[k], want) and np.array_equal(dlam[k], dwant)
+        mu, dmu = pairwise_batch(lam, dlam)
+        want, dwant = pairwise_batch(lam[2], dlam[2])
+        assert np.array_equal(mu[2], want) and np.array_equal(dmu[2], dwant)
+
+    def test_fan_apex_per_polygon(self):
+        flat = corpus.degenerate_pentagon()
+        rolled = Polygon(np.roll(flat.vertices, 1, axis=0), allow_flat=True)
+        polys = [corpus.regular_polygon(5), rolled, flat]
+        apices = [fan_apex(p) for p in polys]
+        assert apices == [0, 1, 0]
+        assert fan_apex(polys).tolist() == apices
+
+    def test_point_outside_its_own_polygon_rejected(self):
+        moved = Polygon(SQUARE.vertices + 2.0)
+        pts = np.array([[[0.5, 0.5]], [[0.5, 0.5]]])
+        with pytest.raises(BoundaryEvaluationError, match="not strictly inside"):
+            eval_coords_batch([SQUARE, moved], CoordinateKind.WACHSPRESS, pts)
+
+    def test_batch_shape_validated(self):
+        with pytest.raises(GeometryError, match="vertex count"):
+            eval_coords_batch([SQUARE, corpus.regular_polygon(5)], "meanvalue",
+                              np.full((2, 1, 2), 0.1))
+        with pytest.raises(GeometryError, match="shape"):
+            eval_coords_batch([SQUARE, SQUARE], "meanvalue", np.full((3, 1, 2), 0.5))
 
 
 class TestPairOrder:

@@ -33,7 +33,10 @@ from polyserend import (
     solve_dirichlet,
     trapezoid_mesh,
 )
-from polyserend.fem import DiscreteSolution
+from polyserend.barycentric import fan_apex
+from polyserend.fem import CHUNK_POINTS, DiscreteSolution
+from polyserend.quadrature import fan_rule, rule_layouts
+from polyserend.serendipity import Strategy
 
 MV = CoordinateKind.MEAN_VALUE
 
@@ -347,6 +350,86 @@ class TestSolveAndErrors:
                 return (psi @ values[dofs] - u(pts)) ** 2
             acc += corpus.refined_polygon_integral(poly, sq, levels=3, degree=12)
         assert err.l2 == pytest.approx(float(np.sqrt(acc)), rel=1e-7)
+
+
+def cell_rule(poly, kind, degree):
+    if kind is CoordinateKind.TRIANGULATION:
+        return fan_rule(poly, degree, fan_apex(poly))
+    return polygon_rule(poly, degree)
+
+
+def reference_assembly(mesh, kind, source, degree=10):
+    """Dense stiffness and load summed one cell at a time from single-polygon calls."""
+    dm = dof_map(mesh)
+    stiffness = np.zeros((dm.n_dofs, dm.n_dofs))
+    load = np.zeros(dm.n_dofs)
+    for poly, smap, dofs in zip(mesh.polygons, cell_maps(mesh), dm.cell_dofs):
+        rule = cell_rule(poly, kind, degree)
+        psi, dpsi = eval_basis_batch(poly, kind, smap, rule.points)
+        stiffness[np.ix_(dofs, dofs)] += np.einsum("q,qid,qjd->ij", rule.weights, dpsi, dpsi)
+        load[dofs] += psi.T @ (rule.weights * source(rule.points))
+    return stiffness, load
+
+
+def reference_norms(sol, u, gu, degree=14):
+    """L2 and H1 errors summed one cell at a time from single-polygon calls."""
+    l2 = h1 = 0.0
+    for poly, smap, dofs in zip(sol.mesh.polygons, sol.maps, sol.dofmap.cell_dofs):
+        rule = cell_rule(poly, sol.kind, degree)
+        psi, dpsi = eval_basis_batch(poly, sol.kind, smap, rule.points)
+        coeff = sol.values[dofs]
+        l2 += rule.weights @ (psi @ coeff - u(rule.points)) ** 2
+        dg = np.einsum("qid,i->qd", dpsi, coeff) - gu(rule.points)
+        h1 += rule.weights @ np.sum(dg**2, axis=1)
+    return float(np.sqrt(l2)), float(np.sqrt(h1))
+
+
+KERNEL_MESHES = {
+    # Its flat-vertex pentagon takes the raised-degree rule: two layouts.
+    "mixed": corpus.mixed_mesh,
+    # Quadrilaterals, pentagons and hexagons; quadrilateral and generic maps.
+    "voronoi": corpus.voronoi_mesh,
+    # 256 cells at 512 points each: far more than one chunk.
+    "trapezoid16": lambda: trapezoid_mesh(16),
+}
+
+
+class TestElementKernel:
+    """assemble and error_norms run over chunks of cells that share a rule
+    layout; summing one cell at a time through the single-polygon calls is
+    the reference."""
+
+    def test_meshes_cover_layouts_and_chunks(self):
+        mixed = corpus.mixed_mesh()
+        assert len(rule_layouts(mixed.polygons, 10)) == 2
+        voronoi = corpus.voronoi_mesh()
+        assert {p.n for p in voronoi.polygons} == {4, 5, 6}
+        assert any(m.strategy is Strategy.GENERIC for m in cell_maps(voronoi))
+        [(cells, size)] = rule_layouts(trapezoid_mesh(16).polygons, 14)
+        assert len(cells) * size > 100 * CHUNK_POINTS
+
+    @pytest.mark.parametrize("kind", list(CoordinateKind))
+    @pytest.mark.parametrize("name", ["mixed", "voronoi"])
+    def test_assembly_matches_per_cell_reference(self, name, kind):
+        mesh = KERNEL_MESHES[name]()
+        source = lambda p: np.cos(3.0 * p[:, 0]) + p[:, 1]
+        mat, rhs = assemble(mesh, kind, source=source)
+        stiffness, load = reference_assembly(mesh, kind, source)
+        assert np.max(np.abs(mat.toarray() - stiffness)) <= 1e-13 * np.max(np.abs(stiffness))
+        assert np.max(np.abs(rhs - load)) <= 1e-13 * np.max(np.abs(load))
+
+    @pytest.mark.parametrize("kind", list(CoordinateKind))
+    @pytest.mark.parametrize("name", list(KERNEL_MESHES))
+    def test_error_norms_match_per_cell_reference(self, name, kind):
+        mesh = KERNEL_MESHES[name]()
+        dm = dof_map(mesh)
+        coords = node_coordinates(mesh, dm)
+        values = harmonic_exact(coords) + 1e-3 * np.cos(np.arange(dm.n_dofs))
+        sol = make_solution(mesh, values, kind)
+        err = error_norms(sol, harmonic_exact, harmonic_gradient)
+        l2, h1 = reference_norms(sol, harmonic_exact, harmonic_gradient)
+        assert err.l2 == pytest.approx(l2, rel=1e-13)
+        assert err.h1 == pytest.approx(h1, rel=1e-13)
 
 
 class TestContinuity:

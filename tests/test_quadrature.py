@@ -20,7 +20,7 @@ from polyserend import (
     polygon_rule,
     triangle_rule,
 )
-from polyserend.quadrature import MAX_DEGREE, fan_rule
+from polyserend.quadrature import MAX_DEGREE, fan_rule, rule_layouts
 
 
 def reference_monomial(i: int, j: int) -> float:
@@ -177,6 +177,43 @@ class TestFanRule:
                            quintic.points[:, 0] ** 2 * quintic.points[:, 1] ** 3))
         assert val == pytest.approx(corpus.polygon_monomial_oracle(degen, 2, 3),
                                     abs=1e-13)
+
+
+class TestBatchedRules:
+    """A batch of polygons gets one rule with a leading polygon axis."""
+
+    def test_rows_equal_single_rules_and_length_counts_points(self):
+        rng = np.random.default_rng(29)
+        polys = [corpus.random_convex_polygon(rng, 6) for _ in range(3)]
+        for batch, singles in (
+            (polygon_rule(polys, 5), [polygon_rule(p, 5) for p in polys]),
+            (fan_rule(polys, 5, np.array([0, 2, 4])),
+             [fan_rule(p, 5, a) for p, a in zip(polys, (0, 2, 4))]),
+        ):
+            assert batch.points.shape[:2] == batch.weights.shape
+            assert len(batch) == batch.weights.size == sum(len(r) for r in singles)
+            for k, rule in enumerate(singles):
+                assert np.array_equal(batch.points[k], rule.points)
+                assert np.array_equal(batch.weights[k], rule.weights)
+
+    def test_batch_must_share_one_layout(self):
+        flat, square = corpus.degenerate_pentagon(), corpus.unit_square()
+        with pytest.raises(GeometryError, match="vertex count"):
+            polygon_rule([flat, square], 4)
+        with pytest.raises(GeometryError, match="flat vertex"):
+            polygon_rule([flat, corpus.regular_polygon(5)], 4)
+        with pytest.raises(GeometryError, match="empty triangles"):
+            fan_rule([flat, flat], 3, np.array([0, 1]))
+
+    def test_layouts_group_by_vertex_count_and_flat_vertices(self):
+        polys = [corpus.unit_square(), corpus.degenerate_pentagon(),
+                 corpus.regular_polygon(5), corpus.unit_square()]
+        m = (4 + 2) // 2
+        top = (MAX_DEGREE + 2) // 2
+        groups = {tuple(cells): size for cells, size in rule_layouts(polys, 4)}
+        assert groups == {(0, 3): 8 * m * m, (2,): 10 * m * m, (1,): 10 * top * top}
+        groups = {tuple(cells): size for cells, size in rule_layouts(polys, 4, fan=True)}
+        assert groups == {(0, 3): 2 * m * m, (1, 2): 3 * m * m}
 
 
 class TestIntegrateHelper:

@@ -517,11 +517,33 @@ class TestBasisEvaluation:
         assert psi == pytest.approx(xi @ smap.B.T, abs=1e-13)
         assert dpsi == pytest.approx(np.einsum("rs,msd->mrd", smap.B, dxi), abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [[math.nan, 0.5], [0.5, math.inf]])
     def test_non_finite_point_rejected(self, bad):
         smap = build_map(SQUARE)
         with pytest.raises(BoundaryEvaluationError, match="not strictly inside"):
             eval_basis_batch(SQUARE, CoordinateKind.MEAN_VALUE, smap, np.array([bad]))
+
+    def test_batch_rows_equal_single_calls(self):
+        rng = np.random.default_rng(59)
+        polys = [corpus.random_convex_polygon(rng, 6) for _ in range(3)]
+        maps = [build_map(p) for p in polys]
+        pts = np.stack([sample_interior(p, 9, rng, margin=1e-3) for p in polys])
+        psi, dpsi = eval_basis_batch(polys, CoordinateKind.MEAN_VALUE, maps, pts)
+        assert psi.shape == (3, 9, 12) and dpsi.shape == (3, 9, 12, 2)
+        for k in range(3):
+            want, dwant = eval_basis_batch(polys[k], CoordinateKind.MEAN_VALUE, maps[k], pts[k])
+            assert psi[k] == pytest.approx(want, rel=1e-14, abs=1e-15)
+            assert dpsi[k] == pytest.approx(dwant, rel=1e-14, abs=1e-14)
+
+    def test_batch_needs_one_map_per_polygon(self):
+        hexagon = corpus.regular_polygon(6)
+        pts = np.full((2, 1, 2), 0.1)
+        with pytest.raises(SerendipityError, match="one serendipity map per polygon"):
+            eval_basis_batch([hexagon, hexagon], "meanvalue", [build_map(hexagon)], pts)
+        with pytest.raises(SerendipityError, match="one serendipity map per polygon"):
+            eval_basis_batch(hexagon, "meanvalue", build_map(corpus.regular_polygon(5)),
+                             pts[0])
 
     def test_precision_residuals_flag_corruption(self):
         poly = corpus.regular_polygon(6)

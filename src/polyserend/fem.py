@@ -9,25 +9,27 @@ the coordinate kind or cell shapes.
 
 The flagship problem is the Poisson equation with Dirichlet data, solved
 with preconditioned conjugate gradients after symmetric elimination of
-boundary values.  Assembly and error norms share one element kernel that
-runs over chunks of cells with the same quadrature layout: it maps the rule,
-evaluates coordinates, products and basis with a leading cell axis, and
-forms every element stiffness of a chunk in one batched product.
+boundary values.  Assembly and error norms share one element kernel.  The
+basis does not change when a cell is translated, so the kernel evaluates it
+on one representative per translation class (``PolyMesh.translation_classes``),
+in chunks of representatives with a leading cell axis, and every other
+cell of the class reuses it at its own, shifted quadrature points.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .barycentric import CoordinateKind, fan_apex
+from .barycentric import CoordinateKind, _fan_apices, fan_apex
 from .geometry import GeometryError, Polygon
 from .linalg import SolveReport, SparseMatrix, cg_solve
-from .quadrature import fan_rule, polygon_rule, rule_layouts
+from .quadrature import _has_flat_vertex, fan_rule, polygon_rule, rule_layouts
 from .serendipity import SerendipityMap, build_map, eval_basis_batch
 
 __all__ = [
@@ -121,6 +123,47 @@ class PolyMesh:
     @property
     def n_cells(self) -> int:
         return len(self.cells)
+
+    @cached_property
+    def translation_classes(self) -> np.ndarray:
+        """For every cell, the index of the representative cell of its translation class.
+
+        Two cells share a class when they have the same vertex count and rule
+        layout (flat vertex or not, fan apex) and their vertex offsets from
+        vertex 0 agree to 1e-12 of the representative's diameter.  Offsets
+        rounded to 1e-9 of the cell's diameter only propose a representative:
+        every cell is checked against that representative's own offsets, and
+        the cells that fail are classed again among themselves, so a rounding
+        boundary can split a class but never merges two shapes.  A
+        representative represents itself.
+        """
+        rep = np.arange(self.n_cells)
+        counts = np.array([len(cell) for cell in self.cells])
+        for n in np.unique(counts).tolist():
+            cells = np.flatnonzero(counts == n)
+            verts = self.vertices[[self.cells[i] for i in cells]]            # (c, n, 2)
+            pairs = verts[:, :, None] - verts[:, None]
+            diameters = np.max(np.hypot(pairs[..., 0], pairs[..., 1]), axis=(1, 2))
+            offsets = (verts - verts[:, :1]).reshape(len(cells), -1)
+            keys = np.column_stack([
+                _has_flat_vertex(verts, diameters),
+                _fan_apices(verts, diameters),
+                np.round(offsets / (1e-9 * diameters[:, None])),
+            ])
+            todo = np.arange(len(cells))
+            while todo.size:
+                _, first, inverse = np.unique(
+                    keys[todo], axis=0, return_index=True, return_inverse=True
+                )
+                owner = todo[first][inverse.ravel()]
+                same = np.all(
+                    np.abs(offsets[todo] - offsets[owner]) <= 1e-12 * diameters[owner, None],
+                    axis=1,
+                )
+                rep[cells[todo[same]]] = cells[owner[same]]
+                todo = todo[~same]
+        rep.setflags(write=False)
+        return rep
 
 
 def trapezoid_mesh(n: int, offset: float = 0.25) -> PolyMesh:
@@ -217,8 +260,15 @@ def node_coordinates(mesh: PolyMesh, dofmap: DofMap) -> np.ndarray:
 
 
 def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
-    """Serendipity reduction for every cell."""
-    return tuple(build_map(poly) for poly in mesh.polygons)
+    """Serendipity reduction for every cell.
+
+    A and B do not change under translation, so ``build_map`` runs once per
+    translation class (``PolyMesh.translation_classes``), on its
+    representative, and every member cell shares that read-only map.
+    """
+    rep = mesh.translation_classes
+    built = {r: build_map(mesh.polygons[r]) for r in np.unique(rep).tolist()}
+    return tuple(built[r] for r in rep.tolist())
 
 
 # Quadrature points per chunk of the element kernel.  Much below this the
@@ -230,30 +280,61 @@ CHUNK_POINTS = 1024
 
 def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], kind: CoordinateKind,
                     degree: int):
-    """The element kernel: basis values at the quadrature points of chunks of cells.
+    """The element kernel: basis values on chunks of class representatives.
 
-    Cells are grouped by the point layout of their rules and taken in chunks
-    of about ``CHUNK_POINTS`` points, so every stage (rule, coordinates,
-    products, basis) is one array operation over the chunk.  Triangulation
+    Rule weights and basis values are the same for every cell of a
+    translation class, so they are evaluated on the class representatives
+    only, with each representative's map.  Representatives are grouped by
+    the point layout of their rules and taken in chunks of about
+    ``CHUNK_POINTS`` points, so every stage (rule, coordinates, products,
+    basis) is one array operation over the chunk.  Triangulation
     coordinates are piecewise polynomial on their own vertex fan, so a
     fan-aligned rule integrates them exactly; the other kinds use the
     vertex-clustered centroid decomposition.
 
-    Yields (cells, rule, psi, dpsi) with rule points (c, m, 2), weights
-    (c, m), psi (c, m, 2n) and dpsi (c, m, 2n, 2).
+    Yields (rule, psi, dpsi, members) for r representatives, with rule points
+    (r, m, 2), weights (r, m), psi (r, m, 2n) and dpsi (r, m, 2n, 2).
+    ``members`` holds every cell of their classes, representatives included,
+    in slices of about ``CHUNK_POINTS`` points: (cells, owner, shift), where
+    ``owner`` indexes each cell's representative in the chunk and
+    ``rule.points[owner] + shift[:, None]`` are the cell's own points.  When
+    the cells are distinct, consecutive representatives, as on a mesh without
+    repeated shapes, ``owner`` is a slice, so indexing with it copies nothing.
     """
     fan = kind is CoordinateKind.TRIANGULATION
-    for group, size in rule_layouts(mesh.polygons, degree, fan=fan):
+    rep_of = mesh.translation_classes
+    reps = np.flatnonzero(rep_of == np.arange(mesh.n_cells))
+    layouts = rule_layouts([mesh.polygons[r] for r in reps], degree, fan=fan)
+    order = np.concatenate([reps[group] for group, _ in layouts])
+    rank = np.empty(mesh.n_cells, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    cell_rank = rank[rep_of]
+    by_rank = np.argsort(cell_rank, kind="stable")
+    owner_rank = cell_rank[by_rank]
+    bounds = np.searchsorted(owner_rank, np.arange(len(order) + 1))
+    origin = mesh.vertices[[cell[0] for cell in mesh.cells]]
+    shifts = origin[by_rank] - origin[order[owner_rank]]
+    start = 0
+    for group, size in layouts:
         step = max(1, CHUNK_POINTS // size)
-        for start in range(0, len(group), step):
-            cells = group[start:start + step]
-            polys = [mesh.polygons[i] for i in cells]
+        for lo in range(start, start + len(group), step):
+            chunk = order[lo:min(lo + step, start + len(group))]
+            polys = [mesh.polygons[i] for i in chunk]
             if fan:
                 rule = fan_rule(polys, degree, fan_apex(polys))
             else:
                 rule = polygon_rule(polys, degree)
-            psi, dpsi = eval_basis_batch(polys, kind, [maps[i] for i in cells], rule.points)
-            yield cells, rule, psi, dpsi
+            psi, dpsi = eval_basis_batch(polys, kind, [maps[i] for i in chunk], rule.points)
+            members = []
+            end = bounds[lo + len(chunk)]
+            for k in range(bounds[lo], end, step):
+                part = slice(k, min(k + step, end))
+                owner = owner_rank[part] - lo
+                if owner[-1] - owner[0] == len(owner) - 1:
+                    owner = slice(owner[0], owner[-1] + 1)
+                members.append((by_rank[part], owner, shifts[part]))
+            yield rule, psi, dpsi, members
+        start += len(group)
 
 
 def assemble(
@@ -268,7 +349,9 @@ def assemble(
 
     ``source`` is the right-hand side f as a callable on point arrays; None
     means f = 0.  Per-cell quadrature uses a centroid fan exact to
-    ``quad_degree``.
+    ``quad_degree``.  Each translation class's element stiffness is formed
+    once, on its representative; the load evaluates f at every cell's own
+    points.
     """
     if dofmap is None:
         dofmap = dof_map(mesh)
@@ -278,18 +361,21 @@ def assemble(
     ndof = dofmap.n_dofs
     rows, cols, vals = [], [], []
     rhs = np.zeros(ndof)
-    for cells, rule, psi, dpsi in _element_chunks(mesh, maps, kind, quad_degree):
-        dofs = np.stack([dofmap.cell_dofs[i] for i in cells])      # (c, 2n)
-        grad = np.swapaxes(dpsi, 1, 3)                              # (c, 2, 2n, m)
+    for rule, psi, dpsi, members in _element_chunks(mesh, maps, kind, quad_degree):
+        grad = np.swapaxes(dpsi, 1, 3)                              # (r, 2, 2n, m)
         k_loc = np.sum((grad * rule.weights[:, None, None]) @ np.swapaxes(grad, 2, 3), axis=1)
-        size = dofs.shape[1]
-        rows.append(np.repeat(dofs, size, axis=1).ravel())
-        cols.append(np.tile(dofs, size).ravel())
-        vals.append(k_loc.ravel())
-        if source is not None:
-            f_vals = np.asarray(source(rule.points.reshape(-1, 2)), dtype=float)
-            wf = rule.weights * f_vals.reshape(rule.weights.shape)
-            np.add.at(rhs, dofs, (np.swapaxes(psi, 1, 2) @ wf[..., None])[..., 0])
+        psi_t = np.swapaxes(psi, 1, 2)                              # (r, 2n, m)
+        for cells, owner, shift in members:
+            dofs = np.stack([dofmap.cell_dofs[i] for i in cells])  # (c, 2n)
+            size = dofs.shape[1]
+            rows.append(np.repeat(dofs, size, axis=1).ravel())
+            cols.append(np.tile(dofs, size).ravel())
+            vals.append(k_loc[owner].ravel())
+            if source is not None:
+                points = rule.points[owner] + shift[:, None]
+                f_vals = np.asarray(source(points.reshape(-1, 2)), dtype=float)
+                wf = rule.weights[owner] * f_vals.reshape(len(cells), -1)
+                np.add.at(rhs, dofs, (psi_t[owner] @ wf[..., None])[..., 0])
     matrix = SparseMatrix.from_triplets(
         ndof, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
@@ -354,21 +440,31 @@ def error_norms(
     grad_u_exact: Callable[[np.ndarray], np.ndarray],
     quad_degree: int = 14,
 ) -> ErrorNorms:
+    """L2 and H1-seminorm errors of ``solution`` against an exact field.
+
+    The exact field is evaluated at every cell's own quadrature points and
+    compared with its representative's basis values there.
+    """
     acc_l2 = 0.0
     acc_h1 = 0.0
-    for cells, rule, psi, dpsi in _element_chunks(
+    for rule, psi, dpsi, members in _element_chunks(
         solution.mesh, solution.maps, solution.kind, quad_degree
     ):
-        dofs = np.stack([solution.dofmap.cell_dofs[i] for i in cells])
-        coeff = solution.values[dofs][:, None, :]                   # (c, 1, 2n)
-        points = rule.points.reshape(-1, 2)
-        weights = rule.weights.ravel()
-        u_h = (coeff @ np.swapaxes(psi, 1, 2)).ravel()
-        g_h = (coeff[:, None] @ np.swapaxes(dpsi, 1, 3))[:, :, 0]   # (c, 2, m)
-        du = u_h - np.asarray(u_exact(points), dtype=float)
-        dg = np.swapaxes(g_h, 1, 2).reshape(-1, 2) - np.asarray(grad_u_exact(points), dtype=float)
-        acc_l2 += float(weights @ du**2)
-        acc_h1 += float(weights @ np.sum(dg**2, axis=1))
+        psi_t = np.swapaxes(psi, 1, 2)                              # (r, 2n, m)
+        grad = np.swapaxes(dpsi, 1, 3)                              # (r, 2, 2n, m)
+        for cells, owner, shift in members:
+            dofs = np.stack([solution.dofmap.cell_dofs[i] for i in cells])
+            coeff = solution.values[dofs][:, None, :]               # (c, 1, 2n)
+            points = (rule.points[owner] + shift[:, None]).reshape(-1, 2)
+            weights = rule.weights[owner].ravel()
+            u_h = (coeff @ psi_t[owner]).ravel()
+            g_h = (coeff[:, None] @ grad[owner])[:, :, 0]           # (c, 2, m)
+            du = u_h - np.asarray(u_exact(points), dtype=float)
+            dg = np.swapaxes(g_h, 1, 2).reshape(-1, 2) - np.asarray(
+                grad_u_exact(points), dtype=float
+            )
+            acc_l2 += float(weights @ du**2)
+            acc_h1 += float(weights @ np.sum(dg**2, axis=1))
     return ErrorNorms(l2=float(np.sqrt(acc_l2)), h1=float(np.sqrt(acc_h1)))
 
 

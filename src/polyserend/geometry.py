@@ -159,12 +159,19 @@ class Polygon:
         return out
 
     def edge_distances(self, points: np.ndarray) -> np.ndarray:
-        """Signed distances of ``points`` (..., 2) to every edge line, positive inside."""
+        """Signed distances of ``points`` (..., 2) to every edge line, positive inside.
+
+        Raises GeometryError for a non-finite point, which has no distance.
+        """
         pts = np.asarray(points, dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise GeometryError("points must be finite to have edge distances")
         return pts @ self.inward_normals.T - self._edge_offsets
 
     def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(np.min(self.edge_distances(point)) >= -tol)
+        """Whether ``point`` lies within ``tol`` of the polygon; False if it is not finite."""
+        pts = np.asarray(point, dtype=float)
+        return bool(np.all(np.isfinite(pts)) and np.min(self.edge_distances(pts)) >= -tol)
 
 
 def polygon_batch(

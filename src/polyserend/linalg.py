@@ -10,6 +10,7 @@ package produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +33,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """Square CSR matrix (data / column indices / row pointers)."""
+    """Square CSR matrix (data / column indices / row pointers).
+
+    The scipy view of the arrays is built on first use and kept.
+    """
 
     dim: int
     data: np.ndarray
@@ -55,21 +59,22 @@ class SparseMatrix:
         m.sum_duplicates()
         return cls(dim=dim, data=m.data, indices=m.indices, indptr=m.indptr)
 
+    @cached_property
     def _csr(self) -> sp.csr_matrix:
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.dim, self.dim))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._csr() @ np.asarray(x, dtype=float)
+        return self._csr @ np.asarray(x, dtype=float)
 
     def diagonal(self) -> np.ndarray:
-        return self._csr().diagonal()
+        return self._csr.diagonal()
 
     def toarray(self) -> np.ndarray:
-        return self._csr().toarray()
+        return self._csr.toarray()
 
     def submatrix(self, keep: np.ndarray) -> "SparseMatrix":
         """Principal submatrix on the index set ``keep`` (order preserved)."""
-        sub = self._csr()[np.ix_(keep, keep)].tocsr()
+        sub = self._csr[np.ix_(keep, keep)].tocsr()
         return SparseMatrix(dim=len(keep), data=sub.data, indices=sub.indices, indptr=sub.indptr)
 
 

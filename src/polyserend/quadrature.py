@@ -117,14 +117,21 @@ def _single_or_batch(polygon: Polygon | Sequence[Polygon], rule: QuadratureRule)
     return QuadratureRule(points=rule.points[0], weights=rule.weights[0], degree=rule.degree)
 
 
-def _rule_degrees(verts: np.ndarray, diameters: np.ndarray, degree: int) -> np.ndarray:
-    """Base-rule degree ``polygon_rule`` uses on each polygon of a batch."""
+def _has_flat_vertex(verts: np.ndarray, diameters: np.ndarray) -> np.ndarray:
+    """Whether each polygon of a batch, vertices (c, n, 2), has a collinear vertex.
+
+    ``polygon_rule`` raises its base degree on exactly these polygons.
+    """
     nxt, prv = _neighbours(verts.shape[1])
     into = verts - verts[:, prv]
     out = verts[:, nxt] - verts
     turn = into[..., 0] * out[..., 1] - into[..., 1] * out[..., 0]
-    flat = np.any(np.abs(turn) <= 1e-12 * diameters[:, None] ** 2, axis=1)
-    return np.where(flat, max(degree, MAX_DEGREE), degree)
+    return np.any(np.abs(turn) <= 1e-12 * diameters[:, None] ** 2, axis=1)
+
+
+def _rule_degrees(verts: np.ndarray, diameters: np.ndarray, degree: int) -> np.ndarray:
+    """Base-rule degree ``polygon_rule`` uses on each polygon of a batch."""
+    return np.where(_has_flat_vertex(verts, diameters), max(degree, MAX_DEGREE), degree)
 
 
 def polygon_rule(polygon: Polygon | Sequence[Polygon], degree: int) -> QuadratureRule:

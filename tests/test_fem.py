@@ -34,6 +34,7 @@ from polyserend import (
     trapezoid_mesh,
 )
 from polyserend.barycentric import fan_apex
+from polyserend import fem
 from polyserend.fem import CHUNK_POINTS, DiscreteSolution
 from polyserend.quadrature import fan_rule, rule_layouts
 from polyserend.serendipity import Strategy
@@ -384,13 +385,44 @@ def reference_norms(sol, u, gu, degree=14):
     return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
+def perturbed_trapezoid_mesh(n: int, shift: float) -> PolyMesh:
+    """trapezoid_mesh(n) with one interior vertex moved by shift * h along x."""
+    mesh = trapezoid_mesh(n)
+    vertices = mesh.vertices.copy()
+    vertices[3 * (n + 1) + 2, 0] += shift / n
+    return PolyMesh.build(vertices, mesh.cells)
+
+
+def stacked_mixed_mesh() -> PolyMesh:
+    """Two copies of corpus.mixed_mesh, one on top of the other: two
+    translated flat-vertex pentagons and four squares."""
+    mixed = corpus.mixed_mesh()
+    # Vertex of the bottom copy -> its translate in the top copy; the top
+    # copy's bottom row (0, 1, 6) is the bottom copy's top row (4, 5, 7).
+    top = {0: 4, 1: 5, 6: 7, 2: 8, 3: 9, 4: 10, 5: 11, 7: 12}
+    vertices = np.vstack([mixed.vertices, mixed.vertices[[2, 3, 4, 5, 7]] + [0.0, 1.0]])
+    cells = list(mixed.cells) + [[top[i] for i in c] for c in mixed.cells]
+    return PolyMesh.build(vertices, cells)
+
+
+def layout_keys(mesh: PolyMesh) -> list[tuple]:
+    """Per cell: vertex count, polygon-rule layout size and fan apex."""
+    size = {}
+    for cells, points in rule_layouts(mesh.polygons, 10):
+        size.update((int(i), points) for i in cells)
+    return [(p.n, size[i], fan_apex(p)) for i, p in enumerate(mesh.polygons)]
+
+
 KERNEL_MESHES = {
     # Its flat-vertex pentagon takes the raised-degree rule: two layouts.
     "mixed": corpus.mixed_mesh,
     # Quadrilaterals, pentagons and hexagons; quadrilateral and generic maps.
     "voronoi": corpus.voronoi_mesh,
-    # 256 cells at 512 points each: far more than one chunk.
+    # 256 cells at 512 points each, far more than one chunk, in 6 translation
+    # classes: members take shifted copies of their representative's points.
     "trapezoid16": lambda: trapezoid_mesh(16),
+    # Repeated shapes, and the four cells around the moved vertex on their own.
+    "trapezoid8_moved": lambda: perturbed_trapezoid_mesh(8, 1e-3),
 }
 
 
@@ -409,7 +441,7 @@ class TestElementKernel:
         assert len(cells) * size > 100 * CHUNK_POINTS
 
     @pytest.mark.parametrize("kind", list(CoordinateKind))
-    @pytest.mark.parametrize("name", ["mixed", "voronoi"])
+    @pytest.mark.parametrize("name", list(KERNEL_MESHES))
     def test_assembly_matches_per_cell_reference(self, name, kind):
         mesh = KERNEL_MESHES[name]()
         source = lambda p: np.cos(3.0 * p[:, 0]) + p[:, 1]
@@ -430,6 +462,81 @@ class TestElementKernel:
         l2, h1 = reference_norms(sol, harmonic_exact, harmonic_gradient)
         assert err.l2 == pytest.approx(l2, rel=1e-13)
         assert err.h1 == pytest.approx(h1, rel=1e-13)
+
+    def test_basis_and_maps_are_built_once_per_class(self, monkeypatch):
+        """One assemble and one error_norms evaluate the basis on each class
+        representative once per quadrature degree, not on every cell."""
+        mesh = trapezoid_mesh(16)
+        classes = len(np.unique(mesh.translation_classes))
+        evaluated, built = [], []
+        real_eval, real_build = fem.eval_basis_batch, fem.build_map
+
+        def counting_eval(polygon, *args):
+            evaluated.append(len(polygon))
+            return real_eval(polygon, *args)
+
+        def counting_build(polygon):
+            built.append(polygon)
+            return real_build(polygon)
+
+        monkeypatch.setattr(fem, "eval_basis_batch", counting_eval)
+        monkeypatch.setattr(fem, "build_map", counting_build)
+        maps = cell_maps(mesh)
+        assert len(built) == classes
+        matrix, rhs = assemble(mesh, MV, source=lambda p: p[:, 0], maps=maps)
+        dm = dof_map(mesh)
+        sol = make_solution(mesh, harmonic_exact(node_coordinates(mesh, dm)))
+        error_norms(sol, harmonic_exact, harmonic_gradient)
+        assert sum(evaluated) <= 2 * classes
+
+
+class TestTranslationClasses:
+    """Cells that are translates of each other share one class."""
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_trapezoid_meshes_have_six_classes(self, n):
+        classes = trapezoid_mesh(n).translation_classes
+        reps = np.unique(classes)
+        assert len(reps) == 6
+        assert np.array_equal(classes[reps], reps)
+
+    def test_moved_vertex_isolates_its_cells(self):
+        mesh = perturbed_trapezoid_mesh(8, 1e-9)
+        classes = mesh.translation_classes
+        moved = 3 * 9 + 2
+        around = [i for i, c in enumerate(mesh.cells) if moved in c]
+        assert len(around) == 4
+        sizes = np.bincount(classes, minlength=mesh.n_cells)
+        assert all(sizes[classes[i]] == 1 for i in around)
+        assert len(np.unique(classes)) == 6 + 4
+
+    def test_voronoi_cells_are_all_distinct(self):
+        mesh = corpus.voronoi_mesh()
+        assert np.array_equal(mesh.translation_classes, np.arange(mesh.n_cells))
+
+    @pytest.mark.parametrize("make", [corpus.mixed_mesh, stacked_mixed_mesh])
+    def test_classes_never_mix_layouts(self, make):
+        mesh = make()
+        classes = mesh.translation_classes
+        keys = layout_keys(mesh)
+        assert all(keys[i] == keys[r] for i, r in enumerate(classes))
+        flat = [i for i, p in enumerate(mesh.polygons) if p.n == 5]
+        assert [int(classes[i]) for i in flat] == [flat[0]] * len(flat)
+        assert sum(int(classes[i]) == flat[0] for i in range(mesh.n_cells)) == len(flat)
+
+    def test_stacked_mixed_mesh_has_two_classes(self):
+        mesh = stacked_mixed_mesh()
+        assert mesh.n_cells == 6
+        assert len(np.unique(mesh.translation_classes)) == 2
+
+    def test_members_share_the_representative_map(self):
+        mesh = trapezoid_mesh(8)
+        classes = mesh.translation_classes
+        maps = cell_maps(mesh)
+        assert len({id(m) for m in maps}) == 6
+        for i, poly in enumerate(mesh.polygons):
+            assert maps[i] is maps[classes[i]]
+            assert np.max(np.abs(maps[i].A - build_map(poly).A)) <= 1e-13
 
 
 class TestContinuity:

@@ -98,6 +98,18 @@ class TestPolygonValidation:
         assert poly.contains(np.array([0.5, 0.5]))
         assert not poly.contains(np.array([1.5, 0.5]))
 
+    # The suite turns RuntimeWarning into an error, so these also check that
+    # no "invalid value" warning escapes from the distance product.
+    @pytest.mark.parametrize("bad", [[np.inf, 0.5], [0.5, -np.inf], [np.nan, 0.5]])
+    def test_non_finite_point_is_outside(self, bad):
+        assert not Polygon(SQUARE).contains(np.array(bad))
+        assert not Polygon(SQUARE).contains(np.array(bad), tol=np.inf)
+
+    @pytest.mark.parametrize("bad", [[np.inf, 0.5], [0.5, -np.inf], [np.nan, 0.5]])
+    def test_non_finite_point_has_no_edge_distance(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            Polygon(SQUARE).edge_distances(np.array([[0.5, 0.5], bad]))
+
 
 def _chebyshev_lp(poly: Polygon) -> tuple[np.ndarray, float]:
     """Independent incircle oracle: linear program over (center, radius)."""

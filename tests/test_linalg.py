@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from polyserend import ConvergenceError, SparseMatrix, cg_solve
 
@@ -55,6 +56,17 @@ class TestSparseMatrix:
         assert m.submatrix(keep).toarray() == pytest.approx(
             dense[np.ix_(keep, keep)], abs=0.0
         )
+
+    def test_scipy_matrix_is_built_once(self, monkeypatch):
+        m = sparse_from_dense(np.diag([1.0, 2.0, 3.0]))
+        built = []
+        real = sp.csr_matrix
+        monkeypatch.setattr(sp, "csr_matrix", lambda *a, **k: built.append(1) or real(*a, **k))
+        for _ in range(3):
+            m.matvec(np.ones(3))
+        m.diagonal()
+        m.toarray()
+        assert len(built) == 1
 
 
 class TestConjugateGradients:

@@ -77,8 +77,6 @@ from .serendipity import (
     boundary_basis_values,
     build_A_generic,
     build_A_quadrilateral,
-    build_A_regular,
-    build_A_unit_square,
     build_B,
     build_map,
     coefficient_bound,

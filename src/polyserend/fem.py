@@ -7,6 +7,12 @@ is the univariate quadratic Lagrange polynomial of its three edge nodes,
 matching nodes across cells give a globally continuous space regardless of
 the coordinate kind or cell shapes.
 
+A mesh is stored as arrays: the vertex indices of its cells, one (c, n)
+array per vertex count n, and its numbered edges.  ``PolyMesh.build``
+validates each vertex-count group in one array pass and builds a
+``Polygon`` only to word an error; polygons are built only for the cells
+the element kernel evaluates.
+
 The flagship problem is the Poisson equation with Dirichlet data, solved
 with preconditioned conjugate gradients after symmetric elimination of
 boundary values.  Assembly and error norms share one element kernel.  The
@@ -22,18 +28,19 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
 from .barycentric import CoordinateKind, _fan_apices, fan_apex
-from .geometry import GeometryError, Polygon
+from .geometry import GeometryError, Polygon, _neighbours, _polygon_defects
 from .linalg import SolveReport, SparseMatrix, cg_solve
 from .quadrature import _has_flat_vertex, fan_rule, polygon_rule, rule_layouts
 from .serendipity import SerendipityMap, build_map, eval_basis_batch
 
 __all__ = [
     "MeshError",
+    "CellGroup",
     "PolyMesh",
     "trapezoid_mesh",
     "DofMap",
@@ -60,61 +67,104 @@ class MeshError(GeometryError):
     """Mesh is malformed or non-conforming."""
 
 
+class CellGroup(NamedTuple):
+    """The cells of a mesh that have one vertex count n.
+
+    ``ids`` (c,) are their cell ids, increasing; ``cells`` (c, n) their vertex
+    indices, counterclockwise; ``edges`` (c, n) the index into ``PolyMesh.edges``
+    of each cell's edge k, which joins its vertices k and k + 1.
+    """
+
+    ids: np.ndarray
+    cells: np.ndarray
+    edges: np.ndarray
+
+
+# A boundary vertex closer than this, relative to a boundary edge's length,
+# to the inside of that edge is a hanging vertex.
+_HANGING_RTOL = 1e-10
+
+
 @dataclass(frozen=True, eq=False)
 class PolyMesh:
-    """Conforming mesh of convex polygonal cells.
+    """Conforming mesh of convex polygonal cells, stored as arrays.
 
-    ``cells`` lists each cell's vertex indices in counterclockwise order.
-    Cells may have collinear (flat) vertices, which is how a quadrilateral
-    neighbors a polygon along a subdivided side.
+    ``groups`` holds one ``CellGroup`` per vertex count, in increasing
+    order, and ``edges`` (E, 2) the sorted vertex pairs of all edges, in
+    lexicographic order.  Cells may have collinear (flat) vertices, which is
+    how a quadrilateral neighbors a polygon along a subdivided side.
+    ``cells`` (a tuple of vertex-index tuples) and ``polygons`` are built on
+    first use; the element kernel builds a ``Polygon`` only for each
+    translation-class representative (``representatives``).
     """
 
     vertices: np.ndarray                      # (N, 2)
-    cells: tuple[tuple[int, ...], ...]
-    polygons: tuple[Polygon, ...] = field(repr=False)
+    groups: tuple[CellGroup, ...] = field(repr=False)
+    edges: np.ndarray = field(repr=False)     # (E, 2), read-only
 
     @classmethod
-    def build(cls, vertices: np.ndarray, cells: Sequence[Sequence[int]]) -> "PolyMesh":
+    def build(cls, vertices: np.ndarray, cells: Sequence[Sequence[int]] | np.ndarray) -> "PolyMesh":
+        """Validate a mesh: ``cells`` is a sequence of vertex-index sequences or one (c, n) array.
+
+        The cells of each vertex count are checked together in one array
+        pass, with the checks of ``Polygon(..., allow_flat=True)``.  A
+        failing mesh raises the ``MeshError`` of its lowest-numbered bad
+        cell.  Then each directed edge may occur once, every vertex must be
+        used, and no vertex may lie inside a boundary edge (a hanging vertex
+        its neighbor does not list).
+        """
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise MeshError(f"vertices must have shape (N, 2), got {verts.shape}")
         if not np.all(np.isfinite(verts)):
             raise MeshError("vertices contain non-finite values")
         n_verts = len(verts)
-        cell_tuples: list[tuple[int, ...]] = []
-        polygons: list[Polygon] = []
-        directed: set[tuple[int, int]] = set()
-        undirected: dict[tuple[int, int], int] = {}
-        for ci, cell in enumerate(cells):
-            idx = tuple(int(i) for i in cell)
-            if len(set(idx)) != len(idx):
-                raise MeshError(f"cell {ci} repeats a vertex")
-            if any(i < 0 or i >= n_verts for i in idx):
-                raise MeshError(f"cell {ci} references a vertex out of range")
-            try:
-                poly = Polygon(verts[list(idx)], allow_flat=True)
-            except GeometryError as exc:
-                raise MeshError(f"cell {ci} is not a valid convex polygon: {exc}") from exc
-            for k in range(len(idx)):
-                e = (idx[k], idx[(k + 1) % len(idx)])
-                if e in directed:
-                    raise MeshError(
-                        f"directed edge {e} appears twice; cells overlap or share "
-                        "an edge with the same orientation"
-                    )
-                directed.add(e)
-                key = (min(e), max(e))
-                undirected[key] = undirected.get(key, 0) + 1
-                if undirected[key] > 2:
-                    raise MeshError(f"edge {key} is shared by more than two cells")
-            cell_tuples.append(idx)
-            polygons.append(poly)
-        if not cell_tuples:
+        groups = _group_cells(cells)
+        if not groups:
             raise MeshError("mesh has no cells")
-        unused = set(range(n_verts)).difference(*cell_tuples)
-        if unused:
-            raise MeshError(f"vertex {min(unused)} is used by no cell ({len(unused)} unused)")
-        return cls(vertices=verts, cells=tuple(cell_tuples), polygons=tuple(polygons))
+        first_bad = None
+        for ids, idx in groups:
+            invalid = _invalid_cells(verts, idx)
+            k = int(np.argmax(invalid))
+            if invalid[k] and (first_bad is None or ids[k] < first_bad[0]):
+                first_bad = (int(ids[k]), idx[k])
+        # Directed edges in group order: src[i] -> dst[i] is edge k of cell owner[i].
+        owner = np.concatenate([np.repeat(ids, idx.shape[1]) for ids, idx in groups])
+        src = np.concatenate([idx.ravel() for _, idx in groups])
+        dst = np.concatenate([idx[:, _neighbours(idx.shape[1])[0]].ravel() for _, idx in groups])
+        repeated = _repeated_edge(owner, src, dst, n_verts)
+        if first_bad is not None and (repeated is None or first_bad[0] <= repeated[0]):
+            _raise_cell_error(verts, *first_bad)
+        if repeated is not None:
+            raise MeshError(
+                f"directed edge {repeated[1]} appears twice; cells overlap or share "
+                "an edge with the same orientation"
+            )
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        keys, inverse, counts = np.unique(lo * n_verts + hi, return_inverse=True,
+                                          return_counts=True)
+        edges = np.stack([keys // n_verts, keys % n_verts], axis=1)
+        edges.setflags(write=False)
+        used = np.zeros(n_verts, dtype=bool)
+        used[edges] = True
+        unused = np.flatnonzero(~used)
+        if unused.size:
+            raise MeshError(f"vertex {unused[0]} is used by no cell ({unused.size} unused)")
+        hanging = _hanging_vertex(verts, edges[counts == 1])
+        if hanging is not None:
+            raise MeshError(
+                f"vertex {hanging[0]} lies inside boundary edge {hanging[1]}; the mesh is "
+                "not conforming (a hanging vertex that the cell owning the edge does not list)"
+            )
+        splits = np.cumsum([idx.size for _, idx in groups])[:-1]
+        cell_groups = tuple(
+            CellGroup(ids, idx, part.reshape(idx.shape))
+            for (ids, idx), part in zip(groups, np.split(inverse.ravel(), splits))
+        )
+        for group in cell_groups:
+            for array in group:
+                array.setflags(write=False)
+        return cls(vertices=verts, groups=cell_groups, edges=edges)
 
     @property
     def n_vertices(self) -> int:
@@ -122,7 +172,30 @@ class PolyMesh:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return sum(len(group.ids) for group in self.groups)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """Each cell's vertex indices, counterclockwise, in cell order."""
+        out: list = [None] * self.n_cells
+        for ids, cells, _ in self.groups:
+            for ci, cell in zip(ids.tolist(), cells.tolist()):
+                out[ci] = tuple(cell)
+        return tuple(out)
+
+    @cached_property
+    def polygons(self) -> tuple[Polygon, ...]:
+        """Every cell as a ``Polygon``, built on first use."""
+        return tuple(Polygon(self.vertices[list(cell)], allow_flat=True) for cell in self.cells)
+
+    @cached_property
+    def representatives(self) -> dict[int, Polygon]:
+        """The ``Polygon`` of each translation-class representative, by cell id."""
+        out = {}
+        for ids, cells, _ in self.groups:
+            for k in np.flatnonzero(self.translation_classes[ids] == ids).tolist():
+                out[int(ids[k])] = Polygon(self.vertices[cells[k]], allow_flat=True)
+        return out
 
     @cached_property
     def translation_classes(self) -> np.ndarray:
@@ -138,19 +211,17 @@ class PolyMesh:
         representative represents itself.
         """
         rep = np.arange(self.n_cells)
-        counts = np.array([len(cell) for cell in self.cells])
-        for n in np.unique(counts).tolist():
-            cells = np.flatnonzero(counts == n)
-            verts = self.vertices[[self.cells[i] for i in cells]]            # (c, n, 2)
+        for ids, cells, _ in self.groups:
+            verts = self.vertices[cells]                                      # (c, n, 2)
             pairs = verts[:, :, None] - verts[:, None]
             diameters = np.max(np.hypot(pairs[..., 0], pairs[..., 1]), axis=(1, 2))
-            offsets = (verts - verts[:, :1]).reshape(len(cells), -1)
+            offsets = (verts - verts[:, :1]).reshape(len(ids), -1)
             keys = np.column_stack([
                 _has_flat_vertex(verts, diameters),
                 _fan_apices(verts, diameters),
                 np.round(offsets / (1e-9 * diameters[:, None])),
             ])
-            todo = np.arange(len(cells))
+            todo = np.arange(len(ids))
             while todo.size:
                 _, first, inverse = np.unique(
                     keys[todo], axis=0, return_index=True, return_inverse=True
@@ -160,10 +231,98 @@ class PolyMesh:
                     np.abs(offsets[todo] - offsets[owner]) <= 1e-12 * diameters[owner, None],
                     axis=1,
                 )
-                rep[cells[todo[same]]] = cells[owner[same]]
+                rep[ids[todo[same]]] = ids[owner[same]]
                 todo = todo[~same]
         rep.setflags(write=False)
         return rep
+
+
+def _group_cells(cells: Sequence[Sequence[int]] | np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cell ids (c,) and vertex indices (c, n) for each vertex count n, in increasing order."""
+    if isinstance(cells, np.ndarray) and cells.ndim == 2:
+        idx = cells.astype(np.int64)
+        return [(np.arange(len(idx)), idx)] if len(idx) else []
+    cells = list(cells)
+    sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
+    groups = []
+    for n in np.unique(sizes).tolist():
+        ids = np.flatnonzero(sizes == n)
+        try:
+            idx = np.array([cells[i] for i in ids.tolist()], dtype=np.int64).reshape(len(ids), n)
+        except OverflowError as exc:
+            raise MeshError("a cell references a vertex out of range") from exc
+        groups.append((ids, idx))
+    return groups
+
+
+def _invalid_cells(verts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Which cells (c, n) of one vertex count repeat a vertex, reference one out of
+    range, or fail the checks of ``Polygon(..., allow_flat=True)``."""
+    if idx.shape[1] < 3:
+        return np.ones(len(idx), dtype=bool)
+    ordered = np.sort(idx, axis=1)
+    bad = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    bad |= np.any((idx < 0) | (idx >= len(verts)), axis=1)
+    rows = np.flatnonzero(~bad)
+    bad[rows] = _polygon_defects(verts[idx[rows]], allow_flat=True) != 0
+    return bad
+
+
+def _raise_cell_error(verts: np.ndarray, ci: int, idx: np.ndarray) -> NoReturn:
+    """Raise the error of the invalid cell ``ci``; a bad shape is worded by its ``Polygon``."""
+    if len(set(idx.tolist())) != len(idx):
+        raise MeshError(f"cell {ci} repeats a vertex")
+    if np.any((idx < 0) | (idx >= len(verts))):
+        raise MeshError(f"cell {ci} references a vertex out of range")
+    try:
+        Polygon(verts[idx], allow_flat=True)
+    except GeometryError as exc:
+        raise MeshError(f"cell {ci} is not a valid convex polygon: {exc}") from exc
+    raise MeshError(f"cell {ci} is not a valid convex polygon")
+
+
+def _repeated_edge(owner: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                   n_verts: int) -> tuple[int, tuple[int, int]] | None:
+    """The first directed edge src -> dst, in cell order, that an earlier one repeats.
+
+    Returns (owning cell, edge) or None.  When every directed edge is unique,
+    no edge is shared by more than two cells.
+    """
+    order = np.argsort(owner, kind="stable")
+    owner, src, dst = owner[order], src[order], dst[order]
+    valid = (src >= 0) & (src < n_verts) & (dst >= 0) & (dst < n_verts)
+    keys = np.where(valid, src * n_verts + dst, -1 - np.arange(len(src)))
+    _, first = np.unique(keys, return_index=True)
+    if len(first) == len(keys):
+        return None
+    repeats = np.ones(len(keys), dtype=bool)
+    repeats[first] = False
+    k = int(np.argmax(repeats))
+    return int(owner[k]), (int(src[k]), int(dst[k]))
+
+
+def _hanging_vertex(verts: np.ndarray, outer: np.ndarray) -> tuple[int, tuple[int, int]] | None:
+    """A vertex of the boundary edges ``outer`` (b, 2) that lies inside one of them: (vertex, edge).
+
+    In a conforming mesh every boundary edge meets the other boundary
+    vertices at most at its ends; a vertex inside it is a hanging vertex
+    that the cell owning the edge does not list.
+    """
+    nodes = np.unique(outer)
+    start = verts[outer[:, 0]]
+    along = verts[outer[:, 1]] - start                                   # (b, 2)
+    length2 = np.sum(along * along, axis=1)
+    step = max(1, 2**16 // len(outer))       # vertex-edge pairs per block: small temporaries
+    for lo in range(0, len(nodes), step):
+        rel = verts[nodes[lo:lo + step], None] - start                    # (v, b, 2)
+        t = (rel[..., 0] * along[:, 0] + rel[..., 1] * along[:, 1]) / length2
+        off = along[:, 0] * rel[..., 1] - along[:, 1] * rel[..., 0]
+        inside = ((np.abs(off) <= _HANGING_RTOL * length2)
+                  & (t > _HANGING_RTOL) & (t < 1.0 - _HANGING_RTOL))
+        if np.any(inside):
+            v, e = np.unravel_index(np.argmax(inside), inside.shape)
+            return int(nodes[lo + v]), (int(outer[e, 0]), int(outer[e, 1]))
+    return None
 
 
 def trapezoid_mesh(n: int, offset: float = 0.25) -> PolyMesh:
@@ -173,39 +332,36 @@ def trapezoid_mesh(n: int, offset: float = 0.25) -> PolyMesh:
     up or down by offset/n in a checkerboard pattern, so each cell is a
     trapezoid with vertical parallel sides.  ``offset`` must lie in
     [0, 0.5); at 0 the mesh degenerates to squares, at 0.5 to triangles.
+    Vertex (i, j), column i and row j, has index i (n + 1) + j, and cell
+    (i, j) is (bottom-left, bottom-right, top-right, top-left), numbered
+    i n + j.
     """
     if n < 1:
         raise MeshError("trapezoid mesh needs n >= 1")
     if not 0.0 <= offset < 0.5:
         raise MeshError(f"offset must lie in [0, 0.5), got {offset}")
     m = n + 1
-    verts = np.empty((m * m, 2))
-    for i in range(m):
-        for j in range(m):
-            x = i / n
-            if j == 0:
-                y = 0.0
-            elif j == n:
-                y = 1.0
-            else:
-                y = j / n + ((-1) ** (i + j)) * offset / n
-            verts[i * m + j] = (x, y)
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            bl = i * m + j
-            br = (i + 1) * m + j
-            cells.append((bl, br, br + 1, bl + 1))
-    return PolyMesh.build(verts, cells)
+    i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    y = j / n + (1 - 2 * ((i + j) % 2)) * offset / n
+    y[:, 0] = 0.0
+    y[:, n] = 1.0
+    verts = np.stack([(i / n).ravel(), y.ravel()], axis=1)
+    bl = (m * np.arange(n)[:, None] + np.arange(n)).ravel()
+    return PolyMesh.build(verts, np.stack([bl, bl + m, bl + m + 1, bl + 1], axis=1))
 
 
 @dataclass(frozen=True, eq=False)
 class DofMap:
-    """Global numbering: vertex unknowns first, then one unknown per edge."""
+    """Global numbering: vertex unknowns first, then one unknown per edge.
+
+    ``groups`` follows ``mesh.groups``: per vertex count n, the cell ids (c,)
+    and their unknowns (c, 2n), the n vertex unknowns and then the n edge
+    unknowns, edge k joining vertices k and k + 1.
+    """
 
     n_vertex_dofs: int
-    edges: tuple[tuple[int, int], ...]        # sorted undirected vertex pairs
-    cell_dofs: tuple[np.ndarray, ...]         # per cell: 2k global indices
+    edges: np.ndarray                         # (E, 2) sorted undirected vertex pairs
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     boundary: np.ndarray                      # bool mask over all dofs
 
     @property
@@ -220,41 +376,40 @@ class DofMap:
     def interior_dofs(self) -> np.ndarray:
         return np.flatnonzero(~self.boundary)
 
+    @cached_property
+    def cell_dofs(self) -> tuple[np.ndarray, ...]:
+        """Per cell, in cell order: its 2k global indices (a row of its group)."""
+        out: list = [None] * sum(len(ids) for ids, _ in self.groups)
+        for ids, dofs in self.groups:
+            for ci, row in zip(ids.tolist(), dofs):
+                out[ci] = row
+        return tuple(out)
+
 
 def dof_map(mesh: PolyMesh) -> DofMap:
-    edge_count: dict[tuple[int, int], int] = {}
-    for cell in mesh.cells:
-        k = len(cell)
-        for t in range(k):
-            key = tuple(sorted((cell[t], cell[(t + 1) % k])))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    edges = tuple(sorted(edge_count))
-    edge_index = {e: i for i, e in enumerate(edges)}
+    """Vertex unknowns, then one unknown per mesh edge in ``mesh.edges`` order.
+
+    An edge used by one cell is a boundary edge; its unknown and its two
+    vertices' unknowns are boundary unknowns.
+    """
     nv = mesh.n_vertices
-    cell_dofs = []
-    for cell in mesh.cells:
-        k = len(cell)
-        local = list(cell)
-        for t in range(k):
-            key = tuple(sorted((cell[t], cell[(t + 1) % k])))
-            local.append(nv + edge_index[key])
-        cell_dofs.append(np.array(local, dtype=np.int64))
-    boundary = np.zeros(nv + len(edges), dtype=bool)
-    for key, count in edge_count.items():
-        if count == 1:
-            boundary[key[0]] = boundary[key[1]] = True
-            boundary[nv + edge_index[key]] = True
-    return DofMap(
-        n_vertex_dofs=nv,
-        edges=edges,
-        cell_dofs=tuple(cell_dofs),
-        boundary=boundary,
-    )
+    counts = np.bincount(np.concatenate([group.edges.ravel() for group in mesh.groups]),
+                         minlength=len(mesh.edges))
+    outer = counts == 1
+    boundary = np.zeros(nv + len(mesh.edges), dtype=bool)
+    boundary[mesh.edges[outer].ravel()] = True
+    boundary[nv:] = outer
+    groups = []
+    for ids, cells, edges in mesh.groups:
+        dofs = np.hstack([cells, nv + edges])
+        dofs.setflags(write=False)
+        groups.append((ids, dofs))
+    return DofMap(n_vertex_dofs=nv, edges=mesh.edges, groups=tuple(groups), boundary=boundary)
 
 
 def node_coordinates(mesh: PolyMesh, dofmap: DofMap) -> np.ndarray:
     """Coordinates of every global unknown: vertices, then edge midpoints."""
-    ea = np.array(dofmap.edges, dtype=np.int64)
+    ea = dofmap.edges
     mids = 0.5 * (mesh.vertices[ea[:, 0]] + mesh.vertices[ea[:, 1]])
     return np.vstack([mesh.vertices, mids])
 
@@ -266,75 +421,79 @@ def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
     translation class (``PolyMesh.translation_classes``), on its
     representative, and every member cell shares that read-only map.
     """
-    rep = mesh.translation_classes
-    built = {r: build_map(mesh.polygons[r]) for r in np.unique(rep).tolist()}
-    return tuple(built[r] for r in rep.tolist())
+    built = {r: build_map(poly) for r, poly in mesh.representatives.items()}
+    return tuple(built[r] for r in mesh.translation_classes.tolist())
 
 
-# Quadrature points per chunk of the element kernel.  Much below this the
-# fixed cost of each numpy call dominates; above it the kernel's temporaries
-# (about 1.3 KB per point) raise peak memory and are no faster, since every
-# fresh large temporary is page-faulted in again.
+# Quadrature points per chunk of the element kernel, and per member slice.
+# Much below this the fixed cost of each numpy call dominates; above it the
+# kernel's temporaries (about 1.3 KB per point) raise peak memory and are no
+# faster, since every fresh large temporary is page-faulted in again.
+# Member slices keep the same size: a member point costs far less, but
+# larger slices raise peak memory for little gain.
 CHUNK_POINTS = 1024
 
 
-def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], kind: CoordinateKind,
-                    degree: int):
+def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofMap,
+                    kind: CoordinateKind, degree: int):
     """The element kernel: basis values on chunks of class representatives.
 
     Rule weights and basis values are the same for every cell of a
     translation class, so they are evaluated on the class representatives
-    only, with each representative's map.  Representatives are grouped by
-    the point layout of their rules and taken in chunks of about
-    ``CHUNK_POINTS`` points, so every stage (rule, coordinates, products,
-    basis) is one array operation over the chunk.  Triangulation
-    coordinates are piecewise polynomial on their own vertex fan, so a
-    fan-aligned rule integrates them exactly; the other kinds use the
-    vertex-clustered centroid decomposition.
+    only, with each representative's map.  Within each vertex-count group,
+    representatives are grouped by the point layout of their rules and taken
+    in chunks of about ``CHUNK_POINTS`` points, so every stage (rule,
+    coordinates, products, basis) is one array operation over the chunk.
+    Triangulation coordinates are piecewise polynomial on their own vertex
+    fan, so a fan-aligned rule integrates them exactly; the other kinds use
+    the vertex-clustered centroid decomposition.
 
     Yields (rule, psi, dpsi, members) for r representatives, with rule points
     (r, m, 2), weights (r, m), psi (r, m, 2n) and dpsi (r, m, 2n, 2).
     ``members`` holds every cell of their classes, representatives included,
-    in slices of about ``CHUNK_POINTS`` points: (cells, owner, shift), where
-    ``owner`` indexes each cell's representative in the chunk and
-    ``rule.points[owner] + shift[:, None]`` are the cell's own points.  When
-    the cells are distinct, consecutive representatives, as on a mesh without
-    repeated shapes, ``owner`` is a slice, so indexing with it copies nothing.
+    in slices of about ``CHUNK_POINTS`` points: (dofs, owner, shift), where
+    ``dofs`` (c, 2n) are the cells' global unknowns, ``owner`` indexes each
+    cell's representative in the chunk and ``rule.points[owner] +
+    shift[:, None]`` are the cell's own points.  When the cells are distinct,
+    consecutive representatives, as on a mesh without repeated shapes,
+    ``owner`` is a slice, so indexing with it copies nothing.
     """
     fan = kind is CoordinateKind.TRIANGULATION
-    rep_of = mesh.translation_classes
-    reps = np.flatnonzero(rep_of == np.arange(mesh.n_cells))
-    layouts = rule_layouts([mesh.polygons[r] for r in reps], degree, fan=fan)
-    order = np.concatenate([reps[group] for group, _ in layouts])
-    rank = np.empty(mesh.n_cells, dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    cell_rank = rank[rep_of]
-    by_rank = np.argsort(cell_rank, kind="stable")
-    owner_rank = cell_rank[by_rank]
-    bounds = np.searchsorted(owner_rank, np.arange(len(order) + 1))
-    origin = mesh.vertices[[cell[0] for cell in mesh.cells]]
-    shifts = origin[by_rank] - origin[order[owner_rank]]
-    start = 0
-    for group, size in layouts:
-        step = max(1, CHUNK_POINTS // size)
-        for lo in range(start, start + len(group), step):
-            chunk = order[lo:min(lo + step, start + len(group))]
-            polys = [mesh.polygons[i] for i in chunk]
-            if fan:
-                rule = fan_rule(polys, degree, fan_apex(polys))
-            else:
-                rule = polygon_rule(polys, degree)
-            psi, dpsi = eval_basis_batch(polys, kind, [maps[i] for i in chunk], rule.points)
-            members = []
-            end = bounds[lo + len(chunk)]
-            for k in range(bounds[lo], end, step):
-                part = slice(k, min(k + step, end))
-                owner = owner_rank[part] - lo
-                if owner[-1] - owner[0] == len(owner) - 1:
-                    owner = slice(owner[0], owner[-1] + 1)
-                members.append((by_rank[part], owner, shifts[part]))
-            yield rule, psi, dpsi, members
-        start += len(group)
+    polygons = mesh.representatives
+    for (ids, cells, _), (_, dofs) in zip(mesh.groups, dofmap.groups):
+        rep_of = np.searchsorted(ids, mesh.translation_classes[ids])   # group rows
+        reps = np.flatnonzero(rep_of == np.arange(len(ids)))
+        layouts = rule_layouts([polygons[i] for i in ids[reps].tolist()], degree, fan=fan)
+        order = np.concatenate([reps[group] for group, _ in layouts])
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        cell_rank = rank[rep_of]
+        by_rank = np.argsort(cell_rank, kind="stable")
+        owner_rank = cell_rank[by_rank]
+        bounds = np.searchsorted(owner_rank, np.arange(len(order) + 1))
+        origin = mesh.vertices[cells[:, 0]]
+        shifts = origin[by_rank] - origin[order[owner_rank]]
+        start = 0
+        for group, size in layouts:
+            step = max(1, CHUNK_POINTS // size)
+            for lo in range(start, start + len(group), step):
+                chunk = ids[order[lo:min(lo + step, start + len(group))]].tolist()
+                polys = [polygons[i] for i in chunk]
+                if fan:
+                    rule = fan_rule(polys, degree, fan_apex(polys))
+                else:
+                    rule = polygon_rule(polys, degree)
+                psi, dpsi = eval_basis_batch(polys, kind, [maps[i] for i in chunk], rule.points)
+                members = []
+                end = bounds[lo + len(chunk)]
+                for k in range(bounds[lo], end, step):
+                    part = slice(k, min(k + step, end))
+                    owner = owner_rank[part] - lo
+                    if owner[-1] - owner[0] == len(owner) - 1:
+                        owner = slice(owner[0], owner[-1] + 1)
+                    members.append((dofs[by_rank[part]], owner, shifts[part]))
+                yield rule, psi, dpsi, members
+            start += len(group)
 
 
 def assemble(
@@ -361,12 +520,11 @@ def assemble(
     ndof = dofmap.n_dofs
     rows, cols, vals = [], [], []
     rhs = np.zeros(ndof)
-    for rule, psi, dpsi, members in _element_chunks(mesh, maps, kind, quad_degree):
+    for rule, psi, dpsi, members in _element_chunks(mesh, maps, dofmap, kind, quad_degree):
         grad = np.swapaxes(dpsi, 1, 3)                              # (r, 2, 2n, m)
         k_loc = np.sum((grad * rule.weights[:, None, None]) @ np.swapaxes(grad, 2, 3), axis=1)
         psi_t = np.swapaxes(psi, 1, 2)                              # (r, 2n, m)
-        for cells, owner, shift in members:
-            dofs = np.stack([dofmap.cell_dofs[i] for i in cells])  # (c, 2n)
+        for dofs, owner, shift in members:
             size = dofs.shape[1]
             rows.append(np.repeat(dofs, size, axis=1).ravel())
             cols.append(np.tile(dofs, size).ravel())
@@ -374,7 +532,7 @@ def assemble(
             if source is not None:
                 points = rule.points[owner] + shift[:, None]
                 f_vals = np.asarray(source(points.reshape(-1, 2)), dtype=float)
-                wf = rule.weights[owner] * f_vals.reshape(len(cells), -1)
+                wf = rule.weights[owner] * f_vals.reshape(len(dofs), -1)
                 np.add.at(rhs, dofs, (psi_t[owner] @ wf[..., None])[..., 0])
     matrix = SparseMatrix.from_triplets(
         ndof, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
@@ -448,12 +606,11 @@ def error_norms(
     acc_l2 = 0.0
     acc_h1 = 0.0
     for rule, psi, dpsi, members in _element_chunks(
-        solution.mesh, solution.maps, solution.kind, quad_degree
+        solution.mesh, solution.maps, solution.dofmap, solution.kind, quad_degree
     ):
         psi_t = np.swapaxes(psi, 1, 2)                              # (r, 2n, m)
         grad = np.swapaxes(dpsi, 1, 3)                              # (r, 2, 2n, m)
-        for cells, owner, shift in members:
-            dofs = np.stack([solution.dofmap.cell_dofs[i] for i in cells])
+        for dofs, owner, shift in members:
             coeff = solution.values[dofs][:, None, :]               # (c, 1, 2n)
             points = (rule.points[owner] + shift[:, None]).reshape(-1, 2)
             weights = rule.weights[owner].ravel()

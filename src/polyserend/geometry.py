@@ -62,6 +62,56 @@ def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nxt, prv
 
 
+@lru_cache(maxsize=None)
+def _vertex_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices i < j of every pair of distinct vertices."""
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+# What each check of ``_polygon_defects`` reports, in the order they apply;
+# index 0 means every check passed.
+_DEFECTS = (
+    "",
+    "degenerate polygon: zero spatial extent",
+    "repeated vertices",
+    "vertices must be in counterclockwise order",
+    "degenerate polygon: near-zero area",
+    "polygon is not convex (reflex vertex)",
+    "polygon is not strictly convex",
+)
+
+
+def _polygon_defects(verts: np.ndarray, allow_flat: bool) -> np.ndarray:
+    """First failed ``Polygon`` check of each polygon of a batch, as an index into ``_DEFECTS``.
+
+    ``verts`` (c, n, 2) are finite with n >= 3.  The checks are, in order:
+    spatial extent, repeated vertices, counterclockwise order, non-zero
+    area, and convexity (flat vertices pass only with ``allow_flat``); all
+    tolerances scale with the polygon's extent.  0 means the polygon passes.
+    """
+    n = verts.shape[1]
+    scale = (verts.max(axis=1) - verts.min(axis=1)).max(axis=1)
+    i, j = _vertex_pairs(n)
+    diff = verts[:, i] - verts[:, j]
+    closest = np.hypot(diff[..., 0], diff[..., 1]).min(axis=1)
+    nxt, _ = _neighbours(n)
+    nxt_verts = verts[:, nxt]
+    area2 = (verts[..., 0] * nxt_verts[..., 1] - nxt_verts[..., 0] * verts[..., 1]).sum(axis=1)
+    floor = 1e-12 * scale * scale
+    edges = nxt_verts - verts
+    elen = np.hypot(edges[..., 0], edges[..., 1])
+    turn = _cross(edges, edges[:, nxt])
+    limit = _CONVEXITY_RTOL * elen * elen[:, nxt]
+    bent = (turn < -limit if allow_flat else turn <= limit).any(axis=1)
+    failed = np.array([scale <= 0.0, closest <= 1e-12 * scale,
+                       (area2 <= 0.0) & (np.abs(area2) > floor), area2 < floor, bent])
+    codes = np.array([1, 2, 3, 4, 5 if allow_flat else 6])
+    return np.where(failed.any(axis=0), codes[failed.argmax(axis=0)], 0)
+
+
 @dataclass(frozen=True, eq=False)
 class Polygon:
     """Convex polygon with counterclockwise vertex order.
@@ -84,29 +134,9 @@ class Polygon:
             raise InvalidPolygonError(f"a polygon needs at least 3 vertices, got {n}")
         if not np.all(np.isfinite(verts)):
             raise InvalidPolygonError("vertices must be finite")
-        scale = float(np.max(np.ptp(verts, axis=0)))
-        if scale <= 0.0:
-            raise InvalidPolygonError("degenerate polygon: zero spatial extent")
-        diff = verts[:, None, :] - verts[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        np.fill_diagonal(dist, np.inf)
-        if float(np.min(dist)) <= 1e-12 * scale:
-            raise InvalidPolygonError("repeated vertices")
-        nxt, _ = _neighbours(n)
-        area2 = float(np.sum(verts[:, 0] * verts[nxt, 1] - verts[nxt, 0] * verts[:, 1]))
-        if area2 < 1e-12 * scale * scale:
-            if area2 <= 0.0 and abs(area2) > 1e-12 * scale * scale:
-                raise InvalidPolygonError("vertices must be in counterclockwise order")
-            raise InvalidPolygonError("degenerate polygon: near-zero area")
-        edges = verts[nxt] - verts
-        elen = np.hypot(edges[:, 0], edges[:, 1])
-        turn = _cross(edges, edges[nxt])
-        limit = _CONVEXITY_RTOL * elen * elen[nxt]
-        if self.allow_flat:
-            if np.any(turn < -limit):
-                raise InvalidPolygonError("polygon is not convex (reflex vertex)")
-        elif np.any(turn <= limit):
-            raise InvalidPolygonError("polygon is not strictly convex")
+        defect = int(_polygon_defects(verts[None], self.allow_flat)[0])
+        if defect:
+            raise InvalidPolygonError(_DEFECTS[defect])
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
 

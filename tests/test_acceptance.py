@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 import corpus
+from oracles import build_A_regular, build_A_unit_square
 from polyserend import (
     CoordinateKind,
     assemble,
     build_A_quadrilateral,
-    build_A_regular,
-    build_A_unit_square,
     build_map,
     cell_maps,
     check_conditions,

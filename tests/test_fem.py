@@ -7,11 +7,15 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import corpus
 from polyserend import (
     CoordinateKind,
+    GeometryError,
     MeshError,
+    Polygon,
     PolyMesh,
     SolveReport,
     assemble,
@@ -59,7 +63,36 @@ def quadratic_field():
     return u, gu
 
 
+def loop_trapezoid_mesh(n, offset):
+    """Vertices and cells of trapezoid_mesh(n, offset), one vertex and one cell at a time."""
+    m = n + 1
+    verts = np.empty((m * m, 2))
+    for i in range(m):
+        for j in range(m):
+            y = 0.0 if j == 0 else 1.0 if j == n else j / n + ((-1) ** (i + j)) * offset / n
+            verts[i * m + j] = (i / n, y)
+    cells = [(i * m + j, (i + 1) * m + j, (i + 1) * m + j + 1, i * m + j + 1)
+             for i in range(n) for j in range(n)]
+    return verts, cells
+
+
 class TestTrapezoidMesh:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("offset", [0.0, 0.25, 0.45])
+    def test_matches_loop_construction(self, n, offset):
+        """The array construction gives the loop's vertices bit for bit, and
+        the same mesh as building from a list of cell tuples."""
+        verts, cells = loop_trapezoid_mesh(n, offset)
+        mesh = trapezoid_mesh(n, offset)
+        assert np.array_equal(mesh.vertices, verts)
+        assert mesh.cells == tuple(cells)
+        from_list = PolyMesh.build(verts, cells)
+        assert np.array_equal(mesh.edges, from_list.edges)
+        [(ids, idx, edges)] = mesh.groups
+        [(ids2, idx2, edges2)] = from_list.groups
+        assert np.array_equal(ids, ids2) and np.array_equal(idx, idx2)
+        assert np.array_equal(edges, edges2)
+
     def test_single_cell_is_unit_square(self):
         mesh = trapezoid_mesh(1, 0.37)
         assert mesh.n_cells == 1
@@ -113,6 +146,36 @@ class TestTrapezoidMesh:
         assert trapezoid_mesh(2, 0.0).n_cells == 4
 
 
+@st.composite
+def candidate_cells(draw):
+    """Vertices of one cell near the unit circle: convex, or flattened at a
+    vertex, nearly flat, collinear, with a repeated vertex, clockwise or
+    reflex."""
+    n = draw(st.integers(3, 7))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    angles = 2.0 * np.pi * np.cumsum(gaps) / np.sum(gaps)
+    verts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    flaw = draw(st.sampled_from(
+        ["none", "flat", "near-flat", "collinear", "repeated", "clockwise", "reflex"]))
+    if flaw in ("flat", "near-flat"):
+        edge = verts[1] - verts[0]
+        mid = verts[0] + draw(st.floats(0.1, 0.9)) * edge
+        if flaw == "near-flat":
+            # Off the edge by a sine of about the convexity tolerance, either way.
+            sine = draw(st.sampled_from([-1e-11, -1e-13, 1e-13, 1e-11]))
+            mid = mid + sine * np.hypot(*edge) * np.array([-edge[1], edge[0]]) / np.hypot(*edge)
+        verts = np.insert(verts, 1, mid, axis=0)
+    elif flaw == "collinear":
+        verts[:, 1] = 0.5 * verts[:, 0]
+    elif flaw == "repeated":
+        verts[1] = verts[0] + draw(st.sampled_from([0.0, 1e-13]))
+    elif flaw == "clockwise":
+        verts = verts[::-1].copy()
+    elif flaw == "reflex":
+        verts[1] *= draw(st.floats(0.05, 0.9))
+    return verts
+
+
 class TestPolyMeshValidation:
     def test_repeated_vertex_in_cell(self):
         with pytest.raises(MeshError, match="repeats"):
@@ -158,6 +221,80 @@ class TestPolyMeshValidation:
         with pytest.raises(MeshError, match="finite"):
             PolyMesh.build(bad, [(0, 1, 2)])
 
+    def test_hanging_vertex_rejected(self):
+        """A T-junction: vertex 6 splits the right side of cell 0 for its two
+        neighbors, but cell 0 does not list it.  The three edges along that
+        side each belong to one cell, so 18 of the 19 unknowns would land on
+        the boundary."""
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                          [2.0, 0.0], [2.0, 0.5], [1.0, 0.5], [2.0, 1.0]])
+        with pytest.raises(MeshError, match=r"vertex 6 lies inside boundary edge \(1, 2\)"):
+            PolyMesh.build(verts, [(0, 1, 2, 3), (1, 4, 5, 6), (6, 5, 7, 2)])
+        # Listing the vertex in cell 0 makes it a flat vertex and the mesh conforming.
+        mesh = PolyMesh.build(verts, [(0, 1, 6, 2, 3), (1, 4, 5, 6), (6, 5, 7, 2)])
+        assert len(dof_map(mesh).interior_dofs) == 4
+
+    @pytest.mark.parametrize("make", [
+        corpus.mixed_mesh, corpus.voronoi_mesh,
+        *[lambda n=n, o=o: trapezoid_mesh(n, o) for n in (1, 2, 5, 16) for o in (0.0, 0.25, 0.45)],
+    ])
+    def test_conforming_meshes_accepted(self, make):
+        """Flat-vertex pentagons, Voronoi cells and every trapezoid mesh have
+        no vertex inside a boundary edge."""
+        mesh = make()
+        assert PolyMesh.build(mesh.vertices, mesh.cells).cells == mesh.cells
+
+    @pytest.mark.parametrize("cells, message", [
+        # Cell 2 (a clockwise quadrilateral) is in the group checked first.
+        ([(0, 1, 2, 3), (4, 5, 6, 7, 8), (12, 11, 10, 9)],
+         "cell 1 is not a valid convex polygon: polygon is not convex (reflex vertex)"),
+        ([(0, 1, 2, 3), (0, 1, 2, 3), (12, 11, 10, 9)], "directed edge (0, 1) appears twice"),
+        ([(12, 11, 10, 9), (0, 1, 2, 3), (0, 1, 2, 3)],
+         "cell 0 is not a valid convex polygon: vertices must be in counterclockwise order"),
+    ])
+    def test_lowest_bad_cell_is_reported(self, cells, message):
+        """With several faults, the one a cell-by-cell check would meet first
+        is raised: the lowest-numbered bad cell, whatever its vertex count."""
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        pentagon = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.5], [2.0, 2.0], [0.0, 2.0]])
+        verts = np.vstack([square, pentagon + [2.0, 0.0], square + [5.0, 0.0]])
+        with pytest.raises(MeshError) as err:
+            PolyMesh.build(verts, cells)
+        assert str(err.value).startswith(message)
+
+    @given(st.lists(candidate_cells(), min_size=1, max_size=6))
+    def test_group_validation_accepts_exactly_what_polygon_accepts(self, shapes):
+        """Cells of mixed vertex counts, apart from each other: the array pass
+        per vertex count accepts a cell exactly when Polygon(allow_flat=True)
+        does, and a mesh with bad cells reports the lowest one with Polygon's
+        own message."""
+        shapes = [shape + [4.0 * i, 0.0] for i, shape in enumerate(shapes)]
+        problems = []
+        for shape in shapes:
+            try:
+                Polygon(shape, allow_flat=True)
+                problems.append(None)
+            except GeometryError as exc:
+                problems.append(str(exc))
+            cell = [tuple(range(len(shape)))]
+            if problems[-1] is None:
+                assert PolyMesh.build(shape, cell).n_cells == 1
+            else:
+                with pytest.raises(MeshError, match="cell 0 is not a valid convex polygon"):
+                    PolyMesh.build(shape, cell)
+        starts = np.cumsum([0] + [len(shape) for shape in shapes])
+        cells = [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
+        verts = np.vstack(shapes)
+        bad = [i for i, p in enumerate(problems) if p is not None]
+        if not bad:
+            assert PolyMesh.build(verts, cells).cells == tuple(cells)
+        else:
+            with pytest.raises(MeshError) as err:
+                PolyMesh.build(verts, cells)
+            assert str(err.value) == (
+                f"cell {bad[0]} is not a valid convex polygon: {problems[bad[0]]}"
+            )
+
     def test_mixed_mesh_valid(self):
         mesh = corpus.mixed_mesh()
         assert mesh.n_cells == 3
@@ -167,7 +304,41 @@ class TestPolyMeshValidation:
         assert total == pytest.approx(1.0, abs=1e-14)
 
 
+def loop_dof_map(mesh):
+    """Edges, per-cell unknowns and boundary mask numbered one cell at a time."""
+    edge_count = defaultdict(int)
+    for cell in mesh.cells:
+        for t in range(len(cell)):
+            edge_count[tuple(sorted((cell[t], cell[(t + 1) % len(cell)])))] += 1
+    edges = sorted(edge_count)
+    index = {e: mesh.n_vertices + k for k, e in enumerate(edges)}
+    cell_dofs = [
+        list(cell) + [index[tuple(sorted((cell[t], cell[(t + 1) % len(cell)])))]
+                      for t in range(len(cell))]
+        for cell in mesh.cells
+    ]
+    boundary = np.zeros(mesh.n_vertices + len(edges), dtype=bool)
+    for e, count in edge_count.items():
+        if count == 1:
+            boundary[[e[0], e[1], index[e]]] = True
+    return edges, cell_dofs, boundary
+
+
 class TestDofMap:
+    @pytest.mark.parametrize("make", [
+        lambda: trapezoid_mesh(5, 0.3), corpus.mixed_mesh, corpus.voronoi_mesh,
+    ])
+    def test_matches_per_cell_numbering(self, make):
+        mesh = make()
+        dm = dof_map(mesh)
+        edges, cell_dofs, boundary = loop_dof_map(mesh)
+        assert dm.edges.dtype == np.int64 and not dm.edges.flags.writeable
+        assert [tuple(e) for e in dm.edges.tolist()] == edges
+        assert [d.tolist() for d in dm.cell_dofs] == cell_dofs
+        assert np.array_equal(dm.boundary, boundary)
+        for ids, dofs in dm.groups:
+            assert np.array_equal(dofs, np.array([cell_dofs[i] for i in ids]))
+
     def test_counts_on_two_by_two(self):
         mesh = trapezoid_mesh(2, 0.25)
         dm = dof_map(mesh)
@@ -186,7 +357,7 @@ class TestDofMap:
             assert tuple(dofs[:k]) == cell
             for t in range(k):
                 edge = tuple(sorted((cell[t], cell[(t + 1) % k])))
-                assert dm.edges[dofs[k + t] - dm.n_vertex_dofs] == edge
+                assert tuple(dm.edges[dofs[k + t] - dm.n_vertex_dofs]) == edge
 
     def test_node_coordinates_layout(self):
         mesh = trapezoid_mesh(2, 0.25)
@@ -488,6 +659,22 @@ class TestElementKernel:
         sol = make_solution(mesh, harmonic_exact(node_coordinates(mesh, dm)))
         error_norms(sol, harmonic_exact, harmonic_gradient)
         assert sum(evaluated) <= 2 * classes
+
+
+    def test_polygons_are_built_for_representatives_only(self, monkeypatch):
+        """Mesh build, DOF map, maps, assembly and error norms together build
+        one Polygon per translation class: 6 per trapezoid mesh."""
+        built = []
+        real_polygon = fem.Polygon
+
+        def counting_polygon(*args, **kwargs):
+            built.append(1)
+            return real_polygon(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "Polygon", counting_polygon)
+        rows = convergence_study((4, 8, 16))
+        assert len(rows) == 3
+        assert len(built) <= 6 * 3
 
 
 class TestTranslationClasses:

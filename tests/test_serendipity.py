@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import corpus
+from oracles import build_A_regular, build_A_unit_square
 from polyserend import (
     BoundaryEvaluationError,
     CoefficientBlowupError,
@@ -23,8 +24,6 @@ from polyserend import (
     boundary_basis_values,
     build_A_generic,
     build_A_quadrilateral,
-    build_A_regular,
-    build_A_unit_square,
     build_B,
     build_map,
     check_conditions,

@@ -90,8 +90,9 @@ class PolyMesh:
     """Conforming mesh of convex polygonal cells, stored as arrays.
 
     ``groups`` holds one ``CellGroup`` per vertex count, in increasing
-    order, and ``edges`` (E, 2) the sorted vertex pairs of all edges, in
-    lexicographic order.  Cells may have collinear (flat) vertices, which is
+    order, ``edges`` (E, 2) the sorted vertex pairs of all edges, in
+    lexicographic order, and ``boundary_edges`` (E,) which of them are used
+    by one cell only.  Cells may have collinear (flat) vertices, which is
     how a quadrilateral neighbors a polygon along a subdivided side.
     ``cells`` (a tuple of vertex-index tuples) and ``polygons`` are built on
     first use; the element kernel builds a ``Polygon`` only for each
@@ -101,6 +102,7 @@ class PolyMesh:
     vertices: np.ndarray                      # (N, 2)
     groups: tuple[CellGroup, ...] = field(repr=False)
     edges: np.ndarray = field(repr=False)     # (E, 2), read-only
+    boundary_edges: np.ndarray = field(repr=False)   # (E,) bool, read-only
 
     @classmethod
     def build(cls, vertices: np.ndarray, cells: Sequence[Sequence[int]] | np.ndarray) -> "PolyMesh":
@@ -144,13 +146,15 @@ class PolyMesh:
         keys, inverse, counts = np.unique(lo * n_verts + hi, return_inverse=True,
                                           return_counts=True)
         edges = np.stack([keys // n_verts, keys % n_verts], axis=1)
+        outer = counts == 1
         edges.setflags(write=False)
+        outer.setflags(write=False)
         used = np.zeros(n_verts, dtype=bool)
         used[edges] = True
         unused = np.flatnonzero(~used)
         if unused.size:
             raise MeshError(f"vertex {unused[0]} is used by no cell ({unused.size} unused)")
-        hanging = _hanging_vertex(verts, edges[counts == 1])
+        hanging = _hanging_vertex(verts, edges[outer])
         if hanging is not None:
             raise MeshError(
                 f"vertex {hanging[0]} lies inside boundary edge {hanging[1]}; the mesh is "
@@ -164,7 +168,7 @@ class PolyMesh:
         for group in cell_groups:
             for array in group:
                 array.setflags(write=False)
-        return cls(vertices=verts, groups=cell_groups, edges=edges)
+        return cls(vertices=verts, groups=cell_groups, edges=edges, boundary_edges=outer)
 
     @property
     def n_vertices(self) -> int:
@@ -239,9 +243,6 @@ class PolyMesh:
 
 def _group_cells(cells: Sequence[Sequence[int]] | np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Cell ids (c,) and vertex indices (c, n) for each vertex count n, in increasing order."""
-    if isinstance(cells, np.ndarray) and cells.ndim == 2:
-        idx = cells.astype(np.int64)
-        return [(np.arange(len(idx)), idx)] if len(idx) else []
     cells = list(cells)
     sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
     groups = []
@@ -278,7 +279,7 @@ def _raise_cell_error(verts: np.ndarray, ci: int, idx: np.ndarray) -> NoReturn:
         Polygon(verts[idx], allow_flat=True)
     except GeometryError as exc:
         raise MeshError(f"cell {ci} is not a valid convex polygon: {exc}") from exc
-    raise MeshError(f"cell {ci} is not a valid convex polygon")
+    raise AssertionError(f"cell {ci} failed the group checks, which Polygon applies too")
 
 
 def _repeated_edge(owner: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -389,13 +390,11 @@ class DofMap:
 def dof_map(mesh: PolyMesh) -> DofMap:
     """Vertex unknowns, then one unknown per mesh edge in ``mesh.edges`` order.
 
-    An edge used by one cell is a boundary edge; its unknown and its two
-    vertices' unknowns are boundary unknowns.
+    The unknowns of a boundary edge (``mesh.boundary_edges``, used by one
+    cell) and of its two vertices are boundary unknowns.
     """
     nv = mesh.n_vertices
-    counts = np.bincount(np.concatenate([group.edges.ravel() for group in mesh.groups]),
-                         minlength=len(mesh.edges))
-    outer = counts == 1
+    outer = mesh.boundary_edges
     boundary = np.zeros(nv + len(mesh.edges), dtype=bool)
     boundary[mesh.edges[outer].ravel()] = True
     boundary[nv:] = outer

@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from scipy.special import roots_jacobi, roots_legendre
 
 from .geometry import GeometryError, Polygon, _neighbours, polygon_batch
 
@@ -64,31 +65,14 @@ class QuadratureRule:
         return self.weights.size
 
 
-def _gauss_jacobi(m: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss rule on [-1, 1] for the weight (1 - x)^alpha, alpha 0 (Legendre) or 1.
-
-    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
-    tridiagonal Jacobi matrix of the orthogonal polynomials, and each weight
-    is the integral of the weight function (2 for both alphas) times the
-    squared first component of the node's unit eigenvector.
-    """
-    k = np.arange(m, dtype=float)
-    s = 2.0 * k + alpha
-    diag = -alpha**2 / (s * (s + 2.0)) if alpha else np.zeros(m)
-    s = s[1:]
-    off = 2.0 * k[1:] * (k[1:] + alpha) / (s * np.sqrt(s * s - 1.0))
-    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return nodes, 2.0 * vectors[0] ** 2
-
-
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadratureRule:
     """Rule on the reference triangle (0,0), (1,0), (0,1) exact to ``degree``."""
     if not 1 <= degree <= MAX_DEGREE:
         raise GeometryError(f"quadrature degree must be in [1, {MAX_DEGREE}], got {degree}")
     m = (degree + 2) // 2
-    x_leg, w_leg = _gauss_jacobi(m, 0)
-    x_jac, w_jac = _gauss_jacobi(m, 1)
+    x_leg, w_leg = roots_legendre(m)
+    x_jac, w_jac = roots_jacobi(m, 1.0, 0.0)
     u = 0.5 * (x_leg + 1.0)          # Gauss-Legendre on [0, 1]
     a = 0.5 * w_leg
     v = 0.5 * (x_jac + 1.0)          # Gauss-Jacobi with weight (1 - v) on [0, 1]

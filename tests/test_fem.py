@@ -336,6 +336,8 @@ class TestDofMap:
         assert [tuple(e) for e in dm.edges.tolist()] == edges
         assert [d.tolist() for d in dm.cell_dofs] == cell_dofs
         assert np.array_equal(dm.boundary, boundary)
+        assert not mesh.boundary_edges.flags.writeable
+        assert np.array_equal(mesh.boundary_edges, boundary[mesh.n_vertices:])
         for ids, dofs in dm.groups:
             assert np.array_equal(dofs, np.array([cell_dofs[i] for i in ids]))
 

@@ -4,7 +4,7 @@ degree-stability guard for coordinate-based integrands."""
 
 from __future__ import annotations
 
-from math import factorial, sqrt
+from math import factorial
 
 import numpy as np
 import pytest
@@ -20,32 +20,12 @@ from polyserend import (
     polygon_rule,
     triangle_rule,
 )
-from polyserend.quadrature import MAX_DEGREE, _gauss_jacobi, fan_rule, rule_layouts
+from polyserend.quadrature import MAX_DEGREE, fan_rule, rule_layouts
 
 
 def reference_monomial(i: int, j: int) -> float:
     """Exact integral of x^i y^j over the unit reference triangle."""
     return factorial(i) * factorial(j) / factorial(i + j + 2)
-
-
-class TestGaussRules:
-    """The one-dimensional rules that triangle_rule is the product of:
-    Gauss-Legendre (weight 1) and Gauss-Jacobi (weight 1 - x) on [-1, 1]."""
-
-    @pytest.mark.parametrize("alpha, nodes, weights", [
-        (0, [0.0], [2.0]),
-        (0, [-1.0 / sqrt(3.0), 1.0 / sqrt(3.0)], [1.0, 1.0]),
-        (0, [-sqrt(0.6), 0.0, sqrt(0.6)], [5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0]),
-        (1, [-1.0 / 3.0], [2.0]),
-        # Roots of x^2 + 2x/5 - 1/5, the degree-2 polynomial orthogonal to
-        # 1 and x under the weight 1 - x.
-        (1, [(-1.0 - sqrt(6.0)) / 5.0, (-1.0 + sqrt(6.0)) / 5.0],
-         [1.0 + sqrt(6.0) / 9.0, 1.0 - sqrt(6.0) / 9.0]),
-    ])
-    def test_small_rules_match_closed_forms(self, alpha, nodes, weights):
-        x, w = _gauss_jacobi(len(nodes), alpha)
-        assert x == pytest.approx(nodes, abs=1e-15)
-        assert w == pytest.approx(weights, abs=1e-15)
 
 
 class TestTriangleRule:

@@ -22,14 +22,7 @@ import argparse
 
 import numpy as np
 
-from polyserend import (
-    Polygon,
-    build_A_generic,
-    check_conditions,
-    coefficient_bound,
-    generic_diagonal_coefficients,
-    pair_order,
-)
+from polyserend import Polygon, build_map, check_conditions, coefficient_bound, pair_order
 
 
 def shrinking_edge_hexagon(t: float) -> Polygon:
@@ -50,23 +43,27 @@ def regular_polygon(n: int) -> Polygon:
 
 def diagonal_columns_max(poly: Polygon) -> tuple[float, float]:
     """Largest |entry| over the diagonal-elimination columns of A and the
-    largest edge-coefficient sum s over all diagonals."""
-    A = build_A_generic(poly)
-    diag_block = A[:, 2 * poly.n:]
+    largest edge-coefficient sum s over all diagonals.
+
+    The column of diagonal (a, b) carries s as the sum of its two edge
+    coefficients at a, on edges (a - 1, a) and (a, a + 1).
+    """
+    n = poly.n
+    diag_block = build_map(poly).A[:, 2 * n:]
     peak = float(np.max(np.abs(diag_block))) if diag_block.size else 0.0
-    s_max = 0.0
-    for a, b in pair_order(poly.n)[2 * poly.n:]:
-        s_max = max(s_max, generic_diagonal_coefficients(poly, a, b).s)
-    return peak, s_max
+    a = np.array([a for a, _ in pair_order(n)[2 * n:]], dtype=int)
+    cols = np.arange(len(a))
+    s = diag_block[n + (a - 1) % n, cols] + diag_block[n + a, cols]
+    return peak, float(np.max(s, initial=0.0))
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--t-values", default="0.3,0.1,0.03,0.01,0.003,0.001",
                         help="comma-separated shrinking arc lengths")
     parser.add_argument("--regular-n", default="5,6,8,10,12",
                         help="comma-separated regular polygon sizes")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print("# Part 1: shrinking-edge hexagons (shape conditions fail as t -> 0)")
     print("| t (arc) | shortest edge | max s | max |A entry| |")

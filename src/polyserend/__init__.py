@@ -18,14 +18,12 @@ from .barycentric import (
     pairwise_batch,
 )
 from .geometry import (
-    DiagonalFrame,
     GeometryError,
     InvalidPolygonError,
     Polygon,
     ShapeConditions,
     ShapeMetrics,
     check_conditions,
-    diagonal_frame,
     interior_angles,
     load_polygon,
     polygon_from_json,
@@ -68,23 +66,19 @@ from .quadrature import (
 from .serendipity import (
     CoefficientBlowupError,
     ConstraintReport,
-    DiagonalCoefficients,
     SerendipityError,
     SerendipityMap,
     Strategy,
     basis_nodes,
     bound_from_margin,
     boundary_basis_values,
-    build_A_generic,
-    build_A_quadrilateral,
+    build_A,
     build_B,
     build_map,
     coefficient_bound,
     eval_basis_batch,
-    generic_diagonal_coefficients,
     lagrange_table,
     precision_residuals,
-    quadrilateral_diagonal_coefficients,
     verify_constraints,
 )
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import GeometryError, Polygon, _neighbours, polygon_batch
+from .geometry import GeometryError, Polygon, _has_flat_vertex, _neighbours, polygon_batch
 
 __all__ = [
     "fan_apex",
@@ -224,6 +224,10 @@ def eval_coords_batch(
     Given a batch of c polygons that share a vertex count, ``points`` is
     (c, m, 2), one row of points per polygon, and the results gain a leading
     axis: values (c, m, n) and gradients (c, m, n, 2).
+
+    Wachspress coordinates raise ``GeometryError`` on a polygon with a flat
+    vertex: the vertex's weight, its corner area, is 0, so its coordinate
+    would vanish and the basis would not interpolate there.
     """
     kind = CoordinateKind(kind)
     polys, verts, diameters = polygon_batch(polygon)
@@ -232,6 +236,13 @@ def eval_coords_batch(
         pts = np.atleast_2d(pts)[None]
     if pts.ndim != 3 or pts.shape[0] != len(polys) or pts.shape[2] != 2:
         raise GeometryError("points must have shape (m, 2), or (c, m, 2) for c polygons")
+    if kind is CoordinateKind.WACHSPRESS:
+        flat = _has_flat_vertex(verts, diameters)
+        if np.any(flat):
+            raise GeometryError(
+                f"polygon {int(np.argmax(flat))} has a flat vertex, whose Wachspress weight "
+                "is 0: use meanvalue or triangulation coordinates"
+            )
     _reject_boundary_points(polys, verts, diameters, pts)
     if kind is CoordinateKind.TRIANGULATION:
         lam, grads = _triangulation(verts, diameters, pts)

@@ -33,9 +33,9 @@ from typing import Callable, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .barycentric import CoordinateKind, _fan_apices, fan_apex
-from .geometry import GeometryError, Polygon, _neighbours, _polygon_defects
+from .geometry import GeometryError, Polygon, _has_flat_vertex, _neighbours, _polygon_defects
 from .linalg import SolveReport, SparseMatrix, cg_solve
-from .quadrature import _has_flat_vertex, fan_rule, polygon_rule, rule_layouts
+from .quadrature import fan_rule, polygon_rule, rule_layouts
 from .serendipity import SerendipityMap, build_map, eval_basis_batch
 
 __all__ = [
@@ -112,8 +112,9 @@ class PolyMesh:
         pass, with the checks of ``Polygon(..., allow_flat=True)``.  A
         failing mesh raises the ``MeshError`` of its lowest-numbered bad
         cell.  Then each directed edge may occur once, every vertex must be
-        used, and no vertex may lie inside a boundary edge (a hanging vertex
-        its neighbor does not list).
+        used, and boundary edges may meet only at the vertices they share: a
+        vertex inside a boundary edge (a hanging vertex its neighbor does not
+        list) and two boundary edges that cross (overlapping cells) fail.
         """
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2:
@@ -154,12 +155,9 @@ class PolyMesh:
         unused = np.flatnonzero(~used)
         if unused.size:
             raise MeshError(f"vertex {unused[0]} is used by no cell ({unused.size} unused)")
-        hanging = _hanging_vertex(verts, edges[outer])
-        if hanging is not None:
-            raise MeshError(
-                f"vertex {hanging[0]} lies inside boundary edge {hanging[1]}; the mesh is "
-                "not conforming (a hanging vertex that the cell owning the edge does not list)"
-            )
+        contact = _boundary_contact(verts, edges[outer])
+        if contact is not None:
+            raise MeshError(contact)
         splits = np.cumsum([idx.size for _, idx in groups])[:-1]
         cell_groups = tuple(
             CellGroup(ids, idx, part.reshape(idx.shape))
@@ -302,27 +300,41 @@ def _repeated_edge(owner: np.ndarray, src: np.ndarray, dst: np.ndarray,
     return int(owner[k]), (int(src[k]), int(dst[k]))
 
 
-def _hanging_vertex(verts: np.ndarray, outer: np.ndarray) -> tuple[int, tuple[int, int]] | None:
-    """A vertex of the boundary edges ``outer`` (b, 2) that lies inside one of them: (vertex, edge).
+def _boundary_contact(verts: np.ndarray, outer: np.ndarray) -> str | None:
+    """Where two of the boundary edges ``outer`` (b, 2) meet other than at a shared end, or None.
 
-    In a conforming mesh every boundary edge meets the other boundary
-    vertices at most at its ends; a vertex inside it is a hanging vertex
-    that the cell owning the edge does not list.
+    In a conforming mesh of cells that do not overlap, boundary edges touch
+    only at the vertices they share.  A vertex inside a boundary edge is a
+    hanging vertex that the cell owning the edge does not list; two boundary
+    edges that cross belong to overlapping cells.  A vertex within
+    ``_HANGING_RTOL`` of an edge's length of the edge's line is on that line.
     """
-    nodes = np.unique(outer)
+    nodes, ends = np.unique(outer, return_inverse=True)
+    ends = ends.reshape(outer.shape)                                     # rows of nodes
     start = verts[outer[:, 0]]
     along = verts[outer[:, 1]] - start                                   # (b, 2)
     length2 = np.sum(along * along, axis=1)
+    side = np.empty((len(nodes), len(outer)), dtype=np.int8)   # of each edge's line
     step = max(1, 2**16 // len(outer))       # vertex-edge pairs per block: small temporaries
     for lo in range(0, len(nodes), step):
         rel = verts[nodes[lo:lo + step], None] - start                    # (v, b, 2)
         t = (rel[..., 0] * along[:, 0] + rel[..., 1] * along[:, 1]) / length2
         off = along[:, 0] * rel[..., 1] - along[:, 1] * rel[..., 0]
-        inside = ((np.abs(off) <= _HANGING_RTOL * length2)
-                  & (t > _HANGING_RTOL) & (t < 1.0 - _HANGING_RTOL))
+        on_line = np.abs(off) <= _HANGING_RTOL * length2
+        inside = on_line & (t > _HANGING_RTOL) & (t < 1.0 - _HANGING_RTOL)
         if np.any(inside):
             v, e = np.unravel_index(np.argmax(inside), inside.shape)
-            return int(nodes[lo + v]), (int(outer[e, 0]), int(outer[e, 1]))
+            return (f"vertex {nodes[lo + v]} lies inside boundary edge {tuple(outer[e].tolist())}; "
+                    "the mesh is not conforming (a hanging vertex that the cell owning the "
+                    "edge does not list)")
+        side[lo:lo + step] = np.where(on_line, 0, np.sign(off))
+    # straddles[f, e]: the ends of edge f lie on both sides of edge e's line.
+    straddles = side[ends[:, 0]] * side[ends[:, 1]] < 0
+    crosses = straddles & straddles.T
+    if np.any(crosses):
+        f, e = np.unravel_index(np.argmax(crosses), crosses.shape)
+        return (f"boundary edges {tuple(outer[f].tolist())} and {tuple(outer[e].tolist())} "
+                "cross; two cells overlap")
     return None
 
 
@@ -416,11 +428,16 @@ def node_coordinates(mesh: PolyMesh, dofmap: DofMap) -> np.ndarray:
 def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
     """Serendipity reduction for every cell.
 
-    A and B do not change under translation, so ``build_map`` runs once per
+    A and B do not change under translation, so they are built once per
     translation class (``PolyMesh.translation_classes``), on its
-    representative, and every member cell shares that read-only map.
+    representative, with one ``build_map`` call per vertex count, and every
+    member cell shares that read-only map.
     """
-    built = {r: build_map(poly) for r, poly in mesh.representatives.items()}
+    polygons = mesh.representatives
+    built = {}
+    for ids, _, _ in mesh.groups:
+        reps = [i for i in ids.tolist() if i in polygons]
+        built.update(zip(reps, build_map([polygons[i] for i in reps])))
     return tuple(built[r] for r in mesh.translation_classes.tolist())
 
 

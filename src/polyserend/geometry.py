@@ -23,11 +23,9 @@ __all__ = [
     "polygon_batch",
     "ShapeMetrics",
     "ShapeConditions",
-    "DiagonalFrame",
     "interior_angles",
     "shape_metrics",
     "check_conditions",
-    "diagonal_frame",
     "sample_interior",
     "polygon_from_json",
     "polygon_to_json",
@@ -110,6 +108,17 @@ def _polygon_defects(verts: np.ndarray, allow_flat: bool) -> np.ndarray:
                        (area2 <= 0.0) & (np.abs(area2) > floor), area2 < floor, bent])
     codes = np.array([1, 2, 3, 4, 5 if allow_flat else 6])
     return np.where(failed.any(axis=0), codes[failed.argmax(axis=0)], 0)
+
+
+def _has_flat_vertex(verts: np.ndarray, diameters: np.ndarray) -> np.ndarray:
+    """Whether each polygon of a batch, vertices (c, n, 2), has a collinear vertex.
+
+    ``polygon_rule`` raises its base degree on exactly these polygons, and
+    Wachspress coordinates are refused on them.
+    """
+    nxt, prv = _neighbours(verts.shape[1])
+    turn = _cross(verts - verts[:, prv], verts[:, nxt] - verts)
+    return np.any(np.abs(turn) <= 1e-12 * diameters[:, None] ** 2, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,38 +373,22 @@ def check_conditions(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalFrame:
-    """Orientation-preserving rigid motion placing a diagonal on the x axis.
+def _diagonal_frames(verts: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (c, n, 2) in the rigid frame of every diagonal (a[k], b[k]): (c, D, n, 2).
 
-    The diagonal endpoints (a, b) map to (-half_length, 0) and
-    (+half_length, 0); vertices strictly between a and b in counterclockwise
-    order end up below the axis.
+    Each frame is an orientation-preserving rigid motion that maps a to
+    (-l, 0) and b to (l, 0), so vertices strictly between a and b in
+    counterclockwise order lie below the x axis.  Also returns the half
+    lengths l, (c, D).
     """
-
-    rotation: np.ndarray     # (2, 2), det +1
-    center: np.ndarray       # diagonal midpoint in original coordinates
-    half_length: float
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return (np.asarray(points, dtype=float) - self.center) @ self.rotation.T
-
-    def invert(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.rotation + self.center
-
-
-def diagonal_frame(polygon: Polygon, a: int, b: int) -> DiagonalFrame:
-    n = polygon.n
-    a %= n
-    b %= n
-    if (b - a) % n in (0, 1, n - 1):
-        raise GeometryError(f"vertex pair ({a}, {b}) is not a strict diagonal")
-    va, vb = polygon.vertices[a], polygon.vertices[b]
-    center = 0.5 * (va + vb)
-    half_length = 0.5 * float(np.hypot(*(vb - va)))
-    ex, ey = (vb - va) / (2.0 * half_length)
-    rotation = np.array([[ex, ey], [-ey, ex]])
-    return DiagonalFrame(rotation=rotation, center=center, half_length=half_length)
+    va, vb = verts[:, a], verts[:, b]                        # (c, D, 2)
+    chord = vb - va
+    half = 0.5 * np.hypot(chord[..., 0], chord[..., 1])
+    unit = chord / (2.0 * half)[..., None]
+    ex, ey = unit[..., 0], unit[..., 1]
+    # The transposed rotation [[ex, ey], [-ey, ex]], applied to row vectors.
+    rotate = np.stack([np.stack([ex, -ey], axis=-1), np.stack([ey, ex], axis=-1)], axis=-2)
+    return (verts[:, None] - (0.5 * (va + vb))[:, :, None]) @ rotate, half
 
 
 def sample_interior(

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .geometry import GeometryError, Polygon, _neighbours, polygon_batch
+from .geometry import GeometryError, Polygon, _has_flat_vertex, _neighbours, polygon_batch
 
 __all__ = [
     "QuadratureRule",
@@ -115,18 +115,6 @@ def _single_or_batch(polygon: Polygon | Sequence[Polygon], rule: QuadratureRule)
     if not isinstance(polygon, Polygon):
         return rule
     return QuadratureRule(points=rule.points[0], weights=rule.weights[0], degree=rule.degree)
-
-
-def _has_flat_vertex(verts: np.ndarray, diameters: np.ndarray) -> np.ndarray:
-    """Whether each polygon of a batch, vertices (c, n, 2), has a collinear vertex.
-
-    ``polygon_rule`` raises its base degree on exactly these polygons.
-    """
-    nxt, prv = _neighbours(verts.shape[1])
-    into = verts - verts[:, prv]
-    out = verts[:, nxt] - verts
-    turn = into[..., 0] * out[..., 1] - into[..., 1] * out[..., 0]
-    return np.any(np.abs(turn) <= 1e-12 * diameters[:, None] ** 2, axis=1)
 
 
 def _rule_degrees(verts: np.ndarray, diameters: np.ndarray, degree: int) -> np.ndarray:

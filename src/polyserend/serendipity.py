@@ -35,20 +35,16 @@ from .barycentric import (
     pair_order,
     pairwise_batch,
 )
-from .geometry import GeometryError, Polygon, diagonal_frame
+from .geometry import GeometryError, Polygon, _diagonal_frames, _neighbours, polygon_batch
 
 __all__ = [
     "SerendipityError",
     "CoefficientBlowupError",
     "Strategy",
     "SerendipityMap",
-    "DiagonalCoefficients",
+    "build_A",
     "build_B",
-    "build_A_quadrilateral",
-    "build_A_generic",
     "build_map",
-    "quadrilateral_diagonal_coefficients",
-    "generic_diagonal_coefficients",
     "eval_basis_batch",
     "basis_nodes",
     "boundary_basis_values",
@@ -76,43 +72,21 @@ class Strategy(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SerendipityMap:
-    """Reduction matrix A, nodal transform B and the strategy that built A."""
+    """Reduction matrix A and nodal transform B of one polygon."""
 
     n: int
     A: np.ndarray          # (2n, n(n+1)/2)
     B: np.ndarray          # (2n, 2n)
-    strategy: Strategy
 
     def __post_init__(self) -> None:
         self.A.setflags(write=False)
         self.B.setflags(write=False)
 
-
-@dataclass(frozen=True)
-class DiagonalCoefficients:
-    """Six nonzero entries of one diagonal column plus construction details.
-
-    Row placement: ``c_aa``/``c_bb`` on the vertex functions at the diagonal
-    endpoints, ``c_edge_before_a`` on edge (a-1, a), ``c_edge_after_a`` on
-    edge (a, a+1), and likewise around b.  For the generic construction the
-    frame quantities d_a, d_b (x-intercepts of the neighbor lines divided by
-    the half diagonal) and the shared edge-sum s are reported; quadrilateral
-    columns report their single intercept parameter d instead.
-    """
-
-    a: int
-    b: int
-    c_aa: float
-    c_bb: float
-    c_edge_before_a: float
-    c_edge_after_a: float
-    c_edge_before_b: float
-    c_edge_after_b: float
-    half_length: float
-    d_a: float | None = None
-    d_b: float | None = None
-    s: float | None = None
-    d: float | None = None
+    @property
+    def strategy(self) -> Strategy:
+        """``quadrilateral`` for n = 4, whose two diagonals share one neighbor
+        line (so s = 1), and ``generic`` otherwise; ``build_A`` builds both."""
+        return Strategy.QUADRILATERAL if self.n == 4 else Strategy.GENERIC
 
 
 def build_B(n: int) -> np.ndarray:
@@ -128,157 +102,93 @@ def build_B(n: int) -> np.ndarray:
     return B
 
 
-def quadrilateral_diagonal_coefficients(polygon: Polygon, a: int) -> DiagonalCoefficients:
-    """Coefficients for the diagonal (a, a+2) of a convex quadrilateral.
+def build_A(vertices: np.ndarray) -> np.ndarray:
+    """Reduction matrices (c, 2n, n(n+1)/2) of polygons (c, n, 2) that share a vertex count.
 
-    In the frame with the diagonal on the x axis the two off-diagonal
-    vertices straddle the axis; the four edge coefficients are the convex
-    weights with which the segment between them crosses the axis, and the
-    crossing abscissa fixes the two vertex coefficients.
+    The vertex and edge columns are the identity.  Every strict diagonal
+    (a, b), a < b, is solved in the rigid frame that puts a at (-l, 0) and b
+    at (l, 0), with the vertices between them below the axis.  d_a and d_b
+    are the x-intercepts, over l, of the lines through the two neighbors of a
+    and of b.  The two edge coefficients at each endpoint sum to
+    s = 2 / (2 - (d_a + d_b)) and split it so that the weighted neighbors
+    meet the axis at the intercept; the x component of that 2x2 solve is
+    redundant and is checked.  The vertex coefficients are
+    (-2 - 2 d) / (2 - (d_a + d_b)).  A quadrilateral's two endpoints share
+    one neighbor line, so d_a = -d_b and s = 1; a triangle has no diagonal.
+
+    Raises ``SerendipityError`` naming the polygon of the batch and the
+    diagonal, and ``CoefficientBlowupError`` when d_a + d_b leaves no margin
+    below 2.
     """
-    if polygon.n != 4:
-        raise SerendipityError("quadrilateral construction requires n = 4")
-    a %= 4
-    b = (a + 2) % 4
-    frame = diagonal_frame(polygon, a, b)
-    q = frame.apply(polygon.vertices)
-    below = q[(a + 1) % 4]
-    above = q[(a + 3) % 4]
-    if not (below[1] < 0.0 < above[1]):
-        raise SerendipityError("quadrilateral is not strictly convex across its diagonal")
-    w_below = above[1] / (above[1] - below[1])
-    w_above = below[1] / (below[1] - above[1])
-    d = (w_below * below[0] + w_above * above[0]) / frame.half_length
-    return DiagonalCoefficients(
-        a=a,
-        b=b,
-        c_aa=d - 1.0,
-        c_bb=-d - 1.0,
-        c_edge_before_a=w_above,
-        c_edge_after_a=w_below,
-        c_edge_before_b=w_below,
-        c_edge_after_b=w_above,
-        half_length=frame.half_length,
-        d=d,
-    )
-
-
-def _place_column(A: np.ndarray, n: int, col: int, co: DiagonalCoefficients) -> None:
-    A[co.a, col] = co.c_aa
-    A[co.b, col] = co.c_bb
-    A[n + (co.a - 1) % n, col] = co.c_edge_before_a
-    A[n + co.a, col] = co.c_edge_after_a
-    A[n + (co.b - 1) % n, col] = co.c_edge_before_b
-    A[n + co.b, col] = co.c_edge_after_b
-
-
-def build_A_quadrilateral(polygon: Polygon) -> np.ndarray:
-    if polygon.n != 4:
-        raise SerendipityError("quadrilateral construction requires n = 4")
-    A = np.eye(8, 10)
-    for col, (a, _) in zip((8, 9), ((0, 2), (1, 3))):
-        _place_column(A, 4, col, quadrilateral_diagonal_coefficients(polygon, a))
-    return A
-
-
-def generic_diagonal_coefficients(polygon: Polygon, a: int, b: int) -> DiagonalCoefficients:
-    """Coefficients for one strict diagonal of an arbitrary convex polygon.
-
-    With the diagonal endpoints at (-l, 0) and (l, 0), d_a and d_b locate the
-    x-intercepts of the lines through the neighbors of a and b.  The combined
-    edge weight on each side is s = 2 / (2 - (d_a + d_b)); splitting it
-    between the two adjacent edge functions so the weighted neighbors hit the
-    intercept is a 2x2 solve whose x component must close automatically.
-    """
-    n = polygon.n
-    a %= n
-    b %= n
-    frame = diagonal_frame(polygon, a, b)
-    q = frame.apply(polygon.vertices)
-    ell = frame.half_length
-    # Counterclockwise travel from a to b stays below the axis.
-    if q[a][0] > 0.0:
-        a, b = b, a
-    va_prev, va_next = q[(a - 1) % n], q[(a + 1) % n]
-    vb_prev, vb_next = q[(b - 1) % n], q[(b + 1) % n]
-    if va_next[1] > 0.0 or vb_prev[1] > 0.0:
-        raise SerendipityError(
-            f"diagonal ({a}, {b}): a boundary neighbor lies on the wrong side "
-            "of the diagonal"
-        )
-    # Each endpoint's neighbors straddle the axis: prev(a)/next(b) above (or
-    # on) it, next(a)/prev(b) below (or on, at a collinear vertex sitting on
-    # the diagonal itself), so these denominators are > 0.
-    den_a = va_prev[1] - va_next[1]
-    den_b = vb_next[1] - vb_prev[1]
-    if den_a <= 1e-14 * ell or den_b <= 1e-14 * ell:
-        raise SerendipityError(
-            f"diagonal ({a}, {b}): neighbor vertices collinear with the diagonal"
-        )
-    d_a = (va_prev[0] * va_next[1] - va_next[0] * va_prev[1]) / (den_a * ell)
-    d_b = (vb_prev[0] * vb_next[1] - vb_next[0] * vb_prev[1]) / (den_b * ell)
-    gap = 2.0 - (d_a + d_b)
-    if gap <= 1e-12:
-        raise CoefficientBlowupError(
-            f"diagonal ({a}, {b}): intercepts d_a={d_a:.6g}, d_b={d_b:.6g} leave no margin; "
-            "coefficients blow up for this geometry"
-        )
-    s = 2.0 / gap
-    c_before_a = s * va_next[1] / (va_next[1] - va_prev[1])
-    c_after_a = s * va_prev[1] / (va_prev[1] - va_next[1])
-    c_before_b = s * vb_next[1] / (vb_next[1] - vb_prev[1])
-    c_after_b = s * vb_prev[1] / (vb_prev[1] - vb_next[1])
-    # The x components of the two endpoint systems are redundant; verify.
-    res_a = c_before_a * va_prev[0] + c_after_a * va_next[0] - s * d_a * (-ell)
-    res_b = c_before_b * vb_prev[0] + c_after_b * vb_next[0] - s * d_b * ell
-    if max(abs(res_a), abs(res_b)) > 1e-9 * max(1.0, s) * 2.0 * ell:
-        raise SerendipityError(
-            f"diagonal ({a}, {b}): intercept consistency residual "
-            f"{max(abs(res_a), abs(res_b)):.3e} exceeds tolerance"
-        )
-    return DiagonalCoefficients(
-        a=a,
-        b=b,
-        c_aa=(-2.0 - 2.0 * d_a) / gap,
-        c_bb=(-2.0 - 2.0 * d_b) / gap,
-        c_edge_before_a=c_before_a,
-        c_edge_after_a=c_after_a,
-        c_edge_before_b=c_before_b,
-        c_edge_after_b=c_after_b,
-        half_length=ell,
-        d_a=d_a,
-        d_b=d_b,
-        s=s,
-    )
-
-
-def build_A_generic(polygon: Polygon) -> np.ndarray:
-    n = polygon.n
-    if n == 4:
-        raise SerendipityError(
-            "the generic construction is undefined for quadrilaterals; "
-            "use the quadrilateral strategy"
-        )
+    verts = np.asarray(vertices, dtype=float)
+    if verts.ndim != 3 or verts.shape[2] != 2:
+        raise SerendipityError(f"vertices must have shape (c, n, 2), got {verts.shape}")
+    c, n, _ = verts.shape
     pairs = pair_order(n)
-    A = np.eye(2 * n, len(pairs))
-    for col, (p, q) in enumerate(pairs[2 * n :], start=2 * n):
-        _place_column(A, n, col, generic_diagonal_coefficients(polygon, p, q))
+    A = np.tile(np.eye(2 * n, len(pairs)), (c, 1, 1))
+    a, b = np.array(pairs[2 * n:], dtype=int).reshape(-1, 2).T
+    nxt, prv = _neighbours(n)
+    q, ell = _diagonal_frames(verts, a, b)                  # (c, D, n, 2), (c, D)
+    cols = np.arange(len(a))
+    (xap, yap), (xan, yan), (xbp, ybp), (xbn, ybn) = (
+        np.moveaxis(q[:, cols, k], -1, 0) for k in (prv[a], nxt[a], prv[b], nxt[b])
+    )
+    # Each endpoint's neighbors straddle the axis: prev(a) and next(b) above
+    # (or on) it, next(a) and prev(b) below (or on, at a flat vertex on the
+    # diagonal itself), so both denominators are > 0.
+    den_a, den_b = yap - yan, ybn - ybp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_a = (xap * yan - xan * yap) / (den_a * ell)
+        d_b = (xbp * ybn - xbn * ybp) / (den_b * ell)
+        gap = 2.0 - (d_a + d_b)
+        s = 2.0 / gap
+        coefficients = np.stack([
+            (-2.0 - 2.0 * d_a) / gap,                       # vertex a
+            (-2.0 - 2.0 * d_b) / gap,                       # vertex b
+            s * yan / (yan - yap),                          # edge (a - 1, a)
+            s * yap / (yap - yan),                          # edge (a, a + 1)
+            s * ybn / (ybn - ybp),                          # edge (b - 1, b)
+            s * ybp / (ybp - ybn),                          # edge (b, b + 1)
+        ], axis=-1)                                         # (c, D, 6)
+        residual = np.maximum(
+            np.abs(coefficients[..., 2] * xap + coefficients[..., 3] * xan + s * d_a * ell),
+            np.abs(coefficients[..., 4] * xbp + coefficients[..., 5] * xbn - s * d_b * ell),
+        )
+        failed = np.array([
+            (yan > 0.0) | (ybp > 0.0),
+            (den_a <= 1e-14 * ell) | (den_b <= 1e-14 * ell),
+            ~(gap > 1e-12),
+            ~(residual <= 1e-9 * np.maximum(1.0, s) * 2.0 * ell),
+        ])                                                  # (4, c, D)
+    bad = failed.any(axis=0)
+    if np.any(bad):
+        k, j = np.unravel_index(np.argmax(bad), bad.shape)
+        defect = int(np.argmax(failed[:, k, j]))
+        detail = (
+            "a boundary neighbor lies on the wrong side of the diagonal",
+            "neighbor vertices collinear with the diagonal",
+            f"intercepts d_a={d_a[k, j]:.6g}, d_b={d_b[k, j]:.6g} leave no margin; "
+            "coefficients blow up for this geometry",
+            f"intercept consistency residual {residual[k, j]:.3e} exceeds tolerance",
+        )[defect]
+        error = CoefficientBlowupError if defect == 2 else SerendipityError
+        raise error(f"polygon {k}, diagonal ({a[j]}, {b[j]}): {detail}")
+    rows = np.stack([a, b, n + prv[a], n + a, n + prv[b], n + b], axis=1)   # (D, 6)
+    A[:, rows, 2 * n + cols[:, None]] = coefficients
     return A
 
 
-def build_map(polygon: Polygon) -> SerendipityMap:
-    """Build the serendipity reduction for a polygon.
+def build_map(polygon: Polygon | Sequence[Polygon]) -> SerendipityMap | tuple[SerendipityMap, ...]:
+    """Serendipity reduction of a polygon, with A from ``build_A``.
 
-    Quadrilaterals use the closed quadrilateral form, the one case where the
-    per-diagonal solve is undefined; every other polygon uses the generic
-    solve, which for a triangle has no diagonals and returns the identity.
+    A batch of polygons that share a vertex count is built at once and gets
+    a tuple of maps, one per polygon.
     """
-    n = polygon.n
-    if n == 4:
-        A, strategy = build_A_quadrilateral(polygon), Strategy.QUADRILATERAL
-    else:
-        A, strategy = build_A_generic(polygon), Strategy.GENERIC
-    return SerendipityMap(n=n, A=A, B=build_B(n), strategy=strategy)
+    _, verts, _ = polygon_batch(polygon)
+    n = verts.shape[1]
+    B = build_B(n)
+    maps = tuple(SerendipityMap(n=n, A=A, B=B) for A in build_A(verts))
+    return maps[0] if isinstance(polygon, Polygon) else maps
 
 
 def basis_nodes(polygon: Polygon) -> np.ndarray:

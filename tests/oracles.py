@@ -1,17 +1,19 @@
-"""Closed-form reduction matrices that the tests check the constructions against.
+"""Closed-form reduction matrices that the tests check ``build_A`` against.
 
-The unit square has a hand-checked A, and every regular n-gon has a
-closed form per diagonal; ``build_map`` computes neither way, so each is
-an independent reference.
+The unit square has a hand-checked A, a strictly convex quadrilateral has
+a closed form per diagonal, and so does every regular n-gon; ``build_A``
+computes none of them this way, so each is an independent reference.
+``diagonal_column`` reads the per-diagonal quantities back from A.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from polyserend import SerendipityError, pair_order
+from polyserend import Polygon, SerendipityError, pair_order
 
 
 def build_A_unit_square() -> np.ndarray:
@@ -33,6 +35,58 @@ def build_A_unit_square() -> np.ndarray:
         ]
     )
     return np.hstack([np.eye(8), cols])
+
+
+def build_A_quadrilateral(polygon: Polygon) -> np.ndarray:
+    """Closed-form reduction of a strictly convex quadrilateral; a test oracle.
+
+    In the frame with the diagonal (a, a + 2) on the x axis the two other
+    vertices straddle the axis.  The four edge coefficients are the convex
+    weights with which the segment between them crosses the axis, and the
+    crossing abscissa d (over the half diagonal) gives the vertex
+    coefficients d - 1 and -d - 1.
+    """
+    if polygon.n != 4:
+        raise SerendipityError("quadrilateral construction requires n = 4")
+    v = polygon.vertices
+    A = np.eye(8, 10)
+    for col, a in ((8, 0), (9, 1)):
+        b = a + 2
+        half = 0.5 * float(np.hypot(*(v[b] - v[a])))
+        ex, ey = (v[b] - v[a]) / (2.0 * half)
+        q = (v - 0.5 * (v[a] + v[b])) @ np.array([[ex, ey], [-ey, ex]]).T
+        below, above = q[a + 1], q[(a + 3) % 4]
+        if not below[1] < 0.0 < above[1]:
+            raise SerendipityError("quadrilateral is not strictly convex across its diagonal")
+        w_below = above[1] / (above[1] - below[1])
+        w_above = below[1] / (below[1] - above[1])
+        d = (w_below * below[0] + w_above * above[0]) / half
+        A[a, col], A[b, col] = d - 1.0, -d - 1.0
+        A[4 + (a - 1) % 4, col], A[4 + a, col] = w_above, w_below
+        A[4 + (b - 1) % 4, col], A[4 + b, col] = w_below, w_above
+    return A
+
+
+class DiagonalColumn(NamedTuple):
+    """The column of one strict diagonal (a, b), a < b, and the paper's quantities in it."""
+
+    vertex_a: float
+    vertex_b: float
+    edges: np.ndarray    # edges (a - 1, a), (a, a + 1), (b - 1, b), (b, b + 1)
+    s: float             # both pairs of edge coefficients sum to s
+    d_a: float           # the vertex coefficients are -s (1 + d)
+    d_b: float
+
+
+def diagonal_column(A: np.ndarray, n: int, a: int, b: int) -> DiagonalColumn:
+    """Read the column of diagonal (a, b), a < b, from a reduction matrix A."""
+    column = A[:, pair_order(n).index((a, b))]
+    edges = column[[n + (a - 1) % n, n + a, n + (b - 1) % n, n + b]]
+    s = float(edges[0] + edges[1])
+    return DiagonalColumn(
+        vertex_a=float(column[a]), vertex_b=float(column[b]), edges=edges, s=s,
+        d_a=-float(column[a]) / s - 1.0, d_b=-float(column[b]) / s - 1.0,
+    )
 
 
 def _regular_closed_form(theta: float, sigma: float) -> tuple[float, float, float]:

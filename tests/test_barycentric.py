@@ -22,7 +22,7 @@ from polyserend import (
     pairwise_batch,
     sample_interior,
 )
-from polyserend.barycentric import fan_apex
+from polyserend.barycentric import _wachspress, fan_apex
 
 KINDS = list(CoordinateKind)
 SQUARE = corpus.unit_square()
@@ -138,13 +138,18 @@ class TestExactSpecialCases:
     def test_flat_vertex_rational_coordinate_vanishes(self):
         """On a polygon with a straight vertex, the area-ratio construction
         assigns that vertex the zero function (its interpolation property
-        fails there; the angle-based kind below keeps it)."""
+        fails there; the angle-based kind below keeps it), so evaluation
+        refuses the polygon with a typed error instead."""
         poly = corpus.degenerate_pentagon()
         rng = np.random.default_rng(4)
         pts = sample_interior(poly, 50, rng, margin=1e-3)
-        lam, grad = eval_coords_batch(poly, CoordinateKind.WACHSPRESS, pts)
-        assert np.max(np.abs(lam[:, 0])) <= 1e-13
-        assert np.max(np.abs(grad[:, 0, :])) <= 1e-12
+        lam, grad = _wachspress(poly.vertices[None], pts[None])
+        assert np.max(np.abs(lam[0, 0])) <= 1e-13
+        assert np.max(np.abs(grad[0, :, 0])) <= 1e-12
+        pentagon = corpus.regular_polygon(5)
+        with pytest.raises(GeometryError, match="polygon 1 has a flat vertex"):
+            eval_coords_batch([pentagon, poly], CoordinateKind.WACHSPRESS,
+                              np.stack([sample_interior(pentagon, 50, rng), pts]))
 
     def test_flat_vertex_angle_coordinate_interpolates(self):
         poly = corpus.degenerate_pentagon()
@@ -255,6 +260,8 @@ class TestBatchedEvaluation:
         flat = corpus.degenerate_pentagon()
         rolled = Polygon(np.roll(flat.vertices, 1, axis=0), allow_flat=True)  # fan apex 1
         polys = [corpus.random_convex_polygon(rng, 5) for _ in range(3)] + [flat, rolled]
+        if kind is CoordinateKind.WACHSPRESS:       # refuses flat vertices
+            polys[3:] = [corpus.random_convex_polygon(rng, 5) for _ in range(2)]
         pts = np.stack([sample_interior(p, 7, rng, margin=1e-3) for p in polys])
         lam, dlam = eval_coords_batch(polys, kind, pts)
         assert lam.shape == (5, 7, 5) and dlam.shape == (5, 7, 5, 2)

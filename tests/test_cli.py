@@ -11,7 +11,7 @@ import pytest
 
 import corpus
 import polyserend.cli as cli
-from polyserend import ConvergenceError, save_polygon
+from polyserend import ConvergenceError, Polygon, save_polygon
 from polyserend.linalg import SolveReport
 
 
@@ -60,6 +60,26 @@ class TestVerify:
         rc, out, _ = run(capsys, ["verify", str(path), "--json"])
         assert rc == cli.EXIT_OK
         assert json.loads(out)["passed"] is True
+
+    def test_flat_quadrilateral_accepted(self, tmp_path, capsys):
+        """A triangle whose side a neighbor splits: a quadrilateral with a
+        flat vertex, built by the same per-diagonal solve."""
+        quad = Polygon(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                       allow_flat=True)
+        path = write_polygon(tmp_path, quad)
+        rc, out, _ = run(capsys, ["verify", str(path), "--json"])
+        assert rc == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload["passed"] is True and payload["strategy"] == "quadrilateral"
+
+    def test_wachspress_on_flat_vertex_is_input_error(self, tmp_path, capsys):
+        """The Wachspress weight of a flat vertex is 0; the polygon is refused
+        rather than verified with a basis that misses that vertex."""
+        path = write_polygon(tmp_path, corpus.degenerate_pentagon())
+        for command in (["verify", str(path)], ["sample", str(path), "--resolution", "5"]):
+            rc, out, err = run(capsys, command + ["--kind", "wachspress"])
+            assert rc == cli.EXIT_INPUT
+            assert "flat vertex" in err and "PASS" not in out
 
     def test_nonconvex_rejected_as_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -234,6 +234,18 @@ class TestPolyMeshValidation:
         mesh = PolyMesh.build(verts, [(0, 1, 6, 2, 3), (1, 4, 5, 6), (6, 5, 7, 2)])
         assert len(dof_map(mesh).interior_dofs) == 4
 
+    def test_crossing_boundary_edges_rejected(self):
+        """Two unit squares offset by (0.5, 0.5), each with its own vertices:
+        they share no vertex and no edge, but they overlap, and the right side
+        of the first crosses the bottom side of the second."""
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        verts = np.vstack([square, square + 0.5])
+        with pytest.raises(MeshError, match=r"boundary edges \(1, 2\) and \(4, 5\) cross"):
+            PolyMesh.build(verts, [(0, 1, 2, 3), (4, 5, 6, 7)])
+        # Apart, the two squares make a valid two-cell mesh.
+        assert PolyMesh.build(np.vstack([square, square + 2.0]),
+                              [(0, 1, 2, 3), (4, 5, 6, 7)]).n_cells == 2
+
     @pytest.mark.parametrize("make", [
         corpus.mixed_mesh, corpus.voronoi_mesh,
         *[lambda n=n, o=o: trapezoid_mesh(n, o) for n in (1, 2, 5, 16) for o in (0.0, 0.25, 0.45)],
@@ -460,16 +472,38 @@ class TestSolveAndErrors:
         assert err.h1 <= 1e-7
 
     def test_patch_quadratic_on_mixed_mesh(self):
+        """For both kinds that support the pentagon's flat vertex."""
         mesh = corpus.mixed_mesh()
         dm = dof_map(mesh)
         maps = cell_maps(mesh)
         u, gu = quadratic_field()
-        # The field x^2 + 0.5xy - y^2 + x - 2 is harmonic, so the source is zero.
-        mat, rhs = assemble(mesh, MV, source=None, maps=maps, dofmap=dm)
-        sol = solve_dirichlet(mat, rhs, mesh, dm, MV, u, maps=maps)
-        err = error_norms(sol, u, gu)
-        assert err.l2 <= 1e-8
-        assert err.h1 <= 1e-7
+        for kind in (MV, CoordinateKind.TRIANGULATION):
+            # The field x^2 + 0.5xy - y^2 + x - 2 is harmonic, so the source is zero.
+            mat, rhs = assemble(mesh, kind, source=None, maps=maps, dofmap=dm)
+            sol = solve_dirichlet(mat, rhs, mesh, dm, kind, u, maps=maps)
+            err = error_norms(sol, u, gu)
+            assert err.l2 <= 1e-8
+            assert err.h1 <= 1e-7
+
+    def test_hanging_node_quadrilateral_mesh(self):
+        """The unit square as a triangle whose long side two smaller triangles
+        split: a quadrilateral with a flat vertex at the centre.  Both kinds
+        that support it pass the patch test; Wachspress coordinates refuse it."""
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+        mesh = PolyMesh.build(verts, [(0, 1, 4, 3), (1, 2, 4), (4, 2, 3)])
+        dm = dof_map(mesh)
+        maps = cell_maps(mesh)
+        assert maps[0].strategy is Strategy.QUADRILATERAL
+        assert len(dm.interior_dofs) == 4
+        u, gu = quadratic_field()
+        for kind in (MV, CoordinateKind.TRIANGULATION):
+            mat, rhs = assemble(mesh, kind, source=None, maps=maps, dofmap=dm)
+            sol = solve_dirichlet(mat, rhs, mesh, dm, kind, u, maps=maps)
+            err = error_norms(sol, u, gu)
+            assert err.l2 <= 1e-8
+            assert err.h1 <= 1e-7
+        with pytest.raises(GeometryError, match="flat vertex"):
+            assemble(mesh, CoordinateKind.WACHSPRESS, maps=maps, dofmap=dm)
 
     def test_single_cell_mesh_all_boundary(self):
         """A one-cell mesh has no interior unknowns; the solve degenerates to
@@ -618,6 +652,12 @@ class TestElementKernel:
     def test_assembly_matches_per_cell_reference(self, name, kind):
         mesh = KERNEL_MESHES[name]()
         source = lambda p: np.cos(3.0 * p[:, 0]) + p[:, 1]
+        if (name, kind) == ("mixed", CoordinateKind.WACHSPRESS):
+            # Both refuse the flat-vertex pentagon.
+            for build in (assemble, reference_assembly):
+                with pytest.raises(GeometryError, match="flat vertex"):
+                    build(mesh, kind, source)
+            return
         mat, rhs = assemble(mesh, kind, source=source)
         stiffness, load = reference_assembly(mesh, kind, source)
         assert np.max(np.abs(mat.toarray() - stiffness)) <= 1e-13 * np.max(np.abs(stiffness))
@@ -631,6 +671,12 @@ class TestElementKernel:
         coords = node_coordinates(mesh, dm)
         values = harmonic_exact(coords) + 1e-3 * np.cos(np.arange(dm.n_dofs))
         sol = make_solution(mesh, values, kind)
+        if (name, kind) == ("mixed", CoordinateKind.WACHSPRESS):
+            # Both refuse the flat-vertex pentagon.
+            for norms in (error_norms, reference_norms):
+                with pytest.raises(GeometryError, match="flat vertex"):
+                    norms(sol, harmonic_exact, harmonic_gradient)
+            return
         err = error_norms(sol, harmonic_exact, harmonic_gradient)
         l2, h1 = reference_norms(sol, harmonic_exact, harmonic_gradient)
         assert err.l2 == pytest.approx(l2, rel=1e-13)
@@ -648,9 +694,9 @@ class TestElementKernel:
             evaluated.append(len(polygon))
             return real_eval(polygon, *args)
 
-        def counting_build(polygon):
-            built.append(polygon)
-            return real_build(polygon)
+        def counting_build(polygons):
+            built.extend(polygons)
+            return real_build(polygons)
 
         monkeypatch.setattr(fem, "eval_basis_batch", counting_eval)
         monkeypatch.setattr(fem, "build_map", counting_build)

@@ -17,7 +17,6 @@ from polyserend import (
     InvalidPolygonError,
     Polygon,
     check_conditions,
-    diagonal_frame,
     interior_angles,
     load_polygon,
     polygon_from_json,
@@ -26,6 +25,7 @@ from polyserend import (
     save_polygon,
     shape_metrics,
 )
+from polyserend.geometry import _diagonal_frames
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -277,25 +277,30 @@ class TestShapeScreening:
             check_conditions(square, 4.0, 0.5, math.pi)
 
 
+def diagonal_frame(poly: Polygon, a: int, b: int) -> tuple[np.ndarray, float]:
+    """The polygon's vertices in the frame of its diagonal (a, b), and the half length."""
+    mapped, half = _diagonal_frames(poly.vertices[None], np.array([a]), np.array([b]))
+    return mapped[0, 0], float(half[0, 0])
+
+
 class TestDiagonalFrame:
     def test_square_diagonal(self):
         poly = Polygon(SQUARE)
-        frame = diagonal_frame(poly, 0, 2)
+        mapped, half_length = diagonal_frame(poly, 0, 2)
         ell = math.sqrt(2.0) / 2.0
-        assert frame.half_length == pytest.approx(ell, abs=1e-12)
-        mapped = frame.apply(poly.vertices)
+        assert half_length == pytest.approx(ell, abs=1e-12)
         assert mapped[0] == pytest.approx([-ell, 0.0], abs=1e-12)
         assert mapped[2] == pytest.approx([ell, 0.0], abs=1e-12)
 
     def test_hexagon_long_diagonal(self):
         poly = corpus.regular_polygon(6)
-        frame = diagonal_frame(poly, 0, 3)
-        assert frame.half_length == pytest.approx(1.0, abs=1e-12)
+        _, half_length = diagonal_frame(poly, 0, 3)
+        assert half_length == pytest.approx(1.0, abs=1e-12)
 
     def test_intermediate_vertices_lie_below_axis(self):
         rng = np.random.default_rng(5)
         poly = corpus.random_convex_polygon(rng, 7)
-        mapped = diagonal_frame(poly, 1, 5).apply(poly.vertices)
+        mapped, _ = diagonal_frame(poly, 1, 5)
         assert np.all(mapped[[2, 3, 4], 1] < 0.0)
         assert np.all(mapped[[6, 0], 1] > 0.0)
 
@@ -303,21 +308,26 @@ class TestDiagonalFrame:
     def test_rigid_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
         poly = corpus.random_convex_polygon(rng, 5)
-        frame = diagonal_frame(poly, 1, 3)
-        mapped = frame.apply(poly.vertices)
-        # Distances preserved, orientation preserved, round trip exact.
+        mapped, _ = diagonal_frame(poly, 1, 3)
+        # Distances preserved, orientation preserved, and the frame of the
+        # mapped polygon is the identity.
         orig = poly.vertices
         d0 = np.linalg.norm(orig[:, None] - orig[None], axis=-1)
         d1 = np.linalg.norm(mapped[:, None] - mapped[None], axis=-1)
         assert d1 == pytest.approx(d0, abs=1e-12)
         assert Polygon(mapped).area == pytest.approx(poly.area, abs=1e-12)
-        assert frame.invert(mapped) == pytest.approx(orig, abs=1e-12)
+        assert diagonal_frame(Polygon(mapped), 1, 3)[0] == pytest.approx(mapped, abs=1e-12)
 
-    def test_rejects_non_diagonal_pairs(self):
-        poly = corpus.regular_polygon(5)
-        for a, b in [(0, 0), (0, 1), (0, 4), (2, 3)]:
-            with pytest.raises(GeometryError, match="not a strict diagonal"):
-                diagonal_frame(poly, a, b)
+    def test_batch_rows_equal_single_frames(self):
+        rng = np.random.default_rng(7)
+        polys = [corpus.random_convex_polygon(rng, 6) for _ in range(3)]
+        a, b = np.array([0, 1, 2, 0]), np.array([2, 4, 5, 3])
+        mapped, half = _diagonal_frames(np.stack([p.vertices for p in polys]), a, b)
+        assert mapped.shape == (3, 4, 6, 2) and half.shape == (3, 4)
+        for k, poly in enumerate(polys):
+            for j in range(4):
+                single, ell = diagonal_frame(poly, a[j], b[j])
+                assert np.array_equal(mapped[k, j], single) and half[k, j] == ell
 
 
 class TestInteriorSampling:

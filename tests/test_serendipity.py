@@ -1,6 +1,6 @@
-"""The quadratic serendipity reduction: the two constructions build_map picks
-between, the closed-form oracles they are checked against, constraint
-verification, Lagrange structure, and bounds."""
+"""The quadratic serendipity reduction: the per-diagonal construction build_A,
+the closed-form oracles it is checked against, constraint verification,
+Lagrange structure, and bounds."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import corpus
-from oracles import build_A_regular, build_A_unit_square
+from oracles import build_A_quadrilateral, build_A_regular, build_A_unit_square, diagonal_column
 from polyserend import (
     BoundaryEvaluationError,
     CoefficientBlowupError,
@@ -22,22 +22,19 @@ from polyserend import (
     basis_nodes,
     bound_from_margin,
     boundary_basis_values,
-    build_A_generic,
-    build_A_quadrilateral,
+    build_A,
     build_B,
     build_map,
     check_conditions,
     coefficient_bound,
-    diagonal_frame,
     eval_basis_batch,
     eval_coords_batch,
-    generic_diagonal_coefficients,
     lagrange_table,
     pair_order,
     pairwise_batch,
     precision_residuals,
-    quadrilateral_diagonal_coefficients,
     sample_interior,
+    trapezoid_mesh,
     verify_constraints,
 )
 
@@ -101,6 +98,7 @@ class TestUnitSquare:
         assert A[4, 8] == 0.5
 
     def test_quadrilateral_construction_reproduces_it(self):
+        """The quadrilateral closed form agrees with the hand-checked matrix."""
         A = build_A_quadrilateral(SQUARE)
         assert np.max(np.abs(A - UNIT_SQUARE_A)) <= 1e-14
 
@@ -141,26 +139,51 @@ class TestUnitSquare:
 class TestQuadrilateral:
     def test_coefficient_identities_and_bounds(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            quad = corpus.random_convex_quadrilateral(rng)
-            for a in (0, 1):
-                co = quadrilateral_diagonal_coefficients(quad, a)
-                edges = [co.c_edge_before_a, co.c_edge_after_a,
-                         co.c_edge_before_b, co.c_edge_after_b]
-                assert all(0.0 < c < 1.0 for c in edges)
-                assert abs(co.c_aa) <= 2.0 and abs(co.c_bb) <= 2.0
-                assert co.c_aa + co.c_bb == pytest.approx(-2.0, abs=1e-12)
+        quads = [corpus.random_convex_quadrilateral(rng) for _ in range(200)]
+        for smap in build_map(quads):
+            for a, b in ((0, 2), (1, 3)):
+                col = diagonal_column(smap.A, 4, a, b)
+                assert all(0.0 < c < 1.0 for c in col.edges)
+                assert abs(col.vertex_a) <= 2.0 and abs(col.vertex_b) <= 2.0
+                assert col.vertex_a + col.vertex_b == pytest.approx(-2.0, abs=1e-12)
 
     def test_convex_combination_lands_on_diagonal_axis(self):
         """The two edge coefficients of one diagonal column average the two
         off-diagonal vertices onto the diagonal's axis."""
         trap = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.75, 1.0], [0.25, 1.0]]))
-        co = quadrilateral_diagonal_coefficients(trap, 0)
-        frame = diagonal_frame(trap, 0, 2)
-        q = frame.apply(trap.vertices)
-        c12, c34 = co.c_edge_after_a, co.c_edge_before_a
+        col = diagonal_column(build_map(trap).A, 4, 0, 2)
+        c34, c12 = col.edges[:2]
         assert c12 + c34 == pytest.approx(1.0, abs=1e-12)
-        assert c12 * q[1, 1] + c34 * q[3, 1] == pytest.approx(0.0, abs=1e-12)
+        v = trap.vertices
+        landed = c12 * v[1] + c34 * v[3] - v[0]
+        chord = v[2] - v[0]
+        assert chord[0] * landed[1] - chord[1] * landed[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_closed_form_oracle(self):
+        """The per-diagonal solve reproduces the quadrilateral closed form:
+        both diagonals share one neighbor line, so d_a = -d_b and s = 1."""
+        rng = np.random.default_rng(61)
+        quads = [corpus.random_convex_quadrilateral(rng) for _ in range(200)]
+        mesh = trapezoid_mesh(16)
+        quads += [mesh.representatives[i] for i in np.unique(mesh.translation_classes)]
+        for quad, smap in zip(quads, build_map(quads)):
+            assert np.max(np.abs(smap.A - build_A_quadrilateral(quad))) <= 1e-14
+            for a, b in ((0, 2), (1, 3)):
+                assert diagonal_column(smap.A, 4, a, b).s == pytest.approx(1.0, abs=1e-14)
+        assert np.array_equal(build_map(SQUARE).A, build_A_unit_square())
+
+    def test_hanging_node_quadrilateral(self):
+        """A triangle whose side a neighbor splits is a quadrilateral with a
+        flat vertex.  The closed form needs the off-diagonal vertices strictly
+        on both sides of each diagonal and refuses it; the per-diagonal solve
+        builds it."""
+        quad = Polygon(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                       allow_flat=True)
+        with pytest.raises(SerendipityError, match="not strictly convex"):
+            build_A_quadrilateral(quad)
+        smap = build_map(quad)
+        assert verify_constraints(quad, smap, tol=1e-10).passed
+        assert np.max(np.abs(lagrange_table(quad, smap) - np.eye(8))) <= 1e-10
 
     def test_constraints_pass_on_random_quads(self):
         rng = np.random.default_rng(5)
@@ -214,7 +237,7 @@ class TestRegular:
         closed form and the numeric solve must coincide on regular polygons."""
         poly = corpus.regular_polygon(n)
         A_closed = build_A_regular(n)
-        A_generic = build_A_generic(poly)
+        A_generic = build_A(poly.vertices[None])[0]
         assert np.max(np.abs(A_closed - A_generic)) <= 1e-10
 
     def test_rotation_and_scale_invariance(self):
@@ -235,23 +258,45 @@ class TestGeneric:
             report = verify_constraints(poly, smap, tol=1e-10)
             assert report.passed, (n, report.max_residual)
 
-    def test_rejects_quadrilaterals(self):
-        with pytest.raises(SerendipityError, match="quadrilateral"):
-            build_A_generic(SQUARE)
-
     def test_triangle_is_identity(self):
         tri = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]]))
-        assert build_A_generic(tri) == pytest.approx(np.eye(6), abs=0.0)
+        assert build_A(np.stack([tri.vertices] * 2)) == pytest.approx(
+            np.stack([np.eye(6)] * 2), abs=0.0)
+
+    def test_batch_equals_single_builds(self):
+        rng = np.random.default_rng(19)
+        for n in (3, 4, 5, 8):
+            polys = [corpus.random_convex_polygon(rng, n) for _ in range(4)]
+            maps = build_map(polys)
+            assert isinstance(maps, tuple) and len(maps) == 4
+            for poly, smap in zip(polys, maps):
+                assert np.array_equal(smap.A, build_map(poly).A)
+                assert not smap.A.flags.writeable
+        with pytest.raises(SerendipityError, match="shape"):
+            build_A(polys[0].vertices)
+
+    @pytest.mark.parametrize("bad, message", [
+        # Reflex at vertex 1: it lies above the diagonal (0, 2).
+        ([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]],
+         r"polygon 1, diagonal \(0, 2\): a boundary neighbor lies on the wrong side"),
+        # Vertices 1 and 3 both on the line of the diagonal (0, 2).
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
+         r"polygon 1, diagonal \(0, 2\): neighbor vertices collinear"),
+    ])
+    def test_errors_name_polygon_and_diagonal(self, bad, message):
+        good = corpus.regular_polygon(len(bad)).vertices
+        with pytest.raises(SerendipityError, match=message):
+            build_A(np.stack([good, np.array(bad)]))
 
     def test_straight_vertex_on_diagonal(self):
         """The corner diagonal of the flat pentagon passes through its
         straight vertex; both axis intercepts vanish and no rebalancing
         beyond the neighboring edges is needed."""
         poly = corpus.degenerate_pentagon()
-        co = generic_diagonal_coefficients(poly, 1, 4)
-        assert abs(co.d_a) <= 1e-12
-        assert abs(co.d_b) <= 1e-12
-        assert co.s == pytest.approx(1.0, abs=1e-12)
+        col = diagonal_column(build_map(poly).A, 5, 1, 4)
+        assert abs(col.d_a) <= 1e-12
+        assert abs(col.d_b) <= 1e-12
+        assert col.s == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_pentagon_full_construction(self):
         poly = corpus.degenerate_pentagon()
@@ -262,14 +307,14 @@ class TestGeneric:
     def test_edge_coefficients_split_s(self):
         rng = np.random.default_rng(14)
         poly = corpus.random_convex_polygon(rng, 8)
+        A = build_map(poly).A
         for (a, b) in pair_order(8)[16:]:
-            co = generic_diagonal_coefficients(poly, a, b)
-            assert -1.0 <= co.d_a <= 1.0 and -1.0 <= co.d_b <= 1.0
-            assert co.s == pytest.approx(2.0 / (2.0 - (co.d_a + co.d_b)), abs=1e-12)
-            for pair in ((co.c_edge_before_a, co.c_edge_after_a),
-                         (co.c_edge_before_b, co.c_edge_after_b)):
+            col = diagonal_column(A, 8, a, b)
+            assert -1.0 <= col.d_a <= 1.0 and -1.0 <= col.d_b <= 1.0
+            assert col.s == pytest.approx(2.0 / (2.0 - (col.d_a + col.d_b)), abs=1e-12)
+            for pair in (col.edges[:2], col.edges[2:]):
                 assert pair[0] >= -1e-12 and pair[1] >= -1e-12
-                assert pair[0] + pair[1] == pytest.approx(co.s, abs=1e-10)
+                assert pair[0] + pair[1] == pytest.approx(col.s, abs=1e-10)
 
 
 class TestBlowupFamily:
@@ -278,8 +323,7 @@ class TestBlowupFamily:
         s_values = []
         for t in ts:
             poly = corpus.blowup_hexagon(t)
-            co = generic_diagonal_coefficients(poly, 0, 3)
-            s_values.append(co.s)
+            s_values.append(diagonal_column(build_map(poly).A, 6, 0, 3).s)
         assert all(b > a for a, b in zip(s_values, s_values[1:]))
 
     def test_blowup_threshold_reached_at_short_edge(self):
@@ -287,9 +331,9 @@ class TestBlowupFamily:
         is far beyond any uniform constant."""
         poly = corpus.blowup_hexagon(2e-3)  # edge length ~2e-3, diameter 2
         assert float(np.min(poly.edge_lengths)) <= 1e-3 * poly.diameter
-        co = generic_diagonal_coefficients(poly, 0, 3)
-        assert co.s > 10.0
-        assert max(abs(co.c_aa), abs(co.c_bb)) > 10.0
+        col = diagonal_column(build_map(poly).A, 6, 0, 3)
+        assert col.s > 10.0
+        assert max(abs(col.vertex_a), abs(col.vertex_b)) > 10.0
 
     def test_construction_still_consistent_under_stress(self):
         poly = corpus.blowup_hexagon(1e-4)
@@ -311,8 +355,8 @@ class TestBlowupFamily:
             [1.0, 0.0], [1.0 - delta, 0.5], [-1.0 + delta, 0.5],
         ])
         object.__setattr__(safe, "vertices", doctored)
-        with pytest.raises(CoefficientBlowupError):
-            generic_diagonal_coefficients(safe, 0, 3)
+        with pytest.raises(CoefficientBlowupError, match=r"polygon 0, diagonal \(0, 3\)"):
+            build_map(safe)
 
 
 class TestCoefficientBound:
@@ -353,7 +397,7 @@ class TestCoefficientBound:
             )
             assert cond.satisfied
             bound = coefficient_bound(poly, cond)
-            A = build_A_generic(poly)
+            A = build_map(poly).A
             assert float(np.max(np.abs(A))) <= bound
 
     def test_row_sum_norm_bound(self):
@@ -363,7 +407,7 @@ class TestCoefficientBound:
                 poly, corpus.GAMMA_STAR, corpus.D_STAR_FRACTION * poly.diameter,
                 corpus.BETA_STAR,
             )
-            A = build_A_generic(poly)
+            A = build_map(poly).A
             n_diag = poly.n * (poly.n - 3) // 2
             row_norm = float(np.max(np.sum(np.abs(A), axis=1)))
             assert row_norm <= 1.0 + n_diag * coefficient_bound(poly, cond)
@@ -380,13 +424,11 @@ class TestBuildMapDispatch:
         assert build_map(corpus.random_convex_polygon(rng, 5)).strategy is Strategy.GENERIC
 
     def test_forced_strategies_validated(self):
-        """Called directly, each construction refuses polygons outside its
-        domain."""
+        """Called directly, each closed-form oracle refuses polygons outside
+        its domain."""
         rng = np.random.default_rng(3)
         with pytest.raises(SerendipityError):
             build_A_quadrilateral(corpus.random_convex_polygon(rng, 5))
-        with pytest.raises(SerendipityError):
-            build_A_generic(SQUARE)
         with pytest.raises(SerendipityError):
             build_A_regular(2)
 

@@ -66,50 +66,87 @@ def _edge_rotations(verts: np.ndarray) -> np.ndarray:
 
 # The kernels below take vertices (c, n, 2) and points (c, m, 2) and return
 # values (c, n, m) and gradients (c, 2, n, m).  With the points last, every
-# elementwise step, every shift to a neighbouring vertex and every sum over
-# vertices runs along rows of m contiguous values.
+# elementwise step and every sum over vertices runs along rows of m
+# contiguous values.  A quantity needed at vertex i and at its neighbour
+# i + 1 (or i - 1) is computed once on n + 1 rows, the extra row repeating
+# the first (or last) one, and both are slices of it: no neighbour is a
+# gathered copy.
 
 
 def _offsets(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vertex offsets v_i - x, (c, 2, n, m)."""
-    return np.swapaxes(verts, 1, 2)[..., None] - np.swapaxes(pts, 1, 2)[:, :, None, :]
+    """Vertex offsets v_i - x, (c, 2, n + 1, m); row n repeats row 0, so rows
+    ``:n`` are the offsets of v_i and rows ``1:`` those of v_{i+1}."""
+    closed = np.concatenate([verts, verts[:, :1]], axis=1)
+    # Contiguous point rows: a broadcast subtraction from strided ones is 4x slower.
+    coords = np.ascontiguousarray(np.swapaxes(pts, 1, 2))
+    return np.swapaxes(closed, 1, 2)[..., None] - coords[:, :, None, :]
+
+
+def _edge_rows(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Storage (rows, prev, cur) for a per-edge quantity of ``shape`` (..., n, m), with n + 1 rows.
+
+    Fill ``cur`` (rows ``1:``) with the value of edge (v_i, v_{i+1}) at row i
+    and copy row n to row 0: then ``prev`` (rows ``:n``) holds the value of
+    edge (v_{i-1}, v_i) at row i.
+    """
+    rows = np.empty(shape[:-2] + (shape[-2] + 1, shape[-1]))
+    return rows, rows[..., :-1, :], rows[..., 1:, :]
 
 
 def _wachspress(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nxt, prv = _neighbours(verts.shape[1])
-    d = _offsets(verts, pts)
-    dn = d[:, :, nxt]
-    area = 0.5 * (d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0])  # A(x, v_i, v_{i+1}) > 0 inside
-    area_prev = area[:, prv]
+    c, n, _ = verts.shape
+    nxt, prv = _neighbours(n)
+    offsets = _offsets(verts, pts)
+    d, dn = offsets[:, :, :n], offsets[:, :, 1:]
+    rows, area_prev, area = _edge_rows((c, n, pts.shape[1]))
+    np.multiply(d[:, 0], dn[:, 1], out=area)
+    area -= d[:, 1] * dn[:, 0]
+    area *= 0.5                                    # A(x, v_i, v_{i+1}) > 0 inside
+    rows[:, 0] = rows[:, n]
     corner = 0.5 * _cross(verts - verts[:, prv], verts[:, nxt] - verts)  # 0 at flat vertices
     grad_area = _edge_rotations(verts)
     w = corner[..., None] / (area_prev * area)
-    ratio = grad_area[:, :, prv] / area_prev[:, None] + grad_area / area[:, None]
+    ratio = grad_area[:, :, prv] / area_prev[:, None]
+    ratio += grad_area / area[:, None]
     lam = w / np.sum(w, axis=1, keepdims=True)
     mean_ratio = np.sum(lam[:, None] * ratio, axis=2, keepdims=True)
-    grads = lam[:, None] * (mean_ratio - ratio)
+    grads = np.subtract(mean_ratio, ratio, out=ratio)
+    grads *= lam[:, None]
     return lam, grads
 
 
 def _mean_value(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nxt, prv = _neighbours(verts.shape[1])
-    d = _offsets(verts, pts)
-    dn = d[:, :, nxt]
-    r = np.hypot(d[:, 0], d[:, 1])
-    rn = r[:, nxt]
+    c, n, _ = verts.shape
+    m = pts.shape[1]
+    offsets = _offsets(verts, pts)
+    d, dn = offsets[:, :, :n], offsets[:, :, 1:]
+    radii = np.empty((c, n + 1, m))
+    r, rn = radii[:, :n], radii[:, 1:]
+    np.hypot(d[:, 0], d[:, 1], out=r)
+    radii[:, n] = radii[:, 0]
     crs = d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0]  # 2 A(x, v_i, v_{i+1}) > 0 inside
     dot = d[:, 0] * dn[:, 0] + d[:, 1] * dn[:, 1]
-    t = (r * rn - dot) / crs                       # tan of half the subtended angle
+    t_rows, t_prev, t = _edge_rows((c, n, m))
+    np.divide(r * rn - dot, crs, out=t)            # tan of half the subtended angle
+    t_rows[:, 0] = t_rows[:, n]
     grad_crs = 2.0 * _edge_rotations(verts)        # constant in x
-    grad_dot = -(d + dn)
-    grad_rr = -(rn / r)[:, None] * d - (r / rn)[:, None] * dn
-    grad_t = (grad_rr - grad_dot - t[:, None] * grad_crs) / crs[:, None]
-    w = (t[:, prv] + t) / r
-    grad_w = (grad_t[:, :, prv] + grad_t) / r[:, None] + (w / (r * r))[:, None] * d
+    grad_rr = -(rn / r)[:, None] * d
+    grad_rr -= (r / rn)[:, None] * dn
+    grad_rr += d + dn                              # minus the gradient of dot, -(d + dn)
+    grad_rr -= t[:, None] * grad_crs
+    grad_t_rows, grad_t_prev, grad_t = _edge_rows((c, 2, n, m))
+    np.divide(grad_rr, crs[:, None], out=grad_t)
+    grad_t_rows[:, :, 0] = grad_t_rows[:, :, n]
+    w = np.add(t_prev, t)
+    w /= r
+    grad_w = np.add(grad_t_prev, grad_t)
+    grad_w /= r[:, None]
+    grad_w += (w / (r * r))[:, None] * d
     total = np.sum(w, axis=1, keepdims=True)
-    lam = w / total
-    grads = (grad_w - lam[:, None] * np.sum(grad_w, axis=2, keepdims=True)) / total[:, None]
-    return lam, grads
+    lam = np.divide(w, total, out=w)
+    grad_w -= lam[:, None] * np.sum(grad_w, axis=2, keepdims=True)
+    grad_w /= total[:, None]
+    return lam, grad_w
 
 
 @lru_cache(maxsize=None)
@@ -302,6 +339,21 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ia, ib
 
 
+@lru_cache(maxsize=None)
+def _pair_blocks(n: int) -> tuple[tuple[slice, slice, slice], ...]:
+    """``pair_order(n)`` as blocks (pairs, a, b) of slices: pair ``pairs[k]`` is (a[k], b[k]),
+    and a one-row ``a`` stands for every pair of its block."""
+    blocks = [(slice(0, n), slice(0, n), slice(0, n)),                  # squares
+              (slice(n, 2 * n - 1), slice(0, n - 1), slice(1, n)),      # edges (i, i + 1)
+              (slice(2 * n - 1, 2 * n), slice(n - 1, n), slice(0, 1))]  # edge (n - 1, 0)
+    row = 2 * n
+    for a in range(n - 2):                                              # diagonals (a, a + 2...)
+        lo, hi = a + 2, n - 1 if a == 0 else n
+        blocks.append((slice(row, row + hi - lo), slice(a, a + 1), slice(lo, hi)))
+        row += hi - lo
+    return tuple(block for block in blocks if block[0].stop > block[0].start)
+
+
 def pairwise_batch(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Products (..., m, n(n+1)/2) and gradients (..., m, n(n+1)/2, 2), in ``pair_order(n)``.
 
@@ -310,13 +362,25 @@ def pairwise_batch(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarra
     products recover 1, x and x x^T exactly (partition, midpoint and
     second-moment identities), which is the property the serendipity
     reduction preserves.
+
+    The pairs come in a few runs whose first and second factors are each a
+    slice of the vertices (``_pair_blocks``), so every block is written in
+    place into the preallocated results by products of slices, with no
+    gathered copy of the factors.
     """
-    ia, ib = _pair_arrays(values.shape[-1])
+    n = values.shape[-1]
     # Points-last views (..., n, m) and (..., 2, n, m); the results are views
     # of points-last arrays too (see eval_coords_batch).
     v = np.swapaxes(values, -1, -2)
     g = np.swapaxes(gradients, -1, -3)
-    va, vb = v[..., ia, :], v[..., ib, :]
-    mu = va * vb
-    dmu = va[..., None, :, :] * g[..., ib, :] + vb[..., None, :, :] * g[..., ia, :]
+    lead, m = v.shape[:-2], v.shape[-1]
+    dtype = np.result_type(values, gradients)
+    mu = np.empty(lead + (n * (n + 1) // 2, m), dtype)
+    dmu = np.empty(lead + (2, n * (n + 1) // 2, m), dtype)
+    for pairs, a, b in _pair_blocks(n):
+        va, vb = v[..., a, :], v[..., b, :]
+        np.multiply(va, vb, out=mu[..., pairs, :])
+        block = dmu[..., pairs, :]
+        np.multiply(va[..., None, :, :], g[..., b, :], out=block)
+        block += vb[..., None, :, :] * g[..., a, :]
     return np.swapaxes(mu, -1, -2), np.swapaxes(dmu, -1, -3)

@@ -33,7 +33,8 @@ from typing import Callable, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .barycentric import CoordinateKind, _fan_apices, fan_apex
-from .geometry import GeometryError, Polygon, _has_flat_vertex, _neighbours, _polygon_defects
+from .geometry import (GeometryError, Polygon, _has_flat_vertex, _neighbours,
+                       _polygon_defects, _vertex_pairs)
 from .linalg import SolveReport, SparseMatrix, cg_solve
 from .quadrature import fan_rule, polygon_rule, rule_layouts
 from .serendipity import SerendipityMap, build_map, eval_basis_batch
@@ -115,6 +116,8 @@ class PolyMesh:
         used, and boundary edges may meet only at the vertices they share: a
         vertex inside a boundary edge (a hanging vertex its neighbor does not
         list) and two boundary edges that cross (overlapping cells) fail.
+        Last, one cell only may cover the centroid of each cell on the
+        boundary, which fails for cells nested inside another cell.
         """
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2:
@@ -158,6 +161,8 @@ class PolyMesh:
         contact = _boundary_contact(verts, edges[outer])
         if contact is not None:
             raise MeshError(contact)
+        on_boundary = outer[inverse]
+        _check_single_cover(verts, groups, owner[on_boundary], src[on_boundary], dst[on_boundary])
         splits = np.cumsum([idx.size for _, idx in groups])[:-1]
         cell_groups = tuple(
             CellGroup(ids, idx, part.reshape(idx.shape))
@@ -215,8 +220,9 @@ class PolyMesh:
         rep = np.arange(self.n_cells)
         for ids, cells, _ in self.groups:
             verts = self.vertices[cells]                                      # (c, n, 2)
-            pairs = verts[:, :, None] - verts[:, None]
-            diameters = np.max(np.hypot(pairs[..., 0], pairs[..., 1]), axis=(1, 2))
+            i, j = _vertex_pairs(cells.shape[1])
+            pairs = verts[:, i] - verts[:, j]
+            diameters = np.max(np.hypot(pairs[..., 0], pairs[..., 1]), axis=1)
             offsets = (verts - verts[:, :1]).reshape(len(ids), -1)
             keys = np.column_stack([
                 _has_flat_vertex(verts, diameters),
@@ -225,10 +231,13 @@ class PolyMesh:
             ])
             todo = np.arange(len(ids))
             while todo.size:
-                _, first, inverse = np.unique(
-                    keys[todo], axis=0, return_index=True, return_inverse=True
-                )
-                owner = todo[first][inverse.ravel()]
+                # Equal keys sort next to each other, first occurrence first:
+                # each cell's proposed representative is the first of its run.
+                order = np.lexsort(keys[todo].T[::-1])
+                ranked = keys[todo[order]]
+                starts = np.flatnonzero(np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)])
+                owner = np.empty_like(todo)
+                owner[order] = todo[order[np.repeat(starts, np.diff(np.r_[starts, len(order)]))]]
                 same = np.all(
                     np.abs(offsets[todo] - offsets[owner]) <= 1e-12 * diameters[owner, None],
                     axis=1,
@@ -338,6 +347,47 @@ def _boundary_contact(verts: np.ndarray, outer: np.ndarray) -> str | None:
     return None
 
 
+def _check_single_cover(verts: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]],
+                        owner: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """Raise ``MeshError`` unless one cell covers the centroid of each cell on the boundary.
+
+    ``src`` -> ``dst`` (b,) are the boundary edges oriented as their cells
+    ``owner`` (b,) have them.  The winding number of a point about these
+    edges counts the cells that cover it: every interior edge occurs in both
+    directions and cancels, and no two boundary edges cross.  A cell's
+    centroid (its vertex mean) is inside it, so the count must be 1; at the
+    boundary cells of a cell or patch nested inside another cell it is 2.
+    """
+    cells = np.unique(owner)
+    points = np.empty((len(cells), 2))
+    for ids, idx in groups:
+        rows = np.minimum(np.searchsorted(ids, cells), len(ids) - 1)
+        mine = ids[rows] == cells
+        points[mine] = verts[idx[rows[mine]]].mean(axis=1)
+    # The edges that a point's rightward ray can cross have the point's y in
+    # [lower end, upper end): with the points sorted by y, a range for each.
+    order = np.argsort(points[:, 1])
+    ys = points[order, 1]
+    first = np.searchsorted(ys, np.minimum(verts[src, 1], verts[dst, 1]))
+    count = np.searchsorted(ys, np.maximum(verts[src, 1], verts[dst, 1])) - first
+    edge = np.repeat(np.arange(len(src)), count)
+    point = order[np.arange(len(edge)) - np.repeat(np.cumsum(count) - count - first, count)]
+    start, end = verts[src[edge]], verts[dst[edge]]
+    along, rel = end - start, points[point] - start
+    side = along[:, 0] * rel[:, 1] - along[:, 1] * rel[:, 0]      # > 0: point left of the edge
+    up = along[:, 1] > 0
+    # An edge crossing the ray upward with the point on its left counts +1,
+    # downward with the point on its right -1.
+    winding = (np.bincount(point[up & (side > 0)], minlength=len(cells))
+               - np.bincount(point[~up & (side < 0)], minlength=len(cells)))
+    bad = np.flatnonzero(winding != 1)
+    if bad.size:
+        raise MeshError(
+            f"cells overlap: the centroid of cell {cells[bad[0]]} is covered by "
+            f"{winding[bad[0]]} cells (a cell nested inside another)"
+        )
+
+
 def trapezoid_mesh(n: int, offset: float = 0.25) -> PolyMesh:
     """Mesh of the unit square by n x n congruent-trapezoid cells.
 
@@ -442,12 +492,13 @@ def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
 
 
 # Quadrature points per chunk of the element kernel, and per member slice.
-# Much below this the fixed cost of each numpy call dominates; above it the
-# kernel's temporaries (about 1.3 KB per point) raise peak memory and are no
-# faster, since every fresh large temporary is page-faulted in again.
-# Member slices keep the same size: a member point costs far less, but
-# larger slices raise peak memory for little gain.
-CHUNK_POINTS = 1024
+# Much below this the fixed cost of each numpy call dominates.  The basis
+# evaluation peaks at about 0.95 KB per point (its results and the
+# products included), so a chunk takes about 2 MB; twice this raised the
+# peak resident memory of a Voronoi-mesh solve by about 4 MB (5%).  Member
+# slices keep the same size: a member point costs far less, but larger
+# slices raise peak memory for little gain.
+CHUNK_POINTS = 2048
 
 
 def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofMap,
@@ -459,7 +510,9 @@ def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofM
     only, with each representative's map.  Within each vertex-count group,
     representatives are grouped by the point layout of their rules and taken
     in chunks of about ``CHUNK_POINTS`` points, so every stage (rule,
-    coordinates, products, basis) is one array operation over the chunk.
+    coordinates, products, basis) is one array operation over the chunk;
+    the coordinate and product kernels gather nothing, and a chunk's basis
+    evaluation peaks at about 0.95 KB per point, its results included.
     Triangulation coordinates are piecewise polynomial on their own vertex
     fan, so a fan-aligned rule integrates them exactly; the other kinds use
     the vertex-clustered centroid decomposition.

@@ -1,19 +1,27 @@
-"""Closed-form reduction matrices that the tests check ``build_A`` against.
+"""Closed forms and reference formulas that the tests check the program against.
 
 The unit square has a hand-checked A, a strictly convex quadrilateral has
 a closed form per diagonal, and so does every regular n-gon; ``build_A``
 computes none of them this way, so each is an independent reference.
 ``diagonal_column`` reads the per-diagonal quantities back from A.
+
+``wachspress``, ``mean_value`` and ``pairwise`` are the coordinate and
+product kernels written with gathered neighbour and pair indices; the
+program's kernels take the same neighbours and pairs as slices and must
+give bitwise the same values.  ``translation_classes`` classes a mesh's
+cells one at a time with dictionaries.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import NamedTuple
 
 import numpy as np
 
-from polyserend import Polygon, SerendipityError, pair_order
+from polyserend import Polygon, PolyMesh, SerendipityError, fan_apex, pair_order
+from polyserend.geometry import _has_flat_vertex
 
 
 def build_A_unit_square() -> np.ndarray:
@@ -140,3 +148,103 @@ def build_A_regular(n: int) -> np.ndarray:
         A[n + a, col] = cp
         A[n + (b - 1) % n, col] = cp
     return A
+
+
+def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return (np.arange(n) + 1) % n, (np.arange(n) - 1) % n
+
+
+def _edge_rotations(verts: np.ndarray) -> np.ndarray:
+    nxt = verts[:, _neighbours(verts.shape[1])[0]]
+    rot = 0.5 * np.stack([verts[..., 1] - nxt[..., 1], nxt[..., 0] - verts[..., 0]], axis=1)
+    return rot[..., None]
+
+
+def _offsets(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    return np.swapaxes(verts, 1, 2)[..., None] - np.swapaxes(pts, 1, 2)[:, :, None, :]
+
+
+def wachspress(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wachspress values (c, n, m) and gradients (c, 2, n, m) at points (c, m, 2)."""
+    nxt, prv = _neighbours(verts.shape[1])
+    d = _offsets(verts, pts)
+    dn = d[:, :, nxt]
+    area = 0.5 * (d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0])
+    area_prev = area[:, prv]
+    edge, back = verts[:, nxt] - verts, verts - verts[:, prv]
+    corner = 0.5 * (back[..., 0] * edge[..., 1] - back[..., 1] * edge[..., 0])
+    grad_area = _edge_rotations(verts)
+    w = corner[..., None] / (area_prev * area)
+    ratio = grad_area[:, :, prv] / area_prev[:, None] + grad_area / area[:, None]
+    lam = w / np.sum(w, axis=1, keepdims=True)
+    mean_ratio = np.sum(lam[:, None] * ratio, axis=2, keepdims=True)
+    return lam, lam[:, None] * (mean_ratio - ratio)
+
+
+def mean_value(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean value values (c, n, m) and gradients (c, 2, n, m) at points (c, m, 2)."""
+    nxt, prv = _neighbours(verts.shape[1])
+    d = _offsets(verts, pts)
+    dn = d[:, :, nxt]
+    r = np.hypot(d[:, 0], d[:, 1])
+    rn = r[:, nxt]
+    crs = d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0]
+    dot = d[:, 0] * dn[:, 0] + d[:, 1] * dn[:, 1]
+    t = (r * rn - dot) / crs
+    grad_crs = 2.0 * _edge_rotations(verts)
+    grad_dot = -(d + dn)
+    grad_rr = -(rn / r)[:, None] * d - (r / rn)[:, None] * dn
+    grad_t = (grad_rr - grad_dot - t[:, None] * grad_crs) / crs[:, None]
+    w = (t[:, prv] + t) / r
+    grad_w = (grad_t[:, :, prv] + grad_t) / r[:, None] + (w / (r * r))[:, None] * d
+    total = np.sum(w, axis=1, keepdims=True)
+    lam = w / total
+    return lam, (grad_w - lam[:, None] * np.sum(grad_w, axis=2, keepdims=True)) / total[:, None]
+
+
+def pairwise(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Products (..., m, P) and gradients (..., m, P, 2) in ``pair_order(n)``, by gathers."""
+    pairs = pair_order(values.shape[-1])
+    ia = np.array([a for a, _ in pairs])
+    ib = np.array([b for _, b in pairs])
+    v = np.swapaxes(values, -1, -2)
+    g = np.swapaxes(gradients, -1, -3)
+    va, vb = v[..., ia, :], v[..., ib, :]
+    mu = va * vb
+    dmu = va[..., None, :, :] * g[..., ib, :] + vb[..., None, :, :] * g[..., ia, :]
+    return np.swapaxes(mu, -1, -2), np.swapaxes(dmu, -1, -3)
+
+
+def translation_classes(mesh: PolyMesh) -> np.ndarray:
+    """``PolyMesh.translation_classes`` with one Python step per cell.
+
+    Per vertex count: the key of a cell is its flat-vertex flag, its fan
+    apex and its vertex offsets from vertex 0 rounded to 1e-9 of its
+    diameter; each key proposes its first cell as representative, a cell
+    whose offsets are within 1e-12 of the representative's diameter joins
+    it, and the rest are classed again among themselves.
+    """
+    rep = list(range(mesh.n_cells))
+    by_count = defaultdict(list)
+    for ci, cell in enumerate(mesh.cells):
+        by_count[len(cell)].append(ci)
+    for cells in by_count.values():
+        polygons = [Polygon(mesh.vertices[list(mesh.cells[ci])], allow_flat=True) for ci in cells]
+        diameters = [max(math.hypot(*(p.vertices[i] - p.vertices[j]))
+                         for i in range(p.n) for j in range(p.n)) for p in polygons]
+        offsets = [(p.vertices - p.vertices[0]).ravel() for p in polygons]
+        keys = [(bool(_has_flat_vertex(p.vertices[None], np.array([d]))[0]), fan_apex(p),
+                 *np.round(o / (1e-9 * d)).tolist())
+                for p, o, d in zip(polygons, offsets, diameters)]
+        todo = list(range(len(cells)))
+        while todo:
+            first: dict = {}
+            left = []
+            for k in todo:
+                owner = first.setdefault(keys[k], k)
+                if np.all(np.abs(offsets[k] - offsets[owner]) <= 1e-12 * diameters[owner]):
+                    rep[cells[k]] = cells[owner]
+                else:
+                    left.append(k)
+            todo = left
+    return np.array(rep)

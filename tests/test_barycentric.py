@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+import oracles
 from polyserend import (
     BoundaryEvaluationError,
     CoordinateKind,
@@ -22,7 +23,7 @@ from polyserend import (
     pairwise_batch,
     sample_interior,
 )
-from polyserend.barycentric import _wachspress, fan_apex
+from polyserend.barycentric import _mean_value, _wachspress, fan_apex
 
 KINDS = list(CoordinateKind)
 SQUARE = corpus.unit_square()
@@ -292,6 +293,44 @@ class TestBatchedEvaluation:
                               np.full((2, 1, 2), 0.1))
         with pytest.raises(GeometryError, match="shape"):
             eval_coords_batch([SQUARE, SQUARE], "meanvalue", np.full((3, 1, 2), 0.5))
+
+
+def _equal(got, want) -> bool:
+    """Bitwise equality of (values, gradients) pairs, shapes included."""
+    return all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestKernelOracles:
+    """The kernels take neighbours and pairs as slices; the gathered-index
+    formulas of tests/oracles.py give bitwise the same values."""
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_coordinate_kernels_equal_gather_formulas(self, n):
+        rng = np.random.default_rng(100 + n)
+        polys = [corpus.random_convex_polygon(rng, n) for _ in range(4)]
+        pts = np.stack([sample_interior(p, 33, rng, margin=1e-4) for p in polys])
+        verts = np.stack([p.vertices for p in polys])
+        for kernel, oracle in ((_wachspress, oracles.wachspress),
+                               (_mean_value, oracles.mean_value)):
+            assert _equal(kernel(verts, pts), oracle(verts, pts))
+            assert _equal(kernel(verts[:1], pts[:1]), oracle(verts[:1], pts[:1]))
+
+    def test_mean_value_on_flat_vertex_polygon(self):
+        poly = corpus.degenerate_pentagon()
+        pts = sample_interior(poly, 40, np.random.default_rng(6), margin=1e-4)[None]
+        assert _equal(_mean_value(poly.vertices[None], pts),
+                      oracles.mean_value(poly.vertices[None], pts))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_pairwise_equals_gather_formula(self, n, kind):
+        rng = np.random.default_rng(200 + n)
+        polys = [corpus.random_convex_polygon(rng, n) for _ in range(3)]
+        pts = np.stack([sample_interior(p, 29, rng, margin=1e-4) for p in polys])
+        lam, dlam = eval_coords_batch(polys, kind, pts)
+        assert _equal(pairwise_batch(lam, dlam), oracles.pairwise(lam, dlam))
+        single = eval_coords_batch(polys[0], kind, pts[0])
+        assert _equal(pairwise_batch(*single), oracles.pairwise(*single))
 
 
 class TestPairOrder:

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import corpus
+import oracles
 from polyserend import (
     CoordinateKind,
     GeometryError,
@@ -39,7 +40,7 @@ from polyserend import (
 )
 from polyserend.barycentric import fan_apex
 from polyserend import fem
-from polyserend.fem import CHUNK_POINTS, DiscreteSolution
+from polyserend.fem import DiscreteSolution
 from polyserend.quadrature import fan_rule, rule_layouts
 from polyserend.serendipity import Strategy
 
@@ -176,6 +177,13 @@ def candidate_cells(draw):
     return verts
 
 
+def hanging_node_mesh() -> PolyMesh:
+    """The unit square as a triangle whose long side two smaller triangles
+    split: a quadrilateral with a flat vertex at the centre."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+    return PolyMesh.build(verts, [(0, 1, 4, 3), (1, 2, 4), (4, 2, 3)])
+
+
 class TestPolyMeshValidation:
     def test_repeated_vertex_in_cell(self):
         with pytest.raises(MeshError, match="repeats"):
@@ -246,13 +254,46 @@ class TestPolyMeshValidation:
         assert PolyMesh.build(np.vstack([square, square + 2.0]),
                               [(0, 1, 2, 3), (4, 5, 6, 7)]).n_cells == 2
 
+    @pytest.mark.parametrize("shift, covered", [(1.0, 0), (0.2, 1)])
+    def test_nested_cell_rejected(self, shift, covered):
+        """A unit square with its own four vertices inside a 3 x 3 square: no
+        boundary edges touch, but the inner square's centroid is covered by
+        both cells (and so is the outer one's when they are concentric)."""
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        verts = np.vstack([3.0 * square, square + shift])
+        with pytest.raises(MeshError, match=f"cells overlap: the centroid of cell {covered} "
+                                            "is covered by 2 cells"):
+            PolyMesh.build(verts, [(0, 1, 2, 3), (4, 5, 6, 7)])
+        with pytest.raises(MeshError, match="the centroid of cell 0 is covered by 2 cells"):
+            PolyMesh.build(verts, [(4, 5, 6, 7), (0, 1, 2, 3)])
+
+    def test_nested_patch_rejected(self):
+        """A 2 x 2 patch of cells inside one large cell: its interior edges
+        cancel, and each of its cells is covered twice."""
+        patch = trapezoid_mesh(2, 0.0)
+        outer = np.array([[-1.0, -1.0], [3.0, -1.0], [3.0, 3.0], [-1.0, 3.0]])
+        verts = np.vstack([patch.vertices, outer])
+        cells = list(patch.cells) + [(9, 10, 11, 12)]
+        with pytest.raises(MeshError, match="cell 0 is covered by 2 cells"):
+            PolyMesh.build(verts, cells)
+
+    def test_mesh_with_hole_accepted(self):
+        """Eight unit squares around a missing ninth: the hole's boundary runs
+        clockwise, and every cell covers its centroid once."""
+        full = trapezoid_mesh(3, 0.0)
+        ring = [cell for i, cell in enumerate(full.cells) if i != 4]
+        mesh = PolyMesh.build(full.vertices, ring)
+        assert mesh.n_cells == 8
+        assert int(np.sum(mesh.boundary_edges)) == 16
+
     @pytest.mark.parametrize("make", [
-        corpus.mixed_mesh, corpus.voronoi_mesh,
+        corpus.mixed_mesh, corpus.voronoi_mesh, hanging_node_mesh,
         *[lambda n=n, o=o: trapezoid_mesh(n, o) for n in (1, 2, 5, 16) for o in (0.0, 0.25, 0.45)],
     ])
     def test_conforming_meshes_accepted(self, make):
-        """Flat-vertex pentagons, Voronoi cells and every trapezoid mesh have
-        no vertex inside a boundary edge."""
+        """Flat-vertex pentagons, Voronoi cells, a hanging-node quadrilateral
+        and every trapezoid mesh have no vertex inside a boundary edge and
+        cover every point once."""
         mesh = make()
         assert PolyMesh.build(mesh.vertices, mesh.cells).cells == mesh.cells
 
@@ -489,8 +530,7 @@ class TestSolveAndErrors:
         """The unit square as a triangle whose long side two smaller triangles
         split: a quadrilateral with a flat vertex at the centre.  Both kinds
         that support it pass the patch test; Wachspress coordinates refuse it."""
-        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
-        mesh = PolyMesh.build(verts, [(0, 1, 4, 3), (1, 2, 4), (4, 2, 3)])
+        mesh = hanging_node_mesh()
         dm = dof_map(mesh)
         maps = cell_maps(mesh)
         assert maps[0].strategy is Strategy.QUADRILATERAL
@@ -633,6 +673,20 @@ KERNEL_MESHES = {
 }
 
 
+# Chunk sizes the kernel is checked at besides fem.CHUNK_POINTS, so that it
+# crosses chunk and member-slice boundaries more often: at 256 points a
+# chunk of polygon_rule points holds one representative and a member slice
+# one cell; at 1024 member slices hold several cells of a class.
+SMALL_CHUNK_POINTS = (256, 1024)
+
+
+def kernel_chunk_sizes(monkeypatch):
+    """Set fem.CHUNK_POINTS to each small size in turn, then back to its own."""
+    for size in (*SMALL_CHUNK_POINTS, fem.CHUNK_POINTS):
+        monkeypatch.setattr(fem, "CHUNK_POINTS", size)
+        yield size
+
+
 class TestElementKernel:
     """assemble and error_norms run over chunks of cells that share a rule
     layout; summing one cell at a time through the single-polygon calls is
@@ -645,11 +699,11 @@ class TestElementKernel:
         assert {p.n for p in voronoi.polygons} == {4, 5, 6}
         assert any(m.strategy is Strategy.GENERIC for m in cell_maps(voronoi))
         [(cells, size)] = rule_layouts(trapezoid_mesh(16).polygons, 14)
-        assert len(cells) * size > 100 * CHUNK_POINTS
+        assert len(cells) * size > 100 * max(SMALL_CHUNK_POINTS)
 
     @pytest.mark.parametrize("kind", list(CoordinateKind))
     @pytest.mark.parametrize("name", list(KERNEL_MESHES))
-    def test_assembly_matches_per_cell_reference(self, name, kind):
+    def test_assembly_matches_per_cell_reference(self, name, kind, monkeypatch):
         mesh = KERNEL_MESHES[name]()
         source = lambda p: np.cos(3.0 * p[:, 0]) + p[:, 1]
         if (name, kind) == ("mixed", CoordinateKind.WACHSPRESS):
@@ -658,14 +712,15 @@ class TestElementKernel:
                 with pytest.raises(GeometryError, match="flat vertex"):
                     build(mesh, kind, source)
             return
-        mat, rhs = assemble(mesh, kind, source=source)
         stiffness, load = reference_assembly(mesh, kind, source)
-        assert np.max(np.abs(mat.toarray() - stiffness)) <= 1e-13 * np.max(np.abs(stiffness))
-        assert np.max(np.abs(rhs - load)) <= 1e-13 * np.max(np.abs(load))
+        for _ in kernel_chunk_sizes(monkeypatch):
+            mat, rhs = assemble(mesh, kind, source=source)
+            assert np.max(np.abs(mat.toarray() - stiffness)) <= 1e-13 * np.max(np.abs(stiffness))
+            assert np.max(np.abs(rhs - load)) <= 1e-13 * np.max(np.abs(load))
 
     @pytest.mark.parametrize("kind", list(CoordinateKind))
     @pytest.mark.parametrize("name", list(KERNEL_MESHES))
-    def test_error_norms_match_per_cell_reference(self, name, kind):
+    def test_error_norms_match_per_cell_reference(self, name, kind, monkeypatch):
         mesh = KERNEL_MESHES[name]()
         dm = dof_map(mesh)
         coords = node_coordinates(mesh, dm)
@@ -677,10 +732,11 @@ class TestElementKernel:
                 with pytest.raises(GeometryError, match="flat vertex"):
                     norms(sol, harmonic_exact, harmonic_gradient)
             return
-        err = error_norms(sol, harmonic_exact, harmonic_gradient)
         l2, h1 = reference_norms(sol, harmonic_exact, harmonic_gradient)
-        assert err.l2 == pytest.approx(l2, rel=1e-13)
-        assert err.h1 == pytest.approx(h1, rel=1e-13)
+        for _ in kernel_chunk_sizes(monkeypatch):
+            err = error_norms(sol, harmonic_exact, harmonic_gradient)
+            assert err.l2 == pytest.approx(l2, rel=1e-13)
+            assert err.h1 == pytest.approx(h1, rel=1e-13)
 
     def test_basis_and_maps_are_built_once_per_class(self, monkeypatch):
         """One assemble and one error_norms evaluate the basis on each class
@@ -744,6 +800,27 @@ class TestTranslationClasses:
         sizes = np.bincount(classes, minlength=mesh.n_cells)
         assert all(sizes[classes[i]] == 1 for i in around)
         assert len(np.unique(classes)) == 6 + 4
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-14, 1e-12, 1e-10, 1e-9, 1e-6]),
+           st.sampled_from([4, 8, 13]))
+    def test_classes_equal_one_cell_at_a_time(self, seed, scale, n):
+        """Interior vertices of a trapezoid mesh moved by about ``scale`` h,
+        near the 1e-12 match tolerance and the 1e-9 rounding of the keys:
+        the classes are those of the cell-by-cell oracle."""
+        mesh = trapezoid_mesh(n, 0.2)
+        rng = np.random.default_rng(seed)
+        vertices = mesh.vertices.copy()
+        inner = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+        picked = inner & (rng.random(len(vertices)) < 0.3)
+        vertices[picked] += scale / n * rng.standard_normal((int(picked.sum()), 2))
+        moved = PolyMesh.build(vertices, mesh.cells)
+        assert np.array_equal(moved.translation_classes, oracles.translation_classes(moved))
+
+    @pytest.mark.parametrize("make", [corpus.voronoi_mesh, corpus.mixed_mesh, stacked_mixed_mesh,
+                                      lambda: perturbed_trapezoid_mesh(8, 1e-9)])
+    def test_classes_equal_oracle_on_corpus_meshes(self, make):
+        mesh = make()
+        assert np.array_equal(mesh.translation_classes, oracles.translation_classes(mesh))
 
     def test_voronoi_cells_are_all_distinct(self):
         mesh = corpus.voronoi_mesh()

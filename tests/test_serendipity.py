@@ -5,6 +5,7 @@ Lagrange structure, and bounds."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from polyserend import (
     lagrange_table,
     pair_order,
     pairwise_batch,
+    polygon_rule,
     precision_residuals,
     sample_interior,
     trapezoid_mesh,
@@ -585,6 +587,27 @@ class TestBasisEvaluation:
         with pytest.raises(SerendipityError, match="one serendipity map per polygon"):
             eval_basis_batch(hexagon, "meanvalue", build_map(corpus.regular_polygon(5)),
                              pts[0])
+
+    @pytest.mark.parametrize("kind", [CoordinateKind.WACHSPRESS, CoordinateKind.MEAN_VALUE])
+    def test_chunk_memory_per_point(self, kind):
+        """One chunk of the element kernel, hexagons at 432 rule points each,
+        allocates at most 1.1 KB per point at its peak, results included;
+        the chunk size of fem.CHUNK_POINTS rests on this figure."""
+        rng = np.random.default_rng(61)
+        hexagons = [corpus.random_convex_polygon(rng, 6) for _ in range(3)]
+        rule = polygon_rule(hexagons, 10)
+        maps = build_map(hexagons)
+        assert rule.weights.size >= 1024
+        eval_basis_batch(hexagons, kind, maps, rule.points)          # fill the caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = eval_basis_batch(hexagons, kind, maps, rule.points)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert result[1].shape == (3, 432, 12, 2)
+        assert peak <= 1100 * rule.weights.size
 
     def test_precision_residuals_flag_corruption(self):
         poly = corpus.regular_polygon(6)

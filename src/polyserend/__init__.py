@@ -21,11 +21,13 @@ from .geometry import (
     GeometryError,
     InvalidPolygonError,
     Polygon,
+    PolygonBatch,
     ShapeConditions,
     ShapeMetrics,
     check_conditions,
     interior_angles,
     load_polygon,
+    polygon_batch,
     polygon_from_json,
     polygon_to_json,
     sample_interior,

@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import GeometryError, Polygon, _has_flat_vertex, _neighbours, polygon_batch
+from .geometry import (GeometryError, Polygon, PolygonBatch, _checked_apices, _fan_triangles,
+                       _flat_vertices, _neighbours, polygon_batch)
 
 __all__ = [
     "fan_apex",
@@ -149,47 +150,23 @@ def _mean_value(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return lam, grad_w
 
 
-@lru_cache(maxsize=None)
-def _fan_triangles(n: int, apex: int) -> np.ndarray:
-    idx = [(apex, (apex + j) % n, (apex + j + 1) % n) for j in range(1, n - 1)]
-    return np.array(idx, dtype=int)
-
-
-def _fan_apices(verts: np.ndarray, diameters: np.ndarray) -> np.ndarray:
-    """``fan_apex`` of every polygon of a batch."""
-    n = verts.shape[1]
-    floor = 1e-12 * diameters ** 2
-    apex = np.full(len(verts), -1)
-    for candidate in range(n):
-        todo = np.flatnonzero(apex < 0)
-        if not todo.size:
-            break
-        tri = verts[todo][:, _fan_triangles(n, candidate)]       # (k, n - 2, 3, 2)
-        areas = 0.5 * _cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
-        apex[todo[np.all(areas > floor[todo, None], axis=1)]] = candidate
-    if np.any(apex < 0):
-        raise GeometryError("no valid fan triangulation; polygon is degenerate")
-    return apex
-
-
-def fan_apex(polygon: Polygon | Sequence[Polygon]) -> int | np.ndarray:
+def fan_apex(polygon: Polygon | Sequence[Polygon] | PolygonBatch) -> int | np.ndarray:
     """First vertex whose fan contains no degenerate triangle.
 
     For strictly convex polygons this is always vertex 0; flat vertices can
     make some fans degenerate, in which case the apex advances deterministically.
-    A batch of polygons gets one apex each.
+    A batch of polygons gets one apex each (``PolygonBatch.apices``).
+    Raises GeometryError if no vertex gives such a fan.
     """
-    _, verts, diameters = polygon_batch(polygon)
-    apex = _fan_apices(verts, diameters)
+    apex = _checked_apices(polygon_batch(polygon).apices)
     return int(apex[0]) if isinstance(polygon, Polygon) else apex
 
 
-def _triangulation(
-    verts: np.ndarray, diameters: np.ndarray, pts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _triangulation(batch: PolygonBatch, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    verts = batch.vertices
     c, n, _ = verts.shape
     m = pts.shape[1]
-    tris = (_fan_triangles(n, 0) + _fan_apices(verts, diameters)[:, None, None]) % n
+    tris = (_fan_triangles(n, 0) + _checked_apices(batch.apices)[:, None, None]) % n
     rows = np.arange(c)[:, None]
     p, q, s = (verts[rows, tris[..., k]] for k in range(3))  # (c, T, 2)
     area2 = _cross(q - p, s - p)                              # (c, T)
@@ -226,21 +203,17 @@ _DISPATCH = {
 }
 
 
-def _reject_boundary_points(polys: tuple[Polygon, ...], verts: np.ndarray,
-                            diameters: np.ndarray, pts: np.ndarray) -> None:
+def _reject_boundary_points(batch: PolygonBatch, pts: np.ndarray) -> None:
     """Raise unless every point (c, m, 2) lies strictly inside its polygon."""
-    finite = np.all(np.isfinite(pts), axis=-1)
-    if not np.all(finite):
-        bad = pts[~finite][0]
+    if not np.all(np.isfinite(pts)):
+        bad = pts[~np.all(np.isfinite(pts), axis=-1)][0]
         raise BoundaryEvaluationError(
             f"point ({bad[0]:.6g}, {bad[1]:.6g}) is not strictly inside the polygon "
             "(non-finite coordinate)"
         )
-    normals = np.stack([p.inward_normals for p in polys])     # (c, n, 2)
-    offsets = np.einsum("cnd,cnd->cn", normals, verts)
-    dist = normals @ np.swapaxes(pts, 1, 2) - offsets[..., None]  # (c, n, m)
+    dist = batch.normals @ np.swapaxes(pts, 1, 2) - batch.offsets[..., None]  # (c, n, m)
     closest = np.min(dist, axis=1)
-    eps = DEFAULT_BOUNDARY_EPS * diameters[:, None]
+    eps = DEFAULT_BOUNDARY_EPS * batch.diameters[:, None]
     if not np.all(closest > eps):
         cell, point = np.unravel_index(np.argmin(closest - eps), closest.shape)
         bad = pts[cell, point]
@@ -252,7 +225,7 @@ def _reject_boundary_points(polys: tuple[Polygon, ...], verts: np.ndarray,
 
 
 def eval_coords_batch(
-    polygon: Polygon | Sequence[Polygon],
+    polygon: Polygon | Sequence[Polygon] | PolygonBatch,
     kind: CoordinateKind | str,
     points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -267,24 +240,24 @@ def eval_coords_batch(
     would vanish and the basis would not interpolate there.
     """
     kind = CoordinateKind(kind)
-    polys, verts, diameters = polygon_batch(polygon)
+    batch = polygon_batch(polygon)
     pts = np.asarray(points, dtype=float)
     if isinstance(polygon, Polygon):
         pts = np.atleast_2d(pts)[None]
-    if pts.ndim != 3 or pts.shape[0] != len(polys) or pts.shape[2] != 2:
+    if pts.ndim != 3 or pts.shape[0] != len(batch) or pts.shape[2] != 2:
         raise GeometryError("points must have shape (m, 2), or (c, m, 2) for c polygons")
-    if kind is CoordinateKind.WACHSPRESS:
-        flat = _has_flat_vertex(verts, diameters)
-        if np.any(flat):
-            raise GeometryError(
-                f"polygon {int(np.argmax(flat))} has a flat vertex, whose Wachspress weight "
-                "is 0: use meanvalue or triangulation coordinates"
-            )
-    _reject_boundary_points(polys, verts, diameters, pts)
+    if kind is CoordinateKind.WACHSPRESS and np.any(batch.flat):
+        k = int(np.argmax(batch.flat))
+        vertex = int(np.argmax(_flat_vertices(batch.vertices[k:k + 1], batch.diameters[k:k + 1])))
+        raise GeometryError(
+            f"polygon {k} has a flat vertex (vertex {vertex}), whose Wachspress weight "
+            "is 0: use meanvalue or triangulation coordinates"
+        )
+    _reject_boundary_points(batch, pts)
     if kind is CoordinateKind.TRIANGULATION:
-        lam, grads = _triangulation(verts, diameters, pts)
+        lam, grads = _triangulation(batch, pts)
     else:
-        lam, grads = _DISPATCH[kind](verts, pts)
+        lam, grads = _DISPATCH[kind](batch.vertices, pts)
     # Views of the points-last arrays, which pairwise_batch takes back.
     lam, grads = np.swapaxes(lam, 1, 2), np.swapaxes(grads, 1, 3)
     return (lam[0], grads[0]) if isinstance(polygon, Polygon) else (lam, grads)

@@ -10,8 +10,9 @@ the coordinate kind or cell shapes.
 A mesh is stored as arrays: the vertex indices of its cells, one (c, n)
 array per vertex count n, and its numbered edges.  ``PolyMesh.build``
 validates each vertex-count group in one array pass and builds a
-``Polygon`` only to word an error; polygons are built only for the cells
-the element kernel evaluates.
+``Polygon`` only to word an error.  The element kernel builds no
+``Polygon``: it reads the class representatives of each group from one
+``PolygonBatch``.
 
 The flagship problem is the Poisson equation with Dirichlet data, solved
 with preconditioned conjugate gradients after symmetric elimination of
@@ -32,9 +33,9 @@ from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .barycentric import CoordinateKind, _fan_apices, fan_apex
-from .geometry import (GeometryError, Polygon, _has_flat_vertex, _neighbours,
-                       _polygon_defects, _vertex_pairs)
+from .barycentric import CoordinateKind, fan_apex
+from .geometry import (GeometryError, Polygon, PolygonBatch, _diameters, _fan_apices,
+                       _flat_vertices, _neighbours, _polygon_defects)
 from .linalg import SolveReport, SparseMatrix, cg_solve
 from .quadrature import fan_rule, polygon_rule, rule_layouts
 from .serendipity import SerendipityMap, build_map, eval_basis_batch
@@ -96,8 +97,9 @@ class PolyMesh:
     by one cell only.  Cells may have collinear (flat) vertices, which is
     how a quadrilateral neighbors a polygon along a subdivided side.
     ``cells`` (a tuple of vertex-index tuples) and ``polygons`` are built on
-    first use; the element kernel builds a ``Polygon`` only for each
-    translation-class representative (``representatives``).
+    first use; the element kernel reads the translation-class
+    representatives of each group from one ``PolygonBatch``
+    (``class_batches``) and builds no ``Polygon``.
     """
 
     vertices: np.ndarray                      # (N, 2)
@@ -196,13 +198,15 @@ class PolyMesh:
         return tuple(Polygon(self.vertices[list(cell)], allow_flat=True) for cell in self.cells)
 
     @cached_property
-    def representatives(self) -> dict[int, Polygon]:
-        """The ``Polygon`` of each translation-class representative, by cell id."""
-        out = {}
+    def class_batches(self) -> tuple[tuple[np.ndarray, PolygonBatch], ...]:
+        """Per group: the rows (increasing) of its translation-class
+        representatives and their ``PolygonBatch``, built without checks
+        from cells that ``build`` validated."""
+        out = []
         for ids, cells, _ in self.groups:
-            for k in np.flatnonzero(self.translation_classes[ids] == ids).tolist():
-                out[int(ids[k])] = Polygon(self.vertices[cells[k]], allow_flat=True)
-        return out
+            reps = np.flatnonzero(self.translation_classes[ids] == ids)
+            out.append((reps, PolygonBatch._derive(self.vertices[cells[reps]])))
+        return tuple(out)
 
     @cached_property
     def translation_classes(self) -> np.ndarray:
@@ -220,12 +224,10 @@ class PolyMesh:
         rep = np.arange(self.n_cells)
         for ids, cells, _ in self.groups:
             verts = self.vertices[cells]                                      # (c, n, 2)
-            i, j = _vertex_pairs(cells.shape[1])
-            pairs = verts[:, i] - verts[:, j]
-            diameters = np.max(np.hypot(pairs[..., 0], pairs[..., 1]), axis=1)
+            diameters = _diameters(verts)
             offsets = (verts - verts[:, :1]).reshape(len(ids), -1)
             keys = np.column_stack([
-                _has_flat_vertex(verts, diameters),
+                _flat_vertices(verts, diameters).any(axis=1),
                 _fan_apices(verts, diameters),
                 np.round(offsets / (1e-9 * diameters[:, None])),
             ])
@@ -480,14 +482,13 @@ def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
 
     A and B do not change under translation, so they are built once per
     translation class (``PolyMesh.translation_classes``), on its
-    representative, with one ``build_map`` call per vertex count, and every
-    member cell shares that read-only map.
+    representative, with one ``build_map`` call per vertex count on the
+    group's ``PolygonBatch`` of representatives, and every member cell
+    shares that read-only map.
     """
-    polygons = mesh.representatives
     built = {}
-    for ids, _, _ in mesh.groups:
-        reps = [i for i in ids.tolist() if i in polygons]
-        built.update(zip(reps, build_map([polygons[i] for i in reps])))
+    for (ids, _, _), (reps, batch) in zip(mesh.groups, mesh.class_batches):
+        built.update(zip(ids[reps].tolist(), build_map(batch)))
     return tuple(built[r] for r in mesh.translation_classes.tolist())
 
 
@@ -513,6 +514,9 @@ def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofM
     coordinates, products, basis) is one array operation over the chunk;
     the coordinate and product kernels gather nothing, and a chunk's basis
     evaluation peaks at about 0.95 KB per point, its results included.
+    The geometry of the representatives (``PolyMesh.class_batches``) is put
+    in chunk order once per group and each chunk takes a slice of it, so a
+    chunk pays only for its points.
     Triangulation coordinates are piecewise polynomial on their own vertex
     fan, so a fan-aligned rule integrates them exactly; the other kinds use
     the vertex-clustered centroid decomposition.
@@ -527,13 +531,15 @@ def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofM
     consecutive representatives, as on a mesh without repeated shapes,
     ``owner`` is a slice, so indexing with it copies nothing.
     """
-    fan = kind is CoordinateKind.TRIANGULATION
-    polygons = mesh.representatives
-    for (ids, cells, _), (_, dofs) in zip(mesh.groups, dofmap.groups):
+    fan = CoordinateKind(kind) is CoordinateKind.TRIANGULATION
+    for (ids, cells, _), (_, dofs), (reps, batch) in zip(mesh.groups, dofmap.groups,
+                                                         mesh.class_batches):
         rep_of = np.searchsorted(ids, mesh.translation_classes[ids])   # group rows
-        reps = np.flatnonzero(rep_of == np.arange(len(ids)))
-        layouts = rule_layouts([polygons[i] for i in ids[reps].tolist()], degree, fan=fan)
-        order = np.concatenate([reps[group] for group, _ in layouts])
+        layouts = rule_layouts(batch, degree, fan=fan)
+        in_order = np.concatenate([group for group, _ in layouts])     # batch rows
+        order = reps[in_order]
+        batch = batch[in_order]
+        ordered_maps = [maps[i] for i in ids[order].tolist()]
         rank = np.empty(len(ids), dtype=np.int64)
         rank[order] = np.arange(len(order))
         cell_rank = rank[rep_of]
@@ -546,15 +552,15 @@ def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofM
         for group, size in layouts:
             step = max(1, CHUNK_POINTS // size)
             for lo in range(start, start + len(group), step):
-                chunk = ids[order[lo:min(lo + step, start + len(group))]].tolist()
-                polys = [polygons[i] for i in chunk]
+                rows = slice(lo, min(lo + step, start + len(group)))
+                chunk = batch[rows]
                 if fan:
-                    rule = fan_rule(polys, degree, fan_apex(polys))
+                    rule = fan_rule(chunk, degree, fan_apex(chunk))
                 else:
-                    rule = polygon_rule(polys, degree)
-                psi, dpsi = eval_basis_batch(polys, kind, [maps[i] for i in chunk], rule.points)
+                    rule = polygon_rule(chunk, degree)
+                psi, dpsi = eval_basis_batch(chunk, kind, ordered_maps[rows], rule.points)
                 members = []
-                end = bounds[lo + len(chunk)]
+                end = bounds[rows.stop]
                 for k in range(bounds[lo], end, step):
                     part = slice(k, min(k + step, end))
                     owner = owner_rank[part] - lo

@@ -20,6 +20,7 @@ __all__ = [
     "GeometryError",
     "InvalidPolygonError",
     "Polygon",
+    "PolygonBatch",
     "polygon_batch",
     "ShapeMetrics",
     "ShapeConditions",
@@ -110,15 +111,71 @@ def _polygon_defects(verts: np.ndarray, allow_flat: bool) -> np.ndarray:
     return np.where(failed.any(axis=0), codes[failed.argmax(axis=0)], 0)
 
 
-def _has_flat_vertex(verts: np.ndarray, diameters: np.ndarray) -> np.ndarray:
-    """Whether each polygon of a batch, vertices (c, n, 2), has a collinear vertex.
+def _diameters(verts: np.ndarray) -> np.ndarray:
+    """Largest vertex-to-vertex distance (c,) of polygons (c, n, 2); the set diameter
+    of a convex polygon."""
+    i, j = _vertex_pairs(verts.shape[1])
+    diff = verts[:, i] - verts[:, j]
+    return np.max(np.hypot(diff[..., 0], diff[..., 1]), axis=1)
 
-    ``polygon_rule`` raises its base degree on exactly these polygons, and
-    Wachspress coordinates are refused on them.
+
+def _areas_centroids(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Areas (c,) and area centroids (c, 2) of polygons (c, n, 2)."""
+    nxt_verts = verts[:, _neighbours(verts.shape[1])[0]]
+    w = verts[..., 0] * nxt_verts[..., 1] - nxt_verts[..., 0] * verts[..., 1]
+    areas = 0.5 * np.sum(w, axis=1)
+    return areas, np.sum((verts + nxt_verts) * w[..., None], axis=1) / (6.0 * areas)[:, None]
+
+
+def _edge_lines(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit inward normals (c, n, 2) of the edges i = (v_i, v_{i+1}) of polygons
+    (c, n, 2), and their offsets (c, n): ``normal . x - offset`` is the signed
+    distance of x to the edge's line, positive inside."""
+    e = verts[:, _neighbours(verts.shape[1])[0]] - verts
+    length = np.hypot(e[..., 0], e[..., 1])
+    normals = np.stack([-e[..., 1], e[..., 0]], axis=-1) / length[..., None]
+    return normals, np.einsum("cnd,cnd->cn", normals, verts)
+
+
+def _flat_vertices(verts: np.ndarray, diameters: np.ndarray) -> np.ndarray:
+    """Which vertices (c, n) of polygons (c, n, 2) are collinear with their neighbours.
+
+    ``polygon_rule`` raises its base degree on polygons with such a vertex,
+    and Wachspress coordinates are refused on them.
     """
     nxt, prv = _neighbours(verts.shape[1])
     turn = _cross(verts - verts[:, prv], verts[:, nxt] - verts)
-    return np.any(np.abs(turn) <= 1e-12 * diameters[:, None] ** 2, axis=1)
+    return np.abs(turn) <= 1e-12 * diameters[:, None] ** 2
+
+
+@lru_cache(maxsize=None)
+def _fan_triangles(n: int, apex: int) -> np.ndarray:
+    """Vertex triples (n - 2, 3) of the fan of an n-gon from vertex ``apex``."""
+    idx = [(apex, (apex + j) % n, (apex + j + 1) % n) for j in range(1, n - 1)]
+    return np.array(idx, dtype=int)
+
+
+def _fan_apices(verts: np.ndarray, diameters: np.ndarray) -> np.ndarray:
+    """First vertex (c,) of each polygon (c, n, 2) whose fan has no degenerate
+    triangle, -1 where no vertex gives such a fan."""
+    n = verts.shape[1]
+    floor = 1e-12 * diameters ** 2
+    apex = np.full(len(verts), -1)
+    for candidate in range(n):
+        todo = np.flatnonzero(apex < 0)
+        if not todo.size:
+            break
+        tri = verts[todo][:, _fan_triangles(n, candidate)]       # (k, n - 2, 3, 2)
+        areas = 0.5 * _cross(tri[:, :, 1] - tri[:, :, 0], tri[:, :, 2] - tri[:, :, 0])
+        apex[todo[np.all(areas > floor[todo, None], axis=1)]] = candidate
+    return apex
+
+
+def _checked_apices(apices: np.ndarray) -> np.ndarray:
+    """``apices`` of a batch, raising GeometryError if a polygon has no valid fan."""
+    if np.any(apices < 0):
+        raise GeometryError("no valid fan triangulation; polygon is degenerate")
+    return apices
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,26 +212,17 @@ class Polygon:
 
     @cached_property
     def area(self) -> float:
-        v = self.vertices
-        nxt, _ = _neighbours(self.n)
-        return 0.5 * float(np.sum(v[:, 0] * v[nxt, 1] - v[nxt, 0] * v[:, 1]))
+        return float(_areas_centroids(self.vertices[None])[0][0])
 
-    @cached_property
+    @property
     def centroid(self) -> np.ndarray:
         """Area centroid (always strictly interior for a convex polygon)."""
-        v = self.vertices
-        nxt, _ = _neighbours(self.n)
-        w = v[:, 0] * v[nxt, 1] - v[nxt, 0] * v[:, 1]
-        c = np.sum((v + v[nxt]) * w[:, None], axis=0) / (6.0 * self.area)
-        c.setflags(write=False)
-        return c
+        return self._batch.centroids[0]
 
     @cached_property
     def diameter(self) -> float:
         """Largest vertex-to-vertex distance; equals the set diameter for convex polygons."""
-        v = self.vertices
-        diff = v[:, None, :] - v[None, :, :]
-        return float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
+        return float(self._batch.diameters[0])
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
@@ -183,19 +231,15 @@ class Polygon:
         out.setflags(write=False)
         return out
 
-    @cached_property
+    @property
     def inward_normals(self) -> np.ndarray:
         """Unit normals of edge i = (v_i, v_{i+1}) pointing into the polygon."""
-        e = self.vertices[_neighbours(self.n)[0]] - self.vertices
-        nrm = np.stack([-e[:, 1], e[:, 0]], axis=1) / self.edge_lengths[:, None]
-        nrm.setflags(write=False)
-        return nrm
+        return self._batch.normals[0]
 
     @cached_property
-    def _edge_offsets(self) -> np.ndarray:
-        out = np.einsum("ij,ij->i", self.inward_normals, self.vertices)
-        out.setflags(write=False)
-        return out
+    def _batch(self) -> PolygonBatch:
+        """The polygon as a batch of one: the arrays its properties read."""
+        return PolygonBatch._derive(self.vertices[None])
 
     def edge_distances(self, points: np.ndarray) -> np.ndarray:
         """Signed distances of ``points`` (..., 2) to every edge line, positive inside.
@@ -205,7 +249,7 @@ class Polygon:
         pts = np.asarray(points, dtype=float)
         if not np.all(np.isfinite(pts)):
             raise GeometryError("points must be finite to have edge distances")
-        return pts @ self.inward_normals.T - self._edge_offsets
+        return pts @ self.inward_normals.T - self._batch.offsets[0]
 
     def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
         """Whether ``point`` lies within ``tol`` of the polygon; False if it is not finite."""
@@ -213,20 +257,97 @@ class Polygon:
         return bool(np.all(np.isfinite(pts)) and np.min(self.edge_distances(pts)) >= -tol)
 
 
-def polygon_batch(
-    polygons: Polygon | Sequence[Polygon],
-) -> tuple[tuple[Polygon, ...], np.ndarray, np.ndarray]:
-    """Polygons that share a vertex count, their vertices (c, n, 2) and diameters (c,).
+@dataclass(frozen=True, eq=False)
+class PolygonBatch:
+    """Convex polygons that share a vertex count n, as arrays validated once.
 
-    A single polygon is a batch of one.
+    ``vertices`` (c, n, 2) are counterclockwise and may include flat
+    vertices, as with ``Polygon(..., allow_flat=True)``.  Everything the
+    element kernel needs of a polygon besides its vertices is computed once,
+    with the formulas ``Polygon`` uses: ``diameters`` (c,), area
+    ``centroids`` (c, 2), the unit inward ``normals`` (c, n, 2) of the edges
+    (v_i, v_{i+1}) and their ``offsets`` (c, n) (``normal . x - offset`` is
+    the signed distance to the edge's line), ``flat`` (c,), whether a
+    polygon has a flat vertex, and ``apices`` (c,), its ``fan_apex``, or -1
+    where no vertex gives a fan without a degenerate triangle (``fan_apex``
+    and the triangulation kind raise ``GeometryError`` on such a polygon).
+
+    Indexing with a slice or an index array gives the batch of those
+    polygons, every array sliced, with nothing validated or computed again.
+    Build a batch with ``from_vertices`` or, from ``Polygon`` objects, with
+    ``polygon_batch``.
     """
-    polys = (polygons,) if isinstance(polygons, Polygon) else tuple(polygons)
+
+    vertices: np.ndarray       # (c, n, 2)
+    diameters: np.ndarray      # (c,)
+    centroids: np.ndarray      # (c, 2)
+    normals: np.ndarray        # (c, n, 2)
+    offsets: np.ndarray        # (c, n)
+    flat: np.ndarray           # (c,) bool
+    apices: np.ndarray         # (c,)
+
+    @classmethod
+    def from_vertices(cls, vertices: np.ndarray) -> PolygonBatch:
+        """Validate polygons (c, n, 2) in one array pass with the checks of
+        ``Polygon(..., allow_flat=True)``; raises ``InvalidPolygonError``
+        naming the first bad polygon."""
+        verts = np.array(vertices, dtype=float)
+        if verts.ndim != 3 or verts.shape[2] != 2:
+            raise InvalidPolygonError("expected vertices with shape (c, n, 2)")
+        if not len(verts):
+            raise GeometryError("a polygon batch needs at least one polygon")
+        if verts.shape[1] < 3:
+            raise InvalidPolygonError(f"a polygon needs at least 3 vertices, got {verts.shape[1]}")
+        if not np.all(np.isfinite(verts)):
+            raise InvalidPolygonError("vertices must be finite")
+        defects = _polygon_defects(verts, allow_flat=True)
+        if np.any(defects):
+            k = int(np.argmax(defects != 0))
+            raise InvalidPolygonError(f"polygon {k}: {_DEFECTS[defects[k]]}")
+        return cls._derive(verts)
+
+    @classmethod
+    def _derive(cls, verts: np.ndarray) -> PolygonBatch:
+        """The batch of polygons (c, n, 2) known to be valid, read-only."""
+        diameters = _diameters(verts)
+        normals, offsets = _edge_lines(verts)
+        arrays = (verts, diameters, _areas_centroids(verts)[1], normals, offsets,
+                  _flat_vertices(verts, diameters).any(axis=1), _fan_apices(verts, diameters))
+        for array in arrays:
+            array.setflags(write=False)
+        return cls(*arrays)
+
+    @property
+    def n(self) -> int:
+        return self.vertices.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __getitem__(self, rows: slice | np.ndarray | int) -> PolygonBatch:
+        if isinstance(rows, (int, np.integer)):
+            rows = [rows]
+        return PolygonBatch(self.vertices[rows], self.diameters[rows], self.centroids[rows],
+                            self.normals[rows], self.offsets[rows], self.flat[rows],
+                            self.apices[rows])
+
+
+def polygon_batch(polygons: Polygon | Sequence[Polygon] | PolygonBatch) -> PolygonBatch:
+    """Polygons that share a vertex count as a ``PolygonBatch``.
+
+    A single polygon is a batch of one, kept with the polygon; a batch is
+    returned as it is.
+    """
+    if isinstance(polygons, PolygonBatch):
+        return polygons
+    if isinstance(polygons, Polygon):
+        return polygons._batch
+    polys = tuple(polygons)
     if not polys:
         raise GeometryError("a polygon batch needs at least one polygon")
     if any(p.n != polys[0].n for p in polys):
         raise GeometryError("polygons of one batch must share a vertex count")
-    verts = np.stack([p.vertices for p in polys])
-    return polys, verts, np.array([p.diameter for p in polys])
+    return PolygonBatch._derive(np.stack([p.vertices for p in polys]))
 
 
 def interior_angles(polygon: Polygon) -> np.ndarray:
@@ -247,7 +368,7 @@ def _chebyshev_incircle(polygon: Polygon) -> tuple[np.ndarray, float]:
     center.
     """
     normals = polygon.inward_normals
-    offsets = polygon._edge_offsets
+    offsets = polygon._batch.offsets[0]
     scale = polygon.diameter
     candidates: list[tuple[float, np.ndarray]] = []
     for i, j, k in itertools.combinations(range(polygon.n), 3):

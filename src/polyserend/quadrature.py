@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .geometry import GeometryError, Polygon, _has_flat_vertex, _neighbours, polygon_batch
+from .geometry import GeometryError, Polygon, PolygonBatch, _neighbours, polygon_batch
 
 __all__ = [
     "QuadratureRule",
@@ -102,27 +102,31 @@ def _mapped_rule(base: QuadratureRule, A: np.ndarray, B: np.ndarray, C: np.ndarr
         raise GeometryError("polygons of one batch drop different empty triangles")
     if not np.all(keep):
         A, e1, e2, areas2 = A[:, keep[0]], e1[:, keep[0]], e2[:, keep[0]], areas2[:, keep[0]]
-    x = base.points[:, 0, None]
-    y = base.points[:, 1, None]
-    pts = A[:, :, None, :] + x * e1[:, :, None, :] + y * e2[:, :, None, :]
+    # A + x e1 + y e2 with the points last (c, T, 2, k), so every step runs
+    # along rows of k values; the reshape stores the coordinates last.
+    pts = e1[..., None] * base.points[:, 0]
+    pts += A[..., None]
+    pts += e2[..., None] * base.points[:, 1]
     wts = areas2[:, :, None] * base.weights
     c = len(A)
-    return QuadratureRule(points=pts.reshape(c, -1, 2), weights=wts.reshape(c, -1),
-                          degree=base.degree)
+    return QuadratureRule(points=np.swapaxes(pts, 2, 3).reshape(c, -1, 2),
+                          weights=wts.reshape(c, -1), degree=base.degree)
 
 
-def _single_or_batch(polygon: Polygon | Sequence[Polygon], rule: QuadratureRule) -> QuadratureRule:
+def _single_or_batch(polygon: Polygon | Sequence[Polygon] | PolygonBatch,
+                     rule: QuadratureRule) -> QuadratureRule:
     if not isinstance(polygon, Polygon):
         return rule
     return QuadratureRule(points=rule.points[0], weights=rule.weights[0], degree=rule.degree)
 
 
-def _rule_degrees(verts: np.ndarray, diameters: np.ndarray, degree: int) -> np.ndarray:
-    """Base-rule degree ``polygon_rule`` uses on each polygon of a batch."""
-    return np.where(_has_flat_vertex(verts, diameters), max(degree, MAX_DEGREE), degree)
+def _rule_degrees(flat: np.ndarray, degree: int) -> np.ndarray:
+    """Base-rule degree ``polygon_rule`` uses on each polygon of a batch, given
+    which of them have a flat vertex (``PolygonBatch.flat``)."""
+    return np.where(flat, max(degree, MAX_DEGREE), degree)
 
 
-def polygon_rule(polygon: Polygon | Sequence[Polygon], degree: int) -> QuadratureRule:
+def polygon_rule(polygon: Polygon | Sequence[Polygon] | PolygonBatch, degree: int) -> QuadratureRule:
     """Rule on a convex polygon: centroid fan split at edge midpoints.
 
     Each boundary edge contributes two triangles (midpoint, centroid, vertex)
@@ -139,13 +143,14 @@ def polygon_rule(polygon: Polygon | Sequence[Polygon], degree: int) -> Quadratur
     Given a batch of polygons that share one layout (see ``rule_layouts``),
     the rule has points (c, m, 2) and weights (c, m).
     """
-    polys, v, diameters = polygon_batch(polygon)
-    degrees = _rule_degrees(v, diameters, degree)
+    batch = polygon_batch(polygon)
+    degrees = _rule_degrees(batch.flat, degree)
     if np.any(degrees != degrees[0]):
         raise GeometryError("polygons of one batch must all or none have a flat vertex")
     base = triangle_rule(int(degrees[0]))
+    v = batch.vertices
     nxt, _ = _neighbours(v.shape[1])
-    centroids = np.broadcast_to(np.array([p.centroid for p in polys])[:, None, :], v.shape)
+    centroids = np.broadcast_to(batch.centroids[:, None, :], v.shape)
     mid = 0.5 * (v + v[:, nxt])
     A = np.concatenate([mid, centroids], axis=1)
     B = np.concatenate([centroids, mid], axis=1)
@@ -153,7 +158,7 @@ def polygon_rule(polygon: Polygon | Sequence[Polygon], degree: int) -> Quadratur
     return _single_or_batch(polygon, _mapped_rule(base, A, B, C))
 
 
-def fan_rule(polygon: Polygon | Sequence[Polygon], degree: int,
+def fan_rule(polygon: Polygon | Sequence[Polygon] | PolygonBatch, degree: int,
              apex: int | np.ndarray = 0) -> QuadratureRule:
     """Rule on a convex polygon fanning from the vertex ``apex``.
 
@@ -165,7 +170,8 @@ def fan_rule(polygon: Polygon | Sequence[Polygon], degree: int,
     the rule has points (c, m, 2) and weights (c, m).
     """
     base = triangle_rule(degree)
-    _, v, diameters = polygon_batch(polygon)
+    batch = polygon_batch(polygon)
+    v = batch.vertices
     c, n, _ = v.shape
     apex = np.broadcast_to(np.asarray(apex) % n, (c,))
     others = np.sort((apex[:, None] + np.arange(1, n - 1)) % n, axis=1)
@@ -173,33 +179,50 @@ def fan_rule(polygon: Polygon | Sequence[Polygon], degree: int,
     A = np.broadcast_to(v[np.arange(c), apex][:, None, :], (c, n - 2, 2))
     B = v[rows, others]
     C = v[rows, (others + 1) % n]
-    rule = _mapped_rule(base, A, B, C, keep_tol=1e-14 * diameters[:, None] ** 2)
+    rule = _mapped_rule(base, A, B, C, keep_tol=1e-14 * batch.diameters[:, None] ** 2)
     return _single_or_batch(polygon, rule)
 
 
-def rule_layouts(polygons: Sequence[Polygon], degree: int,
+def rule_layouts(polygons: Sequence[Polygon] | PolygonBatch, degree: int,
                  fan: bool = False) -> list[tuple[np.ndarray, int]]:
     """Polygon indices grouped by the point layout of their rules, with the points per polygon.
 
     The rules of one group stack into one batch.  ``polygon_rule`` layouts
     differ by vertex count and by the raised degree at flat vertices;
     ``fan_rule`` layouts (``fan=True``) by vertex count, for fans that drop
-    no triangle, as the fans of ``fan_apex`` do.
+    no triangle, as the fans of ``fan_apex`` do.  ``polygons`` may be one
+    ``PolygonBatch``, whose flat flags are read as they are.
     """
-    counts = np.array([p.n for p in polygons])
+    if isinstance(polygons, PolygonBatch):
+        batches = [(np.arange(len(polygons)), polygons)]
+    else:
+        counts = np.array([p.n for p in polygons])
+        batches = [(cells, polygon_batch([polygons[i] for i in cells]))
+                   for cells in (np.flatnonzero(counts == n) for n in np.unique(counts).tolist())]
     groups = []
-    for n in np.unique(counts).tolist():
-        cells = np.flatnonzero(counts == n)
+    for cells, batch in batches:
         if fan:
-            groups.append((cells, (n - 2) * len(triangle_rule(degree))))
+            groups.append((cells, (batch.n - 2) * len(triangle_rule(degree))))
             continue
-        _, verts, diameters = polygon_batch([polygons[i] for i in cells])
-        degrees = _rule_degrees(verts, diameters, degree)
+        degrees = _rule_degrees(batch.flat, degree)
         for d in np.unique(degrees).tolist():
-            groups.append((cells[degrees == d], 2 * n * len(triangle_rule(d))))
+            groups.append((cells[degrees == d], 2 * batch.n * len(triangle_rule(d))))
     return groups
 
 
-def integrate(rule: QuadratureRule, f) -> float:
-    """Integrate a callable f(points) -> (m,) against the rule."""
-    return float(np.dot(rule.weights, np.asarray(f(rule.points), dtype=float)))
+def integrate(rule: QuadratureRule, f) -> float | np.ndarray:
+    """Integrate a callable f(points) -> one value per rule point against the rule.
+
+    A rule for one polygon gives a float; a rule for a batch of c polygons,
+    points (c, m, 2), gives the integral over each polygon, (c,).  Raises
+    ``GeometryError`` unless f returns values shaped like the weights.
+    """
+    values = np.asarray(f(rule.points), dtype=float)
+    if values.shape != rule.weights.shape:
+        raise GeometryError(
+            f"f must return one value per rule point, shape {rule.weights.shape}, "
+            f"got shape {values.shape}"
+        )
+    if rule.weights.ndim == 1:
+        return float(np.dot(rule.weights, values))
+    return np.einsum("cm,cm->c", rule.weights, values)

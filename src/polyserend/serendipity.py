@@ -35,7 +35,8 @@ from .barycentric import (
     pair_order,
     pairwise_batch,
 )
-from .geometry import GeometryError, Polygon, _diagonal_frames, _neighbours, polygon_batch
+from .geometry import (GeometryError, Polygon, PolygonBatch, _diagonal_frames, _neighbours,
+                       polygon_batch)
 
 __all__ = [
     "SerendipityError",
@@ -178,13 +179,15 @@ def build_A(vertices: np.ndarray) -> np.ndarray:
     return A
 
 
-def build_map(polygon: Polygon | Sequence[Polygon]) -> SerendipityMap | tuple[SerendipityMap, ...]:
+def build_map(
+    polygon: Polygon | Sequence[Polygon] | PolygonBatch,
+) -> SerendipityMap | tuple[SerendipityMap, ...]:
     """Serendipity reduction of a polygon, with A from ``build_A``.
 
     A batch of polygons that share a vertex count is built at once and gets
     a tuple of maps, one per polygon.
     """
-    _, verts, _ = polygon_batch(polygon)
+    verts = polygon_batch(polygon).vertices
     n = verts.shape[1]
     B = build_B(n)
     maps = tuple(SerendipityMap(n=n, A=A, B=B) for A in build_A(verts))
@@ -198,7 +201,7 @@ def basis_nodes(polygon: Polygon) -> np.ndarray:
 
 
 def eval_basis_batch(
-    polygon: Polygon | Sequence[Polygon],
+    polygon: Polygon | Sequence[Polygon] | PolygonBatch,
     kind: CoordinateKind | str,
     smap: SerendipityMap | Sequence[SerendipityMap],
     points: np.ndarray,

@@ -149,6 +149,36 @@ def voronoi_mesh(per_side: int = 4, seed: int = 0) -> PolyMesh:
     return PolyMesh.build(corners[list(index)], cells)
 
 
+def refine(mesh: PolyMesh, marked) -> PolyMesh:
+    """Split every marked quadrilateral cell into four, at its edge midpoints
+    and its vertex mean; every other cell lists the new midpoints on its
+    edges, so a neighbour of a split cell gains a flat vertex per split side
+    (a quadrilateral becomes a flat-vertex pentagon) and the mesh stays
+    conforming."""
+    marked = sorted({int(i) for i in marked})
+    vertices = list(mesh.vertices)
+    midpoints: dict[tuple[int, int], int] = {}
+    for ci in marked:
+        cell = mesh.cells[ci]
+        if len(cell) != 4:
+            raise ValueError(f"cell {ci} has {len(cell)} vertices; only quadrilaterals are split")
+        for a, b in zip(cell, cell[1:] + cell[:1]):
+            key = (min(a, b), max(a, b))
+            if key not in midpoints:
+                midpoints[key] = len(vertices)
+                vertices.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+    cells = []
+    for ci, cell in enumerate(mesh.cells):
+        mids = [midpoints.get((min(a, b), max(a, b))) for a, b in zip(cell, cell[1:] + cell[:1])]
+        if ci in marked:
+            centre = len(vertices)
+            vertices.append(mesh.vertices[list(cell)].mean(axis=0))
+            cells += [(cell[k], mids[k], centre, mids[k - 1]) for k in range(4)]
+        else:
+            cells.append(tuple(v for a, m in zip(cell, mids) for v in (a, m) if v is not None))
+    return PolyMesh.build(np.array(vertices), cells)
+
+
 def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from each point (m, 2) to each segment a[k]->b[k], shape (m, k)."""
     ab = b - a

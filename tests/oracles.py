@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from polyserend import Polygon, PolyMesh, SerendipityError, fan_apex, pair_order
-from polyserend.geometry import _has_flat_vertex
+from polyserend.geometry import polygon_batch
 
 
 def build_A_unit_square() -> np.ndarray:
@@ -233,7 +233,7 @@ def translation_classes(mesh: PolyMesh) -> np.ndarray:
         diameters = [max(math.hypot(*(p.vertices[i] - p.vertices[j]))
                          for i in range(p.n) for j in range(p.n)) for p in polygons]
         offsets = [(p.vertices - p.vertices[0]).ravel() for p in polygons]
-        keys = [(bool(_has_flat_vertex(p.vertices[None], np.array([d]))[0]), fan_apex(p),
+        keys = [(bool(polygon_batch(p).flat[0]), fan_apex(p),
                  *np.round(o / (1e-9 * d)).tolist())
                 for p, o, d in zip(polygons, offsets, diameters)]
         todo = list(range(len(cells)))

@@ -21,6 +21,7 @@ from polyserend import (
     eval_coords_batch,
     pair_order,
     pairwise_batch,
+    polygon_batch,
     sample_interior,
 )
 from polyserend.barycentric import _mean_value, _wachspress, fan_apex
@@ -286,6 +287,33 @@ class TestBatchedEvaluation:
         pts = np.array([[[0.5, 0.5]], [[0.5, 0.5]]])
         with pytest.raises(BoundaryEvaluationError, match="not strictly inside"):
             eval_coords_batch([SQUARE, moved], CoordinateKind.WACHSPRESS, pts)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_slice_equals_polygon_list(self, kind):
+        """A slice of a mesh group's batch evaluates as the list of its polygons."""
+        mesh = corpus.voronoi_mesh()
+        (ids, reps, batch), = [(group.ids, reps, batch) for group, (reps, batch)
+                               in zip(mesh.groups, mesh.class_batches) if batch.n == 6]
+        part = batch[1:4]
+        polys = [mesh.polygons[i] for i in ids[reps[1:4]].tolist()]
+        rng = np.random.default_rng(89)
+        pts = np.stack([sample_interior(p, 6, rng, margin=1e-3) for p in polys])
+        got = eval_coords_batch(part, kind, pts)
+        want = eval_coords_batch(polys, kind, pts)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_slice_rejects_point_on_edge(self, kind):
+        """The stored normals and offsets of a sliced batch still find a point
+        on an edge of its last polygon."""
+        rng = np.random.default_rng(97)
+        batch = polygon_batch([corpus.random_convex_polygon(rng, 6) for _ in range(4)])[1:3]
+        pts = np.stack([sample_interior(Polygon(v), 5, rng, margin=1e-3)
+                        for v in batch.vertices])
+        eval_coords_batch(batch, kind, pts)
+        pts[1, 2] = 0.5 * (batch.vertices[1, 2] + batch.vertices[1, 3])
+        with pytest.raises(BoundaryEvaluationError, match="not strictly inside"):
+            eval_coords_batch(batch, kind, pts)
 
     def test_batch_shape_validated(self):
         with pytest.raises(GeometryError, match="vertex count"):

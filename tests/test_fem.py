@@ -29,6 +29,7 @@ from polyserend import (
     eval_basis_batch,
     harmonic_exact,
     harmonic_gradient,
+    interior_angles,
     load_mesh,
     mesh_from_json,
     mesh_to_json,
@@ -660,6 +661,26 @@ def layout_keys(mesh: PolyMesh) -> list[tuple]:
     return [(p.n, size[i], fan_apex(p)) for i, p in enumerate(mesh.polygons)]
 
 
+def refined_levels() -> list[PolyMesh]:
+    """trapezoid_mesh(4), then its lower-left 2 x 2 block of cells split in
+    four, then the four children of cell 0 split again (``refine`` puts a
+    split cell's children where the cell was)."""
+    levels = [trapezoid_mesh(4)]
+    for marked in ([0, 1, 4, 5], [0, 1, 2, 3]):
+        levels.append(corpus.refine(levels[-1], marked))
+    return levels
+
+
+def solve_on(mesh, kind, u, gu, quad_degree=10):
+    """Assemble, solve with Dirichlet data u and measure the errors against u."""
+    dm = dof_map(mesh)
+    maps = cell_maps(mesh)
+    matrix, rhs = assemble(mesh, kind, quad_degree=quad_degree, maps=maps, dofmap=dm)
+    sol = solve_dirichlet(matrix, rhs, mesh, dm, kind, u, maps=maps)
+    nodal = float(np.max(np.abs(sol.values - u(node_coordinates(mesh, dm)))))
+    return error_norms(sol, u, gu), nodal
+
+
 KERNEL_MESHES = {
     # Its flat-vertex pentagon takes the raised-degree rule: two layouts.
     "mixed": corpus.mixed_mesh,
@@ -670,7 +691,13 @@ KERNEL_MESHES = {
     "trapezoid16": lambda: trapezoid_mesh(16),
     # Repeated shapes, and the four cells around the moved vertex on their own.
     "trapezoid8_moved": lambda: perturbed_trapezoid_mesh(8, 1e-3),
+    # Two levels of local refinement: squares, trapezoids and flat-vertex
+    # pentagons with different fan apices.
+    "refined": lambda: refined_levels()[2],
 }
+
+# The meshes on which Wachspress coordinates meet a flat vertex.
+FLAT_MESHES = ("mixed", "refined")
 
 
 # Chunk sizes the kernel is checked at besides fem.CHUNK_POINTS, so that it
@@ -706,7 +733,7 @@ class TestElementKernel:
     def test_assembly_matches_per_cell_reference(self, name, kind, monkeypatch):
         mesh = KERNEL_MESHES[name]()
         source = lambda p: np.cos(3.0 * p[:, 0]) + p[:, 1]
-        if (name, kind) == ("mixed", CoordinateKind.WACHSPRESS):
+        if name in FLAT_MESHES and kind is CoordinateKind.WACHSPRESS:
             # Both refuse the flat-vertex pentagon.
             for build in (assemble, reference_assembly):
                 with pytest.raises(GeometryError, match="flat vertex"):
@@ -726,7 +753,7 @@ class TestElementKernel:
         coords = node_coordinates(mesh, dm)
         values = harmonic_exact(coords) + 1e-3 * np.cos(np.arange(dm.n_dofs))
         sol = make_solution(mesh, values, kind)
-        if (name, kind) == ("mixed", CoordinateKind.WACHSPRESS):
+        if name in FLAT_MESHES and kind is CoordinateKind.WACHSPRESS:
             # Both refuse the flat-vertex pentagon.
             for norms in (error_norms, reference_norms):
                 with pytest.raises(GeometryError, match="flat vertex"):
@@ -765,20 +792,107 @@ class TestElementKernel:
         assert sum(evaluated) <= 2 * classes
 
 
-    def test_polygons_are_built_for_representatives_only(self, monkeypatch):
-        """Mesh build, DOF map, maps, assembly and error norms together build
-        one Polygon per translation class: 6 per trapezoid mesh."""
+    @staticmethod
+    def count_polygons(monkeypatch) -> list:
+        """Count ``fem.Polygon`` calls and, separately, every Polygon built anywhere."""
         built = []
-        real_polygon = fem.Polygon
+        real_polygon, real_init = fem.Polygon, Polygon.__post_init__
 
         def counting_polygon(*args, **kwargs):
-            built.append(1)
+            built.append("fem")
             return real_polygon(*args, **kwargs)
 
+        def counting_init(self):
+            built.append("any")
+            real_init(self)
+
         monkeypatch.setattr(fem, "Polygon", counting_polygon)
+        monkeypatch.setattr(Polygon, "__post_init__", counting_init)
+        return built
+
+    def test_no_polygon_is_built_per_op(self, monkeypatch):
+        """Mesh build, DOF map, maps, assembly, solve and error norms of a
+        refinement study build no Polygon: the kernel reads each group's
+        class representatives from one PolygonBatch."""
+        built = self.count_polygons(monkeypatch)
         rows = convergence_study((4, 8, 16))
         assert len(rows) == 3
-        assert len(built) <= 6 * 3
+        assert built == []
+
+    def test_no_polygon_is_built_on_a_voronoi_mesh(self, monkeypatch):
+        """The same on a mesh with one class per cell."""
+        template = corpus.voronoi_mesh()
+        built = self.count_polygons(monkeypatch)
+        mesh = PolyMesh.build(template.vertices, template.cells)
+        dm = dof_map(mesh)
+        maps = cell_maps(mesh)
+        kind = CoordinateKind.WACHSPRESS
+        matrix, rhs = assemble(mesh, kind, maps=maps, dofmap=dm)
+        sol = solve_dirichlet(matrix, rhs, mesh, dm, kind, harmonic_exact, maps=maps)
+        err = error_norms(sol, harmonic_exact, harmonic_gradient)
+        assert err.l2 < 1e-3
+        assert built == []
+
+
+class TestLocalRefinement:
+    """Locally refined meshes: a split cell's neighbours list the new
+    midpoints as flat vertices, the hanging nodes made conforming."""
+
+    def test_refine_makes_flat_vertex_pentagons(self):
+        coarse, once, twice = refined_levels()
+        assert (coarse.n_cells, once.n_cells, twice.n_cells) == (16, 28, 40)
+        for mesh, pentagons in ((once, 4), (twice, 8)):
+            flat = [bool(np.any(np.isclose(interior_angles(p), np.pi))) for p in mesh.polygons]
+            assert flat == [p.n == 5 for p in mesh.polygons]
+            assert sum(flat) == pentagons
+            assert sum(p.area for p in mesh.polygons) == pytest.approx(1.0, abs=1e-14)
+        # The pentagons take the top-degree base rule (11 x 11 points a triangle).
+        assert [size for _, size in rule_layouts(once.polygons, 10)] == [8 * 6 * 6, 10 * 11 * 11]
+
+    # Mean value coordinates are not polynomial, so the discrete solution
+    # meets the quadratic only up to the quadrature error of the stiffness
+    # integrals.  At a flat vertex that error stays at about 5e-9 in the
+    # nodal values whatever the degree, because the pentagons already take
+    # the top-degree base rule; degree 14 brings the rest below it.
+    PATCH_CASES = [(CoordinateKind.TRIANGULATION, 10, 1e-9),
+                   (CoordinateKind.MEAN_VALUE, 14, 1e-8)]
+
+    @pytest.mark.parametrize("kind, degree, nodal_tol", PATCH_CASES)
+    def test_quadratic_patch_test_on_three_levels(self, kind, degree, nodal_tol):
+        u, gu = quadratic_field()
+        for mesh in refined_levels():
+            err, nodal = solve_on(mesh, kind, u, gu, quad_degree=degree)
+            assert err.l2 <= 1e-9
+            assert nodal <= nodal_tol
+
+    @pytest.mark.parametrize("kind", [MV, CoordinateKind.TRIANGULATION])
+    def test_rates_when_every_cell_is_split(self, kind):
+        mesh = trapezoid_mesh(4)
+        errors = []
+        for _ in range(3):
+            err, _ = solve_on(mesh, kind, harmonic_exact, harmonic_gradient)
+            errors.append((err.l2, err.h1))
+            mesh = corpus.refine(mesh, range(mesh.n_cells))
+        rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(rates[:, 0] >= 2.7) and np.all(rates[:, 1] >= 1.8)
+
+    @pytest.mark.parametrize("kind", [MV, CoordinateKind.TRIANGULATION])
+    def test_refined_patch_lowers_the_errors(self, kind):
+        coarse, once, _ = refined_levels()
+        before, _ = solve_on(coarse, kind, harmonic_exact, harmonic_gradient)
+        after, _ = solve_on(once, kind, harmonic_exact, harmonic_gradient)
+        assert after.l2 < before.l2 and after.h1 < before.h1
+
+    def test_wachspress_names_the_flat_vertex(self):
+        _, once, _ = refined_levels()
+        with pytest.raises(GeometryError, match=r"has a flat vertex \(vertex \d\)"):
+            assemble(once, CoordinateKind.WACHSPRESS)
+
+    def test_only_quadrilaterals_are_split(self):
+        _, once, _ = refined_levels()
+        pentagon = next(i for i, p in enumerate(once.polygons) if p.n == 5)
+        with pytest.raises(ValueError, match="only quadrilaterals"):
+            corpus.refine(once, [pentagon])
 
 
 class TestTranslationClasses:

@@ -16,6 +16,8 @@ from polyserend import (
     GeometryError,
     InvalidPolygonError,
     Polygon,
+    PolygonBatch,
+    fan_apex,
     check_conditions,
     interior_angles,
     load_polygon,
@@ -25,7 +27,10 @@ from polyserend import (
     save_polygon,
     shape_metrics,
 )
-from polyserend.geometry import _diagonal_frames
+from polyserend.barycentric import eval_coords_batch
+from polyserend.geometry import _DEFECTS, _diagonal_frames, polygon_batch
+from polyserend.quadrature import polygon_rule
+from polyserend.serendipity import SerendipityError, build_map
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -109,6 +114,109 @@ class TestPolygonValidation:
     def test_non_finite_point_has_no_edge_distance(self, bad):
         with pytest.raises(GeometryError, match="finite"):
             Polygon(SQUARE).edge_distances(np.array([[0.5, 0.5], bad]))
+
+
+def batch_corpus() -> list[Polygon]:
+    """Polygons whose batch geometry is checked against ``Polygon``: the named
+    corpus, random shape-regular polygons, the hanging-node quadrilateral and
+    every cell of the flat-vertex and Voronoi corpus meshes."""
+    rng = np.random.default_rng(83)
+    polys = [poly for _, poly in corpus.standard_corpus(rng)]
+    polys += corpus.shape_regular_corpus(rng, 12)
+    polys.append(Polygon(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                         allow_flat=True))
+    polys += corpus.mixed_mesh().polygons + corpus.voronoi_mesh().polygons
+    return polys
+
+
+class TestPolygonBatch:
+    """A batch computes each polygon's geometry once, with Polygon's formulas."""
+
+    def test_geometry_equals_polygon_bitwise(self):
+        polys = batch_corpus()
+        assert any(p.n == 5 and np.any(np.isclose(interior_angles(p), np.pi)) for p in polys)
+        for n in sorted({p.n for p in polys}):
+            group = [p for p in polys if p.n == n]
+            for batch in (PolygonBatch.from_vertices(np.stack([p.vertices for p in group])),
+                          polygon_batch(group)):
+                assert len(batch) == len(group) and batch.n == n
+                for k, poly in enumerate(group):
+                    assert np.array_equal(batch.vertices[k], poly.vertices)
+                    assert np.array_equal(batch.centroids[k], poly.centroid)
+                    assert np.array_equal(batch.normals[k], poly.inward_normals)
+                    assert np.array_equal(batch.offsets[k], poly._batch.offsets[0])
+                    assert batch.diameters[k] == poly.diameter
+                    flat = bool(np.any(np.abs(interior_angles(poly) - np.pi) <= 1e-9))
+                    assert bool(batch.flat[k]) == flat
+                    assert int(batch.apices[k]) == fan_apex(poly)
+
+    @pytest.mark.parametrize("code, verts", [
+        (1, [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]),
+        (2, [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        (3, SQUARE[::-1]),
+        (4, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+        (5, [[0.0, 0.0], [2.0, 0.0], [1.0, 0.5], [1.0, 2.0]]),
+    ])
+    def test_rejects_each_defect_as_polygon_does(self, code, verts):
+        verts = np.array(verts, dtype=float)
+        with pytest.raises(InvalidPolygonError) as single:
+            Polygon(verts, allow_flat=True)
+        assert str(single.value) == _DEFECTS[code]
+        good = corpus.regular_polygon(len(verts)).vertices
+        with pytest.raises(InvalidPolygonError) as batch:
+            PolygonBatch.from_vertices(np.stack([good, verts]))
+        assert str(batch.value) == f"polygon 1: {_DEFECTS[code]}"
+
+    def test_accepts_flat_vertices_and_rejects_bad_arrays(self):
+        flat = corpus.degenerate_pentagon()
+        assert PolygonBatch.from_vertices(flat.vertices[None]).flat.tolist() == [True]
+        with pytest.raises(InvalidPolygonError, match=r"shape \(c, n, 2\)"):
+            PolygonBatch.from_vertices(SQUARE)
+        with pytest.raises(InvalidPolygonError, match="at least 3"):
+            PolygonBatch.from_vertices(SQUARE[None, :2])
+        with pytest.raises(InvalidPolygonError, match="finite"):
+            PolygonBatch.from_vertices(np.where(SQUARE == 1.0, np.inf, SQUARE)[None])
+        with pytest.raises(GeometryError, match="at least one polygon"):
+            PolygonBatch.from_vertices(np.empty((0, 4, 2)))
+
+    def test_indexing_slices_every_array(self):
+        polys = [corpus.regular_polygon(5, rotation=0.1 * k) for k in range(4)]
+        polys.append(corpus.degenerate_pentagon())
+        batch = polygon_batch(polys)
+        for rows in (slice(1, 3), np.array([4, 0]), 4):
+            part = batch[rows]
+            want = polygon_batch([polys[k] for k in np.arange(5)[rows].reshape(-1)])
+            for name in ("vertices", "diameters", "centroids", "normals", "offsets",
+                         "flat", "apices"):
+                assert np.array_equal(getattr(part, name), getattr(want, name))
+        assert not batch.vertices.flags.writeable
+        assert polygon_batch(batch) is batch
+
+    def test_polygon_keeps_its_batch(self):
+        poly = corpus.regular_polygon(7)
+        assert polygon_batch(poly) is polygon_batch(poly)
+        assert len(polygon_batch(poly)) == 1
+
+    def test_polygon_without_a_fan_apex(self):
+        # Every vertex lies on the line of an edge it does not touch, so every
+        # fan has a degenerate triangle; only what needs a fan may fail.
+        thirds = [(0, 0), (1 / 3, 0), (2 / 3, 0), (1, 0), (1, 1), (2 / 3, 1), (1 / 3, 1), (0, 1)]
+        poly = Polygon(thirds, allow_flat=True)
+        batch = polygon_batch([poly, poly])
+        assert batch.apices.tolist() == [-1, -1] and poly._batch.apices.tolist() == [-1]
+        assert poly.centroid == pytest.approx([0.5, 0.5]) and poly.diameter == math.sqrt(2.0)
+        rule = polygon_rule(poly, 6)
+        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        lam, _ = eval_coords_batch(batch, "meanvalue", np.stack([rule.points] * 2))
+        assert np.allclose(lam.sum(axis=-1), 1.0)
+        with pytest.raises(GeometryError, match="no valid fan triangulation"):
+            fan_apex(poly)
+        with pytest.raises(GeometryError, match="no valid fan triangulation"):
+            eval_coords_batch(poly, "triangulation", rule.points)
+        # Two flat vertices on one side leave a diagonal whose end has both
+        # neighbours on it: the serendipity map refuses the polygon itself.
+        with pytest.raises(SerendipityError, match=r"diagonal \(0, 2\): neighbor vertices"):
+            build_map(poly)
 
 
 def _chebyshev_lp(poly: Polygon) -> tuple[np.ndarray, float]:

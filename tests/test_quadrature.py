@@ -20,6 +20,7 @@ from polyserend import (
     polygon_rule,
     triangle_rule,
 )
+from polyserend.geometry import polygon_batch
 from polyserend.quadrature import MAX_DEGREE, fan_rule, rule_layouts
 
 
@@ -196,6 +197,20 @@ class TestBatchedRules:
                 assert np.array_equal(batch.points[k], rule.points)
                 assert np.array_equal(batch.weights[k], rule.weights)
 
+    def test_polygon_batch_equals_polygon_list(self):
+        flat = corpus.degenerate_pentagon()
+        polys = [corpus.regular_polygon(5), flat, corpus.regular_polygon(5, rotation=0.3), flat]
+        batch = polygon_batch(polys)
+        for fan in (False, True):
+            got = rule_layouts(batch, 4, fan=fan)
+            want = rule_layouts(polys, 4, fan=fan)
+            assert [(c.tolist(), m) for c, m in got] == [(c.tolist(), m) for c, m in want]
+        rows = np.array([0, 2])
+        for got, want in ((polygon_rule(batch[rows], 6), polygon_rule([polys[0], polys[2]], 6)),
+                          (fan_rule(batch[1::2], 6, batch.apices[1::2]), fan_rule([flat, flat], 6))):
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.weights, want.weights)
+
     def test_batch_must_share_one_layout(self):
         flat, square = corpus.degenerate_pentagon(), corpus.unit_square()
         with pytest.raises(GeometryError, match="vertex count"):
@@ -231,6 +246,30 @@ class TestIntegrateHelper:
         assert integrate(rule, lambda p: np.ones(len(p))) == pytest.approx(
             poly.area, rel=1e-12
         )
+
+    def test_batch_rule_gives_one_integral_per_polygon(self):
+        square = corpus.unit_square()
+        square2 = Polygon(2.0 * square.vertices + 1.0)
+        rule = polygon_rule([square, square2], 3)
+        f = lambda p: p[..., 0] * p[..., 1]
+        got = integrate(rule, f)
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert got == pytest.approx([0.25, 16.0], rel=1e-13)
+        for k, poly in enumerate((square, square2)):
+            single = integrate(polygon_rule(poly, 3), f)
+            assert isinstance(single, float)
+            assert got[k] == pytest.approx(single, rel=1e-14)
+
+    @pytest.mark.parametrize("f", [lambda p: 1.0, lambda p: p[..., 0].ravel(),
+                                   lambda p: p[:, 0]])
+    def test_one_value_per_point_required(self, f):
+        square = corpus.unit_square()
+        with pytest.raises(GeometryError, match="one value per rule point"):
+            integrate(polygon_rule([square, square], 3), f)
+
+    def test_scalar_on_single_rule_rejected(self):
+        with pytest.raises(GeometryError, match="one value per rule point"):
+            integrate(polygon_rule(corpus.unit_square(), 3), lambda p: 1.0)
 
 
 class TestCoordinateIntegrandStability:

@@ -15,9 +15,12 @@ import corpus
 from oracles import build_A_quadrilateral, build_A_regular, build_A_unit_square, diagonal_column
 from polyserend import (
     BoundaryEvaluationError,
+    DiscreteSolution,
+    SolveReport,
     CoefficientBlowupError,
     CoordinateKind,
     Polygon,
+    PolygonBatch,
     SerendipityError,
     Strategy,
     basis_nodes,
@@ -26,11 +29,17 @@ from polyserend import (
     build_A,
     build_B,
     build_map,
+    cell_maps,
     check_conditions,
     coefficient_bound,
+    dof_map,
+    error_norms,
     eval_basis_batch,
     eval_coords_batch,
+    harmonic_exact,
+    harmonic_gradient,
     lagrange_table,
+    node_coordinates,
     pair_order,
     pairwise_batch,
     polygon_rule,
@@ -39,6 +48,7 @@ from polyserend import (
     trapezoid_mesh,
     verify_constraints,
 )
+from polyserend import fem
 
 SQUARE = corpus.unit_square()
 
@@ -167,7 +177,7 @@ class TestQuadrilateral:
         rng = np.random.default_rng(61)
         quads = [corpus.random_convex_quadrilateral(rng) for _ in range(200)]
         mesh = trapezoid_mesh(16)
-        quads += [mesh.representatives[i] for i in np.unique(mesh.translation_classes)]
+        quads += [mesh.polygons[i] for i in np.unique(mesh.translation_classes)]
         for quad, smap in zip(quads, build_map(quads)):
             assert np.max(np.abs(smap.A - build_A_quadrilateral(quad))) <= 1e-14
             for a, b in ((0, 2), (1, 3)):
@@ -567,6 +577,19 @@ class TestBasisEvaluation:
         with pytest.raises(BoundaryEvaluationError, match="not strictly inside"):
             eval_basis_batch(SQUARE, CoordinateKind.MEAN_VALUE, smap, np.array([bad]))
 
+    def test_polygon_batch_equals_polygon_list(self):
+        """build_map and eval_basis_batch read a PolygonBatch as the list of its polygons."""
+        rng = np.random.default_rng(67)
+        polys = [corpus.random_convex_polygon(rng, 7) for _ in range(3)]
+        batch = PolygonBatch.from_vertices(np.stack([p.vertices for p in polys]))
+        maps = build_map(polys)
+        assert all(np.array_equal(a.A, b.A) for a, b in zip(build_map(batch), maps))
+        pts = np.stack([sample_interior(p, 8, rng, margin=1e-3) for p in polys])
+        for kind in CoordinateKind:
+            got = eval_basis_batch(batch, kind, maps, pts)
+            want = eval_basis_batch(polys, kind, maps, pts)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_batch_rows_equal_single_calls(self):
         rng = np.random.default_rng(59)
         polys = [corpus.random_convex_polygon(rng, 6) for _ in range(3)]
@@ -608,6 +631,34 @@ class TestBasisEvaluation:
             tracemalloc.stop()
         assert result[1].shape == (3, 432, 12, 2)
         assert peak <= 1100 * rule.weights.size
+
+    # Arrays of the whole mesh or group that error_norms holds besides one
+    # chunk: the group's representative batch in chunk order, member indices
+    # and shifts, and the exact field at one member slice.
+    KERNEL_ALLOWANCE = 256 * 1024
+
+    @pytest.mark.parametrize("kind", list(CoordinateKind))
+    def test_kernel_memory_per_chunk_point(self, kind):
+        """The whole element kernel, as error_norms runs it on a Voronoi mesh,
+        peaks within 1.1 KB per chunk point plus a fixed allowance: no chunk's
+        coordinates or products outlive its basis evaluation, and only one
+        chunk is alive at a time.  A kernel that kept the products of a chunk
+        across its yield would peak 0.7 to 1.1 MB higher here."""
+        mesh = corpus.voronoi_mesh()
+        dm = dof_map(mesh)
+        maps = cell_maps(mesh)
+        values = harmonic_exact(node_coordinates(mesh, dm))
+        sol = DiscreteSolution(mesh=mesh, dofmap=dm, kind=kind, values=values, maps=maps,
+                               report=SolveReport(values, 0, 0.0, True))
+        error_norms(sol, harmonic_exact, harmonic_gradient)          # fill the caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            error_norms(sol, harmonic_exact, harmonic_gradient)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1100 * fem.CHUNK_POINTS + self.KERNEL_ALLOWANCE
 
     def test_precision_residuals_flag_corruption(self):
         poly = corpus.regular_polygon(6)

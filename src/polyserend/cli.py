@@ -123,9 +123,10 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
             raise GeometryError(f"bad --levels value: {cfg.levels!r}")
         if not cfg.levels or any(n < 1 for n in cfg.levels):
             raise GeometryError(f"--levels must be positive integers, got {cfg.levels}")
-    for flag, value in (("--tol", cfg.tol), ("--cg-tol", cfg.cg_tol)):
-        if not 0.0 < value < np.inf:
-            raise GeometryError(f"{flag} must be finite and positive, got {value}")
+    if not 0.0 < cfg.tol < np.inf:
+        raise GeometryError(f"--tol must be finite and positive, got {cfg.tol}")
+    if not 0.0 < cfg.cg_tol < 1.0:
+        raise GeometryError(f"--cg-tol must lie in (0, 1), got {cfg.cg_tol}")
     for flag, value in (("--samples", cfg.samples), ("--resolution", cfg.resolution),
                         ("--seed", cfg.seed)):
         if value < 0:

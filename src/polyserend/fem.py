@@ -522,14 +522,13 @@ def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofM
     the vertex-clustered centroid decomposition.
 
     Yields (rule, psi, dpsi, members) for r representatives, with rule points
-    (r, m, 2), weights (r, m), psi (r, m, 2n) and dpsi (r, m, 2n, 2).
-    ``members`` holds every cell of their classes, representatives included,
-    in slices of about ``CHUNK_POINTS`` points: (dofs, owner, shift), where
-    ``dofs`` (c, 2n) are the cells' global unknowns, ``owner`` indexes each
-    cell's representative in the chunk and ``rule.points[owner] +
-    shift[:, None]`` are the cell's own points.  When the cells are distinct,
-    consecutive representatives, as on a mesh without repeated shapes,
-    ``owner`` is a slice, so indexing with it copies nothing.
+    (r, m, 2), weights (r, m) and the basis points-last: values psi
+    (r, 2n, m) and gradients dpsi (2, r, 2n, m), component-major, both
+    contiguous.  ``members`` holds every cell of their classes,
+    representatives included, in slices of about ``CHUNK_POINTS`` points:
+    (dofs, owner, shift), where ``dofs`` (c, 2n) are the cells' global
+    unknowns, ``owner`` (c,) indexes each cell's representative in the chunk
+    and ``rule.points[owner] + shift[:, None]`` are the cell's own points.
     """
     fan = CoordinateKind(kind) is CoordinateKind.TRIANGULATION
     for (ids, cells, _), (_, dofs), (reps, batch) in zip(mesh.groups, dofmap.groups,
@@ -563,11 +562,9 @@ def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofM
                 end = bounds[rows.stop]
                 for k in range(bounds[lo], end, step):
                     part = slice(k, min(k + step, end))
-                    owner = owner_rank[part] - lo
-                    if owner[-1] - owner[0] == len(owner) - 1:
-                        owner = slice(owner[0], owner[-1] + 1)
-                    members.append((dofs[by_rank[part]], owner, shifts[part]))
-                yield rule, psi, dpsi, members
+                    members.append((dofs[by_rank[part]], owner_rank[part] - lo, shifts[part]))
+                # Views of the points-last arrays eval_basis_batch writes.
+                yield rule, np.swapaxes(psi, 1, 2), dpsi.transpose(3, 0, 2, 1), members
             start += len(group)
 
 
@@ -596,19 +593,21 @@ def assemble(
     rows, cols, vals = [], [], []
     rhs = np.zeros(ndof)
     for rule, psi, dpsi, members in _element_chunks(mesh, maps, dofmap, kind, quad_degree):
-        grad = np.swapaxes(dpsi, 1, 3)                              # (r, 2, 2n, m)
-        k_loc = np.sum((grad * rule.weights[:, None, None]) @ np.swapaxes(grad, 2, 3), axis=1)
-        psi_t = np.swapaxes(psi, 1, 2)                              # (r, 2n, m)
+        k_loc = np.sum((dpsi * rule.weights[:, None]) @ np.swapaxes(dpsi, 2, 3), axis=0)
+        r, size, m = psi.shape
+        basis_t = psi.reshape(-1, m).T                              # (m, r 2n)
         for dofs, owner, shift in members:
-            size = dofs.shape[1]
             rows.append(np.repeat(dofs, size, axis=1).ravel())
             cols.append(np.tile(dofs, size).ravel())
             vals.append(k_loc[owner].ravel())
             if source is not None:
+                c = len(dofs)
                 points = rule.points[owner] + shift[:, None]
                 f_vals = np.asarray(source(points.reshape(-1, 2)), dtype=float)
-                wf = rule.weights[owner] * f_vals.reshape(len(dofs), -1)
-                np.add.at(rhs, dofs, (psi_t[owner] @ wf[..., None])[..., 0])
+                wf = rule.weights[owner] * f_vals.reshape(c, -1)
+                # Every cell against every basis row of the chunk; each keeps its owner's block.
+                loads = (wf @ basis_t).reshape(c, r, size)[np.arange(c), owner]
+                np.add.at(rhs, dofs, loads)
     matrix = SparseMatrix.from_triplets(
         ndof, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
@@ -676,27 +675,31 @@ def error_norms(
     """L2 and H1-seminorm errors of ``solution`` against an exact field.
 
     The exact field is evaluated at every cell's own quadrature points and
-    compared with its representative's basis values there.
+    compared with its representative's basis values there.  The values of a
+    slice of member cells come from two matrix products with the chunk's
+    basis: each cell's coefficients fill its representative's block of an
+    otherwise zero row, so no cell copies its representative's basis.
     """
     acc_l2 = 0.0
     acc_h1 = 0.0
     for rule, psi, dpsi, members in _element_chunks(
         solution.mesh, solution.maps, solution.dofmap, solution.kind, quad_degree
     ):
-        psi_t = np.swapaxes(psi, 1, 2)                              # (r, 2n, m)
-        grad = np.swapaxes(dpsi, 1, 3)                              # (r, 2, 2n, m)
+        r, size, m = psi.shape
+        basis = psi.reshape(-1, m)                                  # (r 2n, m)
+        grads = dpsi.reshape(2, -1, m)                              # (2, r 2n, m)
         for dofs, owner, shift in members:
-            coeff = solution.values[dofs][:, None, :]               # (c, 1, 2n)
+            c = len(dofs)
+            coeff = np.zeros((c, r, size))
+            coeff[np.arange(c), owner] = solution.values[dofs]
+            coeff = coeff.reshape(c, -1)                            # (c, r 2n)
             points = (rule.points[owner] + shift[:, None]).reshape(-1, 2)
             weights = rule.weights[owner].ravel()
-            u_h = (coeff @ psi_t[owner]).ravel()
-            g_h = (coeff[:, None] @ grad[owner])[:, :, 0]           # (c, 2, m)
-            du = u_h - np.asarray(u_exact(points), dtype=float)
-            dg = np.swapaxes(g_h, 1, 2).reshape(-1, 2) - np.asarray(
-                grad_u_exact(points), dtype=float
-            )
+            du = (coeff @ basis).ravel() - np.asarray(u_exact(points), dtype=float)
+            dg = (coeff @ grads).reshape(2, -1)                     # (2, c m)
+            dg -= np.asarray(grad_u_exact(points), dtype=float).T
             acc_l2 += float(weights @ du**2)
-            acc_h1 += float(weights @ np.sum(dg**2, axis=1))
+            acc_h1 += float(np.sum(dg**2 @ weights))
     return ErrorNorms(l2=float(np.sqrt(acc_l2)), h1=float(np.sqrt(acc_h1)))
 
 

@@ -95,9 +95,13 @@ def cg_solve(
 ) -> SolveReport:
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
-    Stops when ||b - A x|| <= tol * ||b||; raises ConvergenceError (carrying
-    the best iterate in its ``report``) if the iteration budget is exhausted.
+    Stops when ||b - A x|| <= tol * ||b||, for 0 < tol < 1 (a tolerance of 1
+    or more would accept the zero start as converged); raises
+    ConvergenceError (carrying the best iterate in its ``report``) if the
+    iteration budget is exhausted.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     b = np.asarray(rhs, dtype=float)
     n = matrix.dim
     if b.shape != (n,):

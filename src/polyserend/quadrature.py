@@ -2,7 +2,8 @@
 
 Triangle rules come from a conical (Duffy-style) product of a Gauss-Legendre
 rule in one direction and a Gauss-Jacobi rule (weight 1 - x) in the other,
-which absorbs the Jacobian of the square-to-triangle collapse exactly.  The
+which absorbs the Jacobian of the square-to-triangle collapse exactly.  Both
+Gauss rules come from the Golub-Welsch eigenvalue method.  The
 resulting rule on the unit reference triangle {x, y >= 0, x + y <= 1} has
 m^2 strictly interior points with positive weights and integrates all
 polynomials of total degree 2m - 1 exactly.
@@ -28,7 +29,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .geometry import GeometryError, Polygon, PolygonBatch, _neighbours, polygon_batch
 
@@ -65,14 +65,33 @@ class QuadratureRule:
         return self.weights.size
 
 
+def _gauss_jacobi(m: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule on [-1, 1] with weight (1 - x)^alpha, alpha 0 or 1: points
+    (increasing) and weights, exact to degree 2m - 1 (Golub-Welsch).
+
+    The points are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix of the recurrence of the Jacobi polynomials P^(alpha, 0), and
+    each weight is mu_0 = 2^(alpha + 1) / (alpha + 1) times the squared first
+    component of its eigenvector.
+    """
+    k = np.arange(m, dtype=float)
+    # -alpha^2 / ((2k + alpha) (2k + alpha + 2)), which for alpha in {0, 1}
+    # is defined at k = 0 in this form.
+    diag = -alpha / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
+    j, s = k[1:], 2.0 * k[1:] + alpha
+    off = 2.0 * j * (j + alpha) / (s * np.sqrt(s * s - 1.0))
+    points, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return points, 2.0 ** (alpha + 1) / (alpha + 1) * vectors[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadratureRule:
     """Rule on the reference triangle (0,0), (1,0), (0,1) exact to ``degree``."""
     if not 1 <= degree <= MAX_DEGREE:
         raise GeometryError(f"quadrature degree must be in [1, {MAX_DEGREE}], got {degree}")
     m = (degree + 2) // 2
-    x_leg, w_leg = roots_legendre(m)
-    x_jac, w_jac = roots_jacobi(m, 1.0, 0.0)
+    x_leg, w_leg = _gauss_jacobi(m, 0)
+    x_jac, w_jac = _gauss_jacobi(m, 1)
     u = 0.5 * (x_leg + 1.0)          # Gauss-Legendre on [0, 1]
     a = 0.5 * w_leg
     v = 0.5 * (x_jac + 1.0)          # Gauss-Jacobi with weight (1 - v) on [0, 1]

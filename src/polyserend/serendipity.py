@@ -210,6 +210,10 @@ def eval_basis_batch(
 
     Given a batch of c polygons that share a vertex count, one map each and
     points (c, m, 2), the results are (c, m, 2n) and (c, m, 2n, 2).
+
+    Both are views of points-last arrays: the values of (c, 2n, m) and the
+    gradients of a component-major (2, c, 2n, m), so each gradient
+    component of the whole batch is one contiguous block.
     """
     values, gradients = eval_coords_batch(polygon, kind, points)
     mu, dmu = pairwise_batch(values, gradients)
@@ -220,11 +224,14 @@ def eval_basis_batch(
         raise SerendipityError("needs one serendipity map per polygon, built for that polygon")
     c, P = len(maps), mu.shape[-1]
     # Contract on the points-last layout of the products: B A of every
-    # polygon (c, 2n, P) times products (c, P, m) and gradients (c, 2, P, m).
+    # polygon (c, 2n, P) times products (c, P, m) and gradients (2, c, P, m).
+    # The gradients are written component-major through ``out``: by default
+    # matmul would keep the (c, 2, ...) stride order of the products.
     BA = maps[0].B @ np.stack([sm.A for sm in maps])
     psi = BA @ np.swapaxes(mu, -1, -2).reshape(c, P, -1)
-    dpsi = BA[:, None] @ np.swapaxes(dmu, -1, -3).reshape(c, 2, P, -1)
-    psi, dpsi = np.swapaxes(psi, 1, 2), np.swapaxes(dpsi, 1, 3)
+    dmu_pl = np.swapaxes(dmu, -1, -3).reshape(c, 2, P, -1).transpose(1, 0, 2, 3)
+    dpsi = np.matmul(BA, dmu_pl, out=np.empty((2, c, 2 * n, dmu_pl.shape[-1])))
+    psi, dpsi = np.swapaxes(psi, 1, 2), dpsi.transpose(1, 3, 2, 0)
     return (psi[0], dpsi[0]) if single else (psi, dpsi)
 
 

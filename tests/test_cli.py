@@ -303,6 +303,9 @@ class TestErrorPaths:
         ("convergence", "--cg-tol", "-1"),
         ("convergence", "--cg-tol", "0"),
         ("convergence", "--cg-tol", "nan"),
+        # A relative residual of 1 or more accepts the zero start: an unsolved system.
+        ("convergence", "--cg-tol", "1"),
+        ("convergence", "--cg-tol", "2.5"),
     ])
     def test_invalid_numeric_flag_is_input_error(self, tmp_path, capsys, command, flag, value):
         argv = [command, flag, value]

@@ -765,6 +765,23 @@ class TestElementKernel:
             assert err.l2 == pytest.approx(l2, rel=1e-13)
             assert err.h1 == pytest.approx(h1, rel=1e-13)
 
+    @pytest.mark.parametrize("name, kind", [
+        (name, kind) for name in ("trapezoid16", "voronoi", "mixed", "refined")
+        for kind in CoordinateKind
+        if not (name in FLAT_MESHES and kind is CoordinateKind.WACHSPRESS)
+    ])
+    def test_quadratic_interpolant_has_no_error(self, name, kind, monkeypatch):
+        """The nodal interpolant of a quadratic is the quadratic itself, so
+        its errors are round-off; a member cell that takes another
+        representative's basis gives errors of order one."""
+        mesh = KERNEL_MESHES[name]()
+        u = lambda p: p[:, 0] ** 2 - p[:, 0] * p[:, 1] + 2.0 * p[:, 1]
+        gu = lambda p: np.stack([2.0 * p[:, 0] - p[:, 1], 2.0 - p[:, 0]], axis=1)
+        sol = make_solution(mesh, u(node_coordinates(mesh, dof_map(mesh))), kind)
+        for _ in kernel_chunk_sizes(monkeypatch):
+            err = error_norms(sol, u, gu)
+            assert err.l2 <= 1e-12 and err.h1 <= 1e-12
+
     def test_basis_and_maps_are_built_once_per_class(self, monkeypatch):
         """One assemble and one error_norms evaluate the basis on each class
         representative once per quadrature degree, not on every cell."""

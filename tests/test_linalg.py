@@ -132,6 +132,13 @@ class TestConjugateGradients:
         with pytest.raises(ValueError, match="diagonal"):
             cg_solve(zero_diag, np.ones(2))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, 1.0, 2.0, np.nan])
+    def test_tolerance_outside_unit_interval_rejected(self, tol):
+        # tol >= 1 used to stop at iteration 0 with the zero start reported converged.
+        m = SparseMatrix.from_triplets(3, range(3), range(3), [2.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match="tol"):
+            cg_solve(m, np.ones(3), tol=tol)
+
     def test_rhs_shape_validated(self):
         m = SparseMatrix.from_triplets(3, range(3), range(3), np.ones(3))
         with pytest.raises(ValueError, match="shape"):

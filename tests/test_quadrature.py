@@ -21,12 +21,37 @@ from polyserend import (
     triangle_rule,
 )
 from polyserend.geometry import polygon_batch
-from polyserend.quadrature import MAX_DEGREE, fan_rule, rule_layouts
+from polyserend.quadrature import MAX_DEGREE, _gauss_jacobi, fan_rule, rule_layouts
 
 
 def reference_monomial(i: int, j: int) -> float:
     """Exact integral of x^i y^j over the unit reference triangle."""
     return factorial(i) * factorial(j) / factorial(i + j + 2)
+
+
+class TestGaussJacobi:
+    """The Gauss rules behind triangle_rule, with weight (1 - x)^alpha on [-1, 1]."""
+
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_matches_scipy(self, m):
+        from scipy.special import roots_jacobi, roots_legendre   # the package does not import it
+        for alpha, (x_ref, w_ref) in ((0, roots_legendre(m)), (1, roots_jacobi(m, 1.0, 0.0))):
+            x, w = _gauss_jacobi(m, alpha)
+            assert np.max(np.abs(x - x_ref)) <= 1e-14
+            assert np.max(np.abs(w - w_ref)) <= 1e-14
+
+    def test_closed_forms(self):
+        s3, s6 = np.sqrt(3.0), np.sqrt(6.0)
+        closed = {
+            (1, 0): ([0.0], [2.0]),
+            (2, 0): ([-1.0 / s3, 1.0 / s3], [1.0, 1.0]),
+            (1, 1): ([-1.0 / 3.0], [2.0]),
+            (2, 1): ([(-1.0 - s6) / 5.0, (-1.0 + s6) / 5.0], [1.0 + s6 / 9.0, 1.0 - s6 / 9.0]),
+        }
+        for (m, alpha), (x_want, w_want) in closed.items():
+            x, w = _gauss_jacobi(m, alpha)
+            assert x == pytest.approx(x_want, abs=1e-15)
+            assert w == pytest.approx(w_want, abs=1e-15)
 
 
 class TestTriangleRule:

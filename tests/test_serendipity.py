@@ -602,6 +602,24 @@ class TestBasisEvaluation:
             assert psi[k] == pytest.approx(want, rel=1e-14, abs=1e-15)
             assert dpsi[k] == pytest.approx(dwant, rel=1e-14, abs=1e-14)
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_gradients_are_BA_times_product_gradients(self, batched):
+        """Each gradient component is B A applied to the product gradients,
+        bit for bit, whatever layout the kernel writes it in."""
+        rng = np.random.default_rng(71)
+        polys = [corpus.random_convex_polygon(rng, 6) for _ in range(3 if batched else 1)]
+        maps = [build_map(p) for p in polys]
+        pts = np.stack([sample_interior(p, 9, rng, margin=1e-3) for p in polys])
+        args = (polys, maps, pts) if batched else (polys[0], maps[0], pts[0])
+        _, dpsi = eval_basis_batch(args[0], CoordinateKind.MEAN_VALUE, args[1], args[2])
+        _, dmu = pairwise_batch(*eval_coords_batch(args[0], CoordinateKind.MEAN_VALUE, args[2]))
+        if not batched:
+            dpsi, dmu = dpsi[None], dmu[None]
+        for k, smap in enumerate(maps):
+            for d in range(2):
+                want = (smap.B @ smap.A) @ dmu[k, :, :, d].T
+                assert np.array_equal(dpsi[k, :, :, d].T, want)
+
     def test_batch_needs_one_map_per_polygon(self):
         hexagon = corpus.regular_polygon(6)
         pts = np.full((2, 1, 2), 0.1)

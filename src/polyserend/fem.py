@@ -34,8 +34,7 @@ from typing import Callable, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .barycentric import CoordinateKind, fan_apex
-from .geometry import (GeometryError, Polygon, PolygonBatch, _diameters, _fan_apices,
-                       _flat_vertices, _neighbours, _polygon_defects)
+from .geometry import GeometryError, Polygon, PolygonBatch, _neighbours, _polygon_defects
 from .linalg import SolveReport, SparseMatrix, cg_solve
 from .quadrature import fan_rule, polygon_rule, rule_layouts
 from .serendipity import SerendipityMap, build_map, eval_basis_batch
@@ -197,18 +196,7 @@ class PolyMesh:
         """Every cell as a ``Polygon``, built on first use."""
         return tuple(Polygon(self.vertices[list(cell)], allow_flat=True) for cell in self.cells)
 
-    @cached_property
-    def class_batches(self) -> tuple[tuple[np.ndarray, PolygonBatch], ...]:
-        """Per group: the rows (increasing) of its translation-class
-        representatives and their ``PolygonBatch``, built without checks
-        from cells that ``build`` validated."""
-        out = []
-        for ids, cells, _ in self.groups:
-            reps = np.flatnonzero(self.translation_classes[ids] == ids)
-            out.append((reps, PolygonBatch._derive(self.vertices[cells[reps]])))
-        return tuple(out)
-
-    @cached_property
+    @property
     def translation_classes(self) -> np.ndarray:
         """For every cell, the index of the representative cell of its translation class.
 
@@ -221,16 +209,28 @@ class PolyMesh:
         boundary can split a class but never merges two shapes.  A
         representative represents itself.
         """
+        return self._classes[0]
+
+    @property
+    def class_batches(self) -> tuple[tuple[np.ndarray, PolygonBatch], ...]:
+        """Per group: the rows (increasing) of its translation-class
+        representatives and their ``PolygonBatch``, the rows of the group's
+        batch."""
+        return self._classes[1]
+
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, PolygonBatch], ...]]:
+        """``translation_classes`` and ``class_batches``, from one ``PolygonBatch``
+        per group, derived without checks from cells that ``build`` validated
+        and kept only for the representatives."""
         rep = np.arange(self.n_cells)
+        batches = []
         for ids, cells, _ in self.groups:
-            verts = self.vertices[cells]                                      # (c, n, 2)
-            diameters = _diameters(verts)
-            offsets = (verts - verts[:, :1]).reshape(len(ids), -1)
-            keys = np.column_stack([
-                _flat_vertices(verts, diameters).any(axis=1),
-                _fan_apices(verts, diameters),
-                np.round(offsets / (1e-9 * diameters[:, None])),
-            ])
+            batch = PolygonBatch._derive(self.vertices[cells])
+            diameters = batch.diameters
+            offsets = (batch.vertices - batch.vertices[:, :1]).reshape(len(ids), -1)
+            keys = np.column_stack([batch.flat, batch.apices,
+                                    np.round(offsets / (1e-9 * diameters[:, None]))])
             todo = np.arange(len(ids))
             while todo.size:
                 # Equal keys sort next to each other, first occurrence first:
@@ -246,8 +246,10 @@ class PolyMesh:
                 )
                 rep[ids[todo[same]]] = ids[owner[same]]
                 todo = todo[~same]
+            reps = np.flatnonzero(rep[ids] == ids)
+            batches.append((reps, batch[reps]))
         rep.setflags(write=False)
-        return rep
+        return rep, tuple(batches)
 
 
 def _group_cells(cells: Sequence[Sequence[int]] | np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -440,15 +442,6 @@ class DofMap:
     @property
     def interior_dofs(self) -> np.ndarray:
         return np.flatnonzero(~self.boundary)
-
-    @cached_property
-    def cell_dofs(self) -> tuple[np.ndarray, ...]:
-        """Per cell, in cell order: its 2k global indices (a row of its group)."""
-        out: list = [None] * sum(len(ids) for ids, _ in self.groups)
-        for ids, dofs in self.groups:
-            for ci, row in zip(ids.tolist(), dofs):
-                out[ci] = row
-        return tuple(out)
 
 
 def dof_map(mesh: PolyMesh) -> DofMap:

@@ -7,10 +7,9 @@ size of the polygon so the checks behave identically under uniform scaling.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -70,6 +69,23 @@ def _vertex_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+@lru_cache(maxsize=None)
+def _edge_triples(n: int) -> np.ndarray:
+    """Indices i < j < k (t, 3) of every triple of distinct edges, in lexicographic order."""
+    grid = np.indices((n, n, n)).reshape(3, -1)
+    triples = grid[:, (grid[0] < grid[1]) & (grid[1] < grid[2])].T
+    triples.setflags(write=False)
+    return triples
+
+
+def _pair_distances(verts: np.ndarray) -> np.ndarray:
+    """Distances (c, n (n - 1) / 2) between the vertices i < j (``_vertex_pairs``)
+    of polygons (c, n, 2)."""
+    i, j = _vertex_pairs(verts.shape[1])
+    diff = verts[:, i] - verts[:, j]
+    return np.hypot(diff[..., 0], diff[..., 1])
+
+
 # What each check of ``_polygon_defects`` reports, in the order they apply;
 # index 0 means every check passed.
 _DEFECTS = (
@@ -93,9 +109,7 @@ def _polygon_defects(verts: np.ndarray, allow_flat: bool) -> np.ndarray:
     """
     n = verts.shape[1]
     scale = (verts.max(axis=1) - verts.min(axis=1)).max(axis=1)
-    i, j = _vertex_pairs(n)
-    diff = verts[:, i] - verts[:, j]
-    closest = np.hypot(diff[..., 0], diff[..., 1]).min(axis=1)
+    closest = _pair_distances(verts).min(axis=1)
     nxt, _ = _neighbours(n)
     nxt_verts = verts[:, nxt]
     area2 = (verts[..., 0] * nxt_verts[..., 1] - nxt_verts[..., 0] * verts[..., 1]).sum(axis=1)
@@ -109,14 +123,6 @@ def _polygon_defects(verts: np.ndarray, allow_flat: bool) -> np.ndarray:
                        (area2 <= 0.0) & (np.abs(area2) > floor), area2 < floor, bent])
     codes = np.array([1, 2, 3, 4, 5 if allow_flat else 6])
     return np.where(failed.any(axis=0), codes[failed.argmax(axis=0)], 0)
-
-
-def _diameters(verts: np.ndarray) -> np.ndarray:
-    """Largest vertex-to-vertex distance (c,) of polygons (c, n, 2); the set diameter
-    of a convex polygon."""
-    i, j = _vertex_pairs(verts.shape[1])
-    diff = verts[:, i] - verts[:, j]
-    return np.max(np.hypot(diff[..., 0], diff[..., 1]), axis=1)
 
 
 def _areas_centroids(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,8 +278,9 @@ class PolygonBatch:
     where no vertex gives a fan without a degenerate triangle (``fan_apex``
     and the triangulation kind raise ``GeometryError`` on such a polygon).
 
-    Indexing with a slice or an index array gives the batch of those
-    polygons, every array sliced, with nothing validated or computed again.
+    Every array is read-only.  Indexing with a slice or an index array gives
+    the batch of those polygons, every array sliced, with nothing validated
+    or computed again.
     Build a batch with ``from_vertices`` or, from ``Polygon`` objects, with
     ``polygon_batch``.
     """
@@ -285,6 +292,10 @@ class PolygonBatch:
     offsets: np.ndarray        # (c, n)
     flat: np.ndarray           # (c,) bool
     apices: np.ndarray         # (c,)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
 
     @classmethod
     def from_vertices(cls, vertices: np.ndarray) -> PolygonBatch:
@@ -308,14 +319,11 @@ class PolygonBatch:
 
     @classmethod
     def _derive(cls, verts: np.ndarray) -> PolygonBatch:
-        """The batch of polygons (c, n, 2) known to be valid, read-only."""
-        diameters = _diameters(verts)
+        """The batch of polygons (c, n, 2) known to be valid."""
+        diameters = np.max(_pair_distances(verts), axis=1)
         normals, offsets = _edge_lines(verts)
-        arrays = (verts, diameters, _areas_centroids(verts)[1], normals, offsets,
-                  _flat_vertices(verts, diameters).any(axis=1), _fan_apices(verts, diameters))
-        for array in arrays:
-            array.setflags(write=False)
-        return cls(*arrays)
+        return cls(verts, diameters, _areas_centroids(verts)[1], normals, offsets,
+                   _flat_vertices(verts, diameters).any(axis=1), _fan_apices(verts, diameters))
 
     @property
     def n(self) -> int:
@@ -327,9 +335,7 @@ class PolygonBatch:
     def __getitem__(self, rows: slice | np.ndarray | int) -> PolygonBatch:
         if isinstance(rows, (int, np.integer)):
             rows = [rows]
-        return PolygonBatch(self.vertices[rows], self.diameters[rows], self.centroids[rows],
-                            self.normals[rows], self.offsets[rows], self.flat[rows],
-                            self.apices[rows])
+        return PolygonBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 def polygon_batch(polygons: Polygon | Sequence[Polygon] | PolygonBatch) -> PolygonBatch:
@@ -350,55 +356,57 @@ def polygon_batch(polygons: Polygon | Sequence[Polygon] | PolygonBatch) -> Polyg
     return PolygonBatch._derive(np.stack([p.vertices for p in polys]))
 
 
+def _interior_angles(verts: np.ndarray) -> np.ndarray:
+    """Interior angle (c, n) at every vertex of polygons (c, n, 2), in (0, pi]."""
+    nxt, prv = _neighbours(verts.shape[1])
+    w = verts[:, nxt] - verts     # towards the next vertex
+    u = verts[:, prv] - verts     # towards the previous vertex
+    return np.arctan2(_cross(w, u), np.einsum("cnd,cnd->cn", w, u))
+
+
 def interior_angles(polygon: Polygon) -> np.ndarray:
     """Interior angle at every vertex, in (0, pi] (pi only for flat vertices)."""
-    v = polygon.vertices
-    w = np.roll(v, -1, axis=0) - v  # towards the next vertex
-    u = np.roll(v, 1, axis=0) - v   # towards the previous vertex
-    return np.arctan2(_cross(w, u), np.einsum("ij,ij->i", w, u))
+    return _interior_angles(polygon._batch.vertices)[0]
 
 
-def _chebyshev_incircle(polygon: Polygon) -> tuple[np.ndarray, float]:
-    """Largest inscribed circle.
+def _incircles(batch: PolygonBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Largest inscribed circles of a batch: centers (c, 2) and radii (c,).
 
     The optimum of the underlying linear program is attained with (at least)
-    three active edge constraints, so all edge triples are enumerated as
-    candidates; parallel-edge optima (rectangles) appear among the triples as
-    well.  Ties in the radius are broken by the lexicographically smallest
-    center.
+    three active edge constraints, so the circles touching the lines of every
+    edge triple are the candidates, found in one stacked solve; a triple
+    with a singular system (two edges on one line) has none, and
+    parallel-edge optima (rectangles) appear among the other triples.  A
+    candidate counts if no edge line is closer to its center than its radius
+    less 1e-9 of the diameter.  Ties in the radius, to 1e-12 of the diameter,
+    are broken by the lexicographically smallest center.
     """
-    normals = polygon.inward_normals
-    offsets = polygon._batch.offsets[0]
-    scale = polygon.diameter
-    candidates: list[tuple[float, np.ndarray]] = []
-    for i, j, k in itertools.combinations(range(polygon.n), 3):
-        mat = np.array(
-            [
-                [normals[i, 0], normals[i, 1], -1.0],
-                [normals[j, 0], normals[j, 1], -1.0],
-                [normals[k, 0], normals[k, 1], -1.0],
-            ]
-        )
-        rhs = np.array([offsets[i], offsets[j], offsets[k]])
-        try:
-            sol = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        center, radius = sol[:2], float(sol[2])
-        if not np.isfinite(radius) or radius <= 0.0:
-            continue
-        slack = normals @ center - offsets
-        supported = float(np.min(slack))
-        if supported < radius - 1e-9 * scale:
-            continue
-        candidates.append((supported, center))
-    if not candidates:
+    normals, offsets, scale = batch.normals, batch.offsets, batch.diameters[:, None]
+    c, n, _ = normals.shape
+    triples = _edge_triples(n)
+    mat = np.concatenate([normals[:, triples], np.full((c, len(triples), 3, 1), -1.0)], axis=3)
+    singular = np.linalg.det(mat) == 0.0
+    mat[singular] = np.eye(3)
+    sol = np.linalg.solve(mat, offsets[:, triples, None])[..., 0]           # (c, t, 3)
+    centers, radii = sol[..., :2], sol[..., 2]
+    # Each candidate's distance to its nearest edge line, in blocks of
+    # triples: the (c, t, n) distances of a large n never exist at once.
+    supported = np.empty_like(radii)
+    step = max(1, 2**16 // n)
+    for lo in range(0, len(triples), step):
+        block = slice(lo, lo + step)
+        slack = centers[:, block] @ np.swapaxes(normals, 1, 2) - offsets[:, None]
+        supported[:, block] = np.min(slack, axis=2)
+    found = ~singular & np.isfinite(radii) & (radii > 0.0) & (supported >= radii - 1e-9 * scale)
+    if not np.all(np.any(found, axis=1)):
         raise GeometryError("incircle search failed: polygon is degenerate")
-    rmax = max(r for r, _ in candidates)
-    best = [c for r, c in candidates if r >= rmax - 1e-12 * scale]
-    center = min(best, key=lambda c: (c[0], c[1]))
-    radius = float(np.min(normals @ center - offsets))
-    return center, radius
+    rmax = np.max(np.where(found, supported, -np.inf), axis=1, keepdims=True)
+    best = found & (supported >= rmax - 1e-12 * scale)
+    for axis in (0, 1):
+        coord = np.where(best, centers[..., axis], np.inf)
+        best &= coord == np.min(coord, axis=1, keepdims=True)
+    center = centers[np.arange(c), np.argmax(best, axis=1)]
+    return center, np.min(normals @ center[..., None] - offsets[..., None], axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -413,13 +421,14 @@ class ShapeMetrics:
 
 
 def shape_metrics(polygon: Polygon) -> ShapeMetrics:
-    center, radius = _chebyshev_incircle(polygon)
+    centers, radii = _incircles(polygon._batch)
+    radius = float(radii[0])
     if radius <= 0.0:
         raise GeometryError("degenerate polygon: vanishing inradius")
     return ShapeMetrics(
         diameter=polygon.diameter,
         inradius=radius,
-        incenter=center,
+        incenter=centers[0],
         aspect_ratio=polygon.diameter / radius,
         interior_angles=interior_angles(polygon),
     )
@@ -427,10 +436,7 @@ def shape_metrics(polygon: Polygon) -> ShapeMetrics:
 
 def _single_circular_run(mask: np.ndarray) -> bool:
     """True if the marked index set is empty or one consecutive run modulo n."""
-    if not np.any(mask):
-        return True
-    starts = np.count_nonzero(mask & ~np.roll(mask, 1))
-    return starts <= 1
+    return np.count_nonzero(mask & ~mask[_neighbours(len(mask))[1]]) <= 1
 
 
 @dataclass(frozen=True)
@@ -469,17 +475,14 @@ def check_conditions(
     beta_star: float,
     relaxed_g3: bool = False,
 ) -> ShapeConditions:
-    if gamma_star <= 2.0:
-        raise GeometryError("gamma_star must exceed 2 (no convex set beats aspect ratio 2)")
-    if d_star <= 0.0:
-        raise GeometryError("d_star must be positive")
+    if not (math.isfinite(gamma_star) and gamma_star > 2.0):
+        raise GeometryError("gamma_star must be finite and exceed 2 "
+                            "(no convex set beats aspect ratio 2)")
+    if not (math.isfinite(d_star) and d_star > 0.0):
+        raise GeometryError("d_star must be finite and positive")
     if not 0.0 < beta_star < math.pi:
         raise GeometryError("beta_star must lie in (0, pi)")
     metrics = shape_metrics(polygon)
-    v = polygon.vertices
-    diff = v[:, None, :] - v[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    np.fill_diagonal(dist, np.inf)
     violations = metrics.interior_angles >= beta_star
     return ShapeConditions(
         gamma_star=gamma_star,
@@ -487,7 +490,7 @@ def check_conditions(
         beta_star=beta_star,
         epsilon_star=d_star * math.sin(0.5 * (math.pi - beta_star)),
         g1=bool(metrics.aspect_ratio < gamma_star),
-        g2=bool(np.min(dist) > d_star),
+        g2=bool(np.min(_pair_distances(polygon._batch.vertices)) > d_star),
         g3=not bool(np.any(violations)),
         g3_relaxed=_single_circular_run(violations),
         relaxed_g3=relaxed_g3,

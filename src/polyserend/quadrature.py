@@ -202,31 +202,20 @@ def fan_rule(polygon: Polygon | Sequence[Polygon] | PolygonBatch, degree: int,
     return _single_or_batch(polygon, rule)
 
 
-def rule_layouts(polygons: Sequence[Polygon] | PolygonBatch, degree: int,
+def rule_layouts(batch: PolygonBatch, degree: int,
                  fan: bool = False) -> list[tuple[np.ndarray, int]]:
-    """Polygon indices grouped by the point layout of their rules, with the points per polygon.
+    """Rows of a batch grouped by the point layout of their rules, with the points per polygon.
 
     The rules of one group stack into one batch.  ``polygon_rule`` layouts
-    differ by vertex count and by the raised degree at flat vertices;
-    ``fan_rule`` layouts (``fan=True``) by vertex count, for fans that drop
-    no triangle, as the fans of ``fan_apex`` do.  ``polygons`` may be one
-    ``PolygonBatch``, whose flat flags are read as they are.
+    differ by the raised degree at flat vertices, read from ``batch.flat``;
+    ``fan_rule`` layouts (``fan=True``) do not differ, for fans that drop no
+    triangle, as the fans of ``fan_apex`` do.
     """
-    if isinstance(polygons, PolygonBatch):
-        batches = [(np.arange(len(polygons)), polygons)]
-    else:
-        counts = np.array([p.n for p in polygons])
-        batches = [(cells, polygon_batch([polygons[i] for i in cells]))
-                   for cells in (np.flatnonzero(counts == n) for n in np.unique(counts).tolist())]
-    groups = []
-    for cells, batch in batches:
-        if fan:
-            groups.append((cells, (batch.n - 2) * len(triangle_rule(degree))))
-            continue
-        degrees = _rule_degrees(batch.flat, degree)
-        for d in np.unique(degrees).tolist():
-            groups.append((cells[degrees == d], 2 * batch.n * len(triangle_rule(d))))
-    return groups
+    if fan:
+        return [(np.arange(len(batch)), (batch.n - 2) * len(triangle_rule(degree)))]
+    degrees = _rule_degrees(batch.flat, degree)
+    return [(np.flatnonzero(degrees == d), 2 * batch.n * len(triangle_rule(d)))
+            for d in np.unique(degrees).tolist()]
 
 
 def integrate(rule: QuadratureRule, f) -> float | np.ndarray:

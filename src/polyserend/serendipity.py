@@ -14,13 +14,15 @@ basis psi that interpolates at the vertices and edge midpoints.
 The first 2n columns of A are the identity (products indexed by vertices and
 edges are kept); each strict-diagonal product is redistributed onto the six
 functions touching its two endpoints.  Column coefficients are found in a
-rigid frame that puts the diagonal on the x axis: quadrilaterals, where the
-general construction is undefined, have a closed form, and every other
-polygon takes a 2x2 solve per diagonal endpoint.
+rigid frame that puts the diagonal on the x axis, with one construction for
+every n >= 3 and a batch of polygons (``build_A``): a 2x2 solve per diagonal
+endpoint, written once on arrays.  Quadrilaterals take it too: both ends
+of each of their diagonals share one neighbor line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -380,8 +382,8 @@ def bound_from_margin(eps: float) -> float:
     coefficients obey |c| = (2 + 2 d) / (2 - (d_a + d_b)) < (1 - eps) / eps.
     The bound is sharp: long diagonals of regular polygons approach it.
     """
-    if eps <= 0.0:
-        raise SerendipityError("coefficient bound requires a positive margin")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise SerendipityError(f"coefficient bound requires a finite positive margin, got {eps}")
     return max((1.0 - eps) / eps, 1.0 / (2.0 * eps), 1.0)
 
 

@@ -9,18 +9,25 @@ computes none of them this way, so each is an independent reference.
 product kernels written with gathered neighbour and pair indices; the
 program's kernels take the same neighbours and pairs as slices and must
 give bitwise the same values.  ``translation_classes`` classes a mesh's
-cells one at a time with dictionaries.
+cells one at a time with dictionaries, ``angles_and_closest_pair``
+measures a polygon one vertex and one vertex pair at a time, and
+``incircle`` solves for the circle of one edge triple at a time.
+
+``cell_dofs`` and ``rule_layouts`` are per-cell and mixed-vertex-count
+views that the program computes only per vertex-count group.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from typing import NamedTuple
 
 import numpy as np
 
-from polyserend import Polygon, PolyMesh, SerendipityError, fan_apex, pair_order
+from polyserend import DofMap, Polygon, PolyMesh, SerendipityError, fan_apex, pair_order
+from polyserend import quadrature
 from polyserend.geometry import polygon_batch
 
 
@@ -248,3 +255,64 @@ def translation_classes(mesh: PolyMesh) -> np.ndarray:
                     left.append(k)
             todo = left
     return np.array(rep)
+
+
+def angles_and_closest_pair(polygon: Polygon) -> tuple[np.ndarray, float]:
+    """Interior angles of a polygon and its closest vertex distance, with one
+    Python step per vertex and per vertex pair (numpy's ``arctan2`` and
+    ``hypot`` for the last step, as the program uses them)."""
+    v = polygon.vertices.tolist()
+    n = len(v)
+    cross, dot = [], []
+    for i in range(n):
+        (x, y), (xn, yn), (xp, yp) = v[i], v[(i + 1) % n], v[i - 1]
+        wx, wy, ux, uy = xn - x, yn - y, xp - x, yp - y
+        cross.append(wx * uy - wy * ux)
+        dot.append(wx * ux + wy * uy)
+    closest = min(float(np.hypot(v[i][0] - v[j][0], v[i][1] - v[j][1]))
+                  for i in range(n) for j in range(i + 1, n))
+    return np.arctan2(cross, dot), closest
+
+
+def incircle(polygon: Polygon) -> tuple[np.ndarray, float]:
+    """Largest inscribed circle, one 3x3 solve per edge triple: every circle
+    touching three edge lines that no edge line cuts by more than 1e-9 of
+    the diameter is a candidate, and of those within 1e-12 of the diameter
+    of the largest radius the lexicographically smallest center wins."""
+    normals, offsets, scale = polygon.inward_normals, polygon._batch.offsets[0], polygon.diameter
+    candidates = []
+    for i, j, k in itertools.combinations(range(polygon.n), 3):
+        mat = np.array([[*normals[e], -1.0] for e in (i, j, k)])
+        try:
+            sol = np.linalg.solve(mat, offsets[[i, j, k]])
+        except np.linalg.LinAlgError:
+            continue
+        center, radius = sol[:2], float(sol[2])
+        supported = float(np.min(normals @ center - offsets))
+        if np.isfinite(radius) and radius > 0.0 and supported >= radius - 1e-9 * scale:
+            candidates.append((supported, center))
+    rmax = max(r for r, _ in candidates)
+    center = min((c for r, c in candidates if r >= rmax - 1e-12 * scale), key=lambda c: (c[0], c[1]))
+    return center, float(np.min(normals @ center - offsets))
+
+
+def cell_dofs(dofmap: DofMap) -> tuple[np.ndarray, ...]:
+    """Per cell, in cell order: its 2n global unknowns, a row of its group in ``dofmap.groups``."""
+    out: list = [None] * sum(len(ids) for ids, _ in dofmap.groups)
+    for ids, dofs in dofmap.groups:
+        for ci, row in zip(ids.tolist(), dofs):
+            out[ci] = row
+    return tuple(out)
+
+
+def rule_layouts(polygons: list[Polygon], degree: int,
+                 fan: bool = False) -> list[tuple[np.ndarray, int]]:
+    """``quadrature.rule_layouts`` of polygons of any vertex counts: the layouts
+    of each vertex count in increasing order, with indices into ``polygons``."""
+    counts = np.array([p.n for p in polygons])
+    out = []
+    for n in np.unique(counts).tolist():
+        cells = np.flatnonzero(counts == n)
+        batch = polygon_batch([polygons[i] for i in cells])
+        out += [(cells[rows], size) for rows, size in quadrature.rule_layouts(batch, degree, fan)]
+    return out

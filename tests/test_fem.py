@@ -42,7 +42,7 @@ from polyserend import (
 from polyserend.barycentric import fan_apex
 from polyserend import fem
 from polyserend.fem import DiscreteSolution
-from polyserend.quadrature import fan_rule, rule_layouts
+from polyserend.quadrature import fan_rule
 from polyserend.serendipity import Strategy
 
 MV = CoordinateKind.MEAN_VALUE
@@ -388,7 +388,7 @@ class TestDofMap:
         edges, cell_dofs, boundary = loop_dof_map(mesh)
         assert dm.edges.dtype == np.int64 and not dm.edges.flags.writeable
         assert [tuple(e) for e in dm.edges.tolist()] == edges
-        assert [d.tolist() for d in dm.cell_dofs] == cell_dofs
+        assert [d.tolist() for d in oracles.cell_dofs(dm)] == cell_dofs
         assert np.array_equal(dm.boundary, boundary)
         assert not mesh.boundary_edges.flags.writeable
         assert np.array_equal(mesh.boundary_edges, boundary[mesh.n_vertices:])
@@ -407,7 +407,7 @@ class TestDofMap:
     def test_cell_dofs_order_vertices_then_edges(self):
         mesh = trapezoid_mesh(2, 0.25)
         dm = dof_map(mesh)
-        for cell, dofs in zip(mesh.cells, dm.cell_dofs):
+        for cell, dofs in zip(mesh.cells, oracles.cell_dofs(dm)):
             k = len(cell)
             assert len(dofs) == 2 * k
             assert tuple(dofs[:k]) == cell
@@ -430,7 +430,7 @@ class TestDofMap:
         mesh = corpus.mixed_mesh()
         dm = dof_map(mesh)
         seen = defaultdict(int)
-        for dofs, cell in zip(dm.cell_dofs, mesh.cells):
+        for dofs, cell in zip(oracles.cell_dofs(dm), mesh.cells):
             for d in dofs[len(cell):]:
                 seen[int(d)] += 1
         interior_edge_dofs = [d for d, c in seen.items() if c == 2]
@@ -467,7 +467,7 @@ class TestAssembly:
         mat, _ = assemble(mesh, MV)
         dense = mat.toarray()
         dm = dof_map(mesh)
-        dofs = dm.cell_dofs[0]
+        dofs = oracles.cell_dofs(dm)[0]
 
         def entry(i, j):
             def f(pts):
@@ -593,7 +593,7 @@ class TestSolveAndErrors:
         err = error_norms(sol, u, gu)
 
         acc = 0.0
-        for poly, smap, dofs in zip(mesh.polygons, sol.maps, dm.cell_dofs):
+        for poly, smap, dofs in zip(mesh.polygons, sol.maps, oracles.cell_dofs(dm)):
             def sq(pts, poly=poly, smap=smap, dofs=dofs):
                 psi, _ = eval_basis_batch(poly, MV, smap, pts)
                 return (psi @ values[dofs] - u(pts)) ** 2
@@ -612,7 +612,7 @@ def reference_assembly(mesh, kind, source, degree=10):
     dm = dof_map(mesh)
     stiffness = np.zeros((dm.n_dofs, dm.n_dofs))
     load = np.zeros(dm.n_dofs)
-    for poly, smap, dofs in zip(mesh.polygons, cell_maps(mesh), dm.cell_dofs):
+    for poly, smap, dofs in zip(mesh.polygons, cell_maps(mesh), oracles.cell_dofs(dm)):
         rule = cell_rule(poly, kind, degree)
         psi, dpsi = eval_basis_batch(poly, kind, smap, rule.points)
         stiffness[np.ix_(dofs, dofs)] += np.einsum("q,qid,qjd->ij", rule.weights, dpsi, dpsi)
@@ -623,7 +623,7 @@ def reference_assembly(mesh, kind, source, degree=10):
 def reference_norms(sol, u, gu, degree=14):
     """L2 and H1 errors summed one cell at a time from single-polygon calls."""
     l2 = h1 = 0.0
-    for poly, smap, dofs in zip(sol.mesh.polygons, sol.maps, sol.dofmap.cell_dofs):
+    for poly, smap, dofs in zip(sol.mesh.polygons, sol.maps, oracles.cell_dofs(sol.dofmap)):
         rule = cell_rule(poly, sol.kind, degree)
         psi, dpsi = eval_basis_batch(poly, sol.kind, smap, rule.points)
         coeff = sol.values[dofs]
@@ -656,7 +656,7 @@ def stacked_mixed_mesh() -> PolyMesh:
 def layout_keys(mesh: PolyMesh) -> list[tuple]:
     """Per cell: vertex count, polygon-rule layout size and fan apex."""
     size = {}
-    for cells, points in rule_layouts(mesh.polygons, 10):
+    for cells, points in oracles.rule_layouts(mesh.polygons, 10):
         size.update((int(i), points) for i in cells)
     return [(p.n, size[i], fan_apex(p)) for i, p in enumerate(mesh.polygons)]
 
@@ -721,11 +721,11 @@ class TestElementKernel:
 
     def test_meshes_cover_layouts_and_chunks(self):
         mixed = corpus.mixed_mesh()
-        assert len(rule_layouts(mixed.polygons, 10)) == 2
+        assert len(oracles.rule_layouts(mixed.polygons, 10)) == 2
         voronoi = corpus.voronoi_mesh()
         assert {p.n for p in voronoi.polygons} == {4, 5, 6}
         assert any(m.strategy is Strategy.GENERIC for m in cell_maps(voronoi))
-        [(cells, size)] = rule_layouts(trapezoid_mesh(16).polygons, 14)
+        [(cells, size)] = oracles.rule_layouts(trapezoid_mesh(16).polygons, 14)
         assert len(cells) * size > 100 * max(SMALL_CHUNK_POINTS)
 
     @pytest.mark.parametrize("kind", list(CoordinateKind))
@@ -864,7 +864,8 @@ class TestLocalRefinement:
             assert sum(flat) == pentagons
             assert sum(p.area for p in mesh.polygons) == pytest.approx(1.0, abs=1e-14)
         # The pentagons take the top-degree base rule (11 x 11 points a triangle).
-        assert [size for _, size in rule_layouts(once.polygons, 10)] == [8 * 6 * 6, 10 * 11 * 11]
+        layouts = oracles.rule_layouts(once.polygons, 10)
+        assert [size for _, size in layouts] == [8 * 6 * 6, 10 * 11 * 11]
 
     # Mean value coordinates are not polynomial, so the discrete solution
     # meets the quadratic only up to the quadrature error of the stiffness
@@ -1009,7 +1010,7 @@ class TestContinuity:
             shared += 1
             traces = []
             for ci, t_loc, fwd in lst:
-                dofs = dm.cell_dofs[ci]
+                dofs = oracles.cell_dofs(dm)[ci]
                 values = boundary_basis_values(
                     mesh.polygons[ci], maps[ci], t_loc, ts if fwd else 1.0 - ts)
                 traces.append(values @ coeff[dofs])

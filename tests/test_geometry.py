@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import corpus
+import oracles
 from polyserend import (
     GeometryError,
     InvalidPolygonError,
@@ -300,6 +301,42 @@ class TestShapeMetrics:
             assert np.all(d >= m.inradius - 1e-9)
             assert np.count_nonzero(d <= m.inradius + 1e-6) >= 2
 
+    def test_rectangle_keeps_the_tie_broken_incenter(self):
+        # Every center on the segment from (0.5, 0.5) to (1.5, 0.5) is optimal;
+        # the lexicographically smallest one is chosen.
+        m = shape_metrics(Polygon(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])))
+        assert m.incenter.tolist() == [0.5, 0.5]
+        assert m.inradius == 0.5
+
+    def test_flat_vertex_pentagon_matches_linear_program(self):
+        # Its two bottom edges lie on one line, so some edge triples are singular.
+        poly = corpus.degenerate_pentagon()
+        m = shape_metrics(poly)
+        _, r_lp = _chebyshev_lp(poly)
+        assert m.inradius == pytest.approx(r_lp, abs=1e-9)
+        assert float(np.min(poly.edge_distances(m.incenter))) == pytest.approx(
+            m.inradius, abs=1e-9
+        )
+
+    def test_incircle_matches_per_triple_loop(self):
+        polys = [poly for _, poly in corpus.standard_corpus(np.random.default_rng(0))]
+        polys += corpus.mixed_mesh().polygons + corpus.voronoi_mesh().polygons
+        for poly in polys:
+            m = shape_metrics(poly)
+            center, radius = oracles.incircle(poly)
+            assert abs(m.inradius - radius) <= 1e-15 * poly.diameter
+            scale = poly.diameter + float(np.max(np.abs(center)))
+            assert np.max(np.abs(m.incenter - center)) <= 1e-15 * scale
+
+    def test_angles_and_closest_pair_equal_loop_oracle(self):
+        for name, poly in corpus.standard_corpus(np.random.default_rng(0)):
+            angles, closest = oracles.angles_and_closest_pair(poly)
+            assert np.array_equal(interior_angles(poly), angles), name
+            assert np.array_equal(shape_metrics(poly).interior_angles, angles), name
+            # G2 holds for every d_star below the closest pair distance and at no other.
+            assert not check_conditions(poly, 50.0, closest, 2.0).g2, name
+            assert check_conditions(poly, 50.0, np.nextafter(closest, 0.0), 2.0).g2, name
+
     @given(st.integers(0, 10_000), st.integers(3, 10))
     def test_interior_angles_sum(self, seed, n):
         poly = corpus.random_convex_polygon(np.random.default_rng(seed), n)
@@ -383,6 +420,16 @@ class TestShapeScreening:
             check_conditions(square, 4.0, 0.0, 2.0)
         with pytest.raises(GeometryError):
             check_conditions(square, 4.0, 0.5, math.pi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_thresholds_rejected(self, bad):
+        square = Polygon(SQUARE)
+        with pytest.raises(GeometryError, match="gamma_star must be finite"):
+            check_conditions(square, bad, 0.5, 2.0)
+        with pytest.raises(GeometryError, match="d_star must be finite"):
+            check_conditions(square, 4.0, bad, 2.0)
+        with pytest.raises(GeometryError, match="beta_star"):
+            check_conditions(square, 4.0, 0.5, bad)
 
 
 def diagonal_frame(poly: Polygon, a: int, b: int) -> tuple[np.ndarray, float]:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import corpus
+import oracles
 from polyserend import (
     CoordinateKind,
     GeometryError,
@@ -228,7 +229,7 @@ class TestBatchedRules:
         batch = polygon_batch(polys)
         for fan in (False, True):
             got = rule_layouts(batch, 4, fan=fan)
-            want = rule_layouts(polys, 4, fan=fan)
+            want = oracles.rule_layouts(polys, 4, fan=fan)
             assert [(c.tolist(), m) for c, m in got] == [(c.tolist(), m) for c, m in want]
         rows = np.array([0, 2])
         for got, want in ((polygon_rule(batch[rows], 6), polygon_rule([polys[0], polys[2]], 6)),
@@ -250,9 +251,9 @@ class TestBatchedRules:
                  corpus.regular_polygon(5), corpus.unit_square()]
         m = (4 + 2) // 2
         top = (MAX_DEGREE + 2) // 2
-        groups = {tuple(cells): size for cells, size in rule_layouts(polys, 4)}
+        groups = {tuple(cells): size for cells, size in oracles.rule_layouts(polys, 4)}
         assert groups == {(0, 3): 8 * m * m, (2,): 10 * m * m, (1,): 10 * top * top}
-        groups = {tuple(cells): size for cells, size in rule_layouts(polys, 4, fan=True)}
+        groups = {tuple(cells): size for cells, size in oracles.rule_layouts(polys, 4, fan=True)}
         assert groups == {(0, 3): 2 * m * m, (1, 2): 3 * m * m}
 
 

@@ -378,6 +378,11 @@ class TestCoefficientBound:
         with pytest.raises(SerendipityError):
             bound_from_margin(-0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_margin_rejected(self, bad):
+        with pytest.raises(SerendipityError, match="finite positive margin"):
+            bound_from_margin(bad)
+
     def test_small_margin_behaviour(self):
         assert bound_from_margin(0.25) == pytest.approx(3.0)
         assert bound_from_margin(0.05) == pytest.approx(19.0)

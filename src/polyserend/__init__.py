@@ -27,7 +27,6 @@ from .geometry import (
     check_conditions,
     interior_angles,
     load_polygon,
-    polygon_batch,
     polygon_from_json,
     polygon_to_json,
     sample_interior,

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import (GeometryError, Polygon, PolygonBatch, _checked_apices, _fan_triangles,
-                       _flat_vertices, _neighbours, polygon_batch)
+from .geometry import (GeometryError, Polygon, PolygonBatch, _as_batch, _cross, _fans,
+                       _flat_vertices, _neighbours)
 
 __all__ = [
     "fan_apex",
@@ -52,10 +51,6 @@ class CoordinateKind(str, Enum):
 
 class BoundaryEvaluationError(GeometryError):
     """Interior-only evaluation was requested on or outside the boundary."""
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def _edge_rotations(verts: np.ndarray) -> np.ndarray:
@@ -150,15 +145,15 @@ def _mean_value(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return lam, grad_w
 
 
-def fan_apex(polygon: Polygon | Sequence[Polygon] | PolygonBatch) -> int | np.ndarray:
+def fan_apex(polygon: Polygon | PolygonBatch) -> int | np.ndarray:
     """First vertex whose fan contains no degenerate triangle.
 
     For strictly convex polygons this is always vertex 0; flat vertices can
     make some fans degenerate, in which case the apex advances deterministically.
-    A batch of polygons gets one apex each (``PolygonBatch.apices``).
+    A ``PolygonBatch`` gets one apex each (``PolygonBatch.apices``).
     Raises GeometryError if no vertex gives such a fan.
     """
-    apex = _checked_apices(polygon_batch(polygon).apices)
+    apex = _fans(_as_batch(polygon))[:, 0, 0]
     return int(apex[0]) if isinstance(polygon, Polygon) else apex
 
 
@@ -166,7 +161,7 @@ def _triangulation(batch: PolygonBatch, pts: np.ndarray) -> tuple[np.ndarray, np
     verts = batch.vertices
     c, n, _ = verts.shape
     m = pts.shape[1]
-    tris = (_fan_triangles(n, 0) + _checked_apices(batch.apices)[:, None, None]) % n
+    tris = _fans(batch)
     rows = np.arange(c)[:, None]
     p, q, s = (verts[rows, tris[..., k]] for k in range(3))  # (c, T, 2)
     area2 = _cross(q - p, s - p)                              # (c, T)
@@ -225,22 +220,22 @@ def _reject_boundary_points(batch: PolygonBatch, pts: np.ndarray) -> None:
 
 
 def eval_coords_batch(
-    polygon: Polygon | Sequence[Polygon] | PolygonBatch,
+    polygon: Polygon | PolygonBatch,
     kind: CoordinateKind | str,
     points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate values (m, n) and gradients (m, n, 2) at interior points (m, 2).
 
-    Given a batch of c polygons that share a vertex count, ``points`` is
-    (c, m, 2), one row of points per polygon, and the results gain a leading
-    axis: values (c, m, n) and gradients (c, m, n, 2).
+    Given a ``PolygonBatch`` of c polygons, ``points`` is (c, m, 2), one row
+    of points per polygon, and the results gain a leading axis: values
+    (c, m, n) and gradients (c, m, n, 2).
 
     Wachspress coordinates raise ``GeometryError`` on a polygon with a flat
     vertex: the vertex's weight, its corner area, is 0, so its coordinate
     would vanish and the basis would not interpolate there.
     """
     kind = CoordinateKind(kind)
-    batch = polygon_batch(polygon)
+    batch = _as_batch(polygon)
     pts = np.asarray(points, dtype=float)
     if isinstance(polygon, Polygon):
         pts = np.atleast_2d(pts)[None]

@@ -14,14 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .barycentric import CoordinateKind, eval_coords_batch, pairwise_batch
 from .fem import convergence_study, mesh_to_json, trapezoid_mesh
-from .geometry import GeometryError, Polygon, load_polygon, sample_interior
+from .geometry import GeometryError, load_polygon, sample_interior
 from .linalg import ConvergenceError
 from .serendipity import (
     CoefficientBlowupError,
@@ -32,7 +31,7 @@ from .serendipity import (
     verify_constraints,
 )
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -40,28 +39,6 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 _KINDS = [k.value for k in CoordinateKind]
-
-
-@dataclass
-class CliConfig:
-    """Parsed command-line options (one instance per invocation)."""
-
-    subcommand: str
-    path: Path | None = None
-    kind: str = CoordinateKind.MEAN_VALUE.value
-    tol: float = 1e-9
-    samples: int = 50
-    seed: int = 0
-    resolution: int = 25
-    levels: tuple[int, ...] = (2, 4, 8, 16)
-    offset: float = 0.25
-    quad_degree: int = 10
-    norm_degree: int = 14
-    cg_tol: float = 1e-12
-    n: int = 4
-    output: Path | None = None
-    dump_a: Path | None = None
-    as_json: bool = False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,99 +88,95 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(subcommand=args.subcommand)
-    for name in vars(cfg):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if isinstance(cfg.levels, str):
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject bad option values before a command runs; ``--levels`` is parsed
+    into a tuple of integers in place."""
+    if "levels" in args:
         try:
-            cfg.levels = tuple(int(tok) for tok in cfg.levels.split(",") if tok.strip())
+            args.levels = tuple(int(tok) for tok in args.levels.split(",") if tok.strip())
         except ValueError:
-            raise GeometryError(f"bad --levels value: {cfg.levels!r}")
-        if not cfg.levels or any(n < 1 for n in cfg.levels):
-            raise GeometryError(f"--levels must be positive integers, got {cfg.levels}")
-    if not 0.0 < cfg.tol < np.inf:
-        raise GeometryError(f"--tol must be finite and positive, got {cfg.tol}")
-    if not 0.0 < cfg.cg_tol < 1.0:
-        raise GeometryError(f"--cg-tol must lie in (0, 1), got {cfg.cg_tol}")
-    for flag, value in (("--samples", cfg.samples), ("--resolution", cfg.resolution),
-                        ("--seed", cfg.seed)):
-        if value < 0:
-            raise GeometryError(f"{flag} must be non-negative, got {value}")
-    return cfg
+            raise GeometryError(f"bad --levels value: {args.levels!r}")
+        if not args.levels or any(n < 1 for n in args.levels):
+            raise GeometryError(f"--levels must be positive integers, got {args.levels}")
+    if "tol" in args and not 0.0 < args.tol < np.inf:
+        raise GeometryError(f"--tol must be finite and positive, got {args.tol}")
+    if "cg_tol" in args and not 0.0 < args.cg_tol < 1.0:
+        raise GeometryError(f"--cg-tol must lie in (0, 1), got {args.cg_tol}")
+    for flag in ("samples", "resolution", "seed"):
+        if getattr(args, flag, 0) < 0:
+            raise GeometryError(f"--{flag} must be non-negative, got {getattr(args, flag)}")
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def cmd_verify(cfg: CliConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     # Straight (angle pi) vertices are a supported element feature, so the
     # loader accepts them here; reflex vertices still fail validation.
-    polygon = load_polygon(cfg.path, allow_flat=True)
+    polygon = load_polygon(args.path, allow_flat=True)
     smap = build_map(polygon)
-    report = verify_constraints(polygon, smap, tol=cfg.tol)
+    report = verify_constraints(polygon, smap, tol=args.tol)
     table = lagrange_table(polygon, smap)
     lagrange_dev = float(np.max(np.abs(table - np.eye(2 * polygon.n))))
     repro_dev = 0.0
-    if cfg.samples > 0:
-        rng = np.random.default_rng(cfg.seed)
-        pts = sample_interior(polygon, cfg.samples, rng)
-        lam, dlam = eval_coords_batch(polygon, cfg.kind, pts)
+    if args.samples > 0:
+        rng = np.random.default_rng(args.seed)
+        pts = sample_interior(polygon, args.samples, rng)
+        lam, dlam = eval_coords_batch(polygon, args.kind, pts)
         mu, _ = pairwise_batch(lam, dlam)
         xi = mu @ smap.A.T
         repro_dev = float(np.max(precision_residuals(polygon, xi, pts)))
-    passed = report.passed and lagrange_dev <= 1e-10 and repro_dev <= cfg.tol
-    if cfg.dump_a is not None:
-        np.savetxt(cfg.dump_a, smap.A, delimiter=",", fmt="%.17g")
-    if cfg.as_json:
+    passed = report.passed and lagrange_dev <= 1e-10 and repro_dev <= args.tol
+    if args.dump_a is not None:
+        np.savetxt(args.dump_a, smap.A, delimiter=",", fmt="%.17g")
+    if args.as_json:
         print(json.dumps({
             "n": polygon.n,
             "strategy": smap.strategy.value,
-            "kind": cfg.kind,
+            "kind": args.kind,
             "constraint_max_residual": report.max_residual,
             "constraint_worst_pair": list(report.worst_pair),
             "lagrange_max_deviation": lagrange_dev,
             "reproduction_max_residual": repro_dev,
-            "tolerance": cfg.tol,
+            "tolerance": args.tol,
             "passed": passed,
         }, indent=2))
     else:
         print(f"polygon: {polygon.n} vertices, strategy {smap.strategy.value}, "
-              f"kind {cfg.kind}")
+              f"kind {args.kind}")
         print(f"constraint residual: {report.max_residual:.3e} "
               f"(worst pair {report.worst_pair})")
         print(f"lagrange deviation:  {lagrange_dev:.3e}")
-        print(f"reproduction residual at {cfg.samples} points: {repro_dev:.3e}")
-        print(f"result: {'PASS' if passed else 'FAIL'} (tolerance {cfg.tol:g})")
+        print(f"reproduction residual at {args.samples} points: {repro_dev:.3e}")
+        print(f"result: {'PASS' if passed else 'FAIL'} (tolerance {args.tol:g})")
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
-def cmd_sample(cfg: CliConfig) -> int:
-    polygon = load_polygon(cfg.path, allow_flat=True)
+def cmd_sample(args: argparse.Namespace) -> int:
+    polygon = load_polygon(args.path, allow_flat=True)
     smap = build_map(polygon)
     n = polygon.n
     header = "x,y," + ",".join(f"psi_{k + 1}" for k in range(2 * n))
     rows: list[str] = []
-    if cfg.resolution > 0:
+    if args.resolution > 0:
         lo = polygon.vertices.min(axis=0)
         hi = polygon.vertices.max(axis=0)
-        xs = np.linspace(lo[0], hi[0], cfg.resolution)
-        ys = np.linspace(lo[1], hi[1], cfg.resolution)
+        xs = np.linspace(lo[0], hi[0], args.resolution)
+        ys = np.linspace(lo[1], hi[1], args.resolution)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
         eps = 1e-9 * polygon.diameter
         inside = polygon.edge_distances(grid).min(axis=1) > eps
         pts = grid[inside]
         if len(pts):
-            psi, _ = eval_basis_batch(polygon, cfg.kind, smap, pts)
+            psi, _ = eval_basis_batch(polygon, args.kind, smap, pts)
             for p, row in zip(pts, psi):
                 rows.append(",".join([_fmt(p[0]), _fmt(p[1])] + [_fmt(v) for v in row]))
     text = "\n".join([header] + rows) + "\n"
-    if cfg.output is not None:
-        cfg.output.write_text(text)
-        print(f"wrote {len(rows)} rows to {cfg.output}")
+    if args.output is not None:
+        args.output.write_text(text)
+        print(f"wrote {len(rows)} rows to {args.output}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -213,14 +186,14 @@ def _rate_str(rate: float | None) -> str:
     return "" if rate is None else f"{rate:.6g}"
 
 
-def cmd_convergence(cfg: CliConfig) -> int:
+def cmd_convergence(args: argparse.Namespace) -> int:
     rows = convergence_study(
-        cfg.levels,
-        kind=cfg.kind,
-        offset=cfg.offset,
-        quad_degree=cfg.quad_degree,
-        norm_degree=cfg.norm_degree,
-        tol=cfg.cg_tol,
+        args.levels,
+        kind=args.kind,
+        offset=args.offset,
+        quad_degree=args.quad_degree,
+        norm_degree=args.norm_degree,
+        tol=args.cg_tol,
     )
     csv_lines = ["n,dofs,l2_error,l2_rate,h1_error,h1_rate"]
     for r in rows:
@@ -228,9 +201,9 @@ def cmd_convergence(cfg: CliConfig) -> int:
             f"{r.n},{r.dofs},{_fmt(r.l2_error)},{_rate_str(r.l2_rate)},"
             f"{_fmt(r.h1_error)},{_rate_str(r.h1_rate)}"
         )
-    if cfg.output is not None:
-        cfg.output.write_text("\n".join(csv_lines) + "\n")
-    if cfg.as_json:
+    if args.output is not None:
+        args.output.write_text("\n".join(csv_lines) + "\n")
+    if args.as_json:
         print(json.dumps([{
             "n": r.n, "dofs": r.dofs,
             "l2_error": r.l2_error, "l2_rate": r.l2_rate,
@@ -245,12 +218,12 @@ def cmd_convergence(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_meshgen(cfg: CliConfig) -> int:
-    mesh = trapezoid_mesh(cfg.n, cfg.offset)
+def cmd_meshgen(args: argparse.Namespace) -> int:
+    mesh = trapezoid_mesh(args.n, args.offset)
     text = json.dumps(mesh_to_json(mesh), indent=2) + "\n"
-    if cfg.output is not None:
-        cfg.output.write_text(text)
-        print(f"wrote {mesh.n_vertices} vertices, {mesh.n_cells} cells to {cfg.output}")
+    if args.output is not None:
+        args.output.write_text(text)
+        print(f"wrote {mesh.n_vertices} vertices, {mesh.n_cells} cells to {args.output}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -268,8 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.subcommand](cfg)
+        _check_args(args)
+        return _COMMANDS[args.subcommand](args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -9,10 +9,9 @@ the coordinate kind or cell shapes.
 
 A mesh is stored as arrays: the vertex indices of its cells, one (c, n)
 array per vertex count n, and its numbered edges.  ``PolyMesh.build``
-validates each vertex-count group in one array pass and builds a
-``Polygon`` only to word an error.  The element kernel builds no
-``Polygon``: it reads the class representatives of each group from one
-``PolygonBatch``.
+validates each vertex-count group in one array pass.  The element kernel
+builds no ``Polygon``: it reads the class representatives of each group
+from one ``PolygonBatch``.
 
 The flagship problem is the Poisson equation with Dirichlet data, solved
 with preconditioned conjugate gradients after symmetric elimination of
@@ -25,16 +24,18 @@ cell of the class reuses it at its own, shifted quadrature points.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .barycentric import CoordinateKind, fan_apex
-from .geometry import GeometryError, Polygon, PolygonBatch, _neighbours, _polygon_defects
+from .barycentric import CoordinateKind
+from .geometry import _DEFECTS, GeometryError, Polygon, PolygonBatch, _neighbours, _polygon_defects
 from .linalg import SolveReport, SparseMatrix, cg_solve
 from .quadrature import fan_rule, polygon_rule, rule_layouts
 from .serendipity import SerendipityMap, build_map, eval_basis_batch
@@ -131,17 +132,17 @@ class PolyMesh:
             raise MeshError("mesh has no cells")
         first_bad = None
         for ids, idx in groups:
-            invalid = _invalid_cells(verts, idx)
-            k = int(np.argmax(invalid))
-            if invalid[k] and (first_bad is None or ids[k] < first_bad[0]):
-                first_bad = (int(ids[k]), idx[k])
+            codes = _invalid_cells(verts, idx)
+            k = int(np.argmax(codes != 0))
+            if codes[k] and (first_bad is None or ids[k] < first_bad[0]):
+                first_bad = (int(ids[k]), int(codes[k]), idx.shape[1])
         # Directed edges in group order: src[i] -> dst[i] is edge k of cell owner[i].
         owner = np.concatenate([np.repeat(ids, idx.shape[1]) for ids, idx in groups])
         src = np.concatenate([idx.ravel() for _, idx in groups])
         dst = np.concatenate([idx[:, _neighbours(idx.shape[1])[0]].ravel() for _, idx in groups])
         repeated = _repeated_edge(owner, src, dst, n_verts)
         if first_bad is not None and (repeated is None or first_bad[0] <= repeated[0]):
-            _raise_cell_error(verts, *first_bad)
+            raise MeshError(f"cell {first_bad[0]} {_cell_defect(*first_bad[1:])}")
         if repeated is not None:
             raise MeshError(
                 f"directed edge {repeated[1]} appears twice; cells overlap or share "
@@ -253,8 +254,20 @@ class PolyMesh:
 
 
 def _group_cells(cells: Sequence[Sequence[int]] | np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Cell ids (c,) and vertex indices (c, n) for each vertex count n, in increasing order."""
+    """Cell ids (c,) and vertex indices (c, n) for each vertex count n, in increasing order.
+
+    An index that is not an integer (a bool, a float such as 3.0, a string)
+    raises ``MeshError`` naming the first cell with one.
+    """
+    integer_array = isinstance(cells, np.ndarray) and cells.dtype.kind in "iu"
     cells = list(cells)
+    if not integer_array:
+        # One pass over the entries' types; the cells are searched only on failure.
+        bad = {t for t in map(type, itertools.chain.from_iterable(cells))
+               if t is bool or not issubclass(t, (int, np.integer))}
+        if bad:
+            ci, v = next((ci, v) for ci, cell in enumerate(cells) for v in cell if type(v) in bad)
+            raise MeshError(f"cell {ci} has a vertex index that is not an integer: {v!r}")
     sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
     groups = []
     for n in np.unique(sizes).tolist():
@@ -268,29 +281,29 @@ def _group_cells(cells: Sequence[Sequence[int]] | np.ndarray) -> list[tuple[np.n
 
 
 def _invalid_cells(verts: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Which cells (c, n) of one vertex count repeat a vertex, reference one out of
-    range, or fail the checks of ``Polygon(..., allow_flat=True)``."""
-    if idx.shape[1] < 3:
-        return np.ones(len(idx), dtype=bool)
+    """The first defect (c,) of each cell (c, n) of one vertex count, 0 for a
+    valid cell: -1 if it repeats a vertex, -2 if it references one out of
+    range, -3 if n < 3, else the first failed check of
+    ``Polygon(..., allow_flat=True)``, an index into ``_DEFECTS``."""
     ordered = np.sort(idx, axis=1)
-    bad = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
-    bad |= np.any((idx < 0) | (idx >= len(verts)), axis=1)
-    rows = np.flatnonzero(~bad)
-    bad[rows] = _polygon_defects(verts[idx[rows]], allow_flat=True) != 0
-    return bad
+    codes = np.where(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1), -1, 0)
+    codes[(codes == 0) & np.any((idx < 0) | (idx >= len(verts)), axis=1)] = -2
+    rows = np.flatnonzero(codes == 0)
+    if idx.shape[1] < 3:
+        codes[rows] = -3
+    else:
+        codes[rows] = _polygon_defects(verts[idx[rows]], allow_flat=True)
+    return codes
 
 
-def _raise_cell_error(verts: np.ndarray, ci: int, idx: np.ndarray) -> NoReturn:
-    """Raise the error of the invalid cell ``ci``; a bad shape is worded by its ``Polygon``."""
-    if len(set(idx.tolist())) != len(idx):
-        raise MeshError(f"cell {ci} repeats a vertex")
-    if np.any((idx < 0) | (idx >= len(verts))):
-        raise MeshError(f"cell {ci} references a vertex out of range")
-    try:
-        Polygon(verts[idx], allow_flat=True)
-    except GeometryError as exc:
-        raise MeshError(f"cell {ci} is not a valid convex polygon: {exc}") from exc
-    raise AssertionError(f"cell {ci} failed the group checks, which Polygon applies too")
+def _cell_defect(code: int, n: int) -> str:
+    """What the ``_invalid_cells`` code of a cell of n vertices means."""
+    if code == -1:
+        return "repeats a vertex"
+    if code == -2:
+        return "references a vertex out of range"
+    detail = f"a polygon needs at least 3 vertices, got {n}" if code == -3 else _DEFECTS[code]
+    return f"is not a valid convex polygon: {detail}"
 
 
 def _repeated_edge(owner: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -403,8 +416,8 @@ def trapezoid_mesh(n: int, offset: float = 0.25) -> PolyMesh:
     (i, j) is (bottom-left, bottom-right, top-right, top-left), numbered
     i n + j.
     """
-    if n < 1:
-        raise MeshError("trapezoid mesh needs n >= 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise MeshError(f"trapezoid mesh needs an integer n >= 1, got {n!r}")
     if not 0.0 <= offset < 0.5:
         raise MeshError(f"offset must lie in [0, 0.5), got {offset}")
     m = n + 1
@@ -546,10 +559,7 @@ def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofM
             for lo in range(start, start + len(group), step):
                 rows = slice(lo, min(lo + step, start + len(group)))
                 chunk = batch[rows]
-                if fan:
-                    rule = fan_rule(chunk, degree, fan_apex(chunk))
-                else:
-                    rule = polygon_rule(chunk, degree)
+                rule = fan_rule(chunk, degree) if fan else polygon_rule(chunk, degree)
                 psi, dpsi = eval_basis_batch(chunk, kind, ordered_maps[rows], rule.points)
                 members = []
                 end = bounds[rows.stop]
@@ -559,6 +569,19 @@ def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofM
                 # Views of the points-last arrays eval_basis_batch writes.
                 yield rule, np.swapaxes(psi, 1, 2), dpsi.transpose(3, 0, 2, 1), members
             start += len(group)
+
+
+def _values_at(f: Callable[[np.ndarray], np.ndarray], name: str, points: np.ndarray,
+               gradient: bool = False) -> np.ndarray:
+    """``f(points)`` as floats: one value (N,), or with ``gradient`` one
+    gradient (N, 2), per point (N, 2).  Raises ValueError naming ``name``
+    for any other shape."""
+    values = np.asarray(f(points), dtype=float)
+    want = (len(points), 2) if gradient else (len(points),)
+    if values.shape != want:
+        raise ValueError(f"{name} must return shape {want} at {len(points)} points, "
+                         f"got shape {values.shape}")
+    return values
 
 
 def assemble(
@@ -571,11 +594,11 @@ def assemble(
 ) -> tuple[SparseMatrix, np.ndarray]:
     """Stiffness matrix and load vector for the Poisson problem.
 
-    ``source`` is the right-hand side f as a callable on point arrays; None
-    means f = 0.  Per-cell quadrature uses a centroid fan exact to
-    ``quad_degree``.  Each translation class's element stiffness is formed
-    once, on its representative; the load evaluates f at every cell's own
-    points.
+    ``source`` is the right-hand side f as a callable from points (N, 2) to
+    one finite value each (N,); None means f = 0.  Per-cell quadrature uses
+    a centroid fan exact to ``quad_degree``.  Each translation class's
+    element stiffness is formed once, on its representative; the load
+    evaluates f at every cell's own points.
     """
     if dofmap is None:
         dofmap = dof_map(mesh)
@@ -595,12 +618,15 @@ def assemble(
             vals.append(k_loc[owner].ravel())
             if source is not None:
                 c = len(dofs)
-                points = rule.points[owner] + shift[:, None]
-                f_vals = np.asarray(source(points.reshape(-1, 2)), dtype=float)
-                wf = rule.weights[owner] * f_vals.reshape(c, -1)
+                points = (rule.points[owner] + shift[:, None]).reshape(-1, 2)
+                wf = rule.weights[owner] * _values_at(source, "source", points).reshape(c, -1)
                 # Every cell against every basis row of the chunk; each keeps its owner's block.
-                loads = (wf @ basis_t).reshape(c, r, size)[np.arange(c), owner]
+                # A non-finite source value (inf - inf here) is raised below, from rhs.
+                with np.errstate(invalid="ignore"):
+                    loads = (wf @ basis_t).reshape(c, r, size)[np.arange(c), owner]
                 np.add.at(rhs, dofs, loads)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("source must return finite values")
     matrix = SparseMatrix.from_triplets(
         ndof, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
@@ -629,14 +655,19 @@ def solve_dirichlet(
     tol: float = 1e-12,
     maps: Sequence[SerendipityMap] | None = None,
 ) -> DiscreteSolution:
-    """Impose boundary values at boundary nodes and solve the reduced system."""
+    """Impose boundary values at boundary nodes and solve the reduced system.
+
+    ``dirichlet`` maps the boundary nodes (b, 2) to one finite value each (b,).
+    """
     if maps is None:
         maps = cell_maps(mesh)
     coords = node_coordinates(mesh, dofmap)
     bnd = dofmap.boundary_dofs
     inner = dofmap.interior_dofs
     values = np.zeros(dofmap.n_dofs)
-    values[bnd] = np.asarray(dirichlet(coords[bnd]), dtype=float)
+    values[bnd] = _values_at(dirichlet, "dirichlet", coords[bnd])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("dirichlet must return finite values")
     lifted = matrix.matvec(values)
     reduced = matrix.submatrix(inner)
     report = cg_solve(reduced, rhs[inner] - lifted[inner], tol=tol)
@@ -667,6 +698,9 @@ def error_norms(
 ) -> ErrorNorms:
     """L2 and H1-seminorm errors of ``solution`` against an exact field.
 
+    ``u_exact`` maps points (N, 2) to one finite value each (N,) and
+    ``grad_u_exact`` to one gradient each (N, 2); any other shape, or a
+    non-finite error sum, raises ValueError naming the callable.
     The exact field is evaluated at every cell's own quadrature points and
     compared with its representative's basis values there.  The values of a
     slice of member cells come from two matrix products with the chunk's
@@ -688,11 +722,14 @@ def error_norms(
             coeff = coeff.reshape(c, -1)                            # (c, r 2n)
             points = (rule.points[owner] + shift[:, None]).reshape(-1, 2)
             weights = rule.weights[owner].ravel()
-            du = (coeff @ basis).ravel() - np.asarray(u_exact(points), dtype=float)
+            du = (coeff @ basis).ravel() - _values_at(u_exact, "u_exact", points)
             dg = (coeff @ grads).reshape(2, -1)                     # (2, c m)
-            dg -= np.asarray(grad_u_exact(points), dtype=float).T
+            dg -= _values_at(grad_u_exact, "grad_u_exact", points, gradient=True).T
             acc_l2 += float(weights @ du**2)
             acc_h1 += float(np.sum(dg**2 @ weights))
+    for name, acc in (("u_exact", acc_l2), ("grad_u_exact", acc_h1)):
+        if not math.isfinite(acc):
+            raise ValueError(f"{name} must return finite values")
     return ErrorNorms(l2=float(np.sqrt(acc_l2)), h1=float(np.sqrt(acc_h1)))
 
 

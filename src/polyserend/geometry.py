@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +19,6 @@ __all__ = [
     "InvalidPolygonError",
     "Polygon",
     "PolygonBatch",
-    "polygon_batch",
     "ShapeMetrics",
     "ShapeConditions",
     "interior_angles",
@@ -177,13 +175,6 @@ def _fan_apices(verts: np.ndarray, diameters: np.ndarray) -> np.ndarray:
     return apex
 
 
-def _checked_apices(apices: np.ndarray) -> np.ndarray:
-    """``apices`` of a batch, raising GeometryError if a polygon has no valid fan."""
-    if np.any(apices < 0):
-        raise GeometryError("no valid fan triangulation; polygon is degenerate")
-    return apices
-
-
 @dataclass(frozen=True, eq=False)
 class Polygon:
     """Convex polygon with counterclockwise vertex order.
@@ -275,14 +266,14 @@ class PolygonBatch:
     (v_i, v_{i+1}) and their ``offsets`` (c, n) (``normal . x - offset`` is
     the signed distance to the edge's line), ``flat`` (c,), whether a
     polygon has a flat vertex, and ``apices`` (c,), its ``fan_apex``, or -1
-    where no vertex gives a fan without a degenerate triangle (``fan_apex``
-    and the triangulation kind raise ``GeometryError`` on such a polygon).
+    where no vertex gives a fan without a degenerate triangle (``fan_apex``,
+    ``fan_rule`` and the triangulation kind raise ``GeometryError`` on such
+    a polygon).
 
     Every array is read-only.  Indexing with a slice or an index array gives
     the batch of those polygons, every array sliced, with nothing validated
-    or computed again.
-    Build a batch with ``from_vertices`` or, from ``Polygon`` objects, with
-    ``polygon_batch``.
+    or computed again.  Build a batch with ``from_vertices``; a ``Polygon``
+    keeps its batch of one.
     """
 
     vertices: np.ndarray       # (c, n, 2)
@@ -338,22 +329,24 @@ class PolygonBatch:
         return PolygonBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def polygon_batch(polygons: Polygon | Sequence[Polygon] | PolygonBatch) -> PolygonBatch:
-    """Polygons that share a vertex count as a ``PolygonBatch``.
+def _as_batch(polygon: Polygon | PolygonBatch) -> PolygonBatch:
+    """A polygon as its batch of one, kept with the polygon, or a batch as it is."""
+    if isinstance(polygon, PolygonBatch):
+        return polygon
+    if isinstance(polygon, Polygon):
+        return polygon._batch
+    raise TypeError(f"expected a Polygon or a PolygonBatch, got {type(polygon).__name__}")
 
-    A single polygon is a batch of one, kept with the polygon; a batch is
-    returned as it is.
+
+def _fans(batch: PolygonBatch) -> np.ndarray:
+    """Vertex triples (c, n - 2, 3) of each polygon's fan from its apex
+    (``PolygonBatch.apices``): ``_fan_triangles(n, 0)`` turned by the apex.
+
+    Raises GeometryError if a polygon has no fan without a degenerate triangle.
     """
-    if isinstance(polygons, PolygonBatch):
-        return polygons
-    if isinstance(polygons, Polygon):
-        return polygons._batch
-    polys = tuple(polygons)
-    if not polys:
-        raise GeometryError("a polygon batch needs at least one polygon")
-    if any(p.n != polys[0].n for p in polys):
-        raise GeometryError("polygons of one batch must share a vertex count")
-    return PolygonBatch._derive(np.stack([p.vertices for p in polys]))
+    if np.any(batch.apices < 0):
+        raise GeometryError("no valid fan triangulation; polygon is degenerate")
+    return (_fan_triangles(batch.n, 0) + batch.apices[:, None, None]) % batch.n
 
 
 def _interior_angles(verts: np.ndarray) -> np.ndarray:

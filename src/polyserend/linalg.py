@@ -99,7 +99,8 @@ def cg_solve(
     Stops when ||b - A x|| <= tol * ||b||, for 0 < tol < 1 (a tolerance of 1
     or more would accept the zero start as converged); raises
     ConvergenceError (carrying the best iterate in its ``report``) if the
-    iteration budget is exhausted.
+    iteration budget is exhausted.  A non-finite right-hand side raises
+    ValueError: it is bad input, not a solver failure.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -107,6 +108,8 @@ def cg_solve(
     n = matrix.dim
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rhs must be finite")
     if max_iter is None:
         max_iter = 10 * n
     diag = matrix.diagonal()

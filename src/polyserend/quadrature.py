@@ -17,20 +17,19 @@ vertices, where generalized barycentric coordinates lose smoothness; plain
 Gauss fans converge only algebraically for such integrands, this layout
 restores fast convergence.
 
-``fan_rule`` instead fans from a chosen vertex; aligned with the fan used by
-triangulation-kind coordinates it integrates their piecewise-polynomial
-integrands exactly.
+``fan_rule`` instead fans from each polygon's apex (``fan_apex``), the fan
+of triangulation-kind coordinates, so it integrates their
+piecewise-polynomial integrands exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import GeometryError, Polygon, PolygonBatch, _neighbours, polygon_batch
+from .geometry import GeometryError, Polygon, PolygonBatch, _as_batch, _fans, _neighbours
 
 __all__ = [
     "QuadratureRule",
@@ -103,24 +102,18 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(points=points, weights=weights, degree=2 * m - 1)
 
 
-def _mapped_rule(base: QuadratureRule, A: np.ndarray, B: np.ndarray, C: np.ndarray,
-                 keep_tol: np.ndarray | float = 0.0) -> QuadratureRule:
+def _mapped_rule(base: QuadratureRule, A: np.ndarray, B: np.ndarray,
+                 C: np.ndarray) -> QuadratureRule:
     """Push the reference rule through affine maps onto triangles (A, B, C) of shape (c, T, 2).
 
     The reference corner (0, 1) -- where the conical rule clusters points --
-    lands on C.  Triangles with doubled area <= keep_tol (c, 1) are dropped;
-    every polygon of the batch must drop the same ones.
+    lands on C.  Every triangle must be positively oriented.
     """
     e1 = B - A
     e2 = C - A
     areas2 = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
-    if np.any(areas2 < -keep_tol):
-        raise GeometryError("negatively oriented triangle in quadrature decomposition")
-    keep = areas2 > keep_tol
-    if np.any(keep != keep[0]):
-        raise GeometryError("polygons of one batch drop different empty triangles")
-    if not np.all(keep):
-        A, e1, e2, areas2 = A[:, keep[0]], e1[:, keep[0]], e2[:, keep[0]], areas2[:, keep[0]]
+    if not np.all(areas2 > 0.0):
+        raise GeometryError("empty or negatively oriented triangle in quadrature decomposition")
     # A + x e1 + y e2 with the points last (c, T, 2, k), so every step runs
     # along rows of k values; the reshape stores the coordinates last.
     pts = e1[..., None] * base.points[:, 0]
@@ -132,8 +125,7 @@ def _mapped_rule(base: QuadratureRule, A: np.ndarray, B: np.ndarray, C: np.ndarr
                           weights=wts.reshape(c, -1), degree=base.degree)
 
 
-def _single_or_batch(polygon: Polygon | Sequence[Polygon] | PolygonBatch,
-                     rule: QuadratureRule) -> QuadratureRule:
+def _single_or_batch(polygon: Polygon | PolygonBatch, rule: QuadratureRule) -> QuadratureRule:
     if not isinstance(polygon, Polygon):
         return rule
     return QuadratureRule(points=rule.points[0], weights=rule.weights[0], degree=rule.degree)
@@ -145,7 +137,7 @@ def _rule_degrees(flat: np.ndarray, degree: int) -> np.ndarray:
     return np.where(flat, max(degree, MAX_DEGREE), degree)
 
 
-def polygon_rule(polygon: Polygon | Sequence[Polygon] | PolygonBatch, degree: int) -> QuadratureRule:
+def polygon_rule(polygon: Polygon | PolygonBatch, degree: int) -> QuadratureRule:
     """Rule on a convex polygon: centroid fan split at edge midpoints.
 
     Each boundary edge contributes two triangles (midpoint, centroid, vertex)
@@ -159,10 +151,10 @@ def polygon_rule(polygon: Polygon | Sequence[Polygon] | PolygonBatch, degree: in
     there.  The returned rule is exact at least to the requested degree
     either way.
 
-    Given a batch of polygons that share one layout (see ``rule_layouts``),
-    the rule has points (c, m, 2) and weights (c, m).
+    Given a ``PolygonBatch`` whose polygons share one layout (see
+    ``rule_layouts``), the rule has points (c, m, 2) and weights (c, m).
     """
-    batch = polygon_batch(polygon)
+    batch = _as_batch(polygon)
     degrees = _rule_degrees(batch.flat, degree)
     if np.any(degrees != degrees[0]):
         raise GeometryError("polygons of one batch must all or none have a flat vertex")
@@ -177,29 +169,23 @@ def polygon_rule(polygon: Polygon | Sequence[Polygon] | PolygonBatch, degree: in
     return _single_or_batch(polygon, _mapped_rule(base, A, B, C))
 
 
-def fan_rule(polygon: Polygon | Sequence[Polygon] | PolygonBatch, degree: int,
-             apex: int | np.ndarray = 0) -> QuadratureRule:
-    """Rule on a convex polygon fanning from the vertex ``apex``.
+def fan_rule(polygon: Polygon | PolygonBatch, degree: int) -> QuadratureRule:
+    """Rule on a convex polygon fanning from its apex (``fan_apex``).
 
-    Matches the decomposition used by triangulation-kind coordinates, whose
-    basis functions are polynomial on each fan triangle; zero-area fan
-    triangles at collinear vertices carry no measure and are skipped.
+    The fan is the one triangulation-kind coordinates use, whose basis
+    functions are polynomial on each fan triangle, and none of its n - 2
+    triangles is empty.  Raises ``GeometryError`` on a polygon without such
+    a fan.
 
-    Given a batch of polygons, ``apex`` may give one vertex per polygon and
-    the rule has points (c, m, 2) and weights (c, m).
+    Given a ``PolygonBatch``, each polygon fans from its own apex and the
+    rule has points (c, m, 2) and weights (c, m).
     """
     base = triangle_rule(degree)
-    batch = polygon_batch(polygon)
-    v = batch.vertices
-    c, n, _ = v.shape
-    apex = np.broadcast_to(np.asarray(apex) % n, (c,))
-    others = np.sort((apex[:, None] + np.arange(1, n - 1)) % n, axis=1)
-    rows = np.arange(c)[:, None]
-    A = np.broadcast_to(v[np.arange(c), apex][:, None, :], (c, n - 2, 2))
-    B = v[rows, others]
-    C = v[rows, (others + 1) % n]
-    rule = _mapped_rule(base, A, B, C, keep_tol=1e-14 * batch.diameters[:, None] ** 2)
-    return _single_or_batch(polygon, rule)
+    batch = _as_batch(polygon)
+    fans = _fans(batch)
+    rows = np.arange(len(batch))[:, None]
+    A, B, C = (batch.vertices[rows, fans[..., k]] for k in range(3))
+    return _single_or_batch(polygon, _mapped_rule(base, A, B, C))
 
 
 def rule_layouts(batch: PolygonBatch, degree: int,
@@ -208,8 +194,8 @@ def rule_layouts(batch: PolygonBatch, degree: int,
 
     The rules of one group stack into one batch.  ``polygon_rule`` layouts
     differ by the raised degree at flat vertices, read from ``batch.flat``;
-    ``fan_rule`` layouts (``fan=True``) do not differ, for fans that drop no
-    triangle, as the fans of ``fan_apex`` do.
+    ``fan_rule`` layouts (``fan=True``) do not differ: every fan has n - 2
+    triangles.
     """
     if fan:
         return [(np.arange(len(batch)), (batch.n - 2) * len(triangle_rule(degree)))]

@@ -37,8 +37,7 @@ from .barycentric import (
     pair_order,
     pairwise_batch,
 )
-from .geometry import (GeometryError, Polygon, PolygonBatch, _diagonal_frames, _neighbours,
-                       polygon_batch)
+from .geometry import GeometryError, Polygon, PolygonBatch, _as_batch, _diagonal_frames, _neighbours
 
 __all__ = [
     "SerendipityError",
@@ -181,15 +180,13 @@ def build_A(vertices: np.ndarray) -> np.ndarray:
     return A
 
 
-def build_map(
-    polygon: Polygon | Sequence[Polygon] | PolygonBatch,
-) -> SerendipityMap | tuple[SerendipityMap, ...]:
+def build_map(polygon: Polygon | PolygonBatch) -> SerendipityMap | tuple[SerendipityMap, ...]:
     """Serendipity reduction of a polygon, with A from ``build_A``.
 
-    A batch of polygons that share a vertex count is built at once and gets
-    a tuple of maps, one per polygon.
+    A ``PolygonBatch`` is built at once and gets a tuple of maps, one per
+    polygon.
     """
-    verts = polygon_batch(polygon).vertices
+    verts = _as_batch(polygon).vertices
     n = verts.shape[1]
     B = build_B(n)
     maps = tuple(SerendipityMap(n=n, A=A, B=B) for A in build_A(verts))
@@ -203,15 +200,15 @@ def basis_nodes(polygon: Polygon) -> np.ndarray:
 
 
 def eval_basis_batch(
-    polygon: Polygon | Sequence[Polygon] | PolygonBatch,
+    polygon: Polygon | PolygonBatch,
     kind: CoordinateKind | str,
     smap: SerendipityMap | Sequence[SerendipityMap],
     points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lagrange basis values (m, 2n) and gradients (m, 2n, 2) at interior points.
 
-    Given a batch of c polygons that share a vertex count, one map each and
-    points (c, m, 2), the results are (c, m, 2n) and (c, m, 2n, 2).
+    Given a ``PolygonBatch`` of c polygons, one map each and points
+    (c, m, 2), the results are (c, m, 2n) and (c, m, 2n, 2).
 
     Both are views of points-last arrays: the values of (c, 2n, m) and the
     gradients of a component-major (2, c, 2n, m), so each gradient

@@ -1,9 +1,19 @@
-"""Shared pytest configuration: hypothesis profile, --deep flag, verdict lines."""
+"""Shared pytest configuration: hypothesis profile, --deep flag, verdict lines,
+and the checkout's ``src`` on the import path of subprocesses."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
+
+# pytest's ``pythonpath`` setting puts src/ on the tests' own import path; a
+# subprocess the tests start (``python -m polyserend``) reads PYTHONPATH.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 settings.register_profile(
     "polyserend",

@@ -14,7 +14,9 @@ measures a polygon one vertex and one vertex pair at a time, and
 ``incircle`` solves for the circle of one edge triple at a time.
 
 ``cell_dofs`` and ``rule_layouts`` are per-cell and mixed-vertex-count
-views that the program computes only per vertex-count group.
+views that the program computes only per vertex-count group, and
+``polygon_batch`` stacks ``Polygon`` objects of one vertex count into the
+``PolygonBatch`` that the batched kernels take.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from polyserend import DofMap, Polygon, PolyMesh, SerendipityError, fan_apex, pair_order
+from polyserend import (DofMap, Polygon, PolygonBatch, PolyMesh, SerendipityError, fan_apex,
+                        pair_order)
 from polyserend import quadrature
-from polyserend.geometry import polygon_batch
 
 
 def build_A_unit_square() -> np.ndarray:
@@ -240,7 +242,7 @@ def translation_classes(mesh: PolyMesh) -> np.ndarray:
         diameters = [max(math.hypot(*(p.vertices[i] - p.vertices[j]))
                          for i in range(p.n) for j in range(p.n)) for p in polygons]
         offsets = [(p.vertices - p.vertices[0]).ravel() for p in polygons]
-        keys = [(bool(polygon_batch(p).flat[0]), fan_apex(p),
+        keys = [(bool(p._batch.flat[0]), fan_apex(p),
                  *np.round(o / (1e-9 * d)).tolist())
                 for p, o, d in zip(polygons, offsets, diameters)]
         todo = list(range(len(cells)))
@@ -316,3 +318,8 @@ def rule_layouts(polygons: list[Polygon], degree: int,
         batch = polygon_batch([polygons[i] for i in cells])
         out += [(cells[rows], size) for rows, size in quadrature.rule_layouts(batch, degree, fan)]
     return out
+
+
+def polygon_batch(polygons: list[Polygon]) -> PolygonBatch:
+    """Polygons of one vertex count as one ``PolygonBatch``, validated again."""
+    return PolygonBatch.from_vertices(np.stack([p.vertices for p in polygons]))

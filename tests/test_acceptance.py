@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import corpus
-from oracles import build_A_quadrilateral, build_A_regular, build_A_unit_square, diagonal_column
+from oracles import (build_A_quadrilateral, build_A_regular, build_A_unit_square, diagonal_column,
+                     polygon_batch)
 from polyserend import (
     CoordinateKind,
     assemble,
@@ -155,7 +156,8 @@ class TestAcceptance:
         rng = np.random.default_rng(4)
         quads = [corpus.random_convex_quadrilateral(rng) for _ in range(10_000)]
         # The two diagonal columns (0, 2) and (1, 3) of every quadrilateral.
-        columns = np.stack([smap.A[:, 8:] for smap in build_map(quads)])   # (q, 8, 2)
+        maps = build_map(polygon_batch(quads))
+        columns = np.stack([smap.A[:, 8:] for smap in maps])               # (q, 8, 2)
         vertex_a = columns[:, [0, 1], [0, 1]]
         vertex_b = columns[:, [2, 3], [0, 1]]
         edges = columns[:, 4:]

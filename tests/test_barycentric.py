@@ -21,7 +21,6 @@ from polyserend import (
     eval_coords_batch,
     pair_order,
     pairwise_batch,
-    polygon_batch,
     sample_interior,
 )
 from polyserend.barycentric import _mean_value, _wachspress, fan_apex
@@ -150,7 +149,7 @@ class TestExactSpecialCases:
         assert np.max(np.abs(grad[0, :, 0])) <= 1e-12
         pentagon = corpus.regular_polygon(5)
         with pytest.raises(GeometryError, match="polygon 1 has a flat vertex"):
-            eval_coords_batch([pentagon, poly], CoordinateKind.WACHSPRESS,
+            eval_coords_batch(oracles.polygon_batch([pentagon, poly]), CoordinateKind.WACHSPRESS,
                               np.stack([sample_interior(pentagon, 50, rng), pts]))
 
     def test_flat_vertex_angle_coordinate_interpolates(self):
@@ -265,7 +264,7 @@ class TestBatchedEvaluation:
         if kind is CoordinateKind.WACHSPRESS:       # refuses flat vertices
             polys[3:] = [corpus.random_convex_polygon(rng, 5) for _ in range(2)]
         pts = np.stack([sample_interior(p, 7, rng, margin=1e-3) for p in polys])
-        lam, dlam = eval_coords_batch(polys, kind, pts)
+        lam, dlam = eval_coords_batch(oracles.polygon_batch(polys), kind, pts)
         assert lam.shape == (5, 7, 5) and dlam.shape == (5, 7, 5, 2)
         for k, poly in enumerate(polys):
             want, dwant = eval_coords_batch(poly, kind, pts[k])
@@ -280,17 +279,18 @@ class TestBatchedEvaluation:
         polys = [corpus.regular_polygon(5), rolled, flat]
         apices = [fan_apex(p) for p in polys]
         assert apices == [0, 1, 0]
-        assert fan_apex(polys).tolist() == apices
+        assert fan_apex(oracles.polygon_batch(polys)).tolist() == apices
 
     def test_point_outside_its_own_polygon_rejected(self):
         moved = Polygon(SQUARE.vertices + 2.0)
         pts = np.array([[[0.5, 0.5]], [[0.5, 0.5]]])
         with pytest.raises(BoundaryEvaluationError, match="not strictly inside"):
-            eval_coords_batch([SQUARE, moved], CoordinateKind.WACHSPRESS, pts)
+            eval_coords_batch(oracles.polygon_batch([SQUARE, moved]), CoordinateKind.WACHSPRESS,
+                              pts)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_batch_slice_equals_polygon_list(self, kind):
-        """A slice of a mesh group's batch evaluates as the list of its polygons."""
+        """A slice of a mesh group's batch evaluates as its polygons one at a time."""
         mesh = corpus.voronoi_mesh()
         (ids, reps, batch), = [(group.ids, reps, batch) for group, (reps, batch)
                                in zip(mesh.groups, mesh.class_batches) if batch.n == 6]
@@ -299,15 +299,16 @@ class TestBatchedEvaluation:
         rng = np.random.default_rng(89)
         pts = np.stack([sample_interior(p, 6, rng, margin=1e-3) for p in polys])
         got = eval_coords_batch(part, kind, pts)
-        want = eval_coords_batch(polys, kind, pts)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for k, poly in enumerate(polys):
+            want = eval_coords_batch(poly, kind, pts[k])
+            assert all(np.array_equal(g[k], w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_batch_slice_rejects_point_on_edge(self, kind):
         """The stored normals and offsets of a sliced batch still find a point
         on an edge of its last polygon."""
         rng = np.random.default_rng(97)
-        batch = polygon_batch([corpus.random_convex_polygon(rng, 6) for _ in range(4)])[1:3]
+        batch = oracles.polygon_batch([corpus.random_convex_polygon(rng, 6) for _ in range(4)])[1:3]
         pts = np.stack([sample_interior(Polygon(v), 5, rng, margin=1e-3)
                         for v in batch.vertices])
         eval_coords_batch(batch, kind, pts)
@@ -316,11 +317,9 @@ class TestBatchedEvaluation:
             eval_coords_batch(batch, kind, pts)
 
     def test_batch_shape_validated(self):
-        with pytest.raises(GeometryError, match="vertex count"):
-            eval_coords_batch([SQUARE, corpus.regular_polygon(5)], "meanvalue",
-                              np.full((2, 1, 2), 0.1))
         with pytest.raises(GeometryError, match="shape"):
-            eval_coords_batch([SQUARE, SQUARE], "meanvalue", np.full((3, 1, 2), 0.5))
+            eval_coords_batch(oracles.polygon_batch([SQUARE, SQUARE]), "meanvalue",
+                              np.full((3, 1, 2), 0.5))
 
 
 def _equal(got, want) -> bool:
@@ -355,7 +354,7 @@ class TestKernelOracles:
         rng = np.random.default_rng(200 + n)
         polys = [corpus.random_convex_polygon(rng, n) for _ in range(3)]
         pts = np.stack([sample_interior(p, 29, rng, margin=1e-4) for p in polys])
-        lam, dlam = eval_coords_batch(polys, kind, pts)
+        lam, dlam = eval_coords_batch(oracles.polygon_batch(polys), kind, pts)
         assert _equal(pairwise_batch(lam, dlam), oracles.pairwise(lam, dlam))
         single = eval_coords_batch(polys[0], kind, pts[0])
         assert _equal(pairwise_batch(*single), oracles.pairwise(*single))

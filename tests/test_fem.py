@@ -3,6 +3,7 @@ inter-element continuity, and the refinement study driver."""
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -144,6 +145,11 @@ class TestTrapezoidMesh:
             trapezoid_mesh(2, -0.1)
         with pytest.raises(MeshError):
             trapezoid_mesh(0, 0.25)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(MeshError, match=f"integer n >= 1, got {n!r}"):
+            trapezoid_mesh(n)
         assert trapezoid_mesh(2, 0.45).n_cells == 4
         assert trapezoid_mesh(2, 0.0).n_cells == 4
 
@@ -218,6 +224,27 @@ class TestPolyMeshValidation:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 2.0]])
         with pytest.raises(MeshError, match="vertex 3 is used by no cell"):
             PolyMesh.build(verts, [(0, 1, 2)])
+
+    @pytest.mark.parametrize("entry", [1.7, 1.0, "1", True, None, np.float64(1.0), np.True_],
+                             ids=["float", "whole-float", "str", "bool", "None", "np-float",
+                                  "np-bool"])
+    def test_non_integer_index_rejected(self, entry):
+        """An index that is not an integer used to be cast to one (1.7 became 1)."""
+        square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+        with pytest.raises(MeshError, match=f"cell 1 has a vertex index that is not an integer: "
+                                            f"{re.escape(repr(entry))}"):
+            PolyMesh.build(np.array(square + [[2.0, 0.0], [2.0, 1.0]]),
+                           [[1, 4, 5, 2], [0, entry, 2, 3]])
+        with pytest.raises(MeshError, match="cell 0 has a vertex index that is not an integer"):
+            mesh_from_json({"vertices": square, "cells": [[0, entry, 2, 3]]})
+
+    def test_integer_indices_accepted_in_every_form(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        for cells in ([[0, 1, 2, 3]], [(np.int32(0), 1, np.uint8(2), 3)],
+                      np.array([[0, 1, 2, 3]], dtype=np.uint16)):
+            assert PolyMesh.build(square, cells).cells == ((0, 1, 2, 3),)
+        with pytest.raises(MeshError, match="cell 0 has a vertex index that is not an integer"):
+            PolyMesh.build(square, np.array([[0.0, 1.0, 2.0, 3.0]]))
 
     def test_empty_mesh_rejected(self):
         with pytest.raises(MeshError, match="no cells"):
@@ -489,6 +516,40 @@ class TestAssembly:
 
 
 class TestSolveAndErrors:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_values_rejected(self, bad):
+        """Non-finite data used to end in a ConvergenceError (CLI exit 3) at a
+        nan residual, and a non-finite exact field in l2 = nan."""
+        mesh = trapezoid_mesh(2, 0.25)
+        dm = dof_map(mesh)
+        poisoned = lambda p: np.where(p[:, 0] > 0.5, bad, 1.0)
+        with pytest.raises(ValueError, match="source must return finite values"):
+            assemble(mesh, MV, source=poisoned, dofmap=dm)
+        mat, rhs = assemble(mesh, MV, dofmap=dm)
+        with pytest.raises(ValueError, match="dirichlet must return finite values"):
+            solve_dirichlet(mat, rhs, mesh, dm, MV, poisoned)
+        sol = solve_dirichlet(mat, rhs, mesh, dm, MV, harmonic_exact)
+        with pytest.raises(ValueError, match="u_exact must return finite values"):
+            error_norms(sol, poisoned, harmonic_gradient)
+        with pytest.raises(ValueError, match="grad_u_exact must return finite values"):
+            error_norms(sol, harmonic_exact, lambda p: np.where(p > 0.5, bad, 1.0))
+
+    def test_field_values_need_one_per_point(self):
+        """A scalar or wrongly shaped field used to fail inside numpy's
+        reshape or broadcasting."""
+        mesh = trapezoid_mesh(2, 0.25)
+        dm = dof_map(mesh)
+        mat, rhs = assemble(mesh, MV, dofmap=dm)
+        with pytest.raises(ValueError, match=r"source must return shape \(\d+,\)"):
+            assemble(mesh, MV, source=lambda p: 1.0, dofmap=dm)
+        with pytest.raises(ValueError, match=r"dirichlet must return shape \(16,\) at 16 points"):
+            solve_dirichlet(mat, rhs, mesh, dm, MV, lambda p: np.ones((len(p), 1)))
+        sol = solve_dirichlet(mat, rhs, mesh, dm, MV, harmonic_exact)
+        with pytest.raises(ValueError, match="u_exact must return shape"):
+            error_norms(sol, lambda p: 0.0, harmonic_gradient)
+        with pytest.raises(ValueError, match=r"grad_u_exact must return shape \(\d+, 2\)"):
+            error_norms(sol, harmonic_exact, harmonic_exact)
+
     def test_zero_data_gives_zero(self):
         mesh = trapezoid_mesh(2, 0.25)
         dm = dof_map(mesh)
@@ -603,7 +664,7 @@ class TestSolveAndErrors:
 
 def cell_rule(poly, kind, degree):
     if kind is CoordinateKind.TRIANGULATION:
-        return fan_rule(poly, degree, fan_apex(poly))
+        return fan_rule(poly, degree)
     return polygon_rule(poly, degree)
 
 

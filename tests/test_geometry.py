@@ -29,9 +29,9 @@ from polyserend import (
     shape_metrics,
 )
 from polyserend.barycentric import eval_coords_batch
-from polyserend.geometry import _DEFECTS, _diagonal_frames, polygon_batch
-from polyserend.quadrature import polygon_rule
-from polyserend.serendipity import SerendipityError, build_map
+from polyserend.geometry import _DEFECTS, _as_batch, _diagonal_frames
+from polyserend.quadrature import fan_rule, polygon_rule
+from polyserend.serendipity import SerendipityError, build_map, eval_basis_batch
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -138,8 +138,8 @@ class TestPolygonBatch:
         assert any(p.n == 5 and np.any(np.isclose(interior_angles(p), np.pi)) for p in polys)
         for n in sorted({p.n for p in polys}):
             group = [p for p in polys if p.n == n]
-            for batch in (PolygonBatch.from_vertices(np.stack([p.vertices for p in group])),
-                          polygon_batch(group)):
+            verts = np.stack([p.vertices for p in group])
+            for batch in (PolygonBatch.from_vertices(verts), PolygonBatch._derive(verts)):
                 assert len(batch) == len(group) and batch.n == n
                 for k, poly in enumerate(group):
                     assert np.array_equal(batch.vertices[k], poly.vertices)
@@ -183,35 +183,52 @@ class TestPolygonBatch:
     def test_indexing_slices_every_array(self):
         polys = [corpus.regular_polygon(5, rotation=0.1 * k) for k in range(4)]
         polys.append(corpus.degenerate_pentagon())
-        batch = polygon_batch(polys)
+        batch = oracles.polygon_batch(polys)
         for rows in (slice(1, 3), np.array([4, 0]), 4):
             part = batch[rows]
-            want = polygon_batch([polys[k] for k in np.arange(5)[rows].reshape(-1)])
+            want = oracles.polygon_batch([polys[k] for k in np.arange(5)[rows].reshape(-1)])
             for name in ("vertices", "diameters", "centroids", "normals", "offsets",
                          "flat", "apices"):
                 assert np.array_equal(getattr(part, name), getattr(want, name))
         assert not batch.vertices.flags.writeable
-        assert polygon_batch(batch) is batch
+        assert _as_batch(batch) is batch
 
     def test_polygon_keeps_its_batch(self):
         poly = corpus.regular_polygon(7)
-        assert polygon_batch(poly) is polygon_batch(poly)
-        assert len(polygon_batch(poly)) == 1
+        assert _as_batch(poly) is _as_batch(poly)
+        assert len(_as_batch(poly)) == 1
+
+    def test_kernels_refuse_a_list_of_polygons(self):
+        """The batched kernels take a Polygon or a PolygonBatch, nothing else."""
+        polys = [corpus.regular_polygon(5), corpus.regular_polygon(5, rotation=0.3)]
+        maps = [build_map(p) for p in polys]
+        pts = np.zeros((2, 1, 2))
+        for call in (lambda: eval_coords_batch(polys, "meanvalue", pts),
+                     lambda: eval_basis_batch(polys, "meanvalue", maps, pts),
+                     lambda: polygon_rule(polys, 4),
+                     lambda: fan_rule(polys, 4),
+                     lambda: fan_apex(polys),
+                     lambda: build_map(polys)):
+            with pytest.raises(TypeError, match="expected a Polygon or a PolygonBatch, got list"):
+                call()
 
     def test_polygon_without_a_fan_apex(self):
         # Every vertex lies on the line of an edge it does not touch, so every
         # fan has a degenerate triangle; only what needs a fan may fail.
         thirds = [(0, 0), (1 / 3, 0), (2 / 3, 0), (1, 0), (1, 1), (2 / 3, 1), (1 / 3, 1), (0, 1)]
         poly = Polygon(thirds, allow_flat=True)
-        batch = polygon_batch([poly, poly])
+        batch = oracles.polygon_batch([poly, poly])
         assert batch.apices.tolist() == [-1, -1] and poly._batch.apices.tolist() == [-1]
         assert poly.centroid == pytest.approx([0.5, 0.5]) and poly.diameter == math.sqrt(2.0)
         rule = polygon_rule(poly, 6)
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
         lam, _ = eval_coords_batch(batch, "meanvalue", np.stack([rule.points] * 2))
         assert np.allclose(lam.sum(axis=-1), 1.0)
-        with pytest.raises(GeometryError, match="no valid fan triangulation"):
-            fan_apex(poly)
+        for polygon in (poly, batch):
+            with pytest.raises(GeometryError, match="no valid fan triangulation"):
+                fan_apex(polygon)
+            with pytest.raises(GeometryError, match="no valid fan triangulation"):
+                fan_rule(polygon, 6)
         with pytest.raises(GeometryError, match="no valid fan triangulation"):
             eval_coords_batch(poly, "triangulation", rule.points)
         # Two flat vertices on one side leave a diagonal whose end has both

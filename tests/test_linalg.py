@@ -144,6 +144,13 @@ class TestConjugateGradients:
         with pytest.raises(ValueError, match="shape"):
             cg_solve(m, np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, bad):
+        """A non-finite right-hand side is bad input, not a solver failure."""
+        m = SparseMatrix.from_triplets(3, range(3), range(3), np.ones(3))
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            cg_solve(m, np.array([1.0, bad, 0.0]))
+
     def test_budget_exhaustion_raises_with_best_iterate(self):
         rng = np.random.default_rng(7)
         dense = random_spd(rng, 40)

@@ -17,11 +17,13 @@ from polyserend import (
     Polygon,
     build_map,
     eval_basis_batch,
+    eval_coords_batch,
     integrate,
+    pairwise_batch,
     polygon_rule,
     triangle_rule,
 )
-from polyserend.geometry import polygon_batch
+from polyserend.barycentric import fan_apex
 from polyserend.quadrature import MAX_DEGREE, _gauss_jacobi, fan_rule, rule_layouts
 
 
@@ -166,12 +168,25 @@ class TestPolygonRule:
         assert np.sum(bumped.weights) == pytest.approx(degen.area, rel=1e-12)
 
 
+def _rolled(poly: Polygon, shift: int) -> Polygon:
+    """The polygon with its vertex k renumbered k - shift."""
+    return Polygon(np.roll(poly.vertices, -shift, axis=0), allow_flat=True)
+
+
+def _flat_hexagon() -> Polygon:
+    """Rectangle 2 x 1 with flat vertices 0 and 3 at the midpoints of its
+    long sides: fans from their neighbours 1, 2, 4 and 5 are degenerate."""
+    return Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                             [-1.0, 1.0], [-1.0, 0.0]]), allow_flat=True)
+
+
 class TestFanRule:
     def test_full_fan_matches_area_and_monomials(self):
+        """Fans from vertices 0 and 3 of a heptagon (the polygon rolled by 3)."""
         rng = np.random.default_rng(23)
         poly = corpus.random_convex_polygon(rng, 7)
-        for apex in (0, 3):
-            rule = fan_rule(poly, 6, apex=apex)
+        for shifted in (poly, _rolled(poly, 3)):
+            rule = fan_rule(shifted, 6)
             m = (6 + 2) // 2
             assert len(rule) == (poly.n - 2) * m * m
             assert np.sum(rule.weights) == pytest.approx(poly.area, rel=1e-12)
@@ -180,30 +195,53 @@ class TestFanRule:
             want = corpus.polygon_monomial_oracle(poly, 2, 3)
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_apex_wraps_modulo_n(self):
-        poly = corpus.regular_polygon(5)
-        a = fan_rule(poly, 3, apex=5)
-        b = fan_rule(poly, 3, apex=0)
-        assert a.points == pytest.approx(b.points, abs=0.0)
-
-    def test_flat_pentagon_drops_empty_triangle(self):
-        """Fanning from a vertex adjacent to the straight joint produces one
-        zero-area triangle, which must be skipped, not integrated."""
+    def test_flat_pentagon_keeps_every_fan_triangle(self):
+        """Fanning from a vertex next to the straight joint would produce a
+        zero-area triangle; the fan from the apex has none, so every one of
+        the n - 2 triangles carries points."""
         degen = corpus.degenerate_pentagon()
         m = (3 + 2) // 2
-        thinned = fan_rule(degen, 3, apex=1)
-        assert len(thinned) == (degen.n - 3) * m * m
-        full = fan_rule(degen, 3, apex=0)
-        assert len(full) == (degen.n - 2) * m * m
-        for rule in (thinned, full):
+        for shift, apex in ((0, 0), (1, 1)):
+            poly = _rolled(degen, shift)
+            assert fan_apex(poly) == apex
+            rule = fan_rule(poly, 3)
+            assert len(rule) == (degen.n - 2) * m * m
             assert np.sum(rule.weights) == pytest.approx(degen.area, abs=1e-13)
-        # The thinned fan must still integrate exactly; x^2 y^3 has degree 5,
-        # so build the matching degree-5 rule for the exactness check.
-        quintic = fan_rule(degen, 5, apex=1)
-        val = float(np.dot(quintic.weights,
-                           quintic.points[:, 0] ** 2 * quintic.points[:, 1] ** 3))
-        assert val == pytest.approx(corpus.polygon_monomial_oracle(degen, 2, 3),
-                                    abs=1e-13)
+            # x^2 y^3 has degree 5, so build the matching degree-5 rule.
+            quintic = fan_rule(poly, 5)
+            val = float(np.dot(quintic.weights,
+                               quintic.points[:, 0] ** 2 * quintic.points[:, 1] ** 3))
+            assert val == pytest.approx(corpus.polygon_monomial_oracle(degen, 2, 3),
+                                        abs=1e-13)
+
+    @pytest.mark.parametrize("poly, apex", [
+        (_rolled(corpus.degenerate_pentagon(), 1), 1),
+        (_rolled(corpus.degenerate_pentagon(), 3), 0),
+        (_rolled(_flat_hexagon(), 1), 2),
+    ], ids=["pentagon-rolled-1", "pentagon-rolled-3", "hexagon-rolled-1"])
+    def test_triangulation_mass_matrix_exact_from_the_apex(self, poly, apex):
+        """Triangulation-kind coordinates are linear on each triangle of their
+        fan, so the products of their pairwise products, which span every
+        mass-matrix entry of the basis, are quartic there: the fan rule of
+        degree 4 integrates them exactly, whichever vertex is the apex.  (A
+        polygon with apex 2 has a diagonal between two flat vertices and so
+        no serendipity map; its pairwise products still have a mass matrix.)"""
+        assert fan_apex(poly) == apex
+
+        def mass(degree, smap=None):
+            rule = fan_rule(poly, degree)
+            assert len(rule) == (poly.n - 2) * ((degree + 2) // 2) ** 2
+            if smap is None:
+                f, _ = pairwise_batch(*eval_coords_batch(poly, CoordinateKind.TRIANGULATION,
+                                                         rule.points))
+            else:
+                f, _ = eval_basis_batch(poly, CoordinateKind.TRIANGULATION, smap, rule.points)
+            return np.einsum("m,mi,mj->ij", rule.weights, f, f)
+
+        assert np.max(np.abs(mass(4) - mass(20))) <= 1e-13
+        if apex < 2:
+            smap = build_map(poly)
+            assert np.max(np.abs(mass(4, smap) - mass(20, smap))) <= 1e-13
 
 
 class TestBatchedRules:
@@ -212,39 +250,38 @@ class TestBatchedRules:
     def test_rows_equal_single_rules_and_length_counts_points(self):
         rng = np.random.default_rng(29)
         polys = [corpus.random_convex_polygon(rng, 6) for _ in range(3)]
-        for batch, singles in (
-            (polygon_rule(polys, 5), [polygon_rule(p, 5) for p in polys]),
-            (fan_rule(polys, 5, np.array([0, 2, 4])),
-             [fan_rule(p, 5, a) for p, a in zip(polys, (0, 2, 4))]),
-        ):
+        flats = [_rolled(_flat_hexagon(), shift) for shift in (0, 1, 2)]
+        assert oracles.polygon_batch(flats).apices.tolist() == [0, 2, 1]
+        for rule, group in ((polygon_rule, polys), (fan_rule, polys), (fan_rule, flats)):
+            batch = rule(oracles.polygon_batch(group), 5)
+            singles = [rule(p, 5) for p in group]
             assert batch.points.shape[:2] == batch.weights.shape
             assert len(batch) == batch.weights.size == sum(len(r) for r in singles)
-            for k, rule in enumerate(singles):
-                assert np.array_equal(batch.points[k], rule.points)
-                assert np.array_equal(batch.weights[k], rule.weights)
+            for k, single in enumerate(singles):
+                assert np.array_equal(batch.points[k], single.points)
+                assert np.array_equal(batch.weights[k], single.weights)
 
     def test_polygon_batch_equals_polygon_list(self):
+        """Rules of a sliced batch equal the rules of its polygons, one at a time."""
         flat = corpus.degenerate_pentagon()
-        polys = [corpus.regular_polygon(5), flat, corpus.regular_polygon(5, rotation=0.3), flat]
-        batch = polygon_batch(polys)
+        polys = [corpus.regular_polygon(5), flat, corpus.regular_polygon(5, rotation=0.3),
+                 _rolled(flat, 1)]
+        batch = oracles.polygon_batch(polys)
         for fan in (False, True):
             got = rule_layouts(batch, 4, fan=fan)
             want = oracles.rule_layouts(polys, 4, fan=fan)
             assert [(c.tolist(), m) for c, m in got] == [(c.tolist(), m) for c, m in want]
-        rows = np.array([0, 2])
-        for got, want in ((polygon_rule(batch[rows], 6), polygon_rule([polys[0], polys[2]], 6)),
-                          (fan_rule(batch[1::2], 6, batch.apices[1::2]), fan_rule([flat, flat], 6))):
-            assert np.array_equal(got.points, want.points)
-            assert np.array_equal(got.weights, want.weights)
+        for got, rule, rows in ((polygon_rule(batch[np.array([0, 2])], 6), polygon_rule, (0, 2)),
+                                (fan_rule(batch[1::2], 6), fan_rule, (1, 3))):
+            for row, k in enumerate(rows):
+                want = rule(polys[k], 6)
+                assert np.array_equal(got.points[row], want.points)
+                assert np.array_equal(got.weights[row], want.weights)
 
     def test_batch_must_share_one_layout(self):
-        flat, square = corpus.degenerate_pentagon(), corpus.unit_square()
-        with pytest.raises(GeometryError, match="vertex count"):
-            polygon_rule([flat, square], 4)
+        batch = oracles.polygon_batch([corpus.degenerate_pentagon(), corpus.regular_polygon(5)])
         with pytest.raises(GeometryError, match="flat vertex"):
-            polygon_rule([flat, corpus.regular_polygon(5)], 4)
-        with pytest.raises(GeometryError, match="empty triangles"):
-            fan_rule([flat, flat], 3, np.array([0, 1]))
+            polygon_rule(batch, 4)
 
     def test_layouts_group_by_vertex_count_and_flat_vertices(self):
         polys = [corpus.unit_square(), corpus.degenerate_pentagon(),
@@ -276,7 +313,7 @@ class TestIntegrateHelper:
     def test_batch_rule_gives_one_integral_per_polygon(self):
         square = corpus.unit_square()
         square2 = Polygon(2.0 * square.vertices + 1.0)
-        rule = polygon_rule([square, square2], 3)
+        rule = polygon_rule(oracles.polygon_batch([square, square2]), 3)
         f = lambda p: p[..., 0] * p[..., 1]
         got = integrate(rule, f)
         assert isinstance(got, np.ndarray) and got.shape == (2,)
@@ -291,7 +328,7 @@ class TestIntegrateHelper:
     def test_one_value_per_point_required(self, f):
         square = corpus.unit_square()
         with pytest.raises(GeometryError, match="one value per rule point"):
-            integrate(polygon_rule([square, square], 3), f)
+            integrate(polygon_rule(oracles.polygon_batch([square, square]), 3), f)
 
     def test_scalar_on_single_rule_rejected(self):
         with pytest.raises(GeometryError, match="one value per rule point"):

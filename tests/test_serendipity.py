@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import corpus
+import oracles
 from oracles import build_A_quadrilateral, build_A_regular, build_A_unit_square, diagonal_column
 from polyserend import (
     BoundaryEvaluationError,
@@ -152,7 +153,7 @@ class TestQuadrilateral:
     def test_coefficient_identities_and_bounds(self):
         rng = np.random.default_rng(0)
         quads = [corpus.random_convex_quadrilateral(rng) for _ in range(200)]
-        for smap in build_map(quads):
+        for smap in build_map(oracles.polygon_batch(quads)):
             for a, b in ((0, 2), (1, 3)):
                 col = diagonal_column(smap.A, 4, a, b)
                 assert all(0.0 < c < 1.0 for c in col.edges)
@@ -178,7 +179,7 @@ class TestQuadrilateral:
         quads = [corpus.random_convex_quadrilateral(rng) for _ in range(200)]
         mesh = trapezoid_mesh(16)
         quads += [mesh.polygons[i] for i in np.unique(mesh.translation_classes)]
-        for quad, smap in zip(quads, build_map(quads)):
+        for quad, smap in zip(quads, build_map(oracles.polygon_batch(quads))):
             assert np.max(np.abs(smap.A - build_A_quadrilateral(quad))) <= 1e-14
             for a, b in ((0, 2), (1, 3)):
                 assert diagonal_column(smap.A, 4, a, b).s == pytest.approx(1.0, abs=1e-14)
@@ -279,7 +280,7 @@ class TestGeneric:
         rng = np.random.default_rng(19)
         for n in (3, 4, 5, 8):
             polys = [corpus.random_convex_polygon(rng, n) for _ in range(4)]
-            maps = build_map(polys)
+            maps = build_map(oracles.polygon_batch(polys))
             assert isinstance(maps, tuple) and len(maps) == 4
             for poly, smap in zip(polys, maps):
                 assert np.array_equal(smap.A, build_map(poly).A)
@@ -583,24 +584,26 @@ class TestBasisEvaluation:
             eval_basis_batch(SQUARE, CoordinateKind.MEAN_VALUE, smap, np.array([bad]))
 
     def test_polygon_batch_equals_polygon_list(self):
-        """build_map and eval_basis_batch read a PolygonBatch as the list of its polygons."""
+        """build_map and eval_basis_batch read a PolygonBatch as its polygons one at a time."""
         rng = np.random.default_rng(67)
         polys = [corpus.random_convex_polygon(rng, 7) for _ in range(3)]
         batch = PolygonBatch.from_vertices(np.stack([p.vertices for p in polys]))
-        maps = build_map(polys)
+        maps = [build_map(p) for p in polys]
         assert all(np.array_equal(a.A, b.A) for a, b in zip(build_map(batch), maps))
         pts = np.stack([sample_interior(p, 8, rng, margin=1e-3) for p in polys])
         for kind in CoordinateKind:
             got = eval_basis_batch(batch, kind, maps, pts)
-            want = eval_basis_batch(polys, kind, maps, pts)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            for k, poly in enumerate(polys):
+                want = eval_basis_batch(poly, kind, maps[k], pts[k])
+                assert all(np.array_equal(g[k], w) for g, w in zip(got, want))
 
     def test_batch_rows_equal_single_calls(self):
         rng = np.random.default_rng(59)
         polys = [corpus.random_convex_polygon(rng, 6) for _ in range(3)]
         maps = [build_map(p) for p in polys]
         pts = np.stack([sample_interior(p, 9, rng, margin=1e-3) for p in polys])
-        psi, dpsi = eval_basis_batch(polys, CoordinateKind.MEAN_VALUE, maps, pts)
+        psi, dpsi = eval_basis_batch(oracles.polygon_batch(polys), CoordinateKind.MEAN_VALUE,
+                                     maps, pts)
         assert psi.shape == (3, 9, 12) and dpsi.shape == (3, 9, 12, 2)
         for k in range(3):
             want, dwant = eval_basis_batch(polys[k], CoordinateKind.MEAN_VALUE, maps[k], pts[k])
@@ -615,7 +618,7 @@ class TestBasisEvaluation:
         polys = [corpus.random_convex_polygon(rng, 6) for _ in range(3 if batched else 1)]
         maps = [build_map(p) for p in polys]
         pts = np.stack([sample_interior(p, 9, rng, margin=1e-3) for p in polys])
-        args = (polys, maps, pts) if batched else (polys[0], maps[0], pts[0])
+        args = (oracles.polygon_batch(polys), maps, pts) if batched else (polys[0], maps[0], pts[0])
         _, dpsi = eval_basis_batch(args[0], CoordinateKind.MEAN_VALUE, args[1], args[2])
         _, dmu = pairwise_batch(*eval_coords_batch(args[0], CoordinateKind.MEAN_VALUE, args[2]))
         if not batched:
@@ -629,7 +632,8 @@ class TestBasisEvaluation:
         hexagon = corpus.regular_polygon(6)
         pts = np.full((2, 1, 2), 0.1)
         with pytest.raises(SerendipityError, match="one serendipity map per polygon"):
-            eval_basis_batch([hexagon, hexagon], "meanvalue", [build_map(hexagon)], pts)
+            eval_basis_batch(oracles.polygon_batch([hexagon, hexagon]), "meanvalue",
+                             [build_map(hexagon)], pts)
         with pytest.raises(SerendipityError, match="one serendipity map per polygon"):
             eval_basis_batch(hexagon, "meanvalue", build_map(corpus.regular_polygon(5)),
                              pts[0])
@@ -640,7 +644,7 @@ class TestBasisEvaluation:
         allocates at most 1.1 KB per point at its peak, results included;
         the chunk size of fem.CHUNK_POINTS rests on this figure."""
         rng = np.random.default_rng(61)
-        hexagons = [corpus.random_convex_polygon(rng, 6) for _ in range(3)]
+        hexagons = oracles.polygon_batch([corpus.random_convex_polygon(rng, 6) for _ in range(3)])
         rule = polygon_rule(hexagons, 10)
         maps = build_map(hexagons)
         assert rule.weights.size >= 1024

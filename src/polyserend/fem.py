@@ -38,7 +38,7 @@ from .barycentric import CoordinateKind
 from .geometry import _DEFECTS, GeometryError, Polygon, PolygonBatch, _neighbours, _polygon_defects
 from .linalg import SolveReport, SparseMatrix, cg_solve
 from .quadrature import fan_rule, polygon_rule, rule_layouts
-from .serendipity import SerendipityMap, build_map, eval_basis_batch
+from .serendipity import SerendipityError, SerendipityMap, build_map, eval_basis_batch
 
 __all__ = [
     "MeshError",
@@ -252,6 +252,35 @@ class PolyMesh:
         rep.setflags(write=False)
         return rep, tuple(batches)
 
+    @cached_property
+    def _dof_map(self) -> DofMap:
+        """``dof_map(self)``, numbered on first use."""
+        nv = self.n_vertices
+        outer = self.boundary_edges
+        boundary = np.zeros(nv + len(self.edges), dtype=bool)
+        boundary[self.edges[outer].ravel()] = True
+        boundary[nv:] = outer
+        groups = []
+        for ids, cells, edges in self.groups:
+            dofs = np.hstack([cells, nv + edges])
+            dofs.setflags(write=False)
+            groups.append((ids, dofs))
+        return DofMap(n_vertex_dofs=nv, edges=self.edges, groups=tuple(groups), boundary=boundary)
+
+    @cached_property
+    def _cell_maps(self) -> tuple[SerendipityMap, ...]:
+        """``cell_maps(self)``, built on first use."""
+        built = {}
+        for (ids, _, _), (reps, batch) in zip(self.groups, self.class_batches):
+            try:
+                maps = build_map(batch)
+            except SerendipityError as exc:
+                # The error names the row of the batch of representatives: name the cell.
+                cell = f"cell {ids[reps[exc._row]]}"
+                raise type(exc)(str(exc).replace(f"polygon {exc._row}", cell, 1)) from exc
+            built.update(zip(ids[reps].tolist(), maps))
+        return tuple(built[r] for r in self.translation_classes.tolist())
+
 
 def _group_cells(cells: Sequence[Sequence[int]] | np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Cell ids (c,) and vertex indices (c, n) for each vertex count n, in increasing order.
@@ -461,24 +490,15 @@ def dof_map(mesh: PolyMesh) -> DofMap:
     """Vertex unknowns, then one unknown per mesh edge in ``mesh.edges`` order.
 
     The unknowns of a boundary edge (``mesh.boundary_edges``, used by one
-    cell) and of its two vertices are boundary unknowns.
+    cell) and of its two vertices are boundary unknowns.  The map is
+    numbered once per mesh: every call returns the same ``DofMap``.
     """
-    nv = mesh.n_vertices
-    outer = mesh.boundary_edges
-    boundary = np.zeros(nv + len(mesh.edges), dtype=bool)
-    boundary[mesh.edges[outer].ravel()] = True
-    boundary[nv:] = outer
-    groups = []
-    for ids, cells, edges in mesh.groups:
-        dofs = np.hstack([cells, nv + edges])
-        dofs.setflags(write=False)
-        groups.append((ids, dofs))
-    return DofMap(n_vertex_dofs=nv, edges=mesh.edges, groups=tuple(groups), boundary=boundary)
+    return mesh._dof_map
 
 
-def node_coordinates(mesh: PolyMesh, dofmap: DofMap) -> np.ndarray:
-    """Coordinates of every global unknown: vertices, then edge midpoints."""
-    ea = dofmap.edges
+def node_coordinates(mesh: PolyMesh) -> np.ndarray:
+    """Coordinates of every unknown of ``dof_map(mesh)``: vertices, then edge midpoints."""
+    ea = mesh.edges
     mids = 0.5 * (mesh.vertices[ea[:, 0]] + mesh.vertices[ea[:, 1]])
     return np.vstack([mesh.vertices, mids])
 
@@ -490,12 +510,21 @@ def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
     translation class (``PolyMesh.translation_classes``), on its
     representative, with one ``build_map`` call per vertex count on the
     group's ``PolygonBatch`` of representatives, and every member cell
-    shares that read-only map.
+    shares that read-only map.  The maps are built once per mesh: every
+    call returns the same tuple.  An error names the representative's cell.
     """
-    built = {}
-    for (ids, _, _), (reps, batch) in zip(mesh.groups, mesh.class_batches):
-        built.update(zip(ids[reps].tolist(), build_map(batch)))
-    return tuple(built[r] for r in mesh.translation_classes.tolist())
+    return mesh._cell_maps
+
+
+def _check_own(mesh: PolyMesh, maps: Sequence[SerendipityMap] | None,
+               dofmap: DofMap | None) -> None:
+    """Raise ValueError unless ``maps`` and ``dofmap``, where given, are the mesh's
+    own ``cell_maps(mesh)`` and ``dof_map(mesh)``.  Maps compare by identity, so
+    the mesh's tuple passes at once, and a list of the same maps item by item."""
+    if dofmap is not None and dofmap is not dof_map(mesh):
+        raise ValueError("dofmap must be the mesh's own dof_map(mesh)")
+    if maps is not None and maps is not cell_maps(mesh) and tuple(maps) != cell_maps(mesh):
+        raise ValueError("maps must be the mesh's own cell_maps(mesh)")
 
 
 # Quadrature points per chunk of the element kernel, and per member slice.
@@ -508,8 +537,7 @@ def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
 CHUNK_POINTS = 2048
 
 
-def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofMap,
-                    kind: CoordinateKind, degree: int):
+def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
     """The element kernel: basis values on chunks of class representatives.
 
     Rule weights and basis values are the same for every cell of a
@@ -537,7 +565,8 @@ def _element_chunks(mesh: PolyMesh, maps: Sequence[SerendipityMap], dofmap: DofM
     and ``rule.points[owner] + shift[:, None]`` are the cell's own points.
     """
     fan = CoordinateKind(kind) is CoordinateKind.TRIANGULATION
-    for (ids, cells, _), (_, dofs), (reps, batch) in zip(mesh.groups, dofmap.groups,
+    maps = cell_maps(mesh)
+    for (ids, cells, _), (_, dofs), (reps, batch) in zip(mesh.groups, dof_map(mesh).groups,
                                                          mesh.class_batches):
         rep_of = np.searchsorted(ids, mesh.translation_classes[ids])   # group rows
         layouts = rule_layouts(batch, degree, fan=fan)
@@ -598,17 +627,15 @@ def assemble(
     one finite value each (N,); None means f = 0.  Per-cell quadrature uses
     a centroid fan exact to ``quad_degree``.  Each translation class's
     element stiffness is formed once, on its representative; the load
-    evaluates f at every cell's own points.
+    evaluates f at every cell's own points.  ``maps`` and ``dofmap`` select
+    nothing: anything but the mesh's own raises ValueError.
     """
-    if dofmap is None:
-        dofmap = dof_map(mesh)
-    if maps is None:
-        maps = cell_maps(mesh)
+    _check_own(mesh, maps, dofmap)
     kind = CoordinateKind(kind)
-    ndof = dofmap.n_dofs
+    ndof = dof_map(mesh).n_dofs
     rows, cols, vals = [], [], []
     rhs = np.zeros(ndof)
-    for rule, psi, dpsi, members in _element_chunks(mesh, maps, dofmap, kind, quad_degree):
+    for rule, psi, dpsi, members in _element_chunks(mesh, kind, quad_degree):
         k_loc = np.sum((dpsi * rule.weights[:, None]) @ np.swapaxes(dpsi, 2, 3), axis=0)
         r, size, m = psi.shape
         basis_t = psi.reshape(-1, m).T                              # (m, r 2n)
@@ -635,14 +662,23 @@ def assemble(
 
 @dataclass(frozen=True, eq=False)
 class DiscreteSolution:
-    """Finite element solution: one value per global unknown."""
+    """Finite element solution: one value per unknown of ``dof_map(mesh)``, or ValueError."""
 
     mesh: PolyMesh
-    dofmap: DofMap
     kind: CoordinateKind
     values: np.ndarray
-    maps: tuple[SerendipityMap, ...]
     report: SolveReport
+
+    def __post_init__(self) -> None:
+        want = (dof_map(self.mesh).n_dofs,)
+        if np.shape(self.values) != want:
+            raise ValueError(f"values must have shape {want}, one per unknown, "
+                             f"got {np.shape(self.values)}")
+
+    @property
+    def dofmap(self) -> DofMap:
+        """The mesh's own ``dof_map(mesh)``."""
+        return dof_map(self.mesh)
 
 
 def solve_dirichlet(
@@ -658,10 +694,10 @@ def solve_dirichlet(
     """Impose boundary values at boundary nodes and solve the reduced system.
 
     ``dirichlet`` maps the boundary nodes (b, 2) to one finite value each (b,).
+    ``dofmap`` and ``maps`` select nothing: anything but the mesh's own raises ValueError.
     """
-    if maps is None:
-        maps = cell_maps(mesh)
-    coords = node_coordinates(mesh, dofmap)
+    _check_own(mesh, maps, dofmap)
+    coords = node_coordinates(mesh)
     bnd = dofmap.boundary_dofs
     inner = dofmap.interior_dofs
     values = np.zeros(dofmap.n_dofs)
@@ -672,14 +708,7 @@ def solve_dirichlet(
     reduced = matrix.submatrix(inner)
     report = cg_solve(reduced, rhs[inner] - lifted[inner], tol=tol)
     values[inner] = report.solution
-    return DiscreteSolution(
-        mesh=mesh,
-        dofmap=dofmap,
-        kind=CoordinateKind(kind),
-        values=values,
-        maps=tuple(maps),
-        report=report,
-    )
+    return DiscreteSolution(mesh=mesh, kind=CoordinateKind(kind), values=values, report=report)
 
 
 @dataclass(frozen=True)
@@ -709,9 +738,7 @@ def error_norms(
     """
     acc_l2 = 0.0
     acc_h1 = 0.0
-    for rule, psi, dpsi, members in _element_chunks(
-        solution.mesh, solution.maps, solution.dofmap, solution.kind, quad_degree
-    ):
+    for rule, psi, dpsi, members in _element_chunks(solution.mesh, solution.kind, quad_degree):
         r, size, m = psi.shape
         basis = psi.reshape(-1, m)                                  # (r 2n, m)
         grads = dpsi.reshape(2, -1, m)                              # (2, r 2n, m)
@@ -762,13 +789,10 @@ def convergence_study(
     quad_degree: int = 10,
     norm_degree: int = 14,
     tol: float = 1e-12,
-    u_exact: Callable[[np.ndarray], np.ndarray] = harmonic_exact,
-    grad_u_exact: Callable[[np.ndarray], np.ndarray] = harmonic_gradient,
-    source: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[ConvergenceRow]:
     """Refinement study on trapezoid meshes of the unit square.
 
-    Defaults to the zero-source Dirichlet problem whose solution is the
+    Solves the zero-source Dirichlet problem whose solution is the
     harmonic field sin(x) e^y.  Rates compare successive levels through the
     mesh-size ratio, so any strictly increasing sequence of n works (others
     raise MeshError); doubling gives the classic log2 ratios.
@@ -780,14 +804,9 @@ def convergence_study(
     for n in levels:
         mesh = trapezoid_mesh(n, offset)
         dofmap = dof_map(mesh)
-        maps = cell_maps(mesh)
-        matrix, rhs = assemble(
-            mesh, kind, source=source, quad_degree=quad_degree, maps=maps, dofmap=dofmap
-        )
-        sol = solve_dirichlet(
-            matrix, rhs, mesh, dofmap, kind, u_exact, tol=tol, maps=maps
-        )
-        err = error_norms(sol, u_exact, grad_u_exact, quad_degree=norm_degree)
+        matrix, rhs = assemble(mesh, kind, quad_degree=quad_degree)
+        sol = solve_dirichlet(matrix, rhs, mesh, dofmap, kind, harmonic_exact, tol=tol)
+        err = error_norms(sol, harmonic_exact, harmonic_gradient, quad_degree=norm_degree)
         if prev is None:
             l2_rate = h1_rate = None
         else:

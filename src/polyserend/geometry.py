@@ -354,7 +354,8 @@ def _interior_angles(verts: np.ndarray) -> np.ndarray:
     nxt, prv = _neighbours(verts.shape[1])
     w = verts[:, nxt] - verts     # towards the next vertex
     u = verts[:, prv] - verts     # towards the previous vertex
-    return np.arctan2(_cross(w, u), np.einsum("cnd,cnd->cn", w, u))
+    # Convex: the sine is |w x u|.  At a flat vertex w x u can be -0.0, which reads -pi.
+    return np.arctan2(np.abs(_cross(w, u)), np.einsum("cnd,cnd->cn", w, u))
 
 
 def interior_angles(polygon: Polygon) -> np.ndarray:
@@ -429,7 +430,7 @@ def shape_metrics(polygon: Polygon) -> ShapeMetrics:
 
 def _single_circular_run(mask: np.ndarray) -> bool:
     """True if the marked index set is empty or one consecutive run modulo n."""
-    return np.count_nonzero(mask & ~mask[_neighbours(len(mask))[1]]) <= 1
+    return bool(np.count_nonzero(mask & ~mask[_neighbours(len(mask))[1]]) <= 1)
 
 
 @dataclass(frozen=True)
@@ -441,6 +442,7 @@ class ShapeConditions:
     just edges).
     ``g3``: every interior angle below ``beta_star``; ``g3_relaxed`` also
     accepts violations that form a single consecutive run of vertices.
+    ``satisfied`` is g1 and g2 and g3.  Every flag is a ``bool``.
     ``epsilon_star`` is the margin ``d_star * sin((pi - beta_star) / 2)``
     implied by the thresholds.
     """
@@ -453,12 +455,10 @@ class ShapeConditions:
     g2: bool
     g3: bool
     g3_relaxed: bool
-    relaxed_g3: bool = False
 
     @property
     def satisfied(self) -> bool:
-        g3 = self.g3_relaxed if self.relaxed_g3 else self.g3
-        return self.g1 and self.g2 and g3
+        return self.g1 and self.g2 and self.g3
 
 
 def check_conditions(
@@ -466,7 +466,6 @@ def check_conditions(
     gamma_star: float,
     d_star: float,
     beta_star: float,
-    relaxed_g3: bool = False,
 ) -> ShapeConditions:
     if not (math.isfinite(gamma_star) and gamma_star > 2.0):
         raise GeometryError("gamma_star must be finite and exceed 2 "
@@ -486,7 +485,6 @@ def check_conditions(
         g2=bool(np.min(_pair_distances(polygon._batch.vertices)) > d_star),
         g3=not bool(np.any(violations)),
         g3_relaxed=_single_circular_run(violations),
-        relaxed_g3=relaxed_g3,
     )
 
 

@@ -92,9 +92,8 @@ def cg_solve(
     rhs: np.ndarray,
     tol: float = 1e-12,
     max_iter: int | None = None,
-    x0: np.ndarray | None = None,
 ) -> SolveReport:
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+    """Jacobi-preconditioned conjugate gradients for SPD systems, from x = 0.
 
     Stops when ||b - A x|| <= tol * ||b||, for 0 < tol < 1 (a tolerance of 1
     or more would accept the zero start as converged); raises
@@ -119,8 +118,8 @@ def cg_solve(
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return SolveReport(solution=np.zeros(n), iterations=0, residual=0.0, converged=True)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = b - matrix.matvec(x)
+    x = np.zeros(n)
+    r = b.copy()
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)

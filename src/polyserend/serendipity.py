@@ -118,9 +118,9 @@ def build_A(vertices: np.ndarray) -> np.ndarray:
     (-2 - 2 d) / (2 - (d_a + d_b)).  A quadrilateral's two endpoints share
     one neighbor line, so d_a = -d_b and s = 1; a triangle has no diagonal.
 
-    Raises ``SerendipityError`` naming the polygon of the batch and the
-    diagonal, and ``CoefficientBlowupError`` when d_a + d_b leaves no margin
-    below 2.
+    Raises ``SerendipityError`` naming the polygon of the batch (its row is
+    the error's ``_row``) and the diagonal, and ``CoefficientBlowupError``
+    when d_a + d_b leaves no margin below 2.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 3 or verts.shape[2] != 2:
@@ -174,7 +174,9 @@ def build_A(vertices: np.ndarray) -> np.ndarray:
             f"intercept consistency residual {residual[k, j]:.3e} exceeds tolerance",
         )[defect]
         error = CoefficientBlowupError if defect == 2 else SerendipityError
-        raise error(f"polygon {k}, diagonal ({a[j]}, {b[j]}): {detail}")
+        exc = error(f"polygon {k}, diagonal ({a[j]}, {b[j]}): {detail}")
+        exc._row = int(k)       # for a caller that names the polygon otherwise
+        raise exc
     rows = np.stack([a, b, n + prv[a], n + a, n + prv[b], n + b], axis=1)   # (D, 6)
     A[:, rows, 2 * n + cols[:, None]] = coefficients
     return A

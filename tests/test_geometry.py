@@ -396,12 +396,10 @@ class TestShapeScreening:
 
     def test_straight_vertex_fails_strict_angle_but_passes_relaxed(self):
         poly = corpus.degenerate_pentagon()
-        cond = check_conditions(poly, 8.0, 0.3, 0.95 * math.pi, relaxed_g3=True)
+        cond = check_conditions(poly, 8.0, 0.3, 0.95 * math.pi)
         assert not cond.g3
         assert cond.g3_relaxed
-        assert cond.satisfied
-        strict = check_conditions(poly, 8.0, 0.3, 0.95 * math.pi)
-        assert not strict.satisfied
+        assert not cond.satisfied
 
     def test_two_separated_wide_angles_fail_relaxed(self):
         # Long thin hexagon: near-straight vertices at indices 1 and 4,
@@ -412,7 +410,7 @@ class TestShapeScreening:
             [2.0, 0.2], [1.0, 0.2 + delta], [0.0, 0.2],
         ])
         poly = Polygon(verts)
-        cond = check_conditions(poly, 50.0, 0.05, 0.9 * math.pi, relaxed_g3=True)
+        cond = check_conditions(poly, 50.0, 0.05, 0.9 * math.pi)
         assert not cond.g3
         assert not cond.g3_relaxed
         assert not cond.satisfied
@@ -425,7 +423,7 @@ class TestShapeScreening:
         poly = Polygon(base)
         angles = interior_angles(poly)
         beta = float(np.sort(angles)[-3]) + 1e-6  # exactly two violators
-        cond = check_conditions(poly, 50.0, 0.01, beta, relaxed_g3=True)
+        cond = check_conditions(poly, 50.0, 0.01, beta)
         assert not cond.g3
         assert cond.g3_relaxed
 

@@ -117,13 +117,6 @@ class TestConjugateGradients:
         assert report.iterations == 0
         assert report.converged
 
-    def test_warm_start_accepted(self):
-        m = SparseMatrix.from_triplets(3, range(3), range(3), [2.0, 4.0, 8.0])
-        b = np.array([2.0, 4.0, 8.0])
-        report = cg_solve(m, b, x0=np.ones(3))
-        assert report.solution == pytest.approx(np.ones(3), abs=1e-14)
-        assert report.iterations == 0
-
     def test_non_positive_diagonal_rejected(self):
         m = SparseMatrix.from_triplets(2, [0, 1], [0, 1], [1.0, -1.0])
         with pytest.raises(ValueError, match="diagonal"):

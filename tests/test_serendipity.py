@@ -30,10 +30,8 @@ from polyserend import (
     build_A,
     build_B,
     build_map,
-    cell_maps,
     check_conditions,
     coefficient_bound,
-    dof_map,
     error_norms,
     eval_basis_batch,
     eval_coords_batch,
@@ -672,10 +670,8 @@ class TestBasisEvaluation:
         chunk is alive at a time.  A kernel that kept the products of a chunk
         across its yield would peak 0.7 to 1.1 MB higher here."""
         mesh = corpus.voronoi_mesh()
-        dm = dof_map(mesh)
-        maps = cell_maps(mesh)
-        values = harmonic_exact(node_coordinates(mesh, dm))
-        sol = DiscreteSolution(mesh=mesh, dofmap=dm, kind=kind, values=values, maps=maps,
+        values = harmonic_exact(node_coordinates(mesh))
+        sol = DiscreteSolution(mesh=mesh, kind=kind, values=values,
                                report=SolveReport(values, 0, 0.0, True))
         error_norms(sol, harmonic_exact, harmonic_gradient)          # fill the caches
         tracemalloc.start()

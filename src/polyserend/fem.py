@@ -15,11 +15,14 @@ from one ``PolygonBatch``.
 
 The flagship problem is the Poisson equation with Dirichlet data, solved
 with preconditioned conjugate gradients after symmetric elimination of
-boundary values.  Assembly and error norms share one element kernel.  The
-basis does not change when a cell is translated, so the kernel evaluates it
-on one representative per translation class (``PolyMesh.translation_classes``),
-in chunks of representatives with a leading cell axis, and every other
-cell of the class reuses it at its own, shifted quadrature points.
+boundary values.  The basis does not change when a cell is translated, so
+assembly and error norms walk the same chunks of one representative per
+translation class (``PolyMesh.translation_classes``), with a leading cell
+axis, and every other cell of a class reuses its representative's values
+at its own, shifted quadrature points.  Assembly evaluates the basis on
+every chunk.  The error norms evaluate it only on chunks with a repeated
+class: on a cell of its own, the solution is one quadratic form in the
+cell's coordinates.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -34,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .barycentric import CoordinateKind
+from .barycentric import CoordinateKind, _pair_arrays, eval_coords_batch
 from .geometry import _DEFECTS, GeometryError, Polygon, PolygonBatch, _neighbours, _polygon_defects
 from .linalg import SolveReport, SparseMatrix, cg_solve
 from .quadrature import fan_rule, polygon_rule, rule_layouts
@@ -516,6 +520,10 @@ def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
     return mesh._cell_maps
 
 
+# The mesh of every matrix that ``assemble`` returned, while the matrix lives.
+_ASSEMBLED_ON: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _check_own(mesh: PolyMesh, maps: Sequence[SerendipityMap] | None,
                dofmap: DofMap | None) -> None:
     """Raise ValueError unless ``maps`` and ``dofmap``, where given, are the mesh's
@@ -538,31 +546,30 @@ CHUNK_POINTS = 2048
 
 
 def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
-    """The element kernel: basis values on chunks of class representatives.
+    """Chunks of class representatives, their maps and rules, and the member cells.
 
     Rule weights and basis values are the same for every cell of a
-    translation class, so they are evaluated on the class representatives
-    only, with each representative's map.  Within each vertex-count group,
-    representatives are grouped by the point layout of their rules and taken
-    in chunks of about ``CHUNK_POINTS`` points, so every stage (rule,
-    coordinates, products, basis) is one array operation over the chunk;
-    the coordinate and product kernels gather nothing, and a chunk's basis
-    evaluation peaks at about 0.95 KB per point, its results included.
-    The geometry of the representatives (``PolyMesh.class_batches``) is put
-    in chunk order once per group and each chunk takes a slice of it, so a
-    chunk pays only for its points.
+    translation class, so the callers evaluate them on the class
+    representatives only, with each representative's map.  Within each
+    vertex-count group, representatives are grouped by the point layout of
+    their rules and taken in chunks of about ``CHUNK_POINTS`` points, so
+    every stage a caller runs (coordinates, products, basis) is one array
+    operation over the chunk.  The geometry of the representatives
+    (``PolyMesh.class_batches``) is put in chunk order once per group and
+    each chunk takes a slice of it, so a chunk pays only for its points.
     Triangulation coordinates are piecewise polynomial on their own vertex
     fan, so a fan-aligned rule integrates them exactly; the other kinds use
     the vertex-clustered centroid decomposition.
 
-    Yields (rule, psi, dpsi, members) for r representatives, with rule points
-    (r, m, 2), weights (r, m) and the basis points-last: values psi
-    (r, 2n, m) and gradients dpsi (2, r, 2n, m), component-major, both
-    contiguous.  ``members`` holds every cell of their classes,
+    Yields (chunk, maps, rule, members) for r representatives: their
+    ``PolygonBatch``, their r maps and their rule, with points (r, m, 2)
+    and weights (r, m).  ``members`` holds every cell of their classes,
     representatives included, in slices of about ``CHUNK_POINTS`` points:
     (dofs, owner, shift), where ``dofs`` (c, 2n) are the cells' global
     unknowns, ``owner`` (c,) indexes each cell's representative in the chunk
     and ``rule.points[owner] + shift[:, None]`` are the cell's own points.
+    When every class of the chunk is one cell, ``members`` is one slice
+    with ``owner`` 0, ..., r - 1 and zero shifts.
     """
     fan = CoordinateKind(kind) is CoordinateKind.TRIANGULATION
     maps = cell_maps(mesh)
@@ -589,15 +596,41 @@ def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
                 rows = slice(lo, min(lo + step, start + len(group)))
                 chunk = batch[rows]
                 rule = fan_rule(chunk, degree) if fan else polygon_rule(chunk, degree)
-                psi, dpsi = eval_basis_batch(chunk, kind, ordered_maps[rows], rule.points)
                 members = []
                 end = bounds[rows.stop]
                 for k in range(bounds[lo], end, step):
                     part = slice(k, min(k + step, end))
                     members.append((dofs[by_rank[part]], owner_rank[part] - lo, shifts[part]))
-                # Views of the points-last arrays eval_basis_batch writes.
-                yield rule, np.swapaxes(psi, 1, 2), dpsi.transpose(3, 0, 2, 1), members
+                yield chunk, ordered_maps[rows], rule, members
             start += len(group)
+
+
+def _basis(chunk: PolygonBatch, kind: CoordinateKind, maps: Sequence[SerendipityMap],
+           points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis values (r, 2n, m) and gradients (2, r, 2n, m), component-major,
+    of a chunk of r representatives at their points (r, m, 2): views of the
+    points-last arrays ``eval_basis_batch`` writes, both contiguous."""
+    psi, dpsi = eval_basis_batch(chunk, kind, maps, points)
+    return np.swapaxes(psi, 1, 2), dpsi.transpose(3, 0, 2, 1)
+
+
+def _solution_forms(maps: Sequence[SerendipityMap], coeff: np.ndarray) -> np.ndarray:
+    """The symmetric matrices M (r, n, n) with u_h = lambda^T M lambda on each of r cells.
+
+    On a cell the basis is psi = B A mu over the coordinate products mu in
+    ``pair_order(n)``, so a solution with coefficients u (the rows of
+    ``coeff``, (r, 2n)) is sum_p w_p mu_p with w = (B A)^T u: a square's
+    weight goes on the diagonal of M and every other pair's weight is split
+    over its two symmetric entries.
+    """
+    r, n = coeff.shape[0], maps[0].n
+    weights = (coeff @ maps[0].B)[:, None] @ np.stack([sm.A for sm in maps])    # (r, 1, P)
+    half = 0.5 * weights[:, 0]
+    first, second = _pair_arrays(n)
+    forms = np.zeros((r, n, n))
+    forms[:, first, second] = half
+    forms[:, second, first] += half
+    return forms
 
 
 def _values_at(f: Callable[[np.ndarray], np.ndarray], name: str, points: np.ndarray,
@@ -635,7 +668,8 @@ def assemble(
     ndof = dof_map(mesh).n_dofs
     rows, cols, vals = [], [], []
     rhs = np.zeros(ndof)
-    for rule, psi, dpsi, members in _element_chunks(mesh, kind, quad_degree):
+    for chunk, chunk_maps, rule, members in _element_chunks(mesh, kind, quad_degree):
+        psi, dpsi = _basis(chunk, kind, chunk_maps, rule.points)
         k_loc = np.sum((dpsi * rule.weights[:, None]) @ np.swapaxes(dpsi, 2, 3), axis=0)
         r, size, m = psi.shape
         basis_t = psi.reshape(-1, m).T                              # (m, r 2n)
@@ -657,6 +691,7 @@ def assemble(
     matrix = SparseMatrix.from_triplets(
         ndof, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
+    _ASSEMBLED_ON[matrix] = mesh
     return matrix, rhs
 
 
@@ -695,8 +730,14 @@ def solve_dirichlet(
 
     ``dirichlet`` maps the boundary nodes (b, 2) to one finite value each (b,).
     ``dofmap`` and ``maps`` select nothing: anything but the mesh's own raises ValueError.
+    So does a matrix that ``assemble`` built on another mesh, or one of the
+    wrong size.
     """
     _check_own(mesh, maps, dofmap)
+    if _ASSEMBLED_ON.get(matrix, mesh) is not mesh:
+        raise ValueError("matrix was assembled on another mesh")
+    if matrix.dim != dofmap.n_dofs:
+        raise ValueError(f"matrix has {matrix.dim} rows, the mesh {dofmap.n_dofs} unknowns")
     coords = node_coordinates(mesh)
     bnd = dofmap.boundary_dofs
     inner = dofmap.interior_dofs
@@ -719,6 +760,42 @@ class ErrorNorms:
     h1: float
 
 
+def _solution_slices(solution: DiscreteSolution, quad_degree: int):
+    """The solution on slices of cells: (points (N, 2), weights (N,), values
+    (N,), gradients (2, N)) at the quadrature points of every cell.
+
+    A chunk in which every translation class is one cell (every chunk of a
+    mesh with no two cells alike) is one slice, and forms no basis: on each
+    cell u_h = lambda^T M lambda (``_solution_forms``) and
+    grad u_h = 2 sum_i (M lambda)_i grad lambda_i.  A chunk with a repeated
+    class evaluates the basis on its representatives, and each slice of
+    members takes two matrix products with it: each cell's coefficients fill
+    its representative's block of an otherwise zero row.
+    """
+    kind = solution.kind
+    for chunk, chunk_maps, rule, members in _element_chunks(solution.mesh, kind, quad_degree):
+        r, m = rule.weights.shape
+        if sum(len(dofs) for dofs, _, _ in members) == r:
+            [(dofs, _, _)] = members                                    # owners 0, ..., r - 1
+            lam, dlam = eval_coords_batch(chunk, kind, rule.points)
+            lam, dlam = np.swapaxes(lam, 1, 2), np.swapaxes(dlam, 1, 3)     # (r, n, m), (r, 2, n, m)
+            m_lam = _solution_forms(chunk_maps, solution.values[dofs]) @ lam  # (r, n, m)
+            values = np.einsum("rnm,rnm->rm", lam, m_lam)
+            grads = 2.0 * np.einsum("rdnm,rnm->drm", dlam, m_lam)           # (2, r, m)
+            yield rule.points.reshape(-1, 2), rule.weights.ravel(), values.ravel(), grads.reshape(2, -1)
+            continue
+        psi, dpsi = _basis(chunk, kind, chunk_maps, rule.points)
+        basis = psi.reshape(-1, m)                                      # (r 2n, m)
+        gradients = dpsi.reshape(2, -1, m)                              # (2, r 2n, m)
+        for dofs, owner, shift in members:
+            c = len(dofs)
+            coeff = np.zeros((c, r, dofs.shape[1]))
+            coeff[np.arange(c), owner] = solution.values[dofs]
+            coeff = coeff.reshape(c, -1)                                # (c, r 2n)
+            yield ((rule.points[owner] + shift[:, None]).reshape(-1, 2), rule.weights[owner].ravel(),
+                   (coeff @ basis).ravel(), (coeff @ gradients).reshape(2, -1))
+
+
 def error_norms(
     solution: DiscreteSolution,
     u_exact: Callable[[np.ndarray], np.ndarray],
@@ -730,30 +807,18 @@ def error_norms(
     ``u_exact`` maps points (N, 2) to one finite value each (N,) and
     ``grad_u_exact`` to one gradient each (N, 2); any other shape, or a
     non-finite error sum, raises ValueError naming the callable.
-    The exact field is evaluated at every cell's own quadrature points and
-    compared with its representative's basis values there.  The values of a
-    slice of member cells come from two matrix products with the chunk's
-    basis: each cell's coefficients fill its representative's block of an
-    otherwise zero row, so no cell copies its representative's basis.
+    The exact field is evaluated at every cell's own quadrature points, and
+    the solution there as ``_solution_slices`` says: a cell that is its own
+    translation class as one quadratic form in its coordinates, with no
+    basis formed, and any other from its class representative's basis.
     """
     acc_l2 = 0.0
     acc_h1 = 0.0
-    for rule, psi, dpsi, members in _element_chunks(solution.mesh, solution.kind, quad_degree):
-        r, size, m = psi.shape
-        basis = psi.reshape(-1, m)                                  # (r 2n, m)
-        grads = dpsi.reshape(2, -1, m)                              # (2, r 2n, m)
-        for dofs, owner, shift in members:
-            c = len(dofs)
-            coeff = np.zeros((c, r, size))
-            coeff[np.arange(c), owner] = solution.values[dofs]
-            coeff = coeff.reshape(c, -1)                            # (c, r 2n)
-            points = (rule.points[owner] + shift[:, None]).reshape(-1, 2)
-            weights = rule.weights[owner].ravel()
-            du = (coeff @ basis).ravel() - _values_at(u_exact, "u_exact", points)
-            dg = (coeff @ grads).reshape(2, -1)                     # (2, c m)
-            dg -= _values_at(grad_u_exact, "grad_u_exact", points, gradient=True).T
-            acc_l2 += float(weights @ du**2)
-            acc_h1 += float(np.sum(dg**2 @ weights))
+    for points, weights, values, grads in _solution_slices(solution, quad_degree):
+        du = values - _values_at(u_exact, "u_exact", points)
+        grads -= _values_at(grad_u_exact, "grad_u_exact", points, gradient=True).T
+        acc_l2 += float(weights @ du**2)
+        acc_h1 += float(np.sum(grads**2 @ weights))
     for name, acc in (("u_exact", acc_l2), ("grad_u_exact", acc_h1)):
         if not math.isfinite(acc):
             raise ValueError(f"{name} must return finite values")
@@ -767,9 +832,17 @@ def harmonic_exact(points: np.ndarray) -> np.ndarray:
 
 
 def harmonic_gradient(points: np.ndarray) -> np.ndarray:
+    """Gradient (N, 2) of ``harmonic_exact``, (cos(x) e^y, sin(x) e^y), at points (N, 2).
+
+    The result is the transposed view of a coordinate-major (2, N) array,
+    so each component, and the transpose, is contiguous.
+    """
     pts = np.atleast_2d(points)
     ex = np.exp(pts[:, 1])
-    return np.stack([np.cos(pts[:, 0]) * ex, np.sin(pts[:, 0]) * ex], axis=1)
+    grad = np.empty((2, len(pts)))
+    np.multiply(np.cos(pts[:, 0]), ex, out=grad[0])
+    np.multiply(np.sin(pts[:, 0]), ex, out=grad[1])
+    return grad.T
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ measures a polygon one vertex and one vertex pair at a time, and
 views that the program computes only per vertex-count group, and
 ``polygon_batch`` stacks ``Polygon`` objects of one vertex count into the
 ``PolygonBatch`` that the batched kernels take.
+
+``basis_error_norms`` measures a solution's errors through the basis on
+every chunk of the element kernel, the cells of a class reusing their
+representative's; ``fem.error_norms`` forms no basis on a chunk whose
+classes are single cells.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from polyserend import (DofMap, Polygon, PolygonBatch, PolyMesh, SerendipityError, fan_apex,
                         pair_order)
-from polyserend import quadrature
+from polyserend import fem, quadrature
 
 
 def build_A_unit_square() -> np.ndarray:
@@ -323,3 +328,33 @@ def rule_layouts(polygons: list[Polygon], degree: int,
 def polygon_batch(polygons: list[Polygon]) -> PolygonBatch:
     """Polygons of one vertex count as one ``PolygonBatch``, validated again."""
     return PolygonBatch.from_vertices(np.stack([p.vertices for p in polygons]))
+
+
+def basis_error_norms(solution: fem.DiscreteSolution, u_exact, grad_u_exact,
+                      quad_degree: int = 14) -> fem.ErrorNorms:
+    """``fem.error_norms`` with the basis formed on every chunk's representatives.
+
+    Each slice of member cells takes its values from two matrix products with
+    the chunk's basis, at the members' shifted points; on a mesh whose
+    chunks all hold a repeated class this is the program's own computation.
+    """
+    acc_l2 = acc_h1 = 0.0
+    kind = solution.kind
+    for chunk, maps, rule, members in fem._element_chunks(solution.mesh, kind, quad_degree):
+        psi, dpsi = fem._basis(chunk, kind, maps, rule.points)
+        r, size, m = psi.shape
+        basis = psi.reshape(-1, m)                                  # (r 2n, m)
+        grads = dpsi.reshape(2, -1, m)                              # (2, r 2n, m)
+        for dofs, owner, shift in members:
+            c = len(dofs)
+            coeff = np.zeros((c, r, size))
+            coeff[np.arange(c), owner] = solution.values[dofs]
+            coeff = coeff.reshape(c, -1)                            # (c, r 2n)
+            points = (rule.points[owner] + shift[:, None]).reshape(-1, 2)
+            weights = rule.weights[owner].ravel()
+            du = (coeff @ basis).ravel() - u_exact(points)
+            dg = (coeff @ grads).reshape(2, -1)                     # (2, c m)
+            dg -= grad_u_exact(points).T
+            acc_l2 += float(weights @ du**2)
+            acc_h1 += float(np.sum(dg**2 @ weights))
+    return fem.ErrorNorms(l2=float(np.sqrt(acc_l2)), h1=float(np.sqrt(acc_h1)))

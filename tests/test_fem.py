@@ -511,6 +511,24 @@ class TestDerivedFromTheMesh:
             with pytest.raises(ValueError, match="dofmap must be the mesh's own"):
                 solve_dirichlet(mat, rhs, mesh, dm, MV, harmonic_exact)
 
+    def test_matrix_of_another_mesh_rejected(self):
+        """Solved on trapezoid_mesh(4, 0.25), the matrix of trapezoid_mesh(4, 0.1)
+        gave L2/H1 1.10e-2/1.81e-1 for 4.49e-4/9.26e-3, with no error."""
+        mesh = trapezoid_mesh(4, 0.25)
+        dm = dof_map(mesh)
+        mat, rhs = assemble(mesh, MV)
+        other, _ = assemble(trapezoid_mesh(4, 0.1), MV)
+        with pytest.raises(ValueError, match="matrix was assembled on another mesh"):
+            solve_dirichlet(other, rhs, mesh, dm, MV, harmonic_exact)
+        small, _ = assemble(trapezoid_mesh(3), MV)
+        unrecorded = type(small)(small.dim, small.data, small.indices, small.indptr)
+        with pytest.raises(ValueError, match="matrix has 40 rows, the mesh 65 unknowns"):
+            solve_dirichlet(unrecorded, rhs, mesh, dm, MV, harmonic_exact)
+        err = error_norms(solve_dirichlet(mat, rhs, mesh, dm, MV, harmonic_exact),
+                          harmonic_exact, harmonic_gradient)
+        assert err.l2 == pytest.approx(4.49e-4, rel=1e-2)
+        assert err.h1 == pytest.approx(9.26e-3, rel=1e-2)
+
     def test_solution_needs_one_value_per_unknown(self):
         mesh = trapezoid_mesh(4)
         with pytest.raises(ValueError, match=r"values must have shape \(65,\)"):
@@ -965,6 +983,68 @@ class TestElementKernel:
         assert built == []
 
 
+# Meshes with the kinds they admit, on which error_norms takes the solution's
+# quadratic form on some or all chunks: the Voronoi mesh has no two cells
+# alike, the mixed mesh a single flat-vertex pentagon next to two squares.
+FORM_MESHES = [
+    (name, make, kind)
+    for name, make in (("voronoi", corpus.voronoi_mesh), ("mixed", corpus.mixed_mesh),
+                       ("trapezoid8_moved", lambda: moved_trapezoid_mesh(8, 0.25, 0)))
+    for kind in CoordinateKind
+    if not (name == "mixed" and kind is CoordinateKind.WACHSPRESS)
+]
+
+
+class TestQuadraticFormNorms:
+    """A chunk of single-cell classes measures the solution as one quadratic
+    form in the coordinates per cell; the basis route of
+    ``oracles.basis_error_norms`` is the reference."""
+
+    @staticmethod
+    def rough_solution(mesh, kind):
+        values = harmonic_exact(node_coordinates(mesh))
+        return make_solution(mesh, values + 1e-3 * np.cos(np.arange(len(values))), kind)
+
+    @pytest.mark.parametrize("name, make, kind", FORM_MESHES)
+    def test_matches_basis_route(self, name, make, kind, monkeypatch):
+        sol = self.rough_solution(make(), kind)
+        want = oracles.basis_error_norms(sol, harmonic_exact, harmonic_gradient)
+        for _ in kernel_chunk_sizes(monkeypatch):
+            err = error_norms(sol, harmonic_exact, harmonic_gradient)
+            assert err.l2 == pytest.approx(want.l2, rel=1e-12, abs=0.0)
+            assert err.h1 == pytest.approx(want.h1, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", list(CoordinateKind))
+    def test_repeated_classes_take_the_basis_route_bitwise(self, kind):
+        """Every chunk of trapezoid_mesh(16) holds a repeated class."""
+        sol = self.rough_solution(trapezoid_mesh(16), kind)
+        want = oracles.basis_error_norms(sol, harmonic_exact, harmonic_gradient)
+        assert error_norms(sol, harmonic_exact, harmonic_gradient) == want
+
+    def test_no_basis_on_a_mesh_of_distinct_cells(self, monkeypatch):
+        """On corpus.voronoi_mesh error_norms evaluates coordinates only; the
+        assembly on the same mesh, the control, calls both counted names."""
+        from polyserend import serendipity
+        calls = defaultdict(int)
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, count)
+
+        counting(fem, "eval_basis_batch")
+        counting(serendipity, "pairwise_batch")
+        mesh = corpus.voronoi_mesh()
+        sol = self.rough_solution(mesh, CoordinateKind.WACHSPRESS)
+        error_norms(sol, harmonic_exact, harmonic_gradient)
+        assert calls == {}
+        assemble(mesh, CoordinateKind.WACHSPRESS)
+        assert calls["eval_basis_batch"] > 0 and calls["pairwise_batch"] > 0
+
+
 class TestLocalRefinement:
     """Locally refined meshes: a split cell's neighbours list the new
     midpoints as flat vertices, the hanging nodes made conforming."""
@@ -1050,19 +1130,24 @@ class TestLocalRefinement:
             cell_maps(mesh)
 
 
-@st.composite
-def perturbed_trapezoid_meshes(draw):
-    """trapezoid_mesh(n), n in {2, 3, 4}, at a drawn offset up to 0.25, with
-    every interior vertex moved by up to 0.1 h per coordinate, uniformly
-    from a drawn seed (drawn floats would mostly be 0); larger offsets can
-    make a vertex flat."""
-    n = draw(st.sampled_from([2, 3, 4]))
-    mesh = trapezoid_mesh(n, draw(st.floats(0.0, 0.25)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def moved_trapezoid_mesh(n: int, offset: float, seed: int) -> PolyMesh:
+    """trapezoid_mesh(n, offset) with every interior vertex moved by up to
+    0.1 h per coordinate, uniformly from ``seed``: hardly two cells alike."""
+    mesh = trapezoid_mesh(n, offset)
+    rng = np.random.default_rng(seed)
     vertices = mesh.vertices.copy()
     inner = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
     vertices[inner] += 0.1 / n * rng.uniform(-1.0, 1.0, (int(inner.sum()), 2))
     return PolyMesh.build(vertices, mesh.cells)
+
+
+@st.composite
+def perturbed_trapezoid_meshes(draw):
+    """``moved_trapezoid_mesh`` with n in {2, 3, 4}, a drawn offset up to 0.25
+    and a drawn seed (drawn shifts would mostly be 0); larger offsets can
+    make a vertex flat."""
+    return moved_trapezoid_mesh(draw(st.sampled_from([2, 3, 4])), draw(st.floats(0.0, 0.25)),
+                                draw(st.integers(0, 2**32 - 1)))
 
 
 class TestPerturbedPatch:
@@ -1098,6 +1183,26 @@ class TestPerturbedPatch:
         for kind, (nodal_tol, l2_tol, h1_tol) in self.BOUNDS.items():
             err, nodal = solve_on(mesh, kind, u, gu, quad_degree=20, source=source)
             assert nodal <= nodal_tol and err.l2 <= l2_tol and err.h1 <= h1_tol, kind
+
+
+class TestPerturbedRates:
+    """The harmonic problem keeps the element's rates when every interior
+    vertex of trapezoid_mesh(n), n = 4, 8, 16, is moved by up to 0.1 h, so
+    that every cell is its own translation class and ``error_norms`` takes
+    the solution's quadratic form on every chunk."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", list(CoordinateKind))
+    def test_finest_rates(self, kind, seed):
+        errors = []
+        for n in (4, 8, 16):
+            mesh = moved_trapezoid_mesh(n, 0.25, seed)
+            assert len(np.unique(mesh.translation_classes)) == mesh.n_cells
+            err, _ = solve_on(mesh, kind, harmonic_exact, harmonic_gradient)
+            errors.append((err.l2, err.h1))
+        (l2_coarse, h1_coarse), (l2_fine, h1_fine) = errors[-2:]
+        assert np.log2(l2_coarse / l2_fine) >= 2.7
+        assert np.log2(h1_coarse / h1_fine) >= 1.8
 
 
 class TestTranslationClasses:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -42,3 +45,63 @@ def test_coefficient_blowup_tables(capsys):
     assert s_max[-1] > 100.0
     # Part 2: regular polygons never exceed the sharp bound.
     assert all(0.0 < row[3] <= 1.0 for row in regular)
+
+
+PAIRED_METRICS = [
+    {"name": "op_p50_s", "unit": "s", "better": "lower"},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher"},
+    {"name": "setup_s", "unit": "s", "better": "lower"},
+]
+
+
+def fixed_pairs() -> list[tuple[dict, dict]]:
+    """Ten pairs: op_p50_s 0.06 s better in nine of them and 0.01 s worse in
+    the last, ops_per_s tied everywhere, setup_s better by 1 ms in every pair."""
+    pairs = []
+    for i in range(10):
+        p50 = 0.25 + 0.01 * i
+        change = p50 - 0.06 if i < 9 else p50 + 0.01
+        pairs.append(({"op_p50_s": p50, "ops_per_s": 4.0, "setup_s": p50},
+                      {"op_p50_s": change, "ops_per_s": 4.0, "setup_s": p50 - 0.001}))
+    return pairs
+
+
+def test_paired_bench_summary():
+    script = load_script("paired_bench")
+    p50, ops, setup = script.summarize(fixed_pairs(), PAIRED_METRICS)
+    # Parent 0.25 ... 0.34: quartiles 0.2725 / 0.295 / 0.3175, so an IQR of 0.045.
+    assert p50["parent"] == pytest.approx((0.2725, 0.295, 0.3175))
+    assert p50["change"][1] == pytest.approx(0.235)
+    assert p50["relative"] == pytest.approx(-0.06 / 0.295)
+    # Nine wins of ten and medians 0.06 apart, beyond the parent's IQR.
+    assert (p50["wins"], p50["pairs"], p50["claimable"]) == (9, 10, True)
+    # Ties count for neither side.
+    assert (ops["wins"], ops["claimable"]) == (0, False)
+    # Ten wins, but 1 ms is inside the parent's spread.
+    assert (setup["wins"], setup["claimable"]) == (10, False)
+    table = script.render([p50, ops, setup]).splitlines()
+    assert len(table) == 5
+    assert table[2].startswith("| op_p50_s (s) | 0.2725 / 0.295 / 0.3175 | ")
+    assert table[2].endswith("| -20.3% | 9/10 | yes |")
+
+
+def test_paired_bench_alternates_sides(tmp_path, monkeypatch, capsys):
+    """Pair i runs the parent first when i is even; no benchmark runs here."""
+    script = load_script("paired_bench")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": PAIRED_METRICS}))
+    order = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        order.append(checkout.name)
+        value = 1.0 if checkout == parent else 0.5
+        return {"failed": 0, "metrics": {m["name"]: {"value": value} for m in PAIRED_METRICS}}
+
+    monkeypatch.setattr(script, "run_once", fake_run)
+    script.main([str(parent), str(change), "--workload", "w", "--pairs", "3", "--seconds", "1"])
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    out = capsys.readouterr().out
+    assert "failed operations: parent 0, change 0" in out
+    assert "| op_p50_s (s) | 1 / 1 / 1 | 0.5 / 0.5 / 0.5 | -50.0% | 3/3 | yes |" in out

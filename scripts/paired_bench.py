@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two checkouts, alternating which side runs first.
 
-PARENT and CHANGE are two checkouts of this repository.  Pair i runs
-``perfbench/run.py --trace 0`` in each, the parent first in even pairs and
-the change first in odd ones, so a drift in machine speed falls on both
-sides alike.  For every end-to-end metric of the change's BENCHMARK.json the
-script prints each side's median and quartiles, the change of the medians,
-in how many pairs the change was better (ties count for neither side) and
-whether that supports a claimed gain: a win in at least nine tenths of the
-pairs and medians further apart than the parent's quartiles.
+PARENT and CHANGE are two checkouts of this repository.  Each of ten pairs
+runs ``perfbench/run.py --trace 0`` in both for the ``run_seconds`` of the
+change's BENCHMARK.json, the parent first in even pairs and the change first
+in odd ones, so a drift in machine speed falls on both sides alike.  For
+every end-to-end metric of that file the script prints each side's median
+and quartiles, the change of the medians, in how many pairs the change was
+better (ties count for neither side) and whether that supports a claimed
+gain: a win in at least nine of the ten pairs, medians further apart than
+the parent's quartiles, and no more failed operations than the parent.
 
 Example:
-    python3 scripts/paired_bench.py ../parent . --workload voronoi-poisson --pairs 10 --seconds 28
+    python3 scripts/paired_bench.py ../parent . --workload voronoi-poisson --seed 1
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -42,10 +45,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict], failed: dict) -> list[dict]:
     """One row per metric of ``metrics`` (BENCHMARK.json's ``end_to_end``) over
-    ``pairs`` of (parent, change) metric values by name."""
+    ``pairs`` of (parent, change) metric values by name; ``failed`` counts
+    each side's failed operations.  A gain is claimable only from ``PAIRS``
+    pairs or more."""
     rows = []
+    fails_no_more = failed["change"] <= failed["parent"]
     for spec in metrics:
         name, sign = spec["name"], 1.0 if spec["better"] == "higher" else -1.0
         parent = [p[name] for p, _ in pairs]
@@ -56,7 +62,8 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         rows.append({
             "name": name, "unit": spec["unit"], "parent": p_q, "change": c_q,
             "relative": (c_q[1] - p_q[1]) / p_q[1], "wins": wins, "pairs": len(pairs),
-            "claimable": 10 * wins >= 9 * len(pairs) and gain > p_q[2] - p_q[0],
+            "claimable": (len(pairs) >= PAIRS and 10 * wins >= 9 * len(pairs)
+                          and gain > p_q[2] - p_q[0] and fails_no_more),
         })
     return rows
 
@@ -76,26 +83,25 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     pairs, failed = [], {"parent": 0, "change": 0}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         result = {}
         for side in sides:
-            out = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            out = run_once(getattr(args, side), args.workload, args.seed, seconds)
             failed[side] += out["failed"]
             result[side] = {name: m["value"] for name, m in out["metrics"].items()}
         pairs.append((result["parent"], result["change"]))
-        print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
+        print(f"pair {i + 1}/{PAIRS}: " + ", ".join(
             f"{m['name']} {result['parent'][m['name']]:.4g} -> {result['change'][m['name']]:.4g}"
             for m in metrics), flush=True)
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s; "
+    print(f"\n{args.workload}, seed {args.seed}, {PAIRS} pairs of {seconds:g} s; "
           f"failed operations: parent {failed['parent']}, change {failed['change']}")
-    print(render(summarize(pairs, metrics)))
+    print(render(summarize(pairs, metrics, failed)))
     return 0
 
 

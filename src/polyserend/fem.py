@@ -38,7 +38,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .barycentric import CoordinateKind, _pair_arrays, eval_coords_batch
+from . import serendipity
+from .barycentric import CoordinateKind, _pair_arrays
 from .geometry import _DEFECTS, GeometryError, Polygon, PolygonBatch, _neighbours, _polygon_defects
 from .linalg import SolveReport, SparseMatrix, cg_solve
 from .quadrature import fan_rule, polygon_rule, rule_layouts
@@ -520,7 +521,8 @@ def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
     return mesh._cell_maps
 
 
-# The mesh of every matrix that ``assemble`` returned, while the matrix lives.
+# The mesh and coordinate kind of every matrix that ``assemble`` returned,
+# while the matrix lives.
 _ASSEMBLED_ON: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -691,7 +693,7 @@ def assemble(
     matrix = SparseMatrix.from_triplets(
         ndof, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
-    _ASSEMBLED_ON[matrix] = mesh
+    _ASSEMBLED_ON[matrix] = (mesh, kind)
     return matrix, rhs
 
 
@@ -730,12 +732,17 @@ def solve_dirichlet(
 
     ``dirichlet`` maps the boundary nodes (b, 2) to one finite value each (b,).
     ``dofmap`` and ``maps`` select nothing: anything but the mesh's own raises ValueError.
-    So does a matrix that ``assemble`` built on another mesh, or one of the
-    wrong size.
+    So does a matrix that ``assemble`` built on another mesh or with another
+    coordinate kind, or one of the wrong size.
     """
     _check_own(mesh, maps, dofmap)
-    if _ASSEMBLED_ON.get(matrix, mesh) is not mesh:
+    kind = CoordinateKind(kind)
+    built_on, built_kind = _ASSEMBLED_ON.get(matrix, (mesh, kind))
+    if built_on is not mesh:
         raise ValueError("matrix was assembled on another mesh")
+    if built_kind is not kind:
+        raise ValueError(f"matrix was assembled with {built_kind.value} coordinates, "
+                         f"not {kind.value}")
     if matrix.dim != dofmap.n_dofs:
         raise ValueError(f"matrix has {matrix.dim} rows, the mesh {dofmap.n_dofs} unknowns")
     coords = node_coordinates(mesh)
@@ -749,7 +756,7 @@ def solve_dirichlet(
     reduced = matrix.submatrix(inner)
     report = cg_solve(reduced, rhs[inner] - lifted[inner], tol=tol)
     values[inner] = report.solution
-    return DiscreteSolution(mesh=mesh, kind=CoordinateKind(kind), values=values, report=report)
+    return DiscreteSolution(mesh=mesh, kind=kind, values=values, report=report)
 
 
 @dataclass(frozen=True)
@@ -770,14 +777,18 @@ def _solution_slices(solution: DiscreteSolution, quad_degree: int):
     grad u_h = 2 sum_i (M lambda)_i grad lambda_i.  A chunk with a repeated
     class evaluates the basis on its representatives, and each slice of
     members takes two matrix products with it: each cell's coefficients fill
-    its representative's block of an otherwise zero row.
+    its representative's block of an otherwise zero row.  There one basis
+    serves many cells: a form per member, at its representative's
+    coordinates, made the trapezoid refinement study 5% slower.  The
+    coordinates are looked up on ``serendipity``, through which the basis
+    evaluates them too, so that one name carries all coordinate work.
     """
     kind = solution.kind
     for chunk, chunk_maps, rule, members in _element_chunks(solution.mesh, kind, quad_degree):
         r, m = rule.weights.shape
         if sum(len(dofs) for dofs, _, _ in members) == r:
             [(dofs, _, _)] = members                                    # owners 0, ..., r - 1
-            lam, dlam = eval_coords_batch(chunk, kind, rule.points)
+            lam, dlam = serendipity.eval_coords_batch(chunk, kind, rule.points)
             lam, dlam = np.swapaxes(lam, 1, 2), np.swapaxes(dlam, 1, 3)     # (r, n, m), (r, 2, n, m)
             m_lam = _solution_forms(chunk_maps, solution.values[dofs]) @ lam  # (r, n, m)
             values = np.einsum("rnm,rnm->rm", lam, m_lam)

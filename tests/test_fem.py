@@ -513,13 +513,19 @@ class TestDerivedFromTheMesh:
 
     def test_matrix_of_another_mesh_rejected(self):
         """Solved on trapezoid_mesh(4, 0.25), the matrix of trapezoid_mesh(4, 0.1)
-        gave L2/H1 1.10e-2/1.81e-1 for 4.49e-4/9.26e-3, with no error."""
+        gave L2/H1 1.10e-2/1.81e-1 for 4.49e-4/9.26e-3, with no error; a
+        Wachspress matrix solved as mean value would be measured in a basis
+        it was not assembled in."""
         mesh = trapezoid_mesh(4, 0.25)
         dm = dof_map(mesh)
         mat, rhs = assemble(mesh, MV)
         other, _ = assemble(trapezoid_mesh(4, 0.1), MV)
         with pytest.raises(ValueError, match="matrix was assembled on another mesh"):
             solve_dirichlet(other, rhs, mesh, dm, MV, harmonic_exact)
+        wachspress, _ = assemble(mesh, CoordinateKind.WACHSPRESS)
+        with pytest.raises(ValueError, match="matrix was assembled with wachspress coordinates, "
+                                             "not meanvalue"):
+            solve_dirichlet(wachspress, rhs, mesh, dm, "meanvalue", harmonic_exact)
         small, _ = assemble(trapezoid_mesh(3), MV)
         unrecorded = type(small)(small.dim, small.data, small.indices, small.indptr)
         with pytest.raises(ValueError, match="matrix has 40 rows, the mesh 65 unknowns"):

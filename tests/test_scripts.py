@@ -66,9 +66,12 @@ def fixed_pairs() -> list[tuple[dict, dict]]:
     return pairs
 
 
+NO_FAILURES = {"parent": 0, "change": 0}
+
+
 def test_paired_bench_summary():
     script = load_script("paired_bench")
-    p50, ops, setup = script.summarize(fixed_pairs(), PAIRED_METRICS)
+    p50, ops, setup = script.summarize(fixed_pairs(), PAIRED_METRICS, NO_FAILURES)
     # Parent 0.25 ... 0.34: quartiles 0.2725 / 0.295 / 0.3175, so an IQR of 0.045.
     assert p50["parent"] == pytest.approx((0.2725, 0.295, 0.3175))
     assert p50["change"][1] == pytest.approx(0.235)
@@ -85,23 +88,40 @@ def test_paired_bench_summary():
     assert table[2].endswith("| -20.3% | 9/10 | yes |")
 
 
-def test_paired_bench_alternates_sides(tmp_path, monkeypatch, capsys):
-    """Pair i runs the parent first when i is even; no benchmark runs here."""
+def test_paired_bench_claims_nothing_from_fewer_pairs_or_more_failures():
+    """The op_p50_s gain of ``fixed_pairs`` stops being claimable when the
+    change fails more operations, or when fewer than ten pairs ran, even
+    if the change wins every one of them."""
+    script = load_script("paired_bench")
+    p50 = script.summarize(fixed_pairs(), PAIRED_METRICS, {"parent": 1, "change": 2})[0]
+    assert (p50["wins"], p50["claimable"]) == (9, False)
+    p50 = script.summarize(fixed_pairs()[:9], PAIRED_METRICS, NO_FAILURES)[0]
+    assert (p50["wins"], p50["pairs"], p50["claimable"]) == (9, 9, False)
+
+
+@pytest.mark.parametrize("change_failed, claim", [(0, "yes"), (1, "no")])
+def test_paired_bench_alternates_sides(tmp_path, monkeypatch, capsys, change_failed, claim):
+    """Pair i runs the parent first when i is even, every run for the
+    benchmark's own run length; no benchmark runs here."""
     script = load_script("paired_bench")
     parent, change = tmp_path / "parent", tmp_path / "change"
     for checkout in (parent, change):
         checkout.mkdir()
-        (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": PAIRED_METRICS}))
+        (checkout / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": 7, "end_to_end": PAIRED_METRICS}))
     order = []
 
     def fake_run(checkout, workload, seed, seconds):
+        assert (workload, seed, seconds) == ("w", 3, 7)
         order.append(checkout.name)
-        value = 1.0 if checkout == parent else 0.5
-        return {"failed": 0, "metrics": {m["name"]: {"value": value} for m in PAIRED_METRICS}}
+        value, failed = (1.0, 0) if checkout == parent else (0.5, change_failed)
+        return {"failed": failed,
+                "metrics": {m["name"]: {"value": value} for m in PAIRED_METRICS}}
 
     monkeypatch.setattr(script, "run_once", fake_run)
-    script.main([str(parent), str(change), "--workload", "w", "--pairs", "3", "--seconds", "1"])
-    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    script.main([str(parent), str(change), "--workload", "w", "--seed", "3"])
+    assert order == ["parent", "change", "change", "parent"] * 5
     out = capsys.readouterr().out
-    assert "failed operations: parent 0, change 0" in out
-    assert "| op_p50_s (s) | 1 / 1 / 1 | 0.5 / 0.5 / 0.5 | -50.0% | 3/3 | yes |" in out
+    assert "w, seed 3, 10 pairs of 7 s; " in out
+    assert f"failed operations: parent 0, change {10 * change_failed}" in out
+    assert f"| op_p50_s (s) | 1 / 1 / 1 | 0.5 / 0.5 / 0.5 | -50.0% | 10/10 | {claim} |" in out

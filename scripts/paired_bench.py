@@ -7,9 +7,14 @@ change's BENCHMARK.json, the parent first in even pairs and the change first
 in odd ones, so a drift in machine speed falls on both sides alike.  For
 every end-to-end metric of that file the script prints each side's median
 and quartiles, the change of the medians, in how many pairs the change was
-better (ties count for neither side) and whether that supports a claimed
-gain: a win in at least nine of the ten pairs, medians further apart than
-the parent's quartiles, and no more failed operations than the parent.
+better (ties count for neither side), whether that supports a claimed
+gain (a win in at least nine of the ten pairs, medians further apart than
+the parent's quartiles, and no more failed operations than the parent) and
+whether the change stayed within the metric's ``bound``: "no" when its
+median is worse than the parent's by more than the bound (relative to the
+parent's median); otherwise "unresolved" when either side's quartile
+spread, relative to its median, is wider than the bound, unless every run
+of the change is better than every run of the parent; else "yes".
 
 Example:
     python3 scripts/paired_bench.py ../parent . --workload voronoi-poisson --seed 1
@@ -45,11 +50,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def within_bound(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """"yes", "no" or "unresolved": whether the change's runs stayed within
+    ``bound`` of the parent's, as the module docstring says; ``sign`` is 1.0
+    where higher is better and -1.0 where lower is."""
+    p_q, c_q = quartiles(parent), quartiles(change)
+    if -sign * (c_q[1] - p_q[1]) > bound * abs(p_q[1]):
+        return "no"
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        return "yes"
+    if any(q[2] - q[0] > bound * abs(q[1]) for q in (p_q, c_q)):
+        return "unresolved"
+    return "yes"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict], failed: dict) -> list[dict]:
-    """One row per metric of ``metrics`` (BENCHMARK.json's ``end_to_end``) over
-    ``pairs`` of (parent, change) metric values by name; ``failed`` counts
-    each side's failed operations.  A gain is claimable only from ``PAIRS``
-    pairs or more."""
+    """One row per metric of ``metrics`` (BENCHMARK.json's ``end_to_end``, each
+    with its ``bound``) over ``pairs`` of (parent, change) metric values by
+    name; ``failed`` counts each side's failed operations.  A gain is
+    claimable only from ``PAIRS`` pairs or more."""
     rows = []
     fails_no_more = failed["change"] <= failed["parent"]
     for spec in metrics:
@@ -64,17 +83,19 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict], failed: dict)
             "relative": (c_q[1] - p_q[1]) / p_q[1], "wins": wins, "pairs": len(pairs),
             "claimable": (len(pairs) >= PAIRS and 10 * wins >= 9 * len(pairs)
                           and gain > p_q[2] - p_q[0] and fails_no_more),
+            "within_bound": within_bound(parent, change, sign, spec["bound"]),
         })
     return rows
 
 
 def render(rows: list[dict]) -> str:
     lines = ["| metric | parent q1 / median / q3 | change q1 / median / q3 | median change "
-             "| change better | gain claimable |", "|---|---|---|---|---|---|"]
+             "| change better | gain claimable | within bound |", "|---|---|---|---|---|---|---|"]
     for row in rows:
         p, c = (" / ".join(f"{v:.4g}" for v in row[side]) for side in ("parent", "change"))
         lines.append(f"| {row['name']} ({row['unit']}) | {p} | {c} | {row['relative']:+.1%} "
-                     f"| {row['wins']}/{row['pairs']} | {'yes' if row['claimable'] else 'no'} |")
+                     f"| {row['wins']}/{row['pairs']} | {'yes' if row['claimable'] else 'no'} "
+                     f"| {row['within_bound']} |")
     return "\n".join(lines)
 
 

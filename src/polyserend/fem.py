@@ -521,8 +521,17 @@ def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
     return mesh._cell_maps
 
 
-# The mesh and coordinate kind of every matrix that ``assemble`` returned,
-# while the matrix lives.
+@dataclass(eq=False)
+class _Assembled:
+    """The mesh and coordinate kind ``assemble`` built a matrix on, and the
+    interior system of the matrix once ``solve_dirichlet`` has extracted it."""
+
+    mesh: PolyMesh
+    kind: CoordinateKind
+    interior: SparseMatrix | None = None
+
+
+# What ``assemble`` recorded of every matrix it returned, while the matrix lives.
 _ASSEMBLED_ON: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -537,13 +546,14 @@ def _check_own(mesh: PolyMesh, maps: Sequence[SerendipityMap] | None,
         raise ValueError("maps must be the mesh's own cell_maps(mesh)")
 
 
-# Quadrature points per chunk of the element kernel, and per member slice.
-# Much below this the fixed cost of each numpy call dominates.  The basis
-# evaluation peaks at about 0.95 KB per point (its results and the
-# products included), so a chunk takes about 2 MB; twice this raised the
-# peak resident memory of a Voronoi-mesh solve by about 4 MB (5%).  Member
-# slices keep the same size: a member point costs far less, but larger
-# slices raise peak memory for little gain.
+# Quadrature points per chunk of the element kernel.  Much below this the
+# fixed cost of each numpy call dominates.  The basis evaluation peaks at
+# about 0.95 KB per point (its results and the products included), so a
+# chunk takes about 2 MB; twice this raised the peak resident memory of a
+# Voronoi-mesh solve by about 4 MB (5%).  A member slice takes the points of
+# four chunks: a member point holds only its points, field values and its
+# share of two matrix products, and the fewer, larger products made the
+# trapezoid refinement study about 6% faster.
 CHUNK_POINTS = 2048
 
 
@@ -566,7 +576,7 @@ def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
     Yields (chunk, maps, rule, members) for r representatives: their
     ``PolygonBatch``, their r maps and their rule, with points (r, m, 2)
     and weights (r, m).  ``members`` holds every cell of their classes,
-    representatives included, in slices of about ``CHUNK_POINTS`` points:
+    representatives included, in slices of about 4 ``CHUNK_POINTS`` points:
     (dofs, owner, shift), where ``dofs`` (c, 2n) are the cells' global
     unknowns, ``owner`` (c,) indexes each cell's representative in the chunk
     and ``rule.points[owner] + shift[:, None]`` are the cell's own points.
@@ -594,14 +604,15 @@ def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
         start = 0
         for group, size in layouts:
             step = max(1, CHUNK_POINTS // size)
+            member_step = max(1, 4 * CHUNK_POINTS // size)
             for lo in range(start, start + len(group), step):
                 rows = slice(lo, min(lo + step, start + len(group)))
                 chunk = batch[rows]
                 rule = fan_rule(chunk, degree) if fan else polygon_rule(chunk, degree)
                 members = []
                 end = bounds[rows.stop]
-                for k in range(bounds[lo], end, step):
-                    part = slice(k, min(k + step, end))
+                for k in range(bounds[lo], end, member_step):
+                    part = slice(k, min(k + member_step, end))
                     members.append((dofs[by_rank[part]], owner_rank[part] - lo, shifts[part]))
                 yield chunk, ordered_maps[rows], rule, members
             start += len(group)
@@ -664,11 +675,20 @@ def assemble(
     element stiffness is formed once, on its representative; the load
     evaluates f at every cell's own points.  ``maps`` and ``dofmap`` select
     nothing: anything but the mesh's own raises ValueError.
+
+    Each cell gives (2n)^2 triplets, written in place a member slice at a time into
+    arrays sized once from ``dof_map(mesh).groups``.
     """
     _check_own(mesh, maps, dofmap)
     kind = CoordinateKind(kind)
-    ndof = dof_map(mesh).n_dofs
-    rows, cols, vals = [], [], []
+    dofmap = dof_map(mesh)
+    ndof = dofmap.n_dofs
+    total = sum(dofs.shape[0] * dofs.shape[1] ** 2 for _, dofs in dofmap.groups)
+    index = np.int32 if ndof <= np.iinfo(np.int32).max else np.int64
+    rows = np.empty(total, dtype=index)
+    cols = np.empty(total, dtype=index)
+    vals = np.empty(total)
+    at = 0
     rhs = np.zeros(ndof)
     for chunk, chunk_maps, rule, members in _element_chunks(mesh, kind, quad_degree):
         psi, dpsi = _basis(chunk, kind, chunk_maps, rule.points)
@@ -676,11 +696,13 @@ def assemble(
         r, size, m = psi.shape
         basis_t = psi.reshape(-1, m).T                              # (m, r 2n)
         for dofs, owner, shift in members:
-            rows.append(np.repeat(dofs, size, axis=1).ravel())
-            cols.append(np.tile(dofs, size).ravel())
-            vals.append(k_loc[owner].ravel())
+            c = len(dofs)
+            block = slice(at, at + c * size * size)
+            rows[block].reshape(c, size, size)[...] = dofs[:, :, None]
+            cols[block].reshape(c, size, size)[...] = dofs[:, None, :]
+            vals[block].reshape(c, size, size)[...] = k_loc[owner]
+            at = block.stop
             if source is not None:
-                c = len(dofs)
                 points = (rule.points[owner] + shift[:, None]).reshape(-1, 2)
                 wf = rule.weights[owner] * _values_at(source, "source", points).reshape(c, -1)
                 # Every cell against every basis row of the chunk; each keeps its owner's block.
@@ -690,10 +712,8 @@ def assemble(
                 np.add.at(rhs, dofs, loads)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("source must return finite values")
-    matrix = SparseMatrix.from_triplets(
-        ndof, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
-    _ASSEMBLED_ON[matrix] = (mesh, kind)
+    matrix = SparseMatrix.from_triplets(ndof, rows, cols, vals)
+    _ASSEMBLED_ON[matrix] = _Assembled(mesh, kind)
     return matrix, rhs
 
 
@@ -733,15 +753,17 @@ def solve_dirichlet(
     ``dirichlet`` maps the boundary nodes (b, 2) to one finite value each (b,).
     ``dofmap`` and ``maps`` select nothing: anything but the mesh's own raises ValueError.
     So does a matrix that ``assemble`` built on another mesh or with another
-    coordinate kind, or one of the wrong size.
+    coordinate kind, or one of the wrong size.  The interior system of a
+    matrix from ``assemble`` is extracted on its first solve and kept with
+    it, so later solves of the same matrix reuse it.
     """
     _check_own(mesh, maps, dofmap)
     kind = CoordinateKind(kind)
-    built_on, built_kind = _ASSEMBLED_ON.get(matrix, (mesh, kind))
-    if built_on is not mesh:
+    record = _ASSEMBLED_ON.get(matrix) or _Assembled(mesh, kind)
+    if record.mesh is not mesh:
         raise ValueError("matrix was assembled on another mesh")
-    if built_kind is not kind:
-        raise ValueError(f"matrix was assembled with {built_kind.value} coordinates, "
+    if record.kind is not kind:
+        raise ValueError(f"matrix was assembled with {record.kind.value} coordinates, "
                          f"not {kind.value}")
     if matrix.dim != dofmap.n_dofs:
         raise ValueError(f"matrix has {matrix.dim} rows, the mesh {dofmap.n_dofs} unknowns")
@@ -753,8 +775,9 @@ def solve_dirichlet(
     if not np.all(np.isfinite(values)):
         raise ValueError("dirichlet must return finite values")
     lifted = matrix.matvec(values)
-    reduced = matrix.submatrix(inner)
-    report = cg_solve(reduced, rhs[inner] - lifted[inner], tol=tol)
+    if record.interior is None:
+        record.interior = matrix.submatrix(inner)
+    report = cg_solve(record.interior, rhs[inner] - lifted[inner], tol=tol)
     values[inner] = report.solution
     return DiscreteSolution(mesh=mesh, kind=kind, values=values, report=report)
 

@@ -535,6 +535,35 @@ class TestDerivedFromTheMesh:
         assert err.l2 == pytest.approx(4.49e-4, rel=1e-2)
         assert err.h1 == pytest.approx(9.26e-3, rel=1e-2)
 
+    def test_interior_system_is_extracted_once_per_matrix(self, monkeypatch):
+        """Later solves of a matrix from ``assemble`` reuse its interior system
+        and give the same bits; the mesh and kind are still checked on every
+        solve.  A matrix that ``assemble`` did not record is tied to no mesh,
+        so each of its solves extracts the system again."""
+        mesh = trapezoid_mesh(4, 0.25)
+        dm = dof_map(mesh)
+        mat, rhs = assemble(mesh, MV)
+        first = solve_dirichlet(mat, rhs, mesh, dm, MV, harmonic_exact)
+        calls = []
+        real = fem.SparseMatrix.submatrix
+        monkeypatch.setattr(fem.SparseMatrix, "submatrix",
+                            lambda self, keep: calls.append(len(keep)) or real(self, keep))
+        second = solve_dirichlet(mat, rhs, mesh, dm, MV, harmonic_exact)
+        assert calls == []
+        assert np.array_equal(second.values, first.values)
+        assert second.report.iterations == first.report.iterations
+        other = trapezoid_mesh(4, 0.1)
+        with pytest.raises(ValueError, match="matrix was assembled on another mesh"):
+            solve_dirichlet(mat, rhs, other, dof_map(other), MV, harmonic_exact)
+        with pytest.raises(ValueError, match="matrix was assembled with meanvalue coordinates"):
+            solve_dirichlet(mat, rhs, mesh, dm, CoordinateKind.WACHSPRESS, harmonic_exact)
+        unrecorded = type(mat)(mat.dim, mat.data, mat.indices, mat.indptr)
+        u, _ = quadratic_field()
+        for data in (harmonic_exact, u):
+            want = solve_dirichlet(unrecorded, rhs, mesh, dm, MV, data).values
+            assert np.array_equal(solve_dirichlet(mat, rhs, mesh, dm, MV, data).values, want)
+        assert calls == [len(dm.interior_dofs)] * 2
+
     def test_solution_needs_one_value_per_unknown(self):
         mesh = trapezoid_mesh(4)
         with pytest.raises(ValueError, match=r"values must have shape \(65,\)"):
@@ -841,8 +870,9 @@ FLAT_MESHES = ("mixed", "refined")
 
 # Chunk sizes the kernel is checked at besides fem.CHUNK_POINTS, so that it
 # crosses chunk and member-slice boundaries more often: at 256 points a
-# chunk of polygon_rule points holds one representative and a member slice
-# one cell; at 1024 member slices hold several cells of a class.
+# chunk of polygon_rule points holds one representative and a member slice,
+# of four chunks' points, two or three cells; at 1024 a chunk holds two or
+# three representatives and a member slice 8 to 14 cells of a class.
 SMALL_CHUNK_POINTS = (256, 1024)
 
 

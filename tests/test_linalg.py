@@ -36,6 +36,30 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix.from_triplets(2, [0, 2], [0, 0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("rows, cols, values, message", [
+        # The float indices once became (1, 0), with no error.
+        ([1.7], [0.2], [5.0], "rows must be integers"),
+        ([1], [0.0], [5.0], "cols must be integers"),
+        ([True], [0], [5.0], "rows must be integers"),
+        ([1], [0], [np.nan], "values must be finite"),
+        ([1, 2], [0, 2], [1.0, -np.inf], "values must be finite"),
+    ])
+    def test_non_integer_index_or_non_finite_value_rejected(self, rows, cols, values, message):
+        with pytest.raises(ValueError, match=message):
+            SparseMatrix.from_triplets(3, rows, cols, values)
+
+    @pytest.mark.parametrize("name", ["data", "indices", "indptr"])
+    def test_arrays_are_read_only(self, name):
+        """A write would leave the cached scipy view, and an interior system
+        derived from the matrix, out of date."""
+        m = sparse_from_dense(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        m.matvec(np.ones(2))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(m, name)[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(m._csr, name)[0] = 0
+        assert m.matvec(np.ones(2)) == pytest.approx([3.0, 4.0], abs=0.0)
+
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(0)
         dense = rng.normal(size=(50, 50))
@@ -56,6 +80,29 @@ class TestSparseMatrix:
         assert m.submatrix(keep).toarray() == pytest.approx(
             dense[np.ix_(keep, keep)], abs=0.0
         )
+
+    @pytest.mark.parametrize("keep", [
+        [2, 3, 7, 11, 19], list(range(20)), [0], [19], [], np.arange(1, 20, 2, dtype=np.int32),
+    ])
+    def test_submatrix_is_scipy_fancy_indexing_bitwise(self, keep):
+        rng = np.random.default_rng(2)
+        dense = rng.normal(size=(20, 20))
+        dense[np.abs(dense) < 0.7] = 0.0
+        dense[5] = 0.0                                  # an empty row
+        m = sparse_from_dense(dense)
+        index = np.asarray(keep, dtype=np.int64)
+        want = m._csr[np.ix_(index, index)]
+        got = m.submatrix(keep)
+        assert got.dim == len(keep)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("keep", [[3, 2], [2, 2, 3], [-1, 2], [0, 20], [[1, 2]], [0.0, 1.0]])
+    def test_submatrix_needs_strictly_increasing_indices(self, keep):
+        m = sparse_from_dense(np.eye(20))
+        with pytest.raises(ValueError, match="keep"):
+            m.submatrix(keep)
 
     def test_scipy_matrix_is_built_once(self, monkeypatch):
         m = sparse_from_dense(np.diag([1.0, 2.0, 3.0]))

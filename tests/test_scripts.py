@@ -48,9 +48,9 @@ def test_coefficient_blowup_tables(capsys):
 
 
 PAIRED_METRICS = [
-    {"name": "op_p50_s", "unit": "s", "better": "lower"},
-    {"name": "ops_per_s", "unit": "1/s", "better": "higher"},
-    {"name": "setup_s", "unit": "s", "better": "lower"},
+    {"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
 ]
 
 
@@ -82,10 +82,38 @@ def test_paired_bench_summary():
     assert (ops["wins"], ops["claimable"]) == (0, False)
     # Ten wins, but 1 ms is inside the parent's spread.
     assert (setup["wins"], setup["claimable"]) == (10, False)
+    # Better or tied medians, with spreads of 15-19% of the medians: all within the bound.
+    assert [row["within_bound"] for row in (p50, ops, setup)] == ["yes"] * 3
     table = script.render([p50, ops, setup]).splitlines()
     assert len(table) == 5
     assert table[2].startswith("| op_p50_s (s) | 0.2725 / 0.295 / 0.3175 | ")
-    assert table[2].endswith("| -20.3% | 9/10 | yes |")
+    assert table[2].endswith("| -20.3% | 9/10 | yes | yes |")
+
+
+@pytest.mark.parametrize("parent, change, better, verdict", [
+    # Medians 1.0 and 1.2 of a lower-is-better metric: 20% worse, inside a 25% bound.
+    ([1.0] * 10, [1.2] * 10, "lower", "yes"),
+    # 30% worse is outside it, however the runs spread.
+    ([1.0] * 10, [1.3] * 10, "lower", "no"),
+    ([0.5, 1.0, 1.5] * 3 + [1.0], [1.3] * 10, "lower", "no"),
+    # Higher is better: 4.0 to 3.1 is 22.5% worse, 4.0 to 2.9 27.5%.
+    ([4.0] * 10, [3.1] * 10, "higher", "yes"),
+    ([4.0] * 10, [2.9] * 10, "higher", "no"),
+    # The parent's quartiles 0.5 and 1.5 lie a whole median apart: a 10% worse
+    # median cannot be told from no change.
+    ([0.5, 1.0, 1.5] * 3 + [1.0], [1.1] * 10, "lower", "unresolved"),
+    # So can a wide spread of the change's own runs.
+    ([1.0] * 10, [0.5, 1.0, 1.5] * 3 + [1.0], "lower", "unresolved"),
+    # Unless every run of the change beats every run of the parent.
+    ([0.5, 1.0, 1.5] * 3 + [1.0], [0.4, 0.3] * 5, "lower", "yes"),
+])
+def test_paired_bench_within_bound(parent, change, better, verdict):
+    script = load_script("paired_bench")
+    metric = {"name": "m", "unit": "s", "better": better, "bound": 0.25}
+    pairs = [({"m": p}, {"m": c}) for p, c in zip(parent, change)]
+    [row] = script.summarize(pairs, [metric], NO_FAILURES)
+    assert row["within_bound"] == verdict
+    assert script.render([row]).splitlines()[2].endswith(f"| {verdict} |")
 
 
 def test_paired_bench_claims_nothing_from_fewer_pairs_or_more_failures():
@@ -124,4 +152,4 @@ def test_paired_bench_alternates_sides(tmp_path, monkeypatch, capsys, change_fai
     out = capsys.readouterr().out
     assert "w, seed 3, 10 pairs of 7 s; " in out
     assert f"failed operations: parent 0, change {10 * change_failed}" in out
-    assert f"| op_p50_s (s) | 1 / 1 / 1 | 0.5 / 0.5 / 0.5 | -50.0% | 10/10 | {claim} |" in out
+    assert f"| op_p50_s (s) | 1 / 1 / 1 | 0.5 / 0.5 / 0.5 | -50.0% | 10/10 | {claim} | yes |" in out

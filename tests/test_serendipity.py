@@ -683,6 +683,24 @@ class TestBasisEvaluation:
             tracemalloc.stop()
         assert peak <= 1100 * fem.CHUNK_POINTS + self.KERNEL_ALLOWANCE
 
+    def test_assembly_memory_per_triplet(self):
+        """assemble writes every cell's (2n)^2 triplets in place, into int32
+        rows and columns and float64 values sized once, which scipy converts
+        without a copy: the whole call peaks within 40 B per triplet.  Lists
+        of int64 triplets and their concatenation peaked at 71 B."""
+        mesh = fem.trapezoid_mesh(64)
+        triplets = sum(len(dofs) * dofs.shape[1] ** 2 for _, dofs in fem.dof_map(mesh).groups)
+        assert triplets == 262144
+        fem.assemble(mesh, CoordinateKind.TRIANGULATION)             # fill the caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fem.assemble(mesh, CoordinateKind.TRIANGULATION)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * triplets
+
     def test_precision_residuals_flag_corruption(self):
         poly = corpus.regular_polygon(6)
         smap = build_map(poly)

@@ -9,10 +9,10 @@ every end-to-end metric of that file the script prints each side's median
 and quartiles, the change of the medians, in how many pairs the change was
 better (ties count for neither side), whether that supports a claimed
 gain (a win in at least nine of the ten pairs, medians further apart than
-the parent's quartiles, and no more failed operations than the parent) and
-whether the change stayed within the metric's ``bound``: "no" when its
-median is worse than the parent's by more than the bound (relative to the
-parent's median); otherwise "unresolved" when either side's quartile
+the parent's quartiles, and no larger a share of failed operations than the
+parent's) and whether the change stayed within the metric's ``bound``: "no"
+when its median is worse than the parent's by more than the bound (relative
+to the parent's median); otherwise "unresolved" when either side's quartile
 spread, relative to its median, is wider than the bound, unless every run
 of the change is better than every run of the parent; else "yes".
 
@@ -64,13 +64,17 @@ def within_bound(parent: list[float], change: list[float], sign: float, bound: f
     return "yes"
 
 
-def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict], failed: dict) -> list[dict]:
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict], ops: dict) -> list[dict]:
     """One row per metric of ``metrics`` (BENCHMARK.json's ``end_to_end``, each
     with its ``bound``) over ``pairs`` of (parent, change) metric values by
-    name; ``failed`` counts each side's failed operations.  A gain is
-    claimable only from ``PAIRS`` pairs or more."""
+    name; ``ops[side]`` holds the ``attempted`` and ``failed`` operations of
+    each side.  A gain is claimable only from ``PAIRS`` pairs or more, and
+    only if the change fails no larger a share of its operations."""
     rows = []
-    fails_no_more = failed["change"] <= failed["parent"]
+    parent_ops, change_ops = ops["parent"], ops["change"]
+    # failed / attempted of the change <= that of the parent, in integers.
+    fails_no_more = (change_ops["failed"] * parent_ops["attempted"]
+                     <= parent_ops["failed"] * change_ops["attempted"])
     for spec in metrics:
         name, sign = spec["name"], 1.0 if spec["better"] == "higher" else -1.0
         parent = [p[name] for p, _ in pairs]
@@ -108,21 +112,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics, seconds = spec["end_to_end"], spec["run_seconds"]
-    pairs, failed = [], {"parent": 0, "change": 0}
+    pairs = []
+    ops = {side: {"attempted": 0, "failed": 0} for side in ("parent", "change")}
     for i in range(PAIRS):
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         result = {}
         for side in sides:
             out = run_once(getattr(args, side), args.workload, args.seed, seconds)
-            failed[side] += out["failed"]
+            for count in ("attempted", "failed"):
+                ops[side][count] += out[count]
             result[side] = {name: m["value"] for name, m in out["metrics"].items()}
         pairs.append((result["parent"], result["change"]))
         print(f"pair {i + 1}/{PAIRS}: " + ", ".join(
             f"{m['name']} {result['parent'][m['name']]:.4g} -> {result['change'][m['name']]:.4g}"
             for m in metrics), flush=True)
+    shares = ", ".join(
+        f"{side} {ops[side]['failed']}/{ops[side]['attempted']} "
+        f"({ops[side]['failed'] / max(ops[side]['attempted'], 1):.2%})" for side in ops)
     print(f"\n{args.workload}, seed {args.seed}, {PAIRS} pairs of {seconds:g} s; "
-          f"failed operations: parent {failed['parent']}, change {failed['change']}")
-    print(render(summarize(pairs, metrics, failed)))
+          f"failed operations: {shares}")
+    print(render(summarize(pairs, metrics, ops)))
     return 0
 
 

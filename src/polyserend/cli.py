@@ -112,9 +112,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # Straight (angle pi) vertices are a supported element feature, so the
-    # loader accepts them here; reflex vertices still fail validation.
-    polygon = load_polygon(args.path, allow_flat=True)
+    polygon = load_polygon(args.path)
     smap = build_map(polygon)
     report = verify_constraints(polygon, smap, tol=args.tol)
     table = lagrange_table(polygon, smap)
@@ -154,7 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    polygon = load_polygon(args.path, allow_flat=True)
+    polygon = load_polygon(args.path)
     smap = build_map(polygon)
     n = polygon.n
     header = "x,y," + ",".join(f"psi_{k + 1}" for k in range(2 * n))

@@ -117,7 +117,7 @@ class PolyMesh:
         """Validate a mesh: ``cells`` is a sequence of vertex-index sequences or one (c, n) array.
 
         The cells of each vertex count are checked together in one array
-        pass, with the checks of ``Polygon(..., allow_flat=True)``.  A
+        pass, with the checks of ``Polygon``, which allows flat vertices.  A
         failing mesh raises the ``MeshError`` of its lowest-numbered bad
         cell.  Then each directed edge may occur once, every vertex must be
         used, and boundary edges may meet only at the vertices they share: a
@@ -126,7 +126,10 @@ class PolyMesh:
         Last, one cell only may cover the centroid of each cell on the
         boundary, which fails for cells nested inside another cell.
         """
-        verts = np.asarray(vertices, dtype=float)
+        try:
+            verts = np.asarray(vertices, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MeshError(f"vertices must be an array of numbers: {exc}") from exc
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise MeshError(f"vertices must have shape (N, 2), got {verts.shape}")
         if not np.all(np.isfinite(verts)):
@@ -200,7 +203,7 @@ class PolyMesh:
     @cached_property
     def polygons(self) -> tuple[Polygon, ...]:
         """Every cell as a ``Polygon``, built on first use."""
-        return tuple(Polygon(self.vertices[list(cell)], allow_flat=True) for cell in self.cells)
+        return tuple(Polygon(self.vertices[list(cell)]) for cell in self.cells)
 
     @property
     def translation_classes(self) -> np.ndarray:
@@ -317,8 +320,8 @@ def _group_cells(cells: Sequence[Sequence[int]] | np.ndarray) -> list[tuple[np.n
 def _invalid_cells(verts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The first defect (c,) of each cell (c, n) of one vertex count, 0 for a
     valid cell: -1 if it repeats a vertex, -2 if it references one out of
-    range, -3 if n < 3, else the first failed check of
-    ``Polygon(..., allow_flat=True)``, an index into ``_DEFECTS``."""
+    range, -3 if n < 3, else the first failed check of ``Polygon`` (flat
+    vertices pass), an index into ``_DEFECTS``."""
     ordered = np.sort(idx, axis=1)
     codes = np.where(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1), -1, 0)
     codes[(codes == 0) & np.any((idx < 0) | (idx >= len(verts)), axis=1)] = -2
@@ -326,7 +329,7 @@ def _invalid_cells(verts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if idx.shape[1] < 3:
         codes[rows] = -3
     else:
-        codes[rows] = _polygon_defects(verts[idx[rows]], allow_flat=True)
+        codes[rows] = _polygon_defects(verts[idx[rows]])
     return codes
 
 
@@ -942,7 +945,7 @@ def mesh_to_json(mesh: PolyMesh) -> dict:
 
 def mesh_from_json(data: dict) -> PolyMesh:
     try:
-        return PolyMesh.build(np.asarray(data["vertices"], dtype=float), data["cells"])
+        return PolyMesh.build(data["vertices"], data["cells"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, MeshError):
             raise

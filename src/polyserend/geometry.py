@@ -93,17 +93,16 @@ _DEFECTS = (
     "vertices must be in counterclockwise order",
     "degenerate polygon: near-zero area",
     "polygon is not convex (reflex vertex)",
-    "polygon is not strictly convex",
 )
 
 
-def _polygon_defects(verts: np.ndarray, allow_flat: bool) -> np.ndarray:
+def _polygon_defects(verts: np.ndarray) -> np.ndarray:
     """First failed ``Polygon`` check of each polygon of a batch, as an index into ``_DEFECTS``.
 
     ``verts`` (c, n, 2) are finite with n >= 3.  The checks are, in order:
     spatial extent, repeated vertices, counterclockwise order, non-zero
-    area, and convexity (flat vertices pass only with ``allow_flat``); all
-    tolerances scale with the polygon's extent.  0 means the polygon passes.
+    area, and convexity, which flat vertices pass; all tolerances scale
+    with the polygon's extent.  0 means the polygon passes.
     """
     n = verts.shape[1]
     scale = (verts.max(axis=1) - verts.min(axis=1)).max(axis=1)
@@ -115,12 +114,41 @@ def _polygon_defects(verts: np.ndarray, allow_flat: bool) -> np.ndarray:
     edges = nxt_verts - verts
     elen = np.hypot(edges[..., 0], edges[..., 1])
     turn = _cross(edges, edges[:, nxt])
-    limit = _CONVEXITY_RTOL * elen * elen[:, nxt]
-    bent = (turn < -limit if allow_flat else turn <= limit).any(axis=1)
+    reflex = (turn < -_CONVEXITY_RTOL * elen * elen[:, nxt]).any(axis=1)
     failed = np.array([scale <= 0.0, closest <= 1e-12 * scale,
-                       (area2 <= 0.0) & (np.abs(area2) > floor), area2 < floor, bent])
-    codes = np.array([1, 2, 3, 4, 5 if allow_flat else 6])
-    return np.where(failed.any(axis=0), codes[failed.argmax(axis=0)], 0)
+                       (area2 <= 0.0) & (np.abs(area2) > floor), area2 < floor, reflex])
+    return np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
+
+
+def _valid_vertices(vertices, batch: bool) -> np.ndarray:
+    """Polygons (c, n, 2) from one polygon (n, 2), or from a batch (c, n, 2)
+    if ``batch``, checked against the rule of ``Polygon``: convex and
+    counterclockwise, flat vertices allowed, reflex vertices rejected.
+
+    Raises ``InvalidPolygonError`` at the first failure; in a batch, a
+    polygon that fails a ``_DEFECTS`` check is named, "polygon k: ...".
+    """
+    try:
+        verts = np.array(vertices, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidPolygonError(f"vertices must be an array of numbers: {exc}") from exc
+    if verts.ndim != 2 + batch or verts.shape[-1] != 2:
+        shape = "(c, n, 2)" if batch else "(n, 2)"
+        raise InvalidPolygonError(f"expected vertices with shape {shape}")
+    if not batch:
+        verts = verts[None]
+    if not len(verts):
+        raise GeometryError("a polygon batch needs at least one polygon")
+    if verts.shape[1] < 3:
+        raise InvalidPolygonError(f"a polygon needs at least 3 vertices, got {verts.shape[1]}")
+    if not np.all(np.isfinite(verts)):
+        raise InvalidPolygonError("vertices must be finite")
+    defects = _polygon_defects(verts)
+    if np.any(defects):
+        k = int(np.argmax(defects != 0))
+        raise InvalidPolygonError(f"polygon {k}: {_DEFECTS[defects[k]]}" if batch
+                                  else _DEFECTS[defects[k]])
+    return verts
 
 
 def _areas_centroids(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,27 +207,15 @@ def _fan_apices(verts: np.ndarray, diameters: np.ndarray) -> np.ndarray:
 class Polygon:
     """Convex polygon with counterclockwise vertex order.
 
-    With ``allow_flat`` the polygon may contain straight (angle exactly pi)
-    vertices, as produced by hanging nodes in locally refined meshes; reflex
-    vertices are always rejected.  Instances are immutable; the vertex array
-    is marked read-only.
+    The polygon may contain flat (angle pi) vertices, as produced by
+    hanging nodes in locally refined meshes; reflex vertices are rejected.
+    Instances are immutable; the vertex array is marked read-only.
     """
 
     vertices: np.ndarray
-    allow_flat: bool = False
 
     def __post_init__(self) -> None:
-        verts = np.array(self.vertices, dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != 2:
-            raise InvalidPolygonError("expected vertices with shape (n, 2)")
-        n = len(verts)
-        if n < 3:
-            raise InvalidPolygonError(f"a polygon needs at least 3 vertices, got {n}")
-        if not np.all(np.isfinite(verts)):
-            raise InvalidPolygonError("vertices must be finite")
-        defect = int(_polygon_defects(verts[None], self.allow_flat)[0])
-        if defect:
-            raise InvalidPolygonError(_DEFECTS[defect])
+        verts = _valid_vertices(self.vertices, batch=False)[0]
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
 
@@ -248,18 +264,13 @@ class Polygon:
             raise GeometryError("points must be finite to have edge distances")
         return pts @ self.inward_normals.T - self._batch.offsets[0]
 
-    def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
-        """Whether ``point`` lies within ``tol`` of the polygon; False if it is not finite."""
-        pts = np.asarray(point, dtype=float)
-        return bool(np.all(np.isfinite(pts)) and np.min(self.edge_distances(pts)) >= -tol)
-
 
 @dataclass(frozen=True, eq=False)
 class PolygonBatch:
     """Convex polygons that share a vertex count n, as arrays validated once.
 
-    ``vertices`` (c, n, 2) are counterclockwise and may include flat
-    vertices, as with ``Polygon(..., allow_flat=True)``.  Everything the
+    ``vertices`` (c, n, 2) keep the rule of ``Polygon``: convex and
+    counterclockwise, flat vertices allowed.  Everything the
     element kernel needs of a polygon besides its vertices is computed once,
     with the formulas ``Polygon`` uses: ``diameters`` (c,), area
     ``centroids`` (c, 2), the unit inward ``normals`` (c, n, 2) of the edges
@@ -291,22 +302,8 @@ class PolygonBatch:
     @classmethod
     def from_vertices(cls, vertices: np.ndarray) -> PolygonBatch:
         """Validate polygons (c, n, 2) in one array pass with the checks of
-        ``Polygon(..., allow_flat=True)``; raises ``InvalidPolygonError``
-        naming the first bad polygon."""
-        verts = np.array(vertices, dtype=float)
-        if verts.ndim != 3 or verts.shape[2] != 2:
-            raise InvalidPolygonError("expected vertices with shape (c, n, 2)")
-        if not len(verts):
-            raise GeometryError("a polygon batch needs at least one polygon")
-        if verts.shape[1] < 3:
-            raise InvalidPolygonError(f"a polygon needs at least 3 vertices, got {verts.shape[1]}")
-        if not np.all(np.isfinite(verts)):
-            raise InvalidPolygonError("vertices must be finite")
-        defects = _polygon_defects(verts, allow_flat=True)
-        if np.any(defects):
-            k = int(np.argmax(defects != 0))
-            raise InvalidPolygonError(f"polygon {k}: {_DEFECTS[defects[k]]}")
-        return cls._derive(verts)
+        ``Polygon``; raises ``InvalidPolygonError`` naming the first bad polygon."""
+        return cls._derive(_valid_vertices(vertices, batch=True))
 
     @classmethod
     def _derive(cls, verts: np.ndarray) -> PolygonBatch:
@@ -531,21 +528,21 @@ def sample_interior(
     return np.concatenate(out)[:count]
 
 
-def polygon_from_json(data: str | dict, allow_flat: bool = False) -> Polygon:
+def polygon_from_json(data: str | dict) -> Polygon:
     """Build a polygon from ``{"vertices": [[x, y], ...]}`` (dict or JSON text)."""
     obj = json.loads(data) if isinstance(data, str) else data
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise InvalidPolygonError('polygon JSON must be an object with a "vertices" key')
-    return Polygon(np.asarray(obj["vertices"], dtype=float), allow_flat=allow_flat)
+    return Polygon(obj["vertices"])
 
 
 def polygon_to_json(polygon: Polygon) -> dict:
     return {"vertices": polygon.vertices.tolist()}
 
 
-def load_polygon(path: str, allow_flat: bool = False) -> Polygon:
+def load_polygon(path: str) -> Polygon:
     with open(path, "r", encoding="utf-8") as fh:
-        return polygon_from_json(fh.read(), allow_flat=allow_flat)
+        return polygon_from_json(fh.read())
 
 
 def save_polygon(polygon: Polygon, path: str) -> None:

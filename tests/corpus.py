@@ -32,7 +32,7 @@ def degenerate_pentagon() -> Polygon:
     between the two bottom corners (indices 1 and 4) passes through it.
     """
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, 0.0]])
-    return Polygon(verts, allow_flat=True)
+    return Polygon(verts)
 
 
 def blowup_hexagon(t: float) -> Polygon:

@@ -243,7 +243,7 @@ def translation_classes(mesh: PolyMesh) -> np.ndarray:
     for ci, cell in enumerate(mesh.cells):
         by_count[len(cell)].append(ci)
     for cells in by_count.values():
-        polygons = [Polygon(mesh.vertices[list(mesh.cells[ci])], allow_flat=True) for ci in cells]
+        polygons = [Polygon(mesh.vertices[list(mesh.cells[ci])]) for ci in cells]
         diameters = [max(math.hypot(*(p.vertices[i] - p.vertices[j]))
                          for i in range(p.n) for j in range(p.n)) for p in polygons]
         offsets = [(p.vertices - p.vertices[0]).ravel() for p in polygons]

@@ -259,7 +259,7 @@ class TestBatchedEvaluation:
     def test_rows_equal_single_calls(self, kind):
         rng = np.random.default_rng(53)
         flat = corpus.degenerate_pentagon()
-        rolled = Polygon(np.roll(flat.vertices, 1, axis=0), allow_flat=True)  # fan apex 1
+        rolled = Polygon(np.roll(flat.vertices, 1, axis=0))  # fan apex 1
         polys = [corpus.random_convex_polygon(rng, 5) for _ in range(3)] + [flat, rolled]
         if kind is CoordinateKind.WACHSPRESS:       # refuses flat vertices
             polys[3:] = [corpus.random_convex_polygon(rng, 5) for _ in range(2)]
@@ -275,7 +275,7 @@ class TestBatchedEvaluation:
 
     def test_fan_apex_per_polygon(self):
         flat = corpus.degenerate_pentagon()
-        rolled = Polygon(np.roll(flat.vertices, 1, axis=0), allow_flat=True)
+        rolled = Polygon(np.roll(flat.vertices, 1, axis=0))
         polys = [corpus.regular_polygon(5), rolled, flat]
         apices = [fan_apex(p) for p in polys]
         assert apices == [0, 1, 0]

@@ -64,8 +64,7 @@ class TestVerify:
     def test_flat_quadrilateral_accepted(self, tmp_path, capsys):
         """A triangle whose side a neighbor splits: a quadrilateral with a
         flat vertex, built by the same per-diagonal solve."""
-        quad = Polygon(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                       allow_flat=True)
+        quad = Polygon(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         path = write_polygon(tmp_path, quad)
         rc, out, _ = run(capsys, ["verify", str(path), "--json"])
         assert rc == cli.EXIT_OK
@@ -292,6 +291,22 @@ class TestErrorPaths:
         rc, _, err = run(capsys, ["verify", str(path)])
         assert rc == cli.EXIT_INPUT
         assert "vertices" in err
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    @pytest.mark.parametrize("vertices", [
+        [[0, 0], [1, 0], [1]],
+        [[0, 0], ["a", 0], [0, 1]],
+        {"x": [0, 1, 0], "y": [0, 0, 1]},
+        [[0, 0], [10**400, 0], [0, 1]],
+    ], ids=["ragged", "string", "dict", "int-overflow"])
+    def test_vertices_that_are_not_numbers(self, tmp_path, capsys, command, vertices):
+        """These used to end in a traceback and exit 1, the numerical-failure code."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        rc, out, err = run(capsys, [command, str(path)])
+        assert rc == cli.EXIT_INPUT
+        assert out == ""
+        assert "error: vertices must be an array of numbers" in err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("verify", "--tol", "-1"),

@@ -19,6 +19,7 @@ from polyserend import (
     GeometryError,
     MeshError,
     Polygon,
+    PolygonBatch,
     PolyMesh,
     SolveReport,
     assemble,
@@ -248,6 +249,19 @@ class TestPolyMeshValidation:
         with pytest.raises(MeshError, match="no cells"):
             PolyMesh.build(np.zeros((3, 2)), [])
 
+    @pytest.mark.parametrize("vertices", [
+        [[0, 0], [1, 0], [1]],
+        [[0, 0], ["a", 0], [0, 1]],
+        {"x": [0, 1, 0], "y": [0, 0, 1]},
+        [[0, 0], [10**400, 0], [0, 1]],
+    ], ids=["ragged", "string", "dict", "int-overflow"])
+    def test_vertices_that_are_not_numbers_rejected(self, vertices):
+        """These used to escape as a bare ValueError, TypeError or OverflowError."""
+        with pytest.raises(MeshError, match="vertices must be an array of numbers"):
+            PolyMesh.build(vertices, [(0, 1, 2)])
+        with pytest.raises(MeshError, match="vertices must be an array of numbers"):
+            mesh_from_json({"vertices": vertices, "cells": [[0, 1, 2]]})
+
     def test_bad_vertex_array(self):
         with pytest.raises(MeshError, match="shape"):
             PolyMesh.build(np.zeros((4, 3)), [(0, 1, 2)])
@@ -344,17 +358,23 @@ class TestPolyMeshValidation:
     @given(st.lists(candidate_cells(), min_size=1, max_size=6))
     def test_group_validation_accepts_exactly_what_polygon_accepts(self, shapes):
         """Cells of mixed vertex counts, apart from each other: the array pass
-        per vertex count accepts a cell exactly when Polygon(allow_flat=True)
-        does, and a mesh with bad cells reports the lowest one with Polygon's
-        own message."""
+        per vertex count accepts a cell exactly when Polygon and a
+        PolygonBatch of it do, and a mesh with bad cells reports the lowest
+        one with Polygon's own message."""
         shapes = [shape + [4.0 * i, 0.0] for i, shape in enumerate(shapes)]
         problems = []
         for shape in shapes:
             try:
-                Polygon(shape, allow_flat=True)
+                Polygon(shape)
                 problems.append(None)
             except GeometryError as exc:
                 problems.append(str(exc))
+            if problems[-1] is None:
+                assert len(PolygonBatch.from_vertices(shape[None])) == 1
+            else:
+                with pytest.raises(GeometryError) as err:
+                    PolygonBatch.from_vertices(shape[None])
+                assert str(err.value) == f"polygon 0: {problems[-1]}"
             cell = [tuple(range(len(shape)))]
             if problems[-1] is None:
                 assert PolyMesh.build(shape, cell).n_cells == 1

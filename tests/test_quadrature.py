@@ -170,14 +170,14 @@ class TestPolygonRule:
 
 def _rolled(poly: Polygon, shift: int) -> Polygon:
     """The polygon with its vertex k renumbered k - shift."""
-    return Polygon(np.roll(poly.vertices, -shift, axis=0), allow_flat=True)
+    return Polygon(np.roll(poly.vertices, -shift, axis=0))
 
 
 def _flat_hexagon() -> Polygon:
     """Rectangle 2 x 1 with flat vertices 0 and 3 at the midpoints of its
     long sides: fans from their neighbours 1, 2, 4 and 5 are degenerate."""
     return Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-                             [-1.0, 1.0], [-1.0, 0.0]]), allow_flat=True)
+                             [-1.0, 1.0], [-1.0, 0.0]]))
 
 
 class TestFanRule:

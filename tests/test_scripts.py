@@ -66,7 +66,13 @@ def fixed_pairs() -> list[tuple[dict, dict]]:
     return pairs
 
 
-NO_FAILURES = {"parent": 0, "change": 0}
+def ops(parent: tuple[int, int], change: tuple[int, int]) -> dict:
+    """Each side's attempted and failed operations, from (attempted, failed)."""
+    return {side: {"attempted": a, "failed": f}
+            for side, (a, f) in (("parent", parent), ("change", change))}
+
+
+NO_FAILURES = ops((100, 0), (100, 0))
 
 
 def test_paired_bench_summary():
@@ -118,13 +124,25 @@ def test_paired_bench_within_bound(parent, change, better, verdict):
 
 def test_paired_bench_claims_nothing_from_fewer_pairs_or_more_failures():
     """The op_p50_s gain of ``fixed_pairs`` stops being claimable when the
-    change fails more operations, or when fewer than ten pairs ran, even
-    if the change wins every one of them."""
+    change fails a larger share of its operations, or when fewer than ten
+    pairs ran, even if the change wins every one of them."""
     script = load_script("paired_bench")
-    p50 = script.summarize(fixed_pairs(), PAIRED_METRICS, {"parent": 1, "change": 2})[0]
+    p50 = script.summarize(fixed_pairs(), PAIRED_METRICS, ops((100, 1), (100, 2)))[0]
     assert (p50["wins"], p50["claimable"]) == (9, False)
     p50 = script.summarize(fixed_pairs()[:9], PAIRED_METRICS, NO_FAILURES)[0]
     assert (p50["wins"], p50["pairs"], p50["claimable"]) == (9, 9, False)
+
+
+@pytest.mark.parametrize("parent, change, claimable", [
+    # Twice the operations at the parent's failure rate: more failures, same share.
+    ((100, 1), (200, 2), True),
+    # A slower change that fails no more operations, but a larger share of them.
+    ((200, 2), (100, 2), False),
+])
+def test_paired_bench_compares_failure_shares(parent, change, claimable):
+    script = load_script("paired_bench")
+    p50 = script.summarize(fixed_pairs(), PAIRED_METRICS, ops(parent, change))[0]
+    assert (p50["wins"], p50["claimable"]) == (9, claimable)
 
 
 @pytest.mark.parametrize("change_failed, claim", [(0, "yes"), (1, "no")])
@@ -143,7 +161,7 @@ def test_paired_bench_alternates_sides(tmp_path, monkeypatch, capsys, change_fai
         assert (workload, seed, seconds) == ("w", 3, 7)
         order.append(checkout.name)
         value, failed = (1.0, 0) if checkout == parent else (0.5, change_failed)
-        return {"failed": failed,
+        return {"attempted": 4, "failed": failed,
                 "metrics": {m["name"]: {"value": value} for m in PAIRED_METRICS}}
 
     monkeypatch.setattr(script, "run_once", fake_run)
@@ -151,5 +169,6 @@ def test_paired_bench_alternates_sides(tmp_path, monkeypatch, capsys, change_fai
     assert order == ["parent", "change", "change", "parent"] * 5
     out = capsys.readouterr().out
     assert "w, seed 3, 10 pairs of 7 s; " in out
-    assert f"failed operations: parent 0, change {10 * change_failed}" in out
+    assert (f"failed operations: parent 0/40 (0.00%), "
+            f"change {10 * change_failed}/40 ({change_failed / 4:.2%})") in out
     assert f"| op_p50_s (s) | 1 / 1 / 1 | 0.5 / 0.5 / 0.5 | -50.0% | 10/10 | {claim} | yes |" in out

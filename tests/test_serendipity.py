@@ -188,8 +188,7 @@ class TestQuadrilateral:
         flat vertex.  The closed form needs the off-diagonal vertices strictly
         on both sides of each diagonal and refuses it; the per-diagonal solve
         builds it."""
-        quad = Polygon(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                       allow_flat=True)
+        quad = Polygon(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(SerendipityError, match="not strictly convex"):
             build_A_quadrilateral(quad)
         smap = build_map(quad)

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import (GeometryError, Polygon, PolygonBatch, _as_batch, _cross, _fans,
-                       _flat_vertices, _neighbours)
+                       _flat_vertices, _integers, _neighbours)
 
 __all__ = [
     "fan_apex",
@@ -264,10 +264,11 @@ def eval_boundary(polygon: Polygon, edges: np.ndarray, ts: np.ndarray) -> np.nda
     ``edges`` and ``ts`` broadcast against each other to m points.  Along the
     boundary every coordinate kind reduces to the same piecewise linear hat
     functions, so this path is kind-independent and avoids the singular
-    rational formulas.
+    rational formulas.  An edge index that is not an integer (a bool, a
+    float, a string) raises ``GeometryError``.
     """
     n = polygon.n
-    edges, ts = np.broadcast_arrays(np.asarray(edges, dtype=int) % n, np.asarray(ts, float))
+    edges, ts = np.broadcast_arrays(_integers("edge indices", edges) % n, np.asarray(ts, float))
     edges, ts = edges.ravel(), ts.ravel()
     outside = ~((ts >= 0.0) & (ts <= 1.0))
     if np.any(outside):

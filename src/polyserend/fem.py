@@ -23,6 +23,9 @@ at its own, shifted quadrature points.  Assembly evaluates the basis on
 every chunk.  The error norms evaluate it only on chunks with a repeated
 class: on a cell of its own, the solution is one quadratic form in the
 cell's coordinates.
+
+``assemble`` returns an ``AssembledMatrix``, which carries the mesh and
+coordinate kind ``solve_dirichlet`` checks, and keeps its interior system.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -40,7 +42,8 @@ import numpy as np
 
 from . import serendipity
 from .barycentric import CoordinateKind, _pair_arrays
-from .geometry import _DEFECTS, GeometryError, Polygon, PolygonBatch, _neighbours, _polygon_defects
+from .geometry import (_DEFECTS, GeometryError, Polygon, PolygonBatch, _coordinates, _neighbours,
+                       _polygon_defects)
 from .linalg import SolveReport, SparseMatrix, cg_solve
 from .quadrature import fan_rule, polygon_rule, rule_layouts
 from .serendipity import SerendipityError, SerendipityMap, build_map, eval_basis_batch
@@ -55,6 +58,7 @@ __all__ = [
     "node_coordinates",
     "cell_maps",
     "assemble",
+    "AssembledMatrix",
     "DiscreteSolution",
     "solve_dirichlet",
     "ErrorNorms",
@@ -126,10 +130,7 @@ class PolyMesh:
         Last, one cell only may cover the centroid of each cell on the
         boundary, which fails for cells nested inside another cell.
         """
-        try:
-            verts = np.asarray(vertices, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MeshError(f"vertices must be an array of numbers: {exc}") from exc
+        verts = _coordinates(vertices, MeshError)
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise MeshError(f"vertices must have shape (N, 2), got {verts.shape}")
         if not np.all(np.isfinite(verts)):
@@ -293,18 +294,24 @@ class PolyMesh:
 def _group_cells(cells: Sequence[Sequence[int]] | np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Cell ids (c,) and vertex indices (c, n) for each vertex count n, in increasing order.
 
-    An index that is not an integer (a bool, a float such as 3.0, a string)
-    raises ``MeshError`` naming the first cell with one.
+    Cells that are not a sequence of sequences, or an array of another
+    shape than (c, n), raise ``MeshError``, and so does an index that is not
+    an integer (a bool, a float such as 3.0, a string), naming the first
+    cell with one.
     """
+    if isinstance(cells, np.ndarray) and cells.ndim != 2:
+        raise MeshError(f"cells must be a (c, n) array, got shape {cells.shape}")
     integer_array = isinstance(cells, np.ndarray) and cells.dtype.kind in "iu"
-    cells = list(cells)
-    if not integer_array:
+    try:
+        cells = list(cells)
         # One pass over the entries' types; the cells are searched only on failure.
-        bad = {t for t in map(type, itertools.chain.from_iterable(cells))
-               if t is bool or not issubclass(t, (int, np.integer))}
-        if bad:
-            ci, v = next((ci, v) for ci, cell in enumerate(cells) for v in cell if type(v) in bad)
-            raise MeshError(f"cell {ci} has a vertex index that is not an integer: {v!r}")
+        types = set() if integer_array else set(map(type, itertools.chain.from_iterable(cells)))
+    except TypeError as exc:
+        raise MeshError(f"cells must be a sequence of vertex-index sequences: {exc}") from exc
+    bad = {t for t in types if t is bool or not issubclass(t, (int, np.integer))}
+    if bad:
+        ci, v = next((ci, v) for ci, cell in enumerate(cells) for v in cell if type(v) in bad)
+        raise MeshError(f"cell {ci} has a vertex index that is not an integer: {v!r}")
     sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
     groups = []
     for n in np.unique(sizes).tolist():
@@ -524,20 +531,6 @@ def cell_maps(mesh: PolyMesh) -> tuple[SerendipityMap, ...]:
     return mesh._cell_maps
 
 
-@dataclass(eq=False)
-class _Assembled:
-    """The mesh and coordinate kind ``assemble`` built a matrix on, and the
-    interior system of the matrix once ``solve_dirichlet`` has extracted it."""
-
-    mesh: PolyMesh
-    kind: CoordinateKind
-    interior: SparseMatrix | None = None
-
-
-# What ``assemble`` recorded of every matrix it returned, while the matrix lives.
-_ASSEMBLED_ON: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _check_own(mesh: PolyMesh, maps: Sequence[SerendipityMap] | None,
                dofmap: DofMap | None) -> None:
     """Raise ValueError unless ``maps`` and ``dofmap``, where given, are the mesh's
@@ -662,6 +655,21 @@ def _values_at(f: Callable[[np.ndarray], np.ndarray], name: str, points: np.ndar
     return values
 
 
+@dataclass(frozen=True, eq=False)
+class AssembledMatrix(SparseMatrix):
+    """A stiffness matrix from ``assemble``, with the mesh and coordinate kind
+    it was built on.  Its ``interior`` system is extracted on first use and
+    kept, so every solve after the first reuses it."""
+
+    mesh: PolyMesh = field(repr=False)
+    kind: CoordinateKind
+
+    @cached_property
+    def interior(self) -> SparseMatrix:
+        """The matrix on the interior unknowns of ``dof_map(mesh)``."""
+        return self.submatrix(dof_map(self.mesh).interior_dofs)
+
+
 def assemble(
     mesh: PolyMesh,
     kind: CoordinateKind | str,
@@ -669,8 +677,9 @@ def assemble(
     quad_degree: int = 10,
     maps: Sequence[SerendipityMap] | None = None,
     dofmap: DofMap | None = None,
-) -> tuple[SparseMatrix, np.ndarray]:
-    """Stiffness matrix and load vector for the Poisson problem.
+) -> tuple[AssembledMatrix, np.ndarray]:
+    """Stiffness matrix, as an ``AssembledMatrix`` that carries ``mesh`` and
+    ``kind``, and load vector for the Poisson problem.
 
     ``source`` is the right-hand side f as a callable from points (N, 2) to
     one finite value each (N,); None means f = 0.  Per-cell quadrature uses
@@ -716,8 +725,8 @@ def assemble(
     if not np.all(np.isfinite(rhs)):
         raise ValueError("source must return finite values")
     matrix = SparseMatrix.from_triplets(ndof, rows, cols, vals)
-    _ASSEMBLED_ON[matrix] = _Assembled(mesh, kind)
-    return matrix, rhs
+    return AssembledMatrix(matrix.dim, matrix.data, matrix.indices, matrix.indptr,
+                           mesh=mesh, kind=kind), rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -742,7 +751,7 @@ class DiscreteSolution:
 
 
 def solve_dirichlet(
-    matrix: SparseMatrix,
+    matrix: AssembledMatrix,
     rhs: np.ndarray,
     mesh: PolyMesh,
     dofmap: DofMap,
@@ -753,23 +762,25 @@ def solve_dirichlet(
 ) -> DiscreteSolution:
     """Impose boundary values at boundary nodes and solve the reduced system.
 
-    ``dirichlet`` maps the boundary nodes (b, 2) to one finite value each (b,).
-    ``dofmap`` and ``maps`` select nothing: anything but the mesh's own raises ValueError.
-    So does a matrix that ``assemble`` built on another mesh or with another
-    coordinate kind, or one of the wrong size.  The interior system of a
-    matrix from ``assemble`` is extracted on its first solve and kept with
-    it, so later solves of the same matrix reuse it.
+    ``matrix`` must be the ``AssembledMatrix`` that ``assemble`` built on
+    this mesh with this coordinate kind, and ``rhs`` hold one load per
+    unknown; anything else raises ValueError.  ``dirichlet`` maps the
+    boundary nodes (b, 2) to one finite value each (b,).  ``dofmap`` and
+    ``maps`` select nothing: anything but the mesh's own raises ValueError.
+    The reduced system is the matrix's ``interior``, extracted once per matrix.
     """
     _check_own(mesh, maps, dofmap)
     kind = CoordinateKind(kind)
-    record = _ASSEMBLED_ON.get(matrix) or _Assembled(mesh, kind)
-    if record.mesh is not mesh:
+    if not isinstance(matrix, AssembledMatrix):
+        raise ValueError("matrix must be the AssembledMatrix that assemble returned")
+    if matrix.mesh is not mesh:
         raise ValueError("matrix was assembled on another mesh")
-    if record.kind is not kind:
-        raise ValueError(f"matrix was assembled with {record.kind.value} coordinates, "
+    if matrix.kind is not kind:
+        raise ValueError(f"matrix was assembled with {matrix.kind.value} coordinates, "
                          f"not {kind.value}")
-    if matrix.dim != dofmap.n_dofs:
-        raise ValueError(f"matrix has {matrix.dim} rows, the mesh {dofmap.n_dofs} unknowns")
+    if np.shape(rhs) != (dofmap.n_dofs,):
+        raise ValueError(f"rhs must have shape ({dofmap.n_dofs},), one load per unknown, "
+                         f"got {np.shape(rhs)}")
     coords = node_coordinates(mesh)
     bnd = dofmap.boundary_dofs
     inner = dofmap.interior_dofs
@@ -778,9 +789,7 @@ def solve_dirichlet(
     if not np.all(np.isfinite(values)):
         raise ValueError("dirichlet must return finite values")
     lifted = matrix.matvec(values)
-    if record.interior is None:
-        record.interior = matrix.submatrix(inner)
-    report = cg_solve(record.interior, rhs[inner] - lifted[inner], tol=tol)
+    report = cg_solve(matrix.interior, rhs[inner] - lifted[inner], tol=tol)
     values[inner] = report.solution
     return DiscreteSolution(mesh=mesh, kind=kind, values=values, report=report)
 

@@ -120,6 +120,32 @@ def _polygon_defects(verts: np.ndarray) -> np.ndarray:
     return np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
 
 
+def _coordinates(vertices, error: type[GeometryError]) -> np.ndarray:
+    """``vertices`` as a new float array; ``error`` unless they are integers or floats.
+
+    numpy would parse numeric strings and read booleans as 0 and 1; a ragged
+    list, a dict or an integer beyond 64 bits gives no numeric array at all.
+    """
+    try:
+        array = np.asarray(vertices)
+    except (TypeError, ValueError) as exc:
+        raise error(f"vertices must be an array of numbers: {exc}") from exc
+    if array.dtype.kind not in "iuf":
+        raise error(f"vertices must be an array of numbers, got dtype {array.dtype}")
+    return array.astype(float)
+
+
+def _integers(name: str, values) -> np.ndarray:
+    """``values`` as an integer array; ``GeometryError`` for a bool, float or
+    string, which numpy would truncate or parse into an index."""
+    array = np.asarray(values)
+    if array.dtype.kind in "iu":
+        return array
+    if array.size:
+        raise GeometryError(f"expected integer {name}, got {values!r}")
+    return array.astype(np.int64)                            # [] reads as float
+
+
 def _valid_vertices(vertices, batch: bool) -> np.ndarray:
     """Polygons (c, n, 2) from one polygon (n, 2), or from a batch (c, n, 2)
     if ``batch``, checked against the rule of ``Polygon``: convex and
@@ -128,10 +154,7 @@ def _valid_vertices(vertices, batch: bool) -> np.ndarray:
     Raises ``InvalidPolygonError`` at the first failure; in a batch, a
     polygon that fails a ``_DEFECTS`` check is named, "polygon k: ...".
     """
-    try:
-        verts = np.array(vertices, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidPolygonError(f"vertices must be an array of numbers: {exc}") from exc
+    verts = _coordinates(vertices, InvalidPolygonError)
     if verts.ndim != 2 + batch or verts.shape[-1] != 2:
         shape = "(c, n, 2)" if batch else "(n, 2)"
         raise InvalidPolygonError(f"expected vertices with shape {shape}")

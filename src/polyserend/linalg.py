@@ -5,10 +5,9 @@ Storage uses compressed sparse rows, built by scipy's COO-to-CSR conversion
 caller's triplet arrays: int32 indices and float64 values pass through
 without a copy.  The arrays of a matrix are read-only, so neither the scipy
 view built on first use nor any system a caller derives from the matrix and
-keeps can go stale.  A principal submatrix is taken by masking the CSR
-arrays, with the bits of scipy's fancy indexing.  The solver is a
-hand-rolled conjugate gradient method with Jacobi (diagonal)
-preconditioning.  The stiffness systems this package produces are
+keeps can go stale.  A principal submatrix is scipy's own fancy indexing.
+The solver is a hand-rolled conjugate gradient method with Jacobi
+(diagonal) preconditioning.  The stiffness systems this package produces are
 conditioned like h^-2 in the mesh size h, so on an n x n trapezoid mesh it
 takes about 10-12 n iterations to a relative residual of 1e-12.
 """
@@ -99,25 +98,16 @@ class SparseMatrix:
         return self._csr.toarray()
 
     def submatrix(self, keep: np.ndarray) -> "SparseMatrix":
-        """Principal submatrix on the strictly increasing indices ``keep``;
-        any other ``keep`` raises ValueError.
+        """Principal submatrix on the indices ``keep``: scipy's ``A[np.ix_(keep, keep)]``.
 
-        The entries of the kept rows whose columns are kept, in their order,
-        each column renumbered to its place in ``keep``: bit for bit
-        scipy's ``A[np.ix_(keep, keep)]``, with no intermediate matrix.
+        ``keep`` must be a 1-D array of integers in [0, dim); anything else
+        raises ValueError, since scipy would count a negative index from the end.
         """
         keep = _index_array("keep", keep)
-        if keep.ndim != 1 or keep.size and (keep[0] < 0 or keep[-1] >= self.dim
-                                             or np.any(keep[1:] <= keep[:-1])):
-            raise ValueError(f"keep must be strictly increasing indices in [0, {self.dim})")
-        place = np.full(self.dim, -1, dtype=self.indices.dtype)
-        place[keep] = np.arange(len(keep))
-        row = np.repeat(place, np.diff(self.indptr))
-        col = place[self.indices]
-        kept = (row >= 0) & (col >= 0)
-        indptr = np.zeros(len(keep) + 1, dtype=self.indptr.dtype)
-        np.cumsum(np.bincount(row[kept], minlength=len(keep)), out=indptr[1:])
-        return SparseMatrix(dim=len(keep), data=self.data[kept], indices=col[kept], indptr=indptr)
+        if keep.ndim != 1 or keep.size and (keep.min() < 0 or keep.max() >= self.dim):
+            raise ValueError(f"keep must be a 1-D array of indices in [0, {self.dim})")
+        sub = self._csr[np.ix_(keep, keep)]
+        return SparseMatrix(dim=len(keep), data=sub.data, indices=sub.indices, indptr=sub.indptr)
 
 
 @dataclass(frozen=True)

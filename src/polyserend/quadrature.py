@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import GeometryError, Polygon, PolygonBatch, _as_batch, _fans, _neighbours
+from .geometry import GeometryError, Polygon, PolygonBatch, _as_batch, _fans, _integers, _neighbours
 
 __all__ = [
     "QuadratureRule",
@@ -83,11 +83,18 @@ def _gauss_jacobi(m: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     return points, 2.0 ** (alpha + 1) / (alpha + 1) * vectors[0] ** 2
 
 
-@lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadratureRule:
-    """Rule on the reference triangle (0,0), (1,0), (0,1) exact to ``degree``."""
+    """Rule on the reference triangle (0,0), (1,0), (0,1) exact to ``degree``,
+    an integer in [1, ``MAX_DEGREE``]; built once per degree."""
+    # Checked before the cache, where True would find the rule of 1 and 3.0 that of 3.
+    _integers("quadrature degree", degree)
     if not 1 <= degree <= MAX_DEGREE:
         raise GeometryError(f"quadrature degree must be in [1, {MAX_DEGREE}], got {degree}")
+    return _triangle_rule(int(degree))
+
+
+@lru_cache(maxsize=None)
+def _triangle_rule(degree: int) -> QuadratureRule:
     m = (degree + 2) // 2
     x_leg, w_leg = _gauss_jacobi(m, 0)
     x_jac, w_jac = _gauss_jacobi(m, 1)
@@ -134,6 +141,7 @@ def _single_or_batch(polygon: Polygon | PolygonBatch, rule: QuadratureRule) -> Q
 def _rule_degrees(flat: np.ndarray, degree: int) -> np.ndarray:
     """Base-rule degree ``polygon_rule`` uses on each polygon of a batch, given
     which of them have a flat vertex (``PolygonBatch.flat``)."""
+    _integers("quadrature degree", degree)
     return np.where(flat, max(degree, MAX_DEGREE), degree)
 
 

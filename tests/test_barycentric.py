@@ -218,6 +218,13 @@ class TestBoundaryTrace:
             with pytest.raises(GeometryError, match="outside"):
                 eval_boundary(poly, 0, ts)
 
+    @pytest.mark.parametrize("edges", [[1.7], 1.0, True, "1", [1, 2.5]])
+    def test_edge_index_must_be_integer(self, edges):
+        """[1.7] used to give the trace on edge 1; True and "1" were read as 1."""
+        poly = corpus.regular_polygon(5)
+        with pytest.raises(GeometryError, match="expected integer edge indices"):
+            eval_boundary(poly, edges, 0.5)
+
     def test_interior_formulas_approach_trace(self):
         poly = corpus.regular_polygon(5)
         mid = 0.5 * (poly.vertices[1] + poly.vertices[2])

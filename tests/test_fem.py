@@ -254,13 +254,30 @@ class TestPolyMeshValidation:
         [[0, 0], ["a", 0], [0, 1]],
         {"x": [0, 1, 0], "y": [0, 0, 1]},
         [[0, 0], [10**400, 0], [0, 1]],
-    ], ids=["ragged", "string", "dict", "int-overflow"])
+        [["0", "0"], ["1", "0"], ["0", "1e0"]],
+        [[False, False], [True, False], [False, True]],
+    ], ids=["ragged", "string", "dict", "int-overflow", "numeric-string", "bool"])
     def test_vertices_that_are_not_numbers_rejected(self, vertices):
-        """These used to escape as a bare ValueError, TypeError or OverflowError."""
+        """The first four used to escape as a bare ValueError, TypeError or
+        OverflowError; numeric strings and booleans were read as the unit
+        triangle.  Meshes and polygons share one conversion."""
         with pytest.raises(MeshError, match="vertices must be an array of numbers"):
             PolyMesh.build(vertices, [(0, 1, 2)])
         with pytest.raises(MeshError, match="vertices must be an array of numbers"):
             mesh_from_json({"vertices": vertices, "cells": [[0, 1, 2]]})
+        with pytest.raises(GeometryError, match="vertices must be an array of numbers"):
+            Polygon(vertices)
+        with pytest.raises(GeometryError, match="vertices must be an array of numbers"):
+            PolygonBatch.from_vertices([vertices])
+
+    @pytest.mark.parametrize("cells", [5, [5], [[0, 1, 2], 5], np.zeros((1, 4, 2), int),
+                                       np.array([0, 1, 2])],
+                             ids=["int", "list-of-int", "int-after-cell", "3-d", "1-d"])
+    def test_cells_that_are_not_index_sequences_rejected(self, cells):
+        """These used to escape as a bare TypeError or ValueError."""
+        verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(MeshError, match="cells must be a"):
+            PolyMesh.build(verts, cells)
 
     def test_bad_vertex_array(self):
         with pytest.raises(MeshError, match="shape"):
@@ -535,7 +552,10 @@ class TestDerivedFromTheMesh:
         """Solved on trapezoid_mesh(4, 0.25), the matrix of trapezoid_mesh(4, 0.1)
         gave L2/H1 1.10e-2/1.81e-1 for 4.49e-4/9.26e-3, with no error; a
         Wachspress matrix solved as mean value would be measured in a basis
-        it was not assembled in."""
+        it was not assembled in.  A hand-built matrix carries no mesh at all.
+        The f = 1 load of trapezoid_mesh(5), 96 entries, solved on
+        trapezoid_mesh(4)'s 65 unknowns gave nodal values off by 0.041 where
+        the largest is 0.073, with no error."""
         mesh = trapezoid_mesh(4, 0.25)
         dm = dof_map(mesh)
         mat, rhs = assemble(mesh, MV)
@@ -546,10 +566,13 @@ class TestDerivedFromTheMesh:
         with pytest.raises(ValueError, match="matrix was assembled with wachspress coordinates, "
                                              "not meanvalue"):
             solve_dirichlet(wachspress, rhs, mesh, dm, "meanvalue", harmonic_exact)
-        small, _ = assemble(trapezoid_mesh(3), MV)
-        unrecorded = type(small)(small.dim, small.data, small.indices, small.indptr)
-        with pytest.raises(ValueError, match="matrix has 40 rows, the mesh 65 unknowns"):
-            solve_dirichlet(unrecorded, rhs, mesh, dm, MV, harmonic_exact)
+        hand_built = fem.SparseMatrix(mat.dim, mat.data, mat.indices, mat.indptr)
+        with pytest.raises(ValueError, match="matrix must be the AssembledMatrix"):
+            solve_dirichlet(hand_built, rhs, mesh, dm, MV, harmonic_exact)
+        _, longer = assemble(trapezoid_mesh(5), MV, source=lambda p: np.ones(len(p)))
+        for load in (longer, rhs[:-1], rhs[:, None]):
+            with pytest.raises(ValueError, match=r"rhs must have shape \(65,\)"):
+                solve_dirichlet(mat, load, mesh, dm, MV, harmonic_exact)
         err = error_norms(solve_dirichlet(mat, rhs, mesh, dm, MV, harmonic_exact),
                           harmonic_exact, harmonic_gradient)
         assert err.l2 == pytest.approx(4.49e-4, rel=1e-2)
@@ -558,8 +581,8 @@ class TestDerivedFromTheMesh:
     def test_interior_system_is_extracted_once_per_matrix(self, monkeypatch):
         """Later solves of a matrix from ``assemble`` reuse its interior system
         and give the same bits; the mesh and kind are still checked on every
-        solve.  A matrix that ``assemble`` did not record is tied to no mesh,
-        so each of its solves extracts the system again."""
+        solve.  A matrix that ``assemble`` did not build is tied to no mesh,
+        so it is refused, not solved by extracting the system again."""
         mesh = trapezoid_mesh(4, 0.25)
         dm = dof_map(mesh)
         mat, rhs = assemble(mesh, MV)
@@ -577,12 +600,14 @@ class TestDerivedFromTheMesh:
             solve_dirichlet(mat, rhs, other, dof_map(other), MV, harmonic_exact)
         with pytest.raises(ValueError, match="matrix was assembled with meanvalue coordinates"):
             solve_dirichlet(mat, rhs, mesh, dm, CoordinateKind.WACHSPRESS, harmonic_exact)
-        unrecorded = type(mat)(mat.dim, mat.data, mat.indices, mat.indptr)
+        unrecorded = fem.SparseMatrix(mat.dim, mat.data, mat.indices, mat.indptr)
+        with pytest.raises(ValueError, match="matrix must be the AssembledMatrix"):
+            solve_dirichlet(unrecorded, rhs, mesh, dm, MV, harmonic_exact)
         u, _ = quadratic_field()
-        for data in (harmonic_exact, u):
-            want = solve_dirichlet(unrecorded, rhs, mesh, dm, MV, data).values
-            assert np.array_equal(solve_dirichlet(mat, rhs, mesh, dm, MV, data).values, want)
-        assert calls == [len(dm.interior_dofs)] * 2
+        fresh, _ = assemble(mesh, MV)
+        want = solve_dirichlet(fresh, rhs, mesh, dm, MV, u).values
+        assert np.array_equal(solve_dirichlet(mat, rhs, mesh, dm, MV, u).values, want)
+        assert calls == [len(dm.interior_dofs)]
 
     def test_solution_needs_one_value_per_unknown(self):
         mesh = trapezoid_mesh(4)
@@ -591,6 +616,18 @@ class TestDerivedFromTheMesh:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("kind", [MV, CoordinateKind.TRIANGULATION])
+    def test_non_integer_degree_rejected(self, kind):
+        """quad_degree=3.5 used to assemble, and measure errors, with the
+        degree-3 rule."""
+        mesh = trapezoid_mesh(2)
+        with pytest.raises(GeometryError, match="expected integer quadrature degree"):
+            assemble(mesh, kind, quad_degree=3.5)
+        mat, rhs = assemble(mesh, kind)
+        sol = solve_dirichlet(mat, rhs, mesh, dof_map(mesh), kind, harmonic_exact)
+        with pytest.raises(GeometryError, match="expected integer quadrature degree"):
+            error_norms(sol, harmonic_exact, harmonic_gradient, quad_degree=3.5)
+
     def test_row_sums_vanish(self):
         mesh = trapezoid_mesh(2, 0.25)
         mat, _ = assemble(mesh, MV)

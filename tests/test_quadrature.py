@@ -98,9 +98,17 @@ class TestTriangleRule:
         assert np.sum(rule.weights) == pytest.approx(0.5, abs=1e-14)
 
     def test_degree_validation(self):
-        for bad in (0, -3, MAX_DEGREE + 1):
-            with pytest.raises(GeometryError):
-                triangle_rule(bad)
+        """A non-integer degree used to be truncated: 3.5 gave the 4-point
+        degree-3 rule, where degree 4 needs 9 points.  True and 3.0 would find
+        the cached rules of 1 and 3, so the check comes before the cache."""
+        triangle_rule(1), triangle_rule(3)
+        square = corpus.unit_square()
+        for bad in (0, -3, MAX_DEGREE + 1, 3.5, 3.0, True, "3", np.float64(4.0)):
+            for make in (triangle_rule, lambda d: polygon_rule(square, d),
+                         lambda d: fan_rule(square, d)):
+                with pytest.raises(GeometryError, match="degree"):
+                    make(bad)
+        assert len(triangle_rule(np.int32(3))) == 4
 
     def test_rules_cached_and_immutable(self):
         rule = triangle_rule(7)

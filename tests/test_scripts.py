@@ -6,6 +6,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -172,3 +173,75 @@ def test_paired_bench_alternates_sides(tmp_path, monkeypatch, capsys, change_fai
     assert (f"failed operations: parent 0/40 (0.00%), "
             f"change {10 * change_failed}/40 ({change_failed / 4:.2%})") in out
     assert f"| op_p50_s (s) | 1 / 1 / 1 | 0.5 / 0.5 / 0.5 | -50.0% | 10/10 | {claim} | yes |" in out
+
+
+@pytest.mark.parametrize("parent, change, verdict, relative", [
+    (np.array([1.0, -2.0]), np.array([1.0, -2.0]), "bitwise", 0.0),
+    # Moves are relative to the parent's largest entry, not entry by entry.
+    (np.array([1e-17, -2.0]), np.array([2e-17, -2.0]), "5e-18", 5e-18),
+    (np.array([4.0, 1.0]), np.array([4.0, 1.5]), "0.125", 0.125),
+    # Equal values in another dtype are not bitwise.
+    (np.array([0, 3], np.int32), np.array([0, 3], np.int64), "0 (dtype int32 -> int64)", 0.0),
+    (np.array(697), np.array(698), "0.00143", 1 / 697),
+    (np.zeros(2), np.zeros(3), "shape (2,) -> (3,)", None),
+    (np.zeros(2), np.array([0.0, 1e-300]), "inf", float("inf")),
+    # -0.0 equals 0.0 but has other bits.
+    (np.array([0.0]), np.array([-0.0]), "0", 0.0),
+])
+def test_accuracy_diff_compare(parent, change, verdict, relative):
+    script = load_script("accuracy_diff")
+    assert script.compare(parent, change) == (verdict, relative)
+
+
+def fixed_records() -> tuple[dict, dict]:
+    """A parent and a change: a bitwise stiffness, a direct L2 error that
+    moves by 5e-11 (inside its gate) and one by 2e-10 (outside), a CG error
+    that moves by 1e-7 (ungated), a rate that moves by 2e-6 and an array
+    that only the parent has."""
+    parent = {"a/stiffness_data": np.array([4.0, -1.0]), "a/direct_l2": np.array(1.0),
+              "b/direct_l2": np.array(1.0), "a/cg_l2": np.array(1.0),
+              "rates/direct_l2_rate": np.array([3.0, 3.0]), "a/load": np.ones(2)}
+    change = {"a/stiffness_data": np.array([4.0, -1.0]), "a/direct_l2": np.array(1.0 + 5e-11),
+              "b/direct_l2": np.array(1.0 + 2e-10), "a/cg_l2": np.array(1.0 + 1e-7),
+              "rates/direct_l2_rate": np.array([3.0, 3.0 + 6e-6])}
+    return parent, change
+
+
+def test_accuracy_diff_rows_and_table():
+    script = load_script("accuracy_diff")
+    rows = script.diff_rows(*fixed_records())
+    assert [(row["name"], row["gate"]) for row in rows] == [
+        ("a/cg_l2", "-"), ("a/direct_l2", "ok"), ("a/load", "-"), ("a/stiffness_data", "-"),
+        ("b/direct_l2", "FAIL"), ("rates/direct_l2_rate", "FAIL")]
+    verdicts = {row["name"]: row["verdict"] for row in rows}
+    assert verdicts["a/stiffness_data"] == "bitwise"
+    assert verdicts["a/load"] == "only in parent"
+    assert float(verdicts["a/direct_l2"]) == pytest.approx(5e-11, rel=1e-3)
+    assert float(verdicts["a/cg_l2"]) == pytest.approx(1e-7, rel=1e-3)
+    table = script.render(rows).splitlines()
+    assert table[:2] == ["| array | parent -> change | gate |", "|---|---|---|"]
+    assert table[3].startswith("| a/direct_l2 | 5e-11") and table[3].endswith("| ok |")
+    assert table[-1] == ("1 of 6 arrays bitwise; gates failed: b/direct_l2, "
+                         "rates/direct_l2_rate")
+    parent, _ = fixed_records()
+    assert script.render(script.diff_rows(parent, parent)).splitlines()[-1] == (
+        "6 of 6 arrays bitwise; every gate passed")
+
+
+def test_accuracy_diff_records_each_checkout_apart(tmp_path, monkeypatch, capsys):
+    """Each checkout is recorded on its own, the parent first, and the exit
+    code says whether a gate failed; no case is computed here."""
+    script = load_script("accuracy_diff")
+    parent, change = fixed_records()
+    seen = []
+
+    def fake_record(checkout, out):
+        seen.append((checkout.name, out.name))
+        return parent if checkout.name == "p" else change
+
+    monkeypatch.setattr(script, "record_in_subprocess", fake_record)
+    assert script.main([str(tmp_path / "p"), str(tmp_path / "c")]) == 1
+    assert seen == [("p", "parent.npz"), ("c", "change.npz")]
+    assert "gates failed: b/direct_l2" in capsys.readouterr().out
+    change.update({k: v for k, v in parent.items()})
+    assert script.main([str(tmp_path / "p"), str(tmp_path / "c")]) == 0

@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (GeometryError, Polygon, PolygonBatch, _as_batch, _cross, _fans,
-                       _flat_vertices, _integers, _neighbours)
+from .geometry import (GeometryError, Polygon, PolygonBatch, _as_array, _as_batch, _cross, _fans,
+                       _flat_vertices, _neighbours)
 
 __all__ = [
     "fan_apex",
@@ -236,7 +236,7 @@ def eval_coords_batch(
     """
     kind = CoordinateKind(kind)
     batch = _as_batch(polygon)
-    pts = np.asarray(points, dtype=float)
+    pts = _as_array(points, GeometryError, "points must be an array of numbers, got {entry!r}")
     if isinstance(polygon, Polygon):
         pts = np.atleast_2d(pts)[None]
     if pts.ndim != 3 or pts.shape[0] != len(batch) or pts.shape[2] != 2:
@@ -264,12 +264,13 @@ def eval_boundary(polygon: Polygon, edges: np.ndarray, ts: np.ndarray) -> np.nda
     ``edges`` and ``ts`` broadcast against each other to m points.  Along the
     boundary every coordinate kind reduces to the same piecewise linear hat
     functions, so this path is kind-independent and avoids the singular
-    rational formulas.  An edge index that is not an integer (a bool, a
-    float, a string) raises ``GeometryError``.
+    rational formulas.  An edge index that is not an integer, or a parameter
+    that is not a number (a bool, a string), raises ``GeometryError``.
     """
     n = polygon.n
-    edges, ts = np.broadcast_arrays(_integers("edge indices", edges) % n, np.asarray(ts, float))
-    edges, ts = edges.ravel(), ts.ravel()
+    edges = _as_array(edges, GeometryError, "expected integer edge indices, got {entry!r}", integer=True)
+    ts = _as_array(ts, GeometryError, "edge parameters must be numbers, got {entry!r}")
+    edges, ts = (array.ravel() for array in np.broadcast_arrays(edges % n, ts))
     outside = ~((ts >= 0.0) & (ts <= 1.0))
     if np.any(outside):
         raise GeometryError(f"edge parameter t={ts[outside][0]} outside [0, 1]")

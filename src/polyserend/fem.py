@@ -30,7 +30,6 @@ coordinate kind ``solve_dirichlet`` checks, and keeps its interior system.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,8 +41,8 @@ import numpy as np
 
 from . import serendipity
 from .barycentric import CoordinateKind, _pair_arrays
-from .geometry import (_DEFECTS, GeometryError, Polygon, PolygonBatch, _coordinates, _neighbours,
-                       _polygon_defects)
+from .geometry import (_DEFECTS, GeometryError, Polygon, PolygonBatch, _as_array, _neighbours,
+                       _VERTICES, _polygon_defects)
 from .linalg import SolveReport, SparseMatrix, cg_solve
 from .quadrature import fan_rule, polygon_rule, rule_layouts
 from .serendipity import SerendipityError, SerendipityMap, build_map, eval_basis_batch
@@ -130,7 +129,7 @@ class PolyMesh:
         Last, one cell only may cover the centroid of each cell on the
         boundary, which fails for cells nested inside another cell.
         """
-        verts = _coordinates(vertices, MeshError)
+        verts = _as_array(vertices, MeshError, _VERTICES).astype(float)
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise MeshError(f"vertices must have shape (N, 2), got {verts.shape}")
         if not np.all(np.isfinite(verts)):
@@ -294,34 +293,33 @@ class PolyMesh:
 def _group_cells(cells: Sequence[Sequence[int]] | np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Cell ids (c,) and vertex indices (c, n) for each vertex count n, in increasing order.
 
-    Cells that are not a sequence of sequences, or an array of another
-    shape than (c, n), raise ``MeshError``, and so does an index that is not
-    an integer (a bool, a float such as 3.0, a string), naming the first
-    cell with one.
+    Cells that are not a sequence of sequences (a set has no order), or an
+    array of another shape than (c, n), raise ``MeshError``, and so does an
+    index that is not an integer (a bool, a float such as 3.0, a string),
+    naming the first cell with one.
     """
-    if isinstance(cells, np.ndarray) and cells.ndim != 2:
-        raise MeshError(f"cells must be a (c, n) array, got shape {cells.shape}")
-    integer_array = isinstance(cells, np.ndarray) and cells.dtype.kind in "iu"
-    try:
-        cells = list(cells)
-        # One pass over the entries' types; the cells are searched only on failure.
-        types = set() if integer_array else set(map(type, itertools.chain.from_iterable(cells)))
-    except TypeError as exc:
-        raise MeshError(f"cells must be a sequence of vertex-index sequences: {exc}") from exc
-    bad = {t for t in types if t is bool or not issubclass(t, (int, np.integer))}
-    if bad:
-        ci, v = next((ci, v) for ci, cell in enumerate(cells) for v in cell if type(v) in bad)
-        raise MeshError(f"cell {ci} has a vertex index that is not an integer: {v!r}")
-    sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
-    groups = []
-    for n in np.unique(sizes).tolist():
-        ids = np.flatnonzero(sizes == n)
+    if isinstance(cells, np.ndarray):
+        if cells.ndim != 2:
+            raise MeshError(f"cells must be a (c, n) array, got shape {cells.shape}")
+        sizes = np.full(len(cells), cells.shape[1])
+    else:
         try:
-            idx = np.array([cells[i] for i in ids.tolist()], dtype=np.int64).reshape(len(ids), n)
-        except OverflowError as exc:
-            raise MeshError("a cell references a vertex out of range") from exc
-        groups.append((ids, idx))
-    return groups
+            cells = list(cells)
+            if not all(isinstance(cell, (Sequence, np.ndarray)) for cell in cells):
+                raise TypeError("a cell is not a sequence")
+        except TypeError as exc:
+            raise MeshError(f"cells must be a sequence of vertex-index sequences: {exc}") from exc
+        if not cells:
+            return []
+        sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
+        width = sizes.max()                  # one conversion reads them all; a bad entry's row is its cell
+        cells = [list(cell) + [0] * (width - len(cell)) for cell in cells]
+    index = _as_array(cells, MeshError, "cell {0} has a vertex index that is not an integer: {entry!r}",
+                      integer=True)
+    if index.ndim != 2:                                      # an index that is a sequence
+        raise MeshError("cells must be a sequence of vertex-index sequences")
+    index = index.astype(np.int64, copy=False)               # past 2**63 wraps: out of range
+    return [(np.flatnonzero(sizes == n), index[sizes == n, :n]) for n in np.unique(sizes).tolist()]
 
 
 def _invalid_cells(verts: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -460,7 +458,8 @@ def trapezoid_mesh(n: int, offset: float = 0.25) -> PolyMesh:
     (i, j) is (bottom-left, bottom-right, top-right, top-left), numbered
     i n + j.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if _as_array(n, MeshError, "trapezoid mesh needs an integer n >= 1, got {entry!r}",
+                 integer=True).ndim or n < 1:
         raise MeshError(f"trapezoid mesh needs an integer n >= 1, got {n!r}")
     if not 0.0 <= offset < 0.5:
         raise MeshError(f"offset must lie in [0, 0.5), got {offset}")
@@ -647,7 +646,7 @@ def _values_at(f: Callable[[np.ndarray], np.ndarray], name: str, points: np.ndar
     """``f(points)`` as floats: one value (N,), or with ``gradient`` one
     gradient (N, 2), per point (N, 2).  Raises ValueError naming ``name``
     for any other shape."""
-    values = np.asarray(f(points), dtype=float)
+    values = _as_array(f(points), ValueError, f"{name} must return numbers, got {{entry!r}}")
     want = (len(points), 2) if gradient else (len(points),)
     if values.shape != want:
         raise ValueError(f"{name} must return shape {want} at {len(points)} points, "
@@ -739,10 +738,11 @@ class DiscreteSolution:
     report: SolveReport
 
     def __post_init__(self) -> None:
+        values = _as_array(self.values, ValueError, "values must be numbers, got {entry!r}")
+        object.__setattr__(self, "values", values)
         want = (dof_map(self.mesh).n_dofs,)
-        if np.shape(self.values) != want:
-            raise ValueError(f"values must have shape {want}, one per unknown, "
-                             f"got {np.shape(self.values)}")
+        if values.shape != want:
+            raise ValueError(f"values must have shape {want}, one per unknown, got {values.shape}")
 
     @property
     def dofmap(self) -> DofMap:
@@ -778,9 +778,10 @@ def solve_dirichlet(
     if matrix.kind is not kind:
         raise ValueError(f"matrix was assembled with {matrix.kind.value} coordinates, "
                          f"not {kind.value}")
-    if np.shape(rhs) != (dofmap.n_dofs,):
+    rhs = _as_array(rhs, ValueError, "rhs must be an array of numbers, got {entry!r}")
+    if rhs.shape != (dofmap.n_dofs,):
         raise ValueError(f"rhs must have shape ({dofmap.n_dofs},), one load per unknown, "
-                         f"got {np.shape(rhs)}")
+                         f"got {rhs.shape}")
     coords = node_coordinates(mesh)
     bnd = dofmap.boundary_dofs
     inner = dofmap.interior_dofs
@@ -954,11 +955,10 @@ def mesh_to_json(mesh: PolyMesh) -> dict:
 
 def mesh_from_json(data: dict) -> PolyMesh:
     try:
-        return PolyMesh.build(data["vertices"], data["cells"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, MeshError):
-            raise
+        vertices, cells = data["vertices"], data["cells"]
+    except (KeyError, TypeError) as exc:
         raise MeshError(f"malformed mesh data: {exc}") from exc
+    return PolyMesh.build(vertices, cells)
 
 
 def save_mesh(path: str | Path, mesh: PolyMesh) -> None:

@@ -42,6 +42,8 @@ class InvalidPolygonError(GeometryError):
 
 # Relative tolerance used to decide whether consecutive edges turn left.
 _CONVEXITY_RTOL = 1e-12
+# What ``_as_array`` says of polygon and mesh vertices that are not numbers.
+_VERTICES = "vertices must be an array of numbers, got {entry!r}"
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -120,30 +122,31 @@ def _polygon_defects(verts: np.ndarray) -> np.ndarray:
     return np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
 
 
-def _coordinates(vertices, error: type[GeometryError]) -> np.ndarray:
-    """``vertices`` as a new float array; ``error`` unless they are integers or floats.
-
-    numpy would parse numeric strings and read booleans as 0 and 1; a ragged
-    list, a dict or an integer beyond 64 bits gives no numeric array at all.
+def _as_array(values, error: type[Exception], message: str, integer: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, or with ``integer`` an integer array: the one
+    rule for every array, index and count a caller passes in.  A float64 ndarray,
+    or with ``integer`` an integer one, passes uncopied.  Anything numpy would
+    parse or cast (a string, a bool, also a JSON ``true`` among numbers, a float
+    index, None, a set, a dict, a ragged list, an integer beyond 64 bits) raises
+    ``error(message.format(*at, entry=entry))`` for the first such entry, at ``at``.
     """
+    kinds = "iu" if integer else "iuf"
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in kinds:
+            return values if integer or values.dtype == np.float64 else values.astype(float)
+        values = values.tolist()
+    entries = np.array(values, dtype=object)                 # only a list pays for this walk
     try:
-        array = np.asarray(vertices)
-    except (TypeError, ValueError) as exc:
-        raise error(f"vertices must be an array of numbers: {exc}") from exc
-    if array.dtype.kind not in "iuf":
-        raise error(f"vertices must be an array of numbers, got dtype {array.dtype}")
-    return array.astype(float)
-
-
-def _integers(name: str, values) -> np.ndarray:
-    """``values`` as an integer array; ``GeometryError`` for a bool, float or
-    string, which numpy would truncate or parse into an index."""
-    array = np.asarray(values)
-    if array.dtype.kind in "iu":
-        return array
-    if array.size:
-        raise GeometryError(f"expected integer {name}, got {values!r}")
-    return array.astype(np.int64)                            # [] reads as float
+        array, reason = np.asarray(values), ""
+    except ValueError as exc:                                # a ragged list
+        array, reason = entries, f": {exc}"
+    hidden = {bool, np.bool_} & set(map(type, entries.flat))     # numpy reads True as 1
+    if (array.dtype.kind in kinds or not array.size) and not hidden:
+        return array.astype(np.int64 if integer else float, copy=False)
+    at, entry = next(((at, e) for at, e in np.ndenumerate(entries) if not (
+        isinstance(e, (int, float, np.number)) and np.asarray(e).dtype.kind in kinds)),
+        ((0,) * entries.ndim, values))
+    raise error(message.format(*at, entry=entry) + reason)
 
 
 def _valid_vertices(vertices, batch: bool) -> np.ndarray:
@@ -154,7 +157,7 @@ def _valid_vertices(vertices, batch: bool) -> np.ndarray:
     Raises ``InvalidPolygonError`` at the first failure; in a batch, a
     polygon that fails a ``_DEFECTS`` check is named, "polygon k: ...".
     """
-    verts = _coordinates(vertices, InvalidPolygonError)
+    verts = _as_array(vertices, InvalidPolygonError, _VERTICES).astype(float)
     if verts.ndim != 2 + batch or verts.shape[-1] != 2:
         shape = "(c, n, 2)" if batch else "(n, 2)"
         raise InvalidPolygonError(f"expected vertices with shape {shape}")
@@ -282,7 +285,7 @@ class Polygon:
 
         Raises GeometryError for a non-finite point, which has no distance.
         """
-        pts = np.asarray(points, dtype=float)
+        pts = _as_array(points, GeometryError, "points must be an array of numbers, got {entry!r}")
         if not np.all(np.isfinite(pts)):
             raise GeometryError("points must be finite to have edge distances")
         return pts @ self.inward_normals.T - self._batch.offsets[0]
@@ -537,7 +540,8 @@ def sample_interior(
     Points are convex combinations with Dirichlet weights, so they are interior
     by construction; the margin is enforced by rejection.
     """
-    if count < 0:
+    if _as_array(count, GeometryError, "sample count must be an integer, got {entry!r}",
+                 integer=True).ndim or count < 0:
         raise GeometryError(f"sample count must be non-negative, got {count}")
     out = [np.empty((0, 2))]
     attempts = 0

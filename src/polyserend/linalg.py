@@ -20,6 +20,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .geometry import _as_array
+
 __all__ = [
     "SparseMatrix",
     "SolveReport",
@@ -34,16 +36,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, report: "SolveReport"):
         super().__init__(message)
         self.report = report
-
-
-def _index_array(name: str, indices) -> np.ndarray:
-    """``indices`` as an integer array, or ValueError: a float index would be truncated."""
-    indices = np.asarray(indices)
-    if indices.dtype.kind in "iu":
-        return indices
-    if indices.size:
-        raise ValueError(f"{name} must be integers, got {indices.dtype}")
-    return indices.astype(np.int64)                          # [] reads as float
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +68,9 @@ class SparseMatrix:
         numbers; anything else raises ValueError.  Arrays of int32 indices
         and float64 values are converted without a copy.
         """
-        rows = _index_array("rows", rows)
-        cols = _index_array("cols", cols)
-        values = np.asarray(values, dtype=float)
+        rows = _as_array(rows, ValueError, "rows must be integers, got {entry!r}", integer=True)
+        cols = _as_array(cols, ValueError, "cols must be integers, got {entry!r}", integer=True)
+        values = _as_array(values, ValueError, "values must be numbers, got {entry!r}")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         m = sp.coo_matrix((values, (rows, cols)), shape=(dim, dim)).tocsr()
@@ -89,7 +81,7 @@ class SparseMatrix:
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.dim, self.dim))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._csr @ np.asarray(x, dtype=float)
+        return self._csr @ _as_array(x, ValueError, "x must be an array of numbers, got {entry!r}")
 
     def diagonal(self) -> np.ndarray:
         return self._csr.diagonal()
@@ -103,7 +95,7 @@ class SparseMatrix:
         ``keep`` must be a 1-D array of integers in [0, dim); anything else
         raises ValueError, since scipy would count a negative index from the end.
         """
-        keep = _index_array("keep", keep)
+        keep = _as_array(keep, ValueError, "keep must be integers, got {entry!r}", integer=True)
         if keep.ndim != 1 or keep.size and (keep.min() < 0 or keep.max() >= self.dim):
             raise ValueError(f"keep must be a 1-D array of indices in [0, {self.dim})")
         sub = self._csr[np.ix_(keep, keep)]
@@ -134,7 +126,7 @@ def cg_solve(
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    b = np.asarray(rhs, dtype=float)
+    b = _as_array(rhs, ValueError, "rhs must be an array of numbers, got {entry!r}")
     n = matrix.dim
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import GeometryError, Polygon, PolygonBatch, _as_batch, _fans, _integers, _neighbours
+from .geometry import GeometryError, Polygon, PolygonBatch, _as_array, _as_batch, _fans, _neighbours
 
 __all__ = [
     "QuadratureRule",
@@ -87,7 +87,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
     """Rule on the reference triangle (0,0), (1,0), (0,1) exact to ``degree``,
     an integer in [1, ``MAX_DEGREE``]; built once per degree."""
     # Checked before the cache, where True would find the rule of 1 and 3.0 that of 3.
-    _integers("quadrature degree", degree)
+    _as_array(degree, GeometryError, "expected integer quadrature degree, got {entry!r}", integer=True)
     if not 1 <= degree <= MAX_DEGREE:
         raise GeometryError(f"quadrature degree must be in [1, {MAX_DEGREE}], got {degree}")
     return _triangle_rule(int(degree))
@@ -141,7 +141,7 @@ def _single_or_batch(polygon: Polygon | PolygonBatch, rule: QuadratureRule) -> Q
 def _rule_degrees(flat: np.ndarray, degree: int) -> np.ndarray:
     """Base-rule degree ``polygon_rule`` uses on each polygon of a batch, given
     which of them have a flat vertex (``PolygonBatch.flat``)."""
-    _integers("quadrature degree", degree)
+    _as_array(degree, GeometryError, "expected integer quadrature degree, got {entry!r}", integer=True)
     return np.where(flat, max(degree, MAX_DEGREE), degree)
 
 
@@ -219,7 +219,7 @@ def integrate(rule: QuadratureRule, f) -> float | np.ndarray:
     points (c, m, 2), gives the integral over each polygon, (c,).  Raises
     ``GeometryError`` unless f returns values shaped like the weights.
     """
-    values = np.asarray(f(rule.points), dtype=float)
+    values = _as_array(f(rule.points), GeometryError, "f must return numbers, got {entry!r}")
     if values.shape != rule.weights.shape:
         raise GeometryError(
             f"f must return one value per rule point, shape {rule.weights.shape}, "

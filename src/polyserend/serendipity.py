@@ -37,7 +37,8 @@ from .barycentric import (
     pair_order,
     pairwise_batch,
 )
-from .geometry import GeometryError, Polygon, PolygonBatch, _as_batch, _diagonal_frames, _neighbours
+from .geometry import (GeometryError, Polygon, PolygonBatch, _as_array, _as_batch, _diagonal_frames,
+                       _VERTICES, _neighbours)
 
 __all__ = [
     "SerendipityError",
@@ -122,7 +123,7 @@ def build_A(vertices: np.ndarray) -> np.ndarray:
     the error's ``_row``) and the diagonal, and ``CoefficientBlowupError``
     when d_a + d_b leaves no margin below 2.
     """
-    verts = np.asarray(vertices, dtype=float)
+    verts = _as_array(vertices, SerendipityError, _VERTICES)
     if verts.ndim != 3 or verts.shape[2] != 2:
         raise SerendipityError(f"vertices must have shape (c, n, 2), got {verts.shape}")
     c, n, _ = verts.shape
@@ -359,11 +360,12 @@ def precision_residuals(
     moment reproduction (max-abs over the three distinct entries of x x^T).
     Inputs are rescaled to the unit-diameter frame so results are scale-free.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _as_array(points, SerendipityError, "points must be an array of numbers, got {entry!r}")
+    xi = _as_array(xi_values, SerendipityError, "xi_values must be an array of numbers, got {entry!r}")
     verts = (polygon.vertices - polygon.centroid) / polygon.diameter
-    pts = (pts - polygon.centroid) / polygon.diameter
+    pts = (np.atleast_2d(pts) - polygon.centroid) / polygon.diameter
     m1, m2, m3 = _constraint_matrices(verts)
-    xiT = np.atleast_2d(xi_values).T  # (2n, m)
+    xiT = np.atleast_2d(xi).T  # (2n, m)
     r1 = np.abs(m1 @ xiT - 1.0)
     r2 = np.max(np.abs(m2 @ xiT - pts.T), axis=0)
     quad = np.stack([pts[:, 0] ** 2, pts[:, 0] * pts[:, 1], pts[:, 1] ** 2])

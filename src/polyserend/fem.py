@@ -161,8 +161,8 @@ class PolyMesh:
                                           return_counts=True)
         edges = np.stack([keys // n_verts, keys % n_verts], axis=1)
         outer = counts == 1
-        edges.setflags(write=False)
-        outer.setflags(write=False)
+        for array in (verts, edges, outer):
+            array.setflags(write=False)
         used = np.zeros(n_verts, dtype=bool)
         used[edges] = True
         unused = np.flatnonzero(~used)
@@ -256,6 +256,7 @@ class PolyMesh:
                 rep[ids[todo[same]]] = ids[owner[same]]
                 todo = todo[~same]
             reps = np.flatnonzero(rep[ids] == ids)
+            reps.setflags(write=False)
             batches.append((reps, batch[reps]))
         rep.setflags(write=False)
         return rep, tuple(batches)
@@ -268,6 +269,7 @@ class PolyMesh:
         boundary = np.zeros(nv + len(self.edges), dtype=bool)
         boundary[self.edges[outer].ravel()] = True
         boundary[nv:] = outer
+        boundary.setflags(write=False)
         groups = []
         for ids, cells, edges in self.groups:
             dofs = np.hstack([cells, nv + edges])
@@ -373,9 +375,11 @@ def _boundary_contact(verts: np.ndarray, outer: np.ndarray) -> str | None:
 
     In a conforming mesh of cells that do not overlap, boundary edges touch
     only at the vertices they share.  A vertex inside a boundary edge is a
-    hanging vertex that the cell owning the edge does not list; two boundary
-    edges that cross belong to overlapping cells.  A vertex within
-    ``_HANGING_RTOL`` of an edge's length of the edge's line is on that line.
+    hanging vertex that the cell owning the edge does not list; a vertex at
+    an end of a boundary edge that is not that end is a second vertex id at
+    one point, which cracks the mesh there; two boundary edges that cross
+    belong to overlapping cells.  A vertex within ``_HANGING_RTOL`` of an
+    edge's length of the edge's line is on that line.
     """
     nodes, ends = np.unique(outer, return_inverse=True)
     ends = ends.reshape(outer.shape)                                     # rows of nodes
@@ -395,6 +399,14 @@ def _boundary_contact(verts: np.ndarray, outer: np.ndarray) -> str | None:
             return (f"vertex {nodes[lo + v]} lies inside boundary edge {tuple(outer[e].tolist())}; "
                     "the mesh is not conforming (a hanging vertex that the cell owning the "
                     "edge does not list)")
+        rows = np.arange(lo, lo + len(rel))[:, None]
+        twin = on_line & (np.minimum(np.abs(t), np.abs(1.0 - t)) <= _HANGING_RTOL)
+        twin &= (ends[:, 0] != rows) & (ends[:, 1] != rows)
+        if np.any(twin):
+            v, e = np.unravel_index(np.argmax(twin), twin.shape)
+            end = outer[e, int(abs(t[v, e]) > _HANGING_RTOL)]
+            return (f"vertices {nodes[lo + v]} and {end} lie at one point; the mesh is cracked "
+                    "there (cells that meet at the point list distinct vertices)")
         side[lo:lo + step] = np.where(on_line, 0, np.sign(off))
     # straddles[f, e]: the ends of edge f lie on both sides of edge e's line.
     straddles = side[ends[:, 0]] * side[ends[:, 1]] < 0

@@ -300,10 +300,12 @@ class TestErrorPaths:
         [[0, 0], [10**400, 0], [0, 1]],
         [["0", "0"], ["1", "0"], ["0", "1e0"]],
         [[False, False], [True, False], [False, True]],
-    ], ids=["ragged", "string", "dict", "int-overflow", "numeric-string", "bool"])
+        [[0, 0], [True, 0], [0, 1]],
+    ], ids=["ragged", "string", "dict", "int-overflow", "numeric-string", "bool", "bool-among-ints"])
     def test_vertices_that_are_not_numbers(self, tmp_path, capsys, command, vertices):
         """These used to end in a traceback and exit 1, the numerical-failure
-        code; numeric strings and booleans were read as the unit triangle."""
+        code; numeric strings and booleans, also a true among numbers, were
+        read as the unit triangle."""
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"vertices": vertices}))
         rc, out, err = run(capsys, [command, str(path)])

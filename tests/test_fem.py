@@ -256,11 +256,13 @@ class TestPolyMeshValidation:
         [[0, 0], [10**400, 0], [0, 1]],
         [["0", "0"], ["1", "0"], ["0", "1e0"]],
         [[False, False], [True, False], [False, True]],
-    ], ids=["ragged", "string", "dict", "int-overflow", "numeric-string", "bool"])
+        [[0, 0], [True, 0], [0, 1]],
+    ], ids=["ragged", "string", "dict", "int-overflow", "numeric-string", "bool", "bool-among-ints"])
     def test_vertices_that_are_not_numbers_rejected(self, vertices):
         """The first four used to escape as a bare ValueError, TypeError or
         OverflowError; numeric strings and booleans were read as the unit
-        triangle.  Meshes and polygons share one conversion."""
+        triangle, and so was a JSON true among numbers.  Meshes and polygons
+        share one conversion."""
         with pytest.raises(MeshError, match="vertices must be an array of numbers"):
             PolyMesh.build(vertices, [(0, 1, 2)])
         with pytest.raises(MeshError, match="vertices must be an array of numbers"):
@@ -271,10 +273,11 @@ class TestPolyMeshValidation:
             PolygonBatch.from_vertices([vertices])
 
     @pytest.mark.parametrize("cells", [5, [5], [[0, 1, 2], 5], np.zeros((1, 4, 2), int),
-                                       np.array([0, 1, 2])],
-                             ids=["int", "list-of-int", "int-after-cell", "3-d", "1-d"])
+                                       np.array([0, 1, 2]), [{0, 1, 2}]],
+                             ids=["int", "list-of-int", "int-after-cell", "3-d", "1-d", "set"])
     def test_cells_that_are_not_index_sequences_rejected(self, cells):
-        """These used to escape as a bare TypeError or ValueError."""
+        """These used to escape as a bare TypeError or ValueError.  A set
+        has no order, so its cell has no orientation."""
         verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         with pytest.raises(MeshError, match="cells must be a"):
             PolyMesh.build(verts, cells)
@@ -310,6 +313,27 @@ class TestPolyMeshValidation:
         # Apart, the two squares make a valid two-cell mesh.
         assert PolyMesh.build(np.vstack([square, square + 2.0]),
                               [(0, 1, 2, 3), (4, 5, 6, 7)]).n_cells == 2
+
+    @pytest.mark.parametrize("verts, cells, twins", [
+        ([[0, 0], [1, 0], [1, 1], [0, 1], [1, 0], [2, 0], [2, 1], [1, 1]],
+         [(0, 1, 2, 3), (4, 5, 6, 7)], (1, 4)),
+        ([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1], [1, 1]],
+         [(0, 1, 4, 5), (1, 2, 3, 6)], (4, 6)),
+        ([[0, 0], [1, 0], [1, 1], [0, 1], [1, 1], [2, 1], [2, 2], [1, 2]],
+         [(0, 1, 2, 3), (4, 5, 6, 7)], (2, 4)),
+    ], ids=["cracked-edge", "one-sided-crack", "corner"])
+    def test_two_vertex_ids_at_one_point_rejected(self, verts, cells, twins):
+        """Two unit squares that meet through distinct vertex ids at the same
+        points.  Along a shared side this made both sides boundary edges: with
+        f = 1 and u = 0 on the boundary, meanvalue gave u(1, 0.5) = 0.0 where
+        the conforming mesh gives its largest value, 0.145, with no error."""
+        with pytest.raises(MeshError, match=f"vertices {twins[0]} and {twins[1]} lie at one point"):
+            PolyMesh.build(np.array(verts, dtype=float), cells)
+
+    def test_squares_touching_at_a_shared_corner_build(self):
+        """Through one vertex id, two squares that touch at a corner are a mesh."""
+        verts = [[0, 0], [1, 0], [1, 1], [0, 1], [2, 1], [2, 2], [1, 2]]
+        assert PolyMesh.build(verts, [(0, 1, 2, 3), (2, 4, 5, 6)]).n_cells == 2
 
     @pytest.mark.parametrize("shift, covered", [(1.0, 0), (0.2, 1)])
     def test_nested_cell_rejected(self, shift, covered):
@@ -500,10 +524,43 @@ class TestDofMap:
         assert len(interior_edge_dofs) == 3
 
 
+def reachable_arrays(obj, seen=None):
+    """Every ndarray reachable from ``obj`` through dataclass fields, tuples,
+    lists and named tuples."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        children = obj
+    elif hasattr(obj, "__dataclass_fields__"):
+        children = [getattr(obj, name) for name in obj.__dataclass_fields__]
+    else:
+        return []
+    return [array for child in children for array in reachable_arrays(child, seen)]
+
+
 class TestDerivedFromTheMesh:
     """The mesh determines its DOF map and cell maps, so they are computed
     once per mesh, and a ``maps`` or ``dofmap`` argument that is not the
     mesh's own raises instead of giving a wrong matrix or solution."""
+
+    @pytest.mark.parametrize("make", [lambda: trapezoid_mesh(2), corpus.mixed_mesh])
+    def test_every_array_of_a_mesh_and_its_cached_results_is_read_only(self, make):
+        """The class batches and maps are cached on the mesh, so a moved
+        vertex once left the next assemble unchanged while node_coordinates
+        moved, and a vertex moved to make a cell reflex raised nothing."""
+        mesh = make()
+        cached = (mesh, mesh.translation_classes, mesh.class_batches, dof_map(mesh),
+                  cell_maps(mesh), mesh.polygons)
+        arrays = reachable_arrays(cached)
+        assert len(arrays) > 20
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
 
     def test_computed_once_per_mesh(self):
         mesh = trapezoid_mesh(4)

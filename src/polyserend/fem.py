@@ -307,14 +307,14 @@ def _group_cells(cells: Sequence[Sequence[int]] | np.ndarray) -> list[tuple[np.n
     else:
         try:
             cells = list(cells)
-            if not all(isinstance(cell, (Sequence, np.ndarray)) for cell in cells):
-                raise TypeError("a cell is not a sequence")
+            if any(isinstance(cell, (set, frozenset, dict)) for cell in cells):
+                raise TypeError("a cell is a set or a dict, which has no order")
+            sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
         except TypeError as exc:
             raise MeshError(f"cells must be a sequence of vertex-index sequences: {exc}") from exc
         if not cells:
             return []
-        sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
-        width = sizes.max()                  # one conversion reads them all; a bad entry's row is its cell
+        width = sizes.max()                # padded: one conversion, and a bad entry's row is its cell
         cells = [list(cell) + [0] * (width - len(cell)) for cell in cells]
     index = _as_array(cells, MeshError, "cell {0} has a vertex index that is not an integer: {entry!r}",
                       integer=True)

@@ -131,10 +131,9 @@ def _as_array(values, error: type[Exception], message: str, integer: bool = Fals
     ``error(message.format(*at, entry=entry))`` for the first such entry, at ``at``.
     """
     kinds = "iu" if integer else "iuf"
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind in kinds:
-            return values if integer or values.dtype == np.float64 else values.astype(float)
-        values = values.tolist()
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
+        return values if integer or values.dtype == np.float64 else values.astype(float)
+    values = values.tolist() if isinstance(values, np.ndarray) else values     # walked as a list
     entries = np.array(values, dtype=object)                 # only a list pays for this walk
     try:
         array, reason = np.asarray(values), ""

@@ -140,8 +140,8 @@ def _single_or_batch(polygon: Polygon | PolygonBatch, rule: QuadratureRule) -> Q
 
 def _rule_degrees(flat: np.ndarray, degree: int) -> np.ndarray:
     """Base-rule degree ``polygon_rule`` uses on each polygon of a batch, given
-    which of them have a flat vertex (``PolygonBatch.flat``)."""
-    _as_array(degree, GeometryError, "expected integer quadrature degree, got {entry!r}", integer=True)
+    which of them have a flat vertex (``PolygonBatch.flat``); checks ``degree``."""
+    triangle_rule(degree)
     return np.where(flat, max(degree, MAX_DEGREE), degree)
 
 
@@ -166,7 +166,7 @@ def polygon_rule(polygon: Polygon | PolygonBatch, degree: int) -> QuadratureRule
     degrees = _rule_degrees(batch.flat, degree)
     if np.any(degrees != degrees[0]):
         raise GeometryError("polygons of one batch must all or none have a flat vertex")
-    base = triangle_rule(int(degrees[0]))
+    base = _triangle_rule(int(degrees[0]))
     v = batch.vertices
     nxt, _ = _neighbours(v.shape[1])
     centroids = np.broadcast_to(batch.centroids[:, None, :], v.shape)
@@ -208,7 +208,7 @@ def rule_layouts(batch: PolygonBatch, degree: int,
     if fan:
         return [(np.arange(len(batch)), (batch.n - 2) * len(triangle_rule(degree)))]
     degrees = _rule_degrees(batch.flat, degree)
-    return [(np.flatnonzero(degrees == d), 2 * batch.n * len(triangle_rule(d)))
+    return [(np.flatnonzero(degrees == d), 2 * batch.n * len(_triangle_rule(d)))
             for d in np.unique(degrees).tolist()]
 
 

@@ -41,11 +41,11 @@ class TestSparseMatrix:
         ([1.7], [0.2], [5.0], "rows must be integers"),
         ([1], [0.0], [5.0], "cols must be integers"),
         ([True], [0], [5.0], "rows must be integers"),
+        ([1], [0], [np.nan], "values must be finite"),
+        ([1, 2], [0, 2], [1.0, -np.inf], "values must be finite"),
         ([0, 1], [0, 1], ["1", "2"], "values must be numbers"),
         ([0, 1], [0, 1], [True, True], "values must be numbers"),
         ([0, 1], [0, 1], [1.0, True], "values must be numbers"),
-        ([1], [0], [np.nan], "values must be finite"),
-        ([1, 2], [0, 2], [1.0, -np.inf], "values must be finite"),
     ])
     def test_non_integer_index_or_non_finite_value_rejected(self, rows, cols, values, message):
         with pytest.raises(ValueError, match=message):

@@ -14,11 +14,13 @@ takes about 10-12 n iterations to a relative residual of 1e-12.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .geometry import _as_array
 
@@ -141,23 +143,25 @@ def cg_solve(
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return SolveReport(solution=np.zeros(n), iterations=0, residual=0.0, converged=True)
-    x = np.zeros(n)
+    x, Ap, scaled = np.zeros(n), np.empty(n), np.empty(n)
     r = b.copy()
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
-    res = float(np.linalg.norm(r))
+    res = math.sqrt(r @ r)
     it = 0
     while res > tol * b_norm and it < max_iter:
-        Ap = matrix.matvec(p)
+        Ap.fill(0.0)                                        # csr_matvec adds A p to Ap
+        csr_matvec(n, n, matrix.indptr, matrix.indices, matrix.data, p, Ap)
         alpha = rz / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        z = inv_diag * r
+        x += np.multiply(p, alpha, out=scaled)
+        r -= np.multiply(Ap, alpha, out=scaled)
+        np.multiply(inv_diag, r, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-        res = float(np.linalg.norm(r))
+        res = math.sqrt(r @ r)
         it += 1
     converged = res <= tol * b_norm
     report = SolveReport(solution=x, iterations=it, residual=res / b_norm, converged=converged)

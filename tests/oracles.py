@@ -22,6 +22,11 @@ views that the program computes only per vertex-count group, and
 every chunk of the element kernel, the cells of a class reusing their
 representative's; ``fem.error_norms`` forms no basis on a chunk whose
 classes are single cells.
+
+``jacobi_pcg`` is the Jacobi-preconditioned conjugate gradient loop written
+with a fresh vector for every update and ``SparseMatrix.matvec`` for every
+product; ``cg_solve`` updates its vectors in place and calls the CSR kernel
+directly, and must give bitwise the same iterates.
 """
 
 from __future__ import annotations
@@ -358,3 +363,33 @@ def basis_error_norms(solution: fem.DiscreteSolution, u_exact, grad_u_exact,
             acc_l2 += float(weights @ du**2)
             acc_h1 += float(np.sum(dg**2 @ weights))
     return fem.ErrorNorms(l2=float(np.sqrt(acc_l2)), h1=float(np.sqrt(acc_h1)))
+
+
+def jacobi_pcg(matrix, b: np.ndarray, tol: float = 1e-12,
+               max_iter: int | None = None) -> tuple[np.ndarray, int, float]:
+    """Solution, iteration count and relative residual of Jacobi-preconditioned
+    conjugate gradients from x = 0, stopped as ``cg_solve`` stops; no input checks."""
+    n = matrix.dim
+    if max_iter is None:
+        max_iter = 10 * n
+    inv_diag = 1.0 / matrix.diagonal()
+    b_norm = float(np.linalg.norm(b))
+    x = np.zeros(n)
+    r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    res = float(np.linalg.norm(r))
+    it = 0
+    while res > tol * b_norm and it < max_iter:
+        Ap = matrix.matvec(p)
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        res = float(np.linalg.norm(r))
+        it += 1
+    return x, it, res / b_norm

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polyserend import ConvergenceError, SparseMatrix, cg_solve
+import corpus
+import oracles
+from polyserend import (ConvergenceError, CoordinateKind, SparseMatrix, assemble, cg_solve, dof_map,
+                        linalg, trapezoid_mesh)
 
 
 def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -122,6 +125,28 @@ class TestSparseMatrix:
         assert len(built) == 1
 
 
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_kernel_call_is_scipy_matvec_bitwise(index_dtype):
+    """``cg_solve`` calls the compiled kernel that ``csr @ x`` ends in,
+    scipy's private ``_sparsetools.csr_matvec``, on the matrix's own arrays;
+    a scipy release that moves or changes that kernel fails here."""
+    rng = np.random.default_rng(3)
+    dense = random_spd(rng, 40)
+    dense[np.abs(dense) < 1.0] = 0.0
+    dense += 40.0 * np.eye(40)
+    triplets = sparse_from_dense(dense)
+    m = SparseMatrix(40, triplets.data, *(a.astype(index_dtype) for a in (triplets.indices, triplets.indptr)))
+    x = rng.normal(size=40)
+    got = np.zeros(40)
+    linalg.csr_matvec(40, 40, m.indptr, m.indices, m.data, x, got)
+    want = sp.csr_matrix((m.data, m.indices, m.indptr), shape=(40, 40)) @ x
+    assert m.indices.dtype == index_dtype and got.tobytes() == want.tobytes()
+    report = cg_solve(m, x)
+    solution, iterations, residual = oracles.jacobi_pcg(m, x)
+    assert (report.solution.tobytes(), report.iterations, report.residual) == (
+        solution.tobytes(), iterations, residual)
+
+
 class TestConjugateGradients:
     def test_identity_converges_immediately(self):
         m = SparseMatrix.from_triplets(4, range(4), range(4), np.ones(4))
@@ -214,3 +239,27 @@ class TestConjugateGradients:
         assert float(np.linalg.norm(r) / np.linalg.norm(b)) == pytest.approx(
             report.residual, rel=1e-9
         )
+
+    @pytest.mark.parametrize("build, kind", [
+        *((lambda: trapezoid_mesh(8), kind) for kind in CoordinateKind),
+        (corpus.mixed_mesh, CoordinateKind.MEAN_VALUE),
+        (corpus.voronoi_mesh, CoordinateKind.WACHSPRESS),
+    ], ids=[f"trapezoid-{kind.value}" for kind in CoordinateKind] + ["mixed", "voronoi"])
+    def test_iterates_match_the_reference_loop_bitwise(self, build, kind):
+        """The in-place loop does the reference loop's operations in its
+        order: the same solution bits, iteration count and residual, also
+        for the iterate a stalled solve carries."""
+        mesh = build()
+        matrix, load = assemble(mesh, kind, source=lambda p: 1.0 + p[:, 0] * p[:, 1])
+        system, b = matrix.interior, load[dof_map(mesh).interior_dofs]
+        report = cg_solve(system, b)
+        solution, iterations, residual = oracles.jacobi_pcg(system, b)
+        assert iterations > 1
+        assert (report.solution.tobytes(), report.iterations, report.residual) == (
+            solution.tobytes(), iterations, residual)
+        with pytest.raises(ConvergenceError) as excinfo:
+            cg_solve(system, b, max_iter=iterations // 2)
+        report = excinfo.value.report
+        solution, iterations, residual = oracles.jacobi_pcg(system, b, max_iter=iterations // 2)
+        assert (report.solution.tobytes(), report.iterations, report.residual) == (
+            solution.tobytes(), iterations, residual)

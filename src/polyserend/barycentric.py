@@ -288,7 +288,8 @@ def pair_order(n: int) -> tuple[tuple[int, int], ...]:
     Vertex squares (0,0)..(n-1,n-1), then edge pairs (i, i+1 mod n), then
     strict diagonal pairs lexicographically; n(n+1)/2 pairs in total.
     """
-    if n < 3:
+    if _as_array(n, GeometryError, "pair ordering requires an integer n, got {entry!r}",
+                 integer=True).ndim or n < 3:
         raise GeometryError("pair ordering requires n >= 3")
     squares = [(i, i) for i in range(n)]
     edges = [(i, (i + 1) % n) for i in range(n)]

@@ -10,6 +10,19 @@ The solver is a hand-rolled conjugate gradient method with Jacobi
 (diagonal) preconditioning.  The stiffness systems this package produces are
 conditioned like h^-2 in the mesh size h, so on an n x n trapezoid mesh it
 takes about 10-12 n iterations to a relative residual of 1e-12.
+
+The loop allocates its work vectors once per solve and updates them in
+place, and it forms A p with one call per iteration of ``csr_matvec``, the
+compiled kernel that scipy's ``csr @ p`` ends in, on the matrix's own
+arrays.  It does the floating-point operations of the textbook loop (a fresh
+vector per update, ``csr @ p`` per product) in their order, so its iterates
+are bitwise those of ``csr @ p``.  The kernel is private to scipy
+(``scipy.sparse._sparsetools``); it is called directly because scipy's
+``@`` wraps it in a dispatch and a fresh result vector that cost about a
+tenth of the kernel on each iteration.  ``test_kernel_call_is_scipy_matvec_bitwise``
+in ``tests/test_linalg.py`` checks the call against ``csr @ x`` for int32
+and int64 indices, so a scipy release that moves or changes the kernel
+fails there.
 """
 
 from __future__ import annotations
@@ -66,10 +79,14 @@ class SparseMatrix:
     ) -> "SparseMatrix":
         """Build from COO triplets, summing duplicates.
 
-        ``rows`` and ``cols`` must hold integers and ``values`` finite
-        numbers; anything else raises ValueError.  Arrays of int32 indices
-        and float64 values are converted without a copy.
+        ``dim`` must be an integer >= 0, ``rows`` and ``cols`` must hold
+        integers and ``values`` finite numbers; anything else raises
+        ValueError.  Arrays of int32 indices and float64 values are converted
+        without a copy.
         """
+        if _as_array(dim, ValueError, "dim must be an integer, got {entry!r}",
+                     integer=True).ndim or dim < 0:
+            raise ValueError(f"dim must be an integer >= 0, got {dim}")
         rows = _as_array(rows, ValueError, "rows must be integers, got {entry!r}", integer=True)
         cols = _as_array(cols, ValueError, "cols must be integers, got {entry!r}", integer=True)
         values = _as_array(values, ValueError, "values must be numbers, got {entry!r}")
@@ -123,10 +140,11 @@ def cg_solve(
     Stops when ||b - A x|| <= tol * ||b||, for 0 < tol < 1 (a tolerance of 1
     or more would accept the zero start as converged); raises
     ConvergenceError (carrying the best iterate in its ``report``) if the
-    iteration budget is exhausted.  A non-finite right-hand side raises
-    ValueError: it is bad input, not a solver failure.
+    iteration budget, ``max_iter`` >= 1 iterations (10 n if None), is
+    exhausted.  A non-finite right-hand side raises ValueError: it is bad
+    input, not a solver failure.
     """
-    if not 0.0 < tol < 1.0:
+    if _as_array(tol, ValueError, "tol must be a number, got {entry!r}").ndim or not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     b = _as_array(rhs, ValueError, "rhs must be an array of numbers, got {entry!r}")
     n = matrix.dim
@@ -136,6 +154,9 @@ def cg_solve(
         raise ValueError("rhs must be finite")
     if max_iter is None:
         max_iter = 10 * n
+    elif _as_array(max_iter, ValueError, "max_iter must be an integer, got {entry!r}",
+                   integer=True).ndim or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter}")
     diag = matrix.diagonal()
     if np.any(diag <= 0.0):
         raise ValueError("matrix has non-positive diagonal entries; not SPD")

@@ -87,8 +87,8 @@ def triangle_rule(degree: int) -> QuadratureRule:
     """Rule on the reference triangle (0,0), (1,0), (0,1) exact to ``degree``,
     an integer in [1, ``MAX_DEGREE``]; built once per degree."""
     # Checked before the cache, where True would find the rule of 1 and 3.0 that of 3.
-    _as_array(degree, GeometryError, "expected integer quadrature degree, got {entry!r}", integer=True)
-    if not 1 <= degree <= MAX_DEGREE:
+    if _as_array(degree, GeometryError, "expected integer quadrature degree, got {entry!r}",
+                 integer=True).ndim or not 1 <= degree <= MAX_DEGREE:
         raise GeometryError(f"quadrature degree must be in [1, {MAX_DEGREE}], got {degree}")
     return _triangle_rule(int(degree))
 

@@ -94,7 +94,8 @@ class SerendipityMap:
 
 def build_B(n: int) -> np.ndarray:
     """Nodal transform: psi_vertex_i = xi_ii - xi_{i,i+1} - xi_{i-1,i}; psi_edge_i = 4 xi_{i,i+1}."""
-    if n < 3:
+    if _as_array(n, SerendipityError, "nodal transform requires an integer n, got {entry!r}",
+                 integer=True).ndim or n < 3:
         raise SerendipityError("nodal transform requires n >= 3")
     B = np.zeros((2 * n, 2 * n))
     B[:n, :n] = np.eye(n)

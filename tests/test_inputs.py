@@ -3,6 +3,8 @@ or it raises the typed error of the module that takes it.
 
 Every call below used to succeed: numpy parsed the numeric strings and read
 the booleans as 0 and 1, so each gave the result of the numbers they spell.
+The scalar counts and sizes of the ``SCALARS`` table used to succeed too, or
+to end in a bare TypeError from Python's own arithmetic.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from polyserend import (
 )
 from polyserend.fem import DiscreteSolution
 from polyserend.geometry import _as_array
+from polyserend.barycentric import pair_order
 from polyserend.linalg import SolveReport
-from polyserend.serendipity import build_A
+from polyserend.quadrature import triangle_rule
+from polyserend.serendipity import build_A, build_B
 
 SQUARE = Polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 STRING_CENTRE = [["0.5", "0.5"]]
@@ -97,7 +101,28 @@ CALLS = {
 }
 
 
-@pytest.mark.parametrize("call, error, message", CALLS.values(), ids=CALLS.keys())
+SCALARS = {
+    "from_triplets-bool-dim": (lambda: SparseMatrix.from_triplets(True, [0], [0], [1.0]),
+                               ValueError, "dim must be an integer, got True"),
+    "cg_solve-float-max_iter": (lambda: cg_solve(diagonal(), [1.0, 2.0], max_iter=1.5),
+                                ValueError, "max_iter must be an integer, got 1.5"),
+    "cg_solve-bool-max_iter": (lambda: cg_solve(diagonal(), [1.0, 2.0], max_iter=True),
+                               ValueError, "max_iter must be an integer, got True"),
+    "cg_solve-string-tol": (lambda: cg_solve(diagonal(), [1.0, 2.0], tol="1e-3"),
+                            ValueError, "tol must be a number, got '1e-3'"),
+    "pair_order-float": (lambda: pair_order(3.0),
+                         GeometryError, "pair ordering requires an integer n, got 3.0"),
+    "build_B-float": (lambda: build_B(4.0),
+                      SerendipityError, "nodal transform requires an integer n, got 4.0"),
+    "build_B-string": (lambda: build_B("4"),
+                       SerendipityError, "nodal transform requires an integer n, got '4'"),
+    "triangle_rule-array": (lambda: triangle_rule(np.array([3])),
+                            GeometryError, r"quadrature degree must be in \[1, \d+\], got \[3\]"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", [*CALLS.values(), *SCALARS.values()],
+                         ids=[*CALLS, *SCALARS])
 def test_input_that_is_not_numbers_rejected(call, error, message):
     with pytest.raises(error, match=message):
         call()

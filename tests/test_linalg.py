@@ -210,6 +210,13 @@ class TestConjugateGradients:
         with pytest.raises(ValueError, match="tol"):
             cg_solve(m, np.ones(3), tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [-3, 0])
+    def test_iteration_budget_below_one_rejected(self, max_iter):
+        """A budget below one is bad input; it used to raise ConvergenceError."""
+        m = SparseMatrix.from_triplets(3, range(3), range(3), [2.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            cg_solve(m, np.ones(3), max_iter=max_iter)
+
     def test_rhs_shape_validated(self):
         m = SparseMatrix.from_triplets(3, range(3), range(3), np.ones(3))
         with pytest.raises(ValueError, match="shape"):

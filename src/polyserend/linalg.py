@@ -16,7 +16,7 @@ place, and it forms A p with one call per iteration of ``csr_matvec``, the
 compiled kernel that scipy's ``csr @ p`` ends in, on the matrix's own
 arrays.  It does the floating-point operations of the textbook loop (a fresh
 vector per update, ``csr @ p`` per product) in their order, so its iterates
-are bitwise those of ``csr @ p``.  The kernel is private to scipy
+are bitwise that loop's.  The kernel is private to scipy
 (``scipy.sparse._sparsetools``); it is called directly because scipy's
 ``@`` wraps it in a dispatch and a fresh result vector that cost about a
 tenth of the kernel on each iteration.  ``test_kernel_call_is_scipy_matvec_bitwise``
@@ -144,7 +144,7 @@ def cg_solve(
     exhausted.  A non-finite right-hand side raises ValueError: it is bad
     input, not a solver failure.
     """
-    if _as_array(tol, ValueError, "tol must be a number, got {entry!r}").ndim or not 0 < tol < 1:
+    if _as_array(tol, ValueError, "tol must be a number, got {entry!r}").ndim or not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     b = _as_array(rhs, ValueError, "rhs must be an array of numbers, got {entry!r}")
     n = matrix.dim

@@ -31,9 +31,9 @@ from polyserend import (
     solve_dirichlet,
     trapezoid_mesh,
 )
+from polyserend.barycentric import pair_order
 from polyserend.fem import DiscreteSolution
 from polyserend.geometry import _as_array
-from polyserend.barycentric import pair_order
 from polyserend.linalg import SolveReport
 from polyserend.quadrature import triangle_rule
 from polyserend.serendipity import build_A, build_B

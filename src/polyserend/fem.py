@@ -575,7 +575,10 @@ def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
     every stage a caller runs (coordinates, products, basis) is one array
     operation over the chunk.  The geometry of the representatives
     (``PolyMesh.class_batches``) is put in chunk order once per group and
-    each chunk takes a slice of it, so a chunk pays only for its points.
+    each chunk takes a slice of it.  The rule is mapped once per span of
+    whole chunks of at most the points of a member slice, and each chunk
+    takes a row view of it, so a chunk pays only for its coordinates,
+    products and basis.
     Triangulation coordinates are piecewise polynomial on their own vertex
     fan, so a fan-aligned rule integrates them exactly; the other kinds use
     the vertex-clustered centroid decomposition.
@@ -612,17 +615,21 @@ def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
         for group, size in layouts:
             step = max(1, CHUNK_POINTS // size)
             member_step = max(1, 4 * CHUNK_POINTS // size)
-            for lo in range(start, start + len(group), step):
-                rows = slice(lo, min(lo + step, start + len(group)))
-                chunk = batch[rows]
-                rule = fan_rule(chunk, degree) if fan else polygon_rule(chunk, degree)
-                members = []
-                end = bounds[rows.stop]
-                for k in range(bounds[lo], end, member_step):
-                    part = slice(k, min(k + member_step, end))
-                    members.append((dofs[by_rank[part]], owner_rank[part] - lo, shifts[part]))
-                yield chunk, ordered_maps[rows], rule, members
-            start += len(group)
+            span_step = member_step // step * step            # whole chunks
+            stop = start + len(group)
+            for span in range(start, stop, span_step):
+                reps_span = batch[span:min(span + span_step, stop)]
+                span_rule = fan_rule(reps_span, degree) if fan else polygon_rule(reps_span, degree)
+                for lo in range(span, span + len(reps_span), step):
+                    rows = slice(lo, min(lo + step, stop))
+                    members = []
+                    end = bounds[rows.stop]
+                    for k in range(bounds[lo], end, member_step):
+                        part = slice(k, min(k + member_step, end))
+                        members.append((dofs[by_rank[part]], owner_rank[part] - lo, shifts[part]))
+                    yield (batch[rows], ordered_maps[rows],
+                           span_rule[lo - span:rows.stop - span], members)
+            start = stop
 
 
 def _basis(chunk: PolygonBatch, kind: CoordinateKind, maps: Sequence[SerendipityMap],

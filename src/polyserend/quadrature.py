@@ -49,7 +49,9 @@ class QuadratureRule:
     """Points (m, 2) and weights (m,) exact for polynomials up to ``degree``.
 
     A rule for a batch of c polygons has points (c, m, 2) and weights (c, m);
-    its length is the total point count.
+    its length is the total point count.  Indexing a batch rule by rows, like
+    ``PolygonBatch``, gives the rule of those polygons, as read-only views
+    for a slice; one row gives that polygon's rule.
     """
 
     points: np.ndarray
@@ -62,6 +64,10 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return self.weights.size
+
+    def __getitem__(self, rows: slice | int) -> QuadratureRule:
+        return QuadratureRule(points=self.points[rows], weights=self.weights[rows],
+                              degree=self.degree)
 
 
 def _gauss_jacobi(m: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +139,7 @@ def _mapped_rule(base: QuadratureRule, A: np.ndarray, B: np.ndarray,
 
 
 def _single_or_batch(polygon: Polygon | PolygonBatch, rule: QuadratureRule) -> QuadratureRule:
-    if not isinstance(polygon, Polygon):
-        return rule
-    return QuadratureRule(points=rule.points[0], weights=rule.weights[0], degree=rule.degree)
+    return rule[0] if isinstance(polygon, Polygon) else rule
 
 
 def _rule_degrees(flat: np.ndarray, degree: int) -> np.ndarray:

@@ -1065,6 +1065,39 @@ class TestElementKernel:
             err = error_norms(sol, u, gu)
             assert err.l2 <= 1e-12 and err.h1 <= 1e-12
 
+    @pytest.mark.parametrize("degree", [10, 14])
+    @pytest.mark.parametrize("kind", [MV, CoordinateKind.TRIANGULATION])
+    @pytest.mark.parametrize("name", list(KERNEL_MESHES))
+    def test_chunk_rules_equal_rules_of_each_chunk(self, name, kind, degree, monkeypatch):
+        """The rule is mapped once per span of whole chunks; each chunk's
+        view of it is bitwise the rule of the chunk alone."""
+        mesh = KERNEL_MESHES[name]()
+        rule_of = fan_rule if kind is CoordinateKind.TRIANGULATION else polygon_rule
+        for _ in kernel_chunk_sizes(monkeypatch):
+            for chunk, _, rule, _ in fem._element_chunks(mesh, kind, degree):
+                own = rule_of(chunk, degree)
+                assert rule.degree == own.degree and len(rule) == len(own)
+                assert rule.points.tobytes() == own.points.tobytes()
+                assert rule.weights.tobytes() == own.weights.tobytes()
+                assert not (rule.points.flags.writeable or rule.weights.flags.writeable)
+
+    def test_rules_are_mapped_once_per_span(self, monkeypatch):
+        """At 1024 points a chunk of a Voronoi mesh holds two or three
+        representatives, and a span the 8 to 12 of three or four chunks."""
+        mesh = corpus.voronoi_mesh(per_side=8)
+        calls = []
+        real_rule = fem.polygon_rule
+
+        def counting_rule(batch, degree):
+            calls.append(len(batch))
+            return real_rule(batch, degree)
+
+        monkeypatch.setattr(fem, "polygon_rule", counting_rule)
+        monkeypatch.setattr(fem, "CHUNK_POINTS", 1024)
+        chunks = sum(1 for _ in fem._element_chunks(mesh, MV, 10))
+        assert sum(calls) == mesh.n_cells
+        assert len(calls) <= chunks / 3
+
     def test_basis_and_maps_are_built_once_per_class(self, monkeypatch):
         """One assemble and one error_norms evaluate the basis on each class
         representative once per quadrature degree, not on every cell."""

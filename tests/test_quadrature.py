@@ -286,6 +286,26 @@ class TestBatchedRules:
                 assert np.array_equal(got.points[row], want.points)
                 assert np.array_equal(got.weights[row], want.weights)
 
+    def test_row_slices_are_read_only_views_of_the_batch_rule(self):
+        rng = np.random.default_rng(31)
+        polys = [corpus.random_convex_polygon(rng, 5) for _ in range(5)]
+        batch = oracles.polygon_batch(polys)
+        for rule in (polygon_rule, fan_rule):
+            whole = rule(batch, 7)
+            part = whole[1:4]
+            assert part.degree == whole.degree
+            assert part.points.shape == (3, *whole.points.shape[1:])
+            assert len(part) == part.weights.size == 3 * whole.weights.shape[1]
+            for got, base in ((part.points, whole.points), (part.weights, whole.weights)):
+                assert np.shares_memory(got, base) and not got.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    got[...] = 0.0
+            own = rule(batch[1:4], 7)
+            assert part.points.tobytes() == own.points.tobytes()
+            assert part.weights.tobytes() == own.weights.tobytes()
+            single = whole[2]
+            assert len(single) == len(rule(polys[2], 7)) and single.points.shape[-1] == 2
+
     def test_batch_must_share_one_layout(self):
         batch = oracles.polygon_batch([corpus.degenerate_pentagon(), corpus.regular_polygon(5)])
         with pytest.raises(GeometryError, match="flat vertex"):

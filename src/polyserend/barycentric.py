@@ -219,6 +219,14 @@ def _reject_boundary_points(batch: PolygonBatch, pts: np.ndarray) -> None:
         )
 
 
+def _refuse_flat(batch: PolygonBatch, k: int, name: str) -> None:
+    """Raise the ``GeometryError`` of Wachspress coordinates on row k of
+    ``batch``, which has a flat vertex, calling the polygon ``name``."""
+    vertex = int(np.argmax(_flat_vertices(batch.vertices[k:k + 1], batch.diameters[k:k + 1])))
+    raise GeometryError(f"{name} has a flat vertex (vertex {vertex}), whose Wachspress weight "
+                        "is 0: use meanvalue or triangulation coordinates")
+
+
 def eval_coords_batch(
     polygon: Polygon | PolygonBatch,
     kind: CoordinateKind | str,
@@ -243,11 +251,7 @@ def eval_coords_batch(
         raise GeometryError("points must have shape (m, 2), or (c, m, 2) for c polygons")
     if kind is CoordinateKind.WACHSPRESS and np.any(batch.flat):
         k = int(np.argmax(batch.flat))
-        vertex = int(np.argmax(_flat_vertices(batch.vertices[k:k + 1], batch.diameters[k:k + 1])))
-        raise GeometryError(
-            f"polygon {k} has a flat vertex (vertex {vertex}), whose Wachspress weight "
-            "is 0: use meanvalue or triangulation coordinates"
-        )
+        _refuse_flat(batch, k, "the polygon" if isinstance(polygon, Polygon) else f"polygon {k}")
     _reject_boundary_points(batch, pts)
     if kind is CoordinateKind.TRIANGULATION:
         lam, grads = _triangulation(batch, pts)

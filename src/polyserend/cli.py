@@ -250,11 +250,3 @@ def main(argv: list[str] | None = None) -> int:
     except (GeometryError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-def _entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    _entry()

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import serendipity
-from .barycentric import CoordinateKind, _pair_arrays
+from .barycentric import CoordinateKind, _pair_arrays, _refuse_flat
 from .geometry import (_DEFECTS, GeometryError, Polygon, PolygonBatch, _as_array, _neighbours,
                        _VERTICES, _polygon_defects)
 from .linalg import SolveReport, SparseMatrix, cg_solve
@@ -215,8 +215,8 @@ class PolyMesh:
         rounded to 1e-9 of the cell's diameter only propose a representative:
         every cell is checked against that representative's own offsets, and
         the cells that fail are classed again among themselves, so a rounding
-        boundary can split a class but never merges two shapes.  A
-        representative represents itself.
+        boundary can split a class but never merges two shapes.  A class's
+        representative is its lowest cell, and represents itself.
         """
         return self._classes[0]
 
@@ -473,7 +473,8 @@ def trapezoid_mesh(n: int, offset: float = 0.25) -> PolyMesh:
     if _as_array(n, MeshError, "trapezoid mesh needs an integer n >= 1, got {entry!r}",
                  integer=True).ndim or n < 1:
         raise MeshError(f"trapezoid mesh needs an integer n >= 1, got {n!r}")
-    if not 0.0 <= offset < 0.5:
+    if _as_array(offset, MeshError, "offset must be a number, got {entry!r}").ndim \
+            or not 0.0 <= offset < 0.5:
         raise MeshError(f"offset must lie in [0, 0.5), got {offset}")
     m = n + 1
     i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
@@ -593,7 +594,16 @@ def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
     When every class of the chunk is one cell, ``members`` is one slice
     with ``owner`` 0, ..., r - 1 and zero shifts.
     """
-    fan = CoordinateKind(kind) is CoordinateKind.TRIANGULATION
+    kind = CoordinateKind(kind)
+    if kind is CoordinateKind.WACHSPRESS:
+        # The class key keeps flat and non-flat cells apart and a class's
+        # representative is its lowest cell, so the lowest flat cell is one.
+        flat = [(ids[reps[k]], batch, k) for (ids, _, _), (reps, batch) in
+                zip(mesh.groups, mesh.class_batches) for k in np.flatnonzero(batch.flat)[:1]]
+        if flat:
+            cell, batch, k = min(flat, key=lambda entry: entry[0])
+            _refuse_flat(batch, int(k), f"cell {cell}")
+    fan = kind is CoordinateKind.TRIANGULATION
     maps = cell_maps(mesh)
     for (ids, cells, _), (_, dofs), (reps, batch) in zip(mesh.groups, dof_map(mesh).groups,
                                                          mesh.class_batches):

@@ -489,6 +489,9 @@ def check_conditions(
     d_star: float,
     beta_star: float,
 ) -> ShapeConditions:
+    for name, value in (("gamma_star", gamma_star), ("d_star", d_star), ("beta_star", beta_star)):
+        if _as_array(value, GeometryError, f"{name} must be a number, got {{entry!r}}").ndim:
+            raise GeometryError(f"{name} must be a single number, got {value!r}")
     if not (math.isfinite(gamma_star) and gamma_star > 2.0):
         raise GeometryError("gamma_star must be finite and exceed 2 "
                             "(no convex set beats aspect ratio 2)")
@@ -542,6 +545,9 @@ def sample_interior(
     if _as_array(count, GeometryError, "sample count must be an integer, got {entry!r}",
                  integer=True).ndim or count < 0:
         raise GeometryError(f"sample count must be non-negative, got {count}")
+    if _as_array(margin, GeometryError, "margin must be a number, got {entry!r}").ndim \
+            or not math.isfinite(margin):
+        raise GeometryError(f"margin must be one finite number, got {margin!r}")
     out = [np.empty((0, 2))]
     attempts = 0
     while sum(len(p) for p in out) < count:

@@ -314,6 +314,9 @@ def verify_constraints(
     """
     if smap.n != polygon.n:
         raise SerendipityError("map size does not match polygon")
+    if _as_array(tol, SerendipityError, "tol must be a number, got {entry!r}").ndim \
+            or not 0.0 < tol < math.inf:
+        raise SerendipityError(f"tol must be finite and positive, got {tol!r}")
     verts = (polygon.vertices - polygon.centroid) / polygon.diameter
     n = polygon.n
     pairs = pair_order(n)
@@ -384,7 +387,8 @@ def bound_from_margin(eps: float) -> float:
     coefficients obey |c| = (2 + 2 d) / (2 - (d_a + d_b)) < (1 - eps) / eps.
     The bound is sharp: long diagonals of regular polygons approach it.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
+    if _as_array(eps, SerendipityError, "margin must be a number, got {entry!r}").ndim \
+            or not (math.isfinite(eps) and eps > 0.0):
         raise SerendipityError(f"coefficient bound requires a finite positive margin, got {eps}")
     return max((1.0 - eps) / eps, 1.0 / (2.0 * eps), 1.0)
 

@@ -3,8 +3,8 @@ or it raises the typed error of the module that takes it.
 
 Every call below used to succeed: numpy parsed the numeric strings and read
 the booleans as 0 and 1, so each gave the result of the numbers they spell.
-The scalar counts and sizes of the ``SCALARS`` table used to succeed too, or
-to end in a bare TypeError from Python's own arithmetic.
+The scalar counts, sizes and parameters of the ``SCALARS`` table used to
+succeed too, or to end in a bare TypeError from Python's own arithmetic.
 """
 
 from __future__ import annotations
@@ -14,11 +14,15 @@ import pytest
 
 from polyserend import (
     GeometryError,
+    MeshError,
     Polygon,
     SerendipityError,
     SparseMatrix,
     assemble,
+    bound_from_margin,
+    build_map,
     cg_solve,
+    check_conditions,
     dof_map,
     error_norms,
     eval_boundary,
@@ -30,6 +34,7 @@ from polyserend import (
     sample_interior,
     solve_dirichlet,
     trapezoid_mesh,
+    verify_constraints,
 )
 from polyserend.barycentric import pair_order
 from polyserend.fem import DiscreteSolution
@@ -118,6 +123,32 @@ SCALARS = {
                        SerendipityError, "nodal transform requires an integer n, got '4'"),
     "triangle_rule-array": (lambda: triangle_rule(np.array([3])),
                             GeometryError, r"quadrature degree must be in \[1, \d+\], got \[3\]"),
+    "trapezoid_mesh-string-offset": (lambda: trapezoid_mesh(4, "0.1"),
+                                     MeshError, "offset must be a number, got '0.1'"),
+    "trapezoid_mesh-bool-offset": (lambda: trapezoid_mesh(4, False),
+                                   MeshError, "offset must be a number, got False"),
+    "trapezoid_mesh-array-offset": (lambda: trapezoid_mesh(4, np.array([0.1])),
+                                    MeshError, r"offset must lie in \[0, 0.5\), got \[0.1\]"),
+    "check_conditions-string-gamma": (lambda: check_conditions(SQUARE, "3", 0.1, 2.5),
+                                      GeometryError, "gamma_star must be a number, got '3'"),
+    "check_conditions-bool-d_star": (lambda: check_conditions(SQUARE, 3.0, True, 2.5),
+                                     GeometryError, "d_star must be a number, got True"),
+    "check_conditions-array-beta": (lambda: check_conditions(SQUARE, 3.0, 0.1, np.array([2.5])),
+                                    GeometryError, r"beta_star must be a single number, got array"),
+    "bound_from_margin-string": (lambda: bound_from_margin("0.1"),
+                                 SerendipityError, "margin must be a number, got '0.1'"),
+    "bound_from_margin-bool": (lambda: bound_from_margin(True),
+                               SerendipityError, "margin must be a number, got True"),
+    "sample_interior-string-margin": (lambda: sample_interior(SQUARE, 3, np.random.default_rng(0),
+                                                              margin="0.1"),
+                                      GeometryError, "margin must be a number, got '0.1'"),
+    "sample_interior-nan-margin": (lambda: sample_interior(SQUARE, 3, np.random.default_rng(0),
+                                                           margin=float("nan")),
+                                   GeometryError, "margin must be one finite number, got nan"),
+    "verify_constraints-string-tol": (lambda: verify_constraints(SQUARE, build_map(SQUARE), tol="1e-9"),
+                                      SerendipityError, "tol must be a number, got '1e-9'"),
+    "verify_constraints-negative-tol": (lambda: verify_constraints(SQUARE, build_map(SQUARE), tol=-1.0),
+                                        SerendipityError, "tol must be finite and positive, got -1.0"),
 }
 
 

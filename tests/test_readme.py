@@ -1,4 +1,5 @@
-"""The README's library quickstart runs, and every exported name resolves."""
+"""The README's library quickstart runs, every exported name resolves, and
+the package exports exactly the library modules' public names."""
 
 from __future__ import annotations
 
@@ -31,3 +32,21 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+LIBRARY_MODULES = ("barycentric", "geometry", "fem", "linalg", "quadrature", "serendipity")
+
+
+def test_package_exports_the_library_modules_all():
+    """Each module's ``__all__`` is the one list of public names: the package
+    exports them all, once each, and nothing else."""
+    joined = [name for module in LIBRARY_MODULES
+              for name in importlib.import_module(f"polyserend.{module}").__all__]
+    assert polyserend.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    namespace: dict = {}
+    exec("from polyserend import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(joined)
+    from polyserend import AssembledMatrix, CellGroup, rule_layouts
+    assert (AssembledMatrix.__module__, CellGroup.__module__, rule_layouts.__module__) == (
+        "polyserend.fem", "polyserend.fem", "polyserend.quadrature")

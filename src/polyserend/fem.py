@@ -45,7 +45,7 @@ from .geometry import (_DEFECTS, GeometryError, Polygon, PolygonBatch, _as_array
                        _VERTICES, _polygon_defects)
 from .linalg import SolveReport, SparseMatrix, cg_solve
 from .quadrature import fan_rule, polygon_rule, rule_layouts
-from .serendipity import SerendipityError, SerendipityMap, build_map, eval_basis_batch
+from .serendipity import SerendipityError, SerendipityMap, _reduction, build_map, eval_basis_batch
 
 __all__ = [
     "MeshError",
@@ -284,10 +284,9 @@ class PolyMesh:
         for (ids, _, _), (reps, batch) in zip(self.groups, self.class_batches):
             try:
                 maps = build_map(batch)
-            except SerendipityError as exc:
-                # The error names the row of the batch of representatives: name the cell.
-                cell = f"cell {ids[reps[exc._row]]}"
-                raise type(exc)(str(exc).replace(f"polygon {exc._row}", cell, 1)) from exc
+            except SerendipityError:
+                # The same solve fails again and raises, now naming the mesh cell.
+                _reduction(batch.vertices, lambda k: f"cell {ids[reps[k]]}")
             built.update(zip(ids[reps].tolist(), maps))
         return tuple(built[r] for r in self.translation_classes.tolist())
 

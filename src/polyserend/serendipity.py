@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -120,10 +120,15 @@ def build_A(vertices: np.ndarray) -> np.ndarray:
     (-2 - 2 d) / (2 - (d_a + d_b)).  A quadrilateral's two endpoints share
     one neighbor line, so d_a = -d_b and s = 1; a triangle has no diagonal.
 
-    Raises ``SerendipityError`` naming the polygon of the batch (its row is
-    the error's ``_row``) and the diagonal, and ``CoefficientBlowupError``
-    when d_a + d_b leaves no margin below 2.
+    Raises ``SerendipityError`` naming the polygon of the batch ("polygon k")
+    and the diagonal, and ``CoefficientBlowupError`` when d_a + d_b leaves no
+    margin below 2.
     """
+    return _reduction(vertices, "polygon {}".format)
+
+
+def _reduction(vertices: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
+    """``build_A``, whose errors call the polygon of row k ``name(k)``."""
     verts = _as_array(vertices, SerendipityError, _VERTICES)
     if verts.ndim != 3 or verts.shape[2] != 2:
         raise SerendipityError(f"vertices must have shape (c, n, 2), got {verts.shape}")
@@ -176,9 +181,7 @@ def build_A(vertices: np.ndarray) -> np.ndarray:
             f"intercept consistency residual {residual[k, j]:.3e} exceeds tolerance",
         )[defect]
         error = CoefficientBlowupError if defect == 2 else SerendipityError
-        exc = error(f"polygon {k}, diagonal ({a[j]}, {b[j]}): {detail}")
-        exc._row = int(k)       # for a caller that names the polygon otherwise
-        raise exc
+        raise error(f"{name(int(k))}, diagonal ({a[j]}, {b[j]}): {detail}")
     rows = np.stack([a, b, n + prv[a], n + a, n + prv[b], n + b], axis=1)   # (D, 6)
     A[:, rows, 2 * n + cols[:, None]] = coefficients
     return A
@@ -191,10 +194,11 @@ def build_map(polygon: Polygon | PolygonBatch) -> SerendipityMap | tuple[Serendi
     polygon.
     """
     verts = _as_batch(polygon).vertices
-    n = verts.shape[1]
-    B = build_B(n)
-    maps = tuple(SerendipityMap(n=n, A=A, B=B) for A in build_A(verts))
-    return maps[0] if isinstance(polygon, Polygon) else maps
+    single = isinstance(polygon, Polygon)
+    B = build_B(verts.shape[1])
+    As = _reduction(verts, (lambda k: "the polygon") if single else "polygon {}".format)
+    maps = tuple(SerendipityMap(n=verts.shape[1], A=A, B=B) for A in As)
+    return maps[0] if single else maps
 
 
 def basis_nodes(polygon: Polygon) -> np.ndarray:
@@ -249,6 +253,8 @@ def boundary_basis_values(
     Uses the exact piecewise-linear boundary trace of the coordinates, so it
     is kind-independent and valid on the boundary itself.
     """
+    if smap.n != polygon.n:
+        raise SerendipityError("map size does not match polygon")
     lam = eval_boundary(polygon, edges, ts)
     ia, ib = _pair_arrays(polygon.n)
     return (lam[:, ia] * lam[:, ib]) @ smap.A.T @ smap.B.T
@@ -281,23 +287,24 @@ class ConstraintReport:
     worst_pair: tuple[int, int]
 
 
-def _constraint_matrices(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row functionals applied to A's rows: partition, first and second moments."""
-    n = len(verts)
-    mid = 0.5 * (verts + np.roll(verts, -1, axis=0))
-    nxt = np.roll(verts, -1, axis=0)
-    m1 = np.concatenate([np.ones(n), 2.0 * np.ones(n)])
-    m2 = np.hstack([verts.T, 2.0 * mid.T])  # (2, 2n)
-    sym_v = np.stack([verts[:, 0] ** 2, verts[:, 0] * verts[:, 1], verts[:, 1] ** 2])
-    sym_e = np.stack(
-        [
-            2.0 * verts[:, 0] * nxt[:, 0],
-            verts[:, 0] * nxt[:, 1] + verts[:, 1] * nxt[:, 0],
-            2.0 * verts[:, 1] * nxt[:, 1],
-        ]
-    )
-    m3 = np.hstack([sym_v, sym_e])  # (3, 2n): xx, xy, yy components
-    return m1, m2, m3
+def _moments(verts: np.ndarray) -> np.ndarray:
+    """The six moments (6, n(n+1)/2) of the products, in ``pair_order``: rows 1, x, y, xx, xy, yy.
+
+    Summed over ordered pairs against 1, the midpoint (v_a + v_b) / 2 and the
+    symmetrized second moment (v_a v_b^T + v_b v_a^T) / 2, the products
+    L_a L_b give 1, x and x x^T; an unordered pair counts a square (a, a)
+    once and any other product twice.
+    """
+    ia, ib = _pair_arrays(len(verts))
+    (xa, ya), (xb, yb) = verts[ia].T, verts[ib].T
+    return np.where(ia == ib, 1.0, 2.0) * np.stack(
+        [np.ones(len(ia)), 0.5 * (xa + xb), 0.5 * (ya + yb), xa * xb, 0.5 * (xa * yb + ya * xb), ya * yb])
+
+
+def _group_maxima(residuals: np.ndarray) -> list[np.ndarray]:
+    """Max-abs of residuals (6, ...) of the ``_moments`` rows over each constraint
+    group: the partition (row 0), the first moments (1-2), the second moments (3-5)."""
+    return [np.abs(r).max(axis=0) for r in np.split(residuals, [1, 3])]
 
 
 def verify_constraints(
@@ -305,7 +312,7 @@ def verify_constraints(
     smap: SerendipityMap,
     tol: float = 1e-9,
 ) -> ConstraintReport:
-    """Check that every column of A satisfies the quadratic moment constraints.
+    """Check that every column of A keeps the six moments (``_moments``) of its product.
 
     Column (a, b) must redistribute the product L_a L_b without changing the
     partition sum, the first moment (2 v_ab = v_a + v_b) or the symmetrized
@@ -317,34 +324,18 @@ def verify_constraints(
     if _as_array(tol, SerendipityError, "tol must be a number, got {entry!r}").ndim \
             or not 0.0 < tol < math.inf:
         raise SerendipityError(f"tol must be finite and positive, got {tol!r}")
-    verts = (polygon.vertices - polygon.centroid) / polygon.diameter
     n = polygon.n
     pairs = pair_order(n)
-    ia, ib = _pair_arrays(n)
-    m1, m2, m3 = _constraint_matrices(verts)
-    # Unordered-pair weights: the ordered-pair reproduction identities count
-    # a square (a, a) once but an off-diagonal product twice.
-    t1 = np.where(ia == ib, 1.0, 2.0)
-    half = 0.5 * t1
-    t2 = half * (verts[ia].T + verts[ib].T)  # v_a on squares, v_a + v_b otherwise
-    t3 = half * np.stack(
-        [
-            2.0 * verts[ia, 0] * verts[ib, 0],
-            verts[ia, 0] * verts[ib, 1] + verts[ia, 1] * verts[ib, 0],
-            2.0 * verts[ia, 1] * verts[ib, 1],
-        ]
-    )
-    r1 = np.abs(m1 @ smap.A - t1)
-    r2 = np.max(np.abs(m2 @ smap.A - t2), axis=0)
-    r3 = np.max(np.abs(m3 @ smap.A - t3), axis=0)
-    per_column = np.maximum(r1, np.maximum(r2, r3))
+    M = _moments((polygon.vertices - polygon.centroid) / polygon.diameter)
+    q1, q2, q3 = _group_maxima(M[:, :2 * n] @ smap.A - M)
+    per_column = np.maximum(q1, np.maximum(q2, q3))
     worst = int(np.argmax(per_column))
     max_res = float(per_column[worst])
     return ConstraintReport(
         pairs=pairs,
-        q1=r1,
-        q2=r2,
-        q3=r3,
+        q1=q1,
+        q2=q2,
+        q3=q3,
         max_residual=max_res,
         tolerance=tol,
         passed=bool(max_res <= tol),
@@ -366,15 +357,15 @@ def precision_residuals(
     """
     pts = _as_array(points, SerendipityError, "points must be an array of numbers, got {entry!r}")
     xi = _as_array(xi_values, SerendipityError, "xi_values must be an array of numbers, got {entry!r}")
-    verts = (polygon.vertices - polygon.centroid) / polygon.diameter
-    pts = (np.atleast_2d(pts) - polygon.centroid) / polygon.diameter
-    m1, m2, m3 = _constraint_matrices(verts)
-    xiT = np.atleast_2d(xi).T  # (2n, m)
-    r1 = np.abs(m1 @ xiT - 1.0)
-    r2 = np.max(np.abs(m2 @ xiT - pts.T), axis=0)
-    quad = np.stack([pts[:, 0] ** 2, pts[:, 0] * pts[:, 1], pts[:, 1] ** 2])
-    r3 = np.max(np.abs(m3 @ xiT - quad), axis=0)
-    return np.stack([r1, r2, r3], axis=1)
+    pts, xi = np.atleast_2d(pts, xi)
+    n = polygon.n
+    if pts.shape[1:] != (2,) or xi.shape != (len(pts), 2 * n):
+        raise SerendipityError(f"needs points (m, 2) and xi_values (m, 2n) with 2n = {2 * n}, "
+                               f"got {pts.shape} and {xi.shape}")
+    M = _moments((polygon.vertices - polygon.centroid) / polygon.diameter)
+    x, y = ((pts - polygon.centroid) / polygon.diameter).T
+    monomials = np.stack([np.ones(len(pts)), x, y, x * x, x * y, y * y])
+    return np.stack(_group_maxima(M[:, :2 * n] @ xi.T - monomials), axis=1)
 
 
 def bound_from_margin(eps: float) -> float:

@@ -80,6 +80,22 @@ class TestVerify:
             assert rc == cli.EXIT_INPUT
             assert "flat vertex" in err and "PASS" not in out
 
+    def test_coefficient_blowup_is_numerical_failure(self, tmp_path, capsys):
+        """The 2 x 1 rectangle with its side midpoints: both ends of the
+        diagonal (1, 4) are flat vertices, so the intercepts leave no margin."""
+        rectangle = Polygon([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]])
+        rc, out, err = run(capsys, ["verify", str(write_polygon(tmp_path, rectangle))])
+        assert rc == cli.EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("error: the polygon, diagonal (1, 4): ")
+        assert "polygon 0" not in err
+
+    def test_failed_verdict_is_numerical_failure(self, tmp_path, capsys):
+        pentagon = Polygon([[0, 0], [2, 0], [2.5, 1], [1, 2], [-0.5, 1]])
+        rc, out, _ = run(capsys, ["verify", str(write_polygon(tmp_path, pentagon)), "--tol", "1e-300"])
+        assert rc == cli.EXIT_NUMERICAL
+        assert "result: FAIL (tolerance 1e-300)" in out
+
     def test_nonconvex_rejected_as_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"vertices": [

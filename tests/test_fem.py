@@ -212,6 +212,17 @@ class TestPolyMeshValidation:
         with pytest.raises(MeshError):
             PolyMesh.build(verts, [(0, 3, 2, 1)])
 
+    def test_cell_with_two_vertices_rejected(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(MeshError, match=r"^cell 1 is not a valid convex polygon: "
+                                            r"a polygon needs at least 3 vertices, got 2$"):
+            PolyMesh.build(verts, [[0, 1, 2, 3], [1, 4]])
+
+    def test_index_that_is_a_sequence_rejected(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(MeshError, match="^cells must be a sequence of vertex-index sequences$"):
+            PolyMesh.build(verts, [[[0], [1], [2]]])
+
     def test_duplicate_directed_edge(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(MeshError, match="directed edge"):

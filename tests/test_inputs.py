@@ -5,6 +5,8 @@ Every call below used to succeed: numpy parsed the numeric strings and read
 the booleans as 0 and 1, so each gave the result of the numbers they spell.
 The scalar counts, sizes and parameters of the ``SCALARS`` table used to
 succeed too, or to end in a bare TypeError from Python's own arithmetic.
+The last calls of ``CALLS`` pass a map or xi of another polygon's size, which
+used to end in numpy's matmul error.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from polyserend import (
     SparseMatrix,
     assemble,
     bound_from_margin,
+    boundary_basis_values,
     build_map,
     cg_solve,
     check_conditions,
@@ -29,6 +32,7 @@ from polyserend import (
     eval_coords_batch,
     harmonic_gradient,
     integrate,
+    lagrange_table,
     polygon_rule,
     precision_residuals,
     sample_interior,
@@ -44,6 +48,7 @@ from polyserend.quadrature import triangle_rule
 from polyserend.serendipity import build_A, build_B
 
 SQUARE = Polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+PENTAGON = Polygon([[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [1.0, 2.0], [-0.5, 1.0]])
 STRING_CENTRE = [["0.5", "0.5"]]
 
 
@@ -103,6 +108,14 @@ CALLS = {
                                  ValueError, "rhs must be an array of numbers, got True"),
     "DiscreteSolution-strings": (lambda: DiscreteSolution(trapezoid_mesh(2), "meanvalue", ["0"] * 21, None),
                                  ValueError, "values must be numbers, got '0'"),
+    "lagrange_table-other-map": (lambda: lagrange_table(SQUARE, build_map(PENTAGON)),
+                                 SerendipityError, "map size does not match polygon"),
+    "boundary_basis_values-other-map": (
+        lambda: boundary_basis_values(PENTAGON, build_map(SQUARE), [0], [0.5]),
+        SerendipityError, "map size does not match polygon"),
+    "precision_residuals-other-xi": (
+        lambda: precision_residuals(SQUARE, np.zeros((1, 10)), [[0.5, 0.5]]),
+        SerendipityError, r"xi_values \(m, 2n\) with 2n = 8, got \(1, 2\) and \(1, 10\)"),
 }
 
 
@@ -121,6 +134,7 @@ SCALARS = {
                       SerendipityError, "nodal transform requires an integer n, got 4.0"),
     "build_B-string": (lambda: build_B("4"),
                        SerendipityError, "nodal transform requires an integer n, got '4'"),
+    "build_B-two": (lambda: build_B(2), SerendipityError, "nodal transform requires n >= 3"),
     "triangle_rule-array": (lambda: triangle_rule(np.array([3])),
                             GeometryError, r"quadrature degree must be in \[1, \d+\], got \[3\]"),
     "trapezoid_mesh-string-offset": (lambda: trapezoid_mesh(4, "0.1"),

@@ -365,7 +365,7 @@ class TestBlowupFamily:
             [1.0, 0.0], [1.0 - delta, 0.5], [-1.0 + delta, 0.5],
         ])
         object.__setattr__(safe, "vertices", doctored)
-        with pytest.raises(CoefficientBlowupError, match=r"polygon 0, diagonal \(0, 3\)"):
+        with pytest.raises(CoefficientBlowupError, match=r"^the polygon, diagonal \(0, 3\): "):
             build_map(safe)
 
 
@@ -491,6 +491,42 @@ class TestConstraintReport:
     def test_mismatched_size_rejected(self):
         with pytest.raises(SerendipityError):
             verify_constraints(corpus.regular_polygon(5), build_map(SQUARE))
+
+    @pytest.mark.parametrize("target", ["A", "xi"])
+    @pytest.mark.parametrize("k", range(6), ids=["1", "x", "y", "xx", "xy", "yy"])
+    def test_each_moment_raises_only_its_group(self, k, target):
+        """A change that moves moment k (of 1, x, y, xx, xy, yy) alone raises
+        only k's group: the partition (q1), the first moments (q2) or the
+        second moments (q3), and the same column of ``precision_residuals``.
+
+        The moment table is built here from ``pair_order``.  The gates read
+        the polygon moved to its centroid and scaled to unit diameter, which
+        leaves this hexagon where it is; in another frame a change of a first
+        moment would move the second moments too."""
+        group = (0, 1, 1, 2, 2, 2)[k]
+        poly = corpus.regular_polygon(6, radius=0.5)
+        v, n = poly.vertices, poly.n
+        table = []
+        for a, b in pair_order(n):
+            outer = 0.5 * (np.outer(v[a], v[b]) + np.outer(v[b], v[a]))
+            moments = [1.0, *(0.5 * (v[a] + v[b])), outer[0, 0], outer[0, 1], outer[1, 1]]
+            table.append((1.0 if a == b else 2.0) * np.array(moments))
+        c = np.linalg.lstsq(np.array(table)[: 2 * n].T, np.eye(6)[k], rcond=None)[0]
+        smap = build_map(poly)
+        if target == "A":
+            A = smap.A.copy()
+            A[:, 2 * n] += 1e-3 * c                           # the first diagonal column
+            report = verify_constraints(poly, replace(smap, A=A))
+            groups = np.array([report.q1, report.q2, report.q3]).max(axis=1)
+        else:
+            pts = sample_interior(poly, 10, np.random.default_rng(3), margin=1e-3)
+            lam, dlam = eval_coords_batch(poly, CoordinateKind.MEAN_VALUE, pts)
+            xi = pairwise_batch(lam, dlam)[0] @ smap.A.T + 1e-3 * c
+            residuals = precision_residuals(poly, xi, pts)
+            groups = residuals.max(axis=0)
+            assert residuals[:, group].min() > 1e-6     # at every point
+        assert groups[group] > 1e-6
+        assert np.delete(groups, group).max() <= 1e-12
 
 
 class TestBasisEvaluation:

@@ -91,23 +91,31 @@ def _edge_rows(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _wachspress(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c, n, _ = verts.shape
+    m = pts.shape[1]
     nxt, prv = _neighbours(n)
     offsets = _offsets(verts, pts)
     d, dn = offsets[:, :, :n], offsets[:, :, 1:]
-    rows, area_prev, area = _edge_rows((c, n, pts.shape[1]))
+    rows, area_prev, area = _edge_rows((c, n, m))
     np.multiply(d[:, 0], dn[:, 1], out=area)
     area -= d[:, 1] * dn[:, 0]
+    del offsets, d, dn
     area *= 0.5                                    # A(x, v_i, v_{i+1}) > 0 inside
     rows[:, 0] = rows[:, n]
     corner = 0.5 * _cross(verts - verts[:, prv], verts[:, nxt] - verts)  # 0 at flat vertices
     grad_area = _edge_rotations(verts)
-    w = corner[..., None] / (area_prev * area)
-    ratio = grad_area[:, :, prv] / area_prev[:, None]
-    ratio += grad_area / area[:, None]
-    lam = w / np.sum(w, axis=1, keepdims=True)
-    mean_ratio = np.sum(lam[:, None] * ratio, axis=2, keepdims=True)
-    grads = np.subtract(mean_ratio, ratio, out=ratio)
-    grads *= lam[:, None]
+    w = np.multiply(area_prev, area)
+    np.divide(corner[..., None], w, out=w)
+    # One gradient component at a time, in place: the ratio
+    # grad A_{i-1} / A_{i-1} + grad A_i / A_i, then lam (mean ratio - ratio).
+    grads = np.empty((c, 2, n, m))
+    for k in range(2):
+        np.divide(grad_area[:, k, prv], area_prev, out=grads[:, k])
+        grads[:, k] += grad_area[:, k] / area
+    lam = np.divide(w, np.sum(w, axis=1, keepdims=True), out=w)
+    for k in range(2):
+        ratio = grads[:, k]
+        np.subtract(np.sum(lam * ratio, axis=1, keepdims=True), ratio, out=ratio)
+        ratio *= lam
     return lam, grads
 
 
@@ -120,28 +128,39 @@ def _mean_value(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     r, rn = radii[:, :n], radii[:, 1:]
     np.hypot(d[:, 0], d[:, 1], out=r)
     radii[:, n] = radii[:, 0]
-    crs = d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0]  # 2 A(x, v_i, v_{i+1}) > 0 inside
-    dot = d[:, 0] * dn[:, 0] + d[:, 1] * dn[:, 1]
+    crs = np.multiply(d[:, 0], dn[:, 1])           # 2 A(x, v_i, v_{i+1}) > 0 inside
+    crs -= d[:, 1] * dn[:, 0]
     t_rows, t_prev, t = _edge_rows((c, n, m))
-    np.divide(r * rn - dot, crs, out=t)            # tan of half the subtended angle
+    np.multiply(d[:, 0], dn[:, 0], out=t)          # first the dot product d . dn
+    t += d[:, 1] * dn[:, 1]
+    np.subtract(r * rn, t, out=t)
+    t /= crs                                       # tan of half the subtended angle
     t_rows[:, 0] = t_rows[:, n]
     grad_crs = 2.0 * _edge_rotations(verts)        # constant in x
-    grad_rr = -(rn / r)[:, None] * d
-    grad_rr -= (r / rn)[:, None] * dn
-    grad_rr += d + dn                              # minus the gradient of dot, -(d + dn)
-    grad_rr -= t[:, None] * grad_crs
+    neg_ratio, ratio, scratch = -(rn / r), r / rn, np.empty((c, n, m))
+    # One gradient component at a time, in place.
     grad_t_rows, grad_t_prev, grad_t = _edge_rows((c, 2, n, m))
-    np.divide(grad_rr, crs[:, None], out=grad_t)
+    for k in range(2):
+        g = grad_t[:, k]
+        np.multiply(neg_ratio, d[:, k], out=g)
+        g -= np.multiply(ratio, dn[:, k], out=scratch)
+        g += np.add(d[:, k], dn[:, k], out=scratch)   # minus the gradient of dot, -(d + dn)
+        g -= np.multiply(t, grad_crs[:, k], out=scratch)
+        g /= crs
+    del neg_ratio, ratio, crs
     grad_t_rows[:, :, 0] = grad_t_rows[:, :, n]
     w = np.add(t_prev, t)
     w /= r
     grad_w = np.add(grad_t_prev, grad_t)
-    grad_w /= r[:, None]
-    grad_w += (w / (r * r))[:, None] * d
+    np.divide(w, np.multiply(r, r, out=scratch), out=scratch)
+    for k in range(2):                             # d is not read again
+        grad_w[:, k] /= r
+        grad_w[:, k] += np.multiply(scratch, d[:, k], out=d[:, k])
     total = np.sum(w, axis=1, keepdims=True)
     lam = np.divide(w, total, out=w)
-    grad_w -= lam[:, None] * np.sum(grad_w, axis=2, keepdims=True)
-    grad_w /= total[:, None]
+    for k in range(2):
+        grad_w[:, k] -= np.multiply(lam, np.sum(grad_w[:, k], axis=1, keepdims=True), out=scratch)
+        grad_w[:, k] /= total
     return lam, grad_w
 
 
@@ -341,7 +360,9 @@ def pairwise_batch(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarra
     The pairs come in a few runs whose first and second factors are each a
     slice of the vertices (``_pair_blocks``), so every block is written in
     place into the preallocated results by products of slices, with no
-    gathered copy of the factors.
+    gathered copy of the factors.  Both results are views of one
+    component-major array (3, ..., n(n+1)/2, m): the products, then their x
+    and y derivatives.
     """
     n = values.shape[-1]
     # Points-last views (..., n, m) and (..., 2, n, m); the results are views
@@ -349,9 +370,13 @@ def pairwise_batch(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarra
     v = np.swapaxes(values, -1, -2)
     g = np.swapaxes(gradients, -1, -3)
     lead, m = v.shape[:-2], v.shape[-1]
-    dtype = np.result_type(values, gradients)
-    mu = np.empty(lead + (n * (n + 1) // 2, m), dtype)
-    dmu = np.empty(lead + (2, n * (n + 1) // 2, m), dtype)
+    # One allocation, the largest of an element-kernel chunk.  glibc's malloc
+    # returns the top of its heap to the system once it exceeds twice the
+    # largest block freed; with the products and their gradients apart, a
+    # chunk's memory did at the end of every chunk, and faulting it back in
+    # made a Voronoi-mesh assembly about 25% slower.
+    products = np.empty((3,) + lead + (n * (n + 1) // 2, m), np.result_type(values, gradients))
+    mu, dmu = products[0], np.moveaxis(products[1:], 0, -3)
     for pairs, a, b in _pair_blocks(n):
         va, vb = v[..., a, :], v[..., b, :]
         np.multiply(va, vb, out=mu[..., pairs, :])

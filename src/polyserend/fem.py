@@ -553,15 +553,19 @@ def _check_own(mesh: PolyMesh, maps: Sequence[SerendipityMap] | None,
         raise ValueError("maps must be the mesh's own cell_maps(mesh)")
 
 
-# Quadrature points per chunk of the element kernel.  Much below this the
-# fixed cost of each numpy call dominates.  The basis evaluation peaks at
-# about 0.95 KB per point (its results and the products included), so a
-# chunk takes about 2 MB; twice this raised the peak resident memory of a
-# Voronoi-mesh solve by about 4 MB (5%).  A member slice takes the points of
-# four chunks: a member point holds only its points, field values and its
-# share of two matrix products, and the fewer, larger products made the
-# trapezoid refinement study about 6% faster.
-CHUNK_POINTS = 2048
+# Quadrature points per chunk of the element kernel.  Each chunk pays a
+# fixed cost in numpy calls, so fewer, larger chunks are faster: a
+# Voronoi-mesh solve runs 100 chunks here where 2048 points took 181, and
+# its op time fell by about 15%.  The basis evaluation peaks at about
+# 0.8 KB per point (its coordinates, products and results), and no
+# chunk's arrays outlive it, so the peak resident memory of that solve rose
+# by about 0.3 MB (0.4%); 4096 added about 1 MB more, on it and on the trapezoid
+# refinement study.  A member slice takes the points of four chunks: a
+# member point holds only its points, field values and its share of two
+# matrix products, and the fewer, larger products made the trapezoid
+# refinement study about 6% faster; its slices of 12 288 points raise that
+# study's peak resident memory by 0.6 MB (0.8%) over 8192.
+CHUNK_POINTS = 3072
 
 
 def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
@@ -642,12 +646,13 @@ def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
 
 
 def _basis(chunk: PolygonBatch, kind: CoordinateKind, maps: Sequence[SerendipityMap],
-           points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis values (r, 2n, m) and gradients (2, r, 2n, m), component-major,
-    of a chunk of r representatives at their points (r, m, 2): views of the
-    points-last arrays ``eval_basis_batch`` writes, both contiguous."""
-    psi, dpsi = eval_basis_batch(chunk, kind, maps, points)
-    return np.swapaxes(psi, 1, 2), dpsi.transpose(3, 0, 2, 1)
+           points: np.ndarray, values: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """Basis values (r, 2n, m), or None unless ``values``, and gradients
+    (2, r, 2n, m), component-major, of a chunk of r representatives at their
+    points (r, m, 2): views of the points-last arrays ``eval_basis_batch``
+    writes, both contiguous."""
+    psi, dpsi = eval_basis_batch(chunk, kind, maps, points, values)
+    return (None if psi is None else np.swapaxes(psi, 1, 2)), dpsi.transpose(3, 0, 2, 1)
 
 
 def _solution_forms(maps: Sequence[SerendipityMap], coeff: np.ndarray) -> np.ndarray:
@@ -730,10 +735,11 @@ def assemble(
     at = 0
     rhs = np.zeros(ndof)
     for chunk, chunk_maps, rule, members in _element_chunks(mesh, kind, quad_degree):
-        psi, dpsi = _basis(chunk, kind, chunk_maps, rule.points)
+        # The stiffness reads only the gradients; the values serve the load.
+        psi, dpsi = _basis(chunk, kind, chunk_maps, rule.points, values=source is not None)
         k_loc = np.sum((dpsi * rule.weights[:, None]) @ np.swapaxes(dpsi, 2, 3), axis=0)
-        r, size, m = psi.shape
-        basis_t = psi.reshape(-1, m).T                              # (m, r 2n)
+        del dpsi
+        r, size, _ = k_loc.shape
         for dofs, owner, shift in members:
             c = len(dofs)
             block = slice(at, at + c * size * size)
@@ -747,8 +753,9 @@ def assemble(
                 # Every cell against every basis row of the chunk; each keeps its owner's block.
                 # A non-finite source value (inf - inf here) is raised below, from rhs.
                 with np.errstate(invalid="ignore"):
-                    loads = (wf @ basis_t).reshape(c, r, size)[np.arange(c), owner]
-                np.add.at(rhs, dofs, loads)
+                    loads = wf @ psi.reshape(r * size, -1).T                # (c, r 2n)
+                np.add.at(rhs, dofs, loads.reshape(c, r, size)[np.arange(c), owner])
+        del psi                                     # before the next chunk's basis
     if not np.all(np.isfinite(rhs)):
         raise ValueError("source must return finite values")
     matrix = SparseMatrix.from_triplets(ndof, rows, cols, vals)
@@ -857,6 +864,7 @@ def _solution_slices(solution: DiscreteSolution, quad_degree: int):
             m_lam = _solution_forms(chunk_maps, solution.values[dofs]) @ lam  # (r, n, m)
             values = np.einsum("rnm,rnm->rm", lam, m_lam)
             grads = 2.0 * np.einsum("rdnm,rnm->drm", dlam, m_lam)           # (2, r, m)
+            del lam, dlam, m_lam                    # before the next chunk's coordinates
             yield rule.points.reshape(-1, 2), rule.weights.ravel(), values.ravel(), grads.reshape(2, -1)
             continue
         psi, dpsi = _basis(chunk, kind, chunk_maps, rule.points)
@@ -869,6 +877,7 @@ def _solution_slices(solution: DiscreteSolution, quad_degree: int):
             coeff = coeff.reshape(c, -1)                                # (c, r 2n)
             yield ((rule.points[owner] + shift[:, None]).reshape(-1, 2), rule.weights[owner].ravel(),
                    (coeff @ basis).ravel(), (coeff @ gradients).reshape(2, -1))
+        del psi, dpsi, basis, gradients             # before the next chunk's basis
 
 
 def error_norms(

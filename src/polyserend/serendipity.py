@@ -75,15 +75,31 @@ class Strategy(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SerendipityMap:
-    """Reduction matrix A and nodal transform B of one polygon."""
+    """Reduction matrix A and nodal transform B of one polygon.
+
+    An ``n`` that is not an integer >= 3, or an A or B of another shape,
+    raises ``SerendipityError``.  A and B are kept read-only.
+    """
 
     n: int
     A: np.ndarray          # (2n, n(n+1)/2)
     B: np.ndarray          # (2n, 2n)
 
     def __post_init__(self) -> None:
-        self.A.setflags(write=False)
-        self.B.setflags(write=False)
+        n = self.n
+        if _as_array(n, SerendipityError, "a serendipity map requires an integer n, got {entry!r}",
+                     integer=True).ndim or n < 3:
+            raise SerendipityError(f"a serendipity map requires an integer n >= 3, got {n!r}")
+        A = _as_array(self.A, SerendipityError, "A must be an array of numbers, got {entry!r}")
+        B = _as_array(self.B, SerendipityError, "B must be an array of numbers, got {entry!r}")
+        shapes = (2 * n, n * (n + 1) // 2), (2 * n, 2 * n)
+        if (A.shape, B.shape) != shapes:
+            raise SerendipityError(f"a map with n = {n} needs A of shape {shapes[0]} and B of "
+                                   f"shape {shapes[1]}, got {A.shape} and {B.shape}")
+        A.setflags(write=False)
+        B.setflags(write=False)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     @property
     def strategy(self) -> Strategy:
@@ -212,34 +228,41 @@ def eval_basis_batch(
     kind: CoordinateKind | str,
     smap: SerendipityMap | Sequence[SerendipityMap],
     points: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    values: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Lagrange basis values (m, 2n) and gradients (m, 2n, 2) at interior points.
 
     Given a ``PolygonBatch`` of c polygons, one map each and points
-    (c, m, 2), the results are (c, m, 2n) and (c, m, 2n, 2).
+    (c, m, 2), the results are (c, m, 2n) and (c, m, 2n, 2).  With
+    ``values=False`` only the gradients are formed and the values are None.
 
     Both are views of points-last arrays: the values of (c, 2n, m) and the
     gradients of a component-major (2, c, 2n, m), so each gradient
-    component of the whole batch is one contiguous block.
+    component of the whole batch is one contiguous block.  The coordinates
+    are dropped once their products exist, so they, the products and the
+    basis are never all alive at once.
     """
-    values, gradients = eval_coords_batch(polygon, kind, points)
-    mu, dmu = pairwise_batch(values, gradients)
-    single = values.ndim == 2
+    lam, dlam = eval_coords_batch(polygon, kind, points)
+    single = lam.ndim == 2
     maps = (smap,) if isinstance(smap, SerendipityMap) else tuple(smap)
-    n = values.shape[-1]
-    if len(maps) != (1 if single else len(values)) or any(sm.n != n for sm in maps):
+    n = lam.shape[-1]
+    if len(maps) != (1 if single else len(lam)) or any(sm.n != n for sm in maps):
         raise SerendipityError("needs one serendipity map per polygon, built for that polygon")
+    mu, dmu = pairwise_batch(lam, dlam)
+    del lam, dlam
     c, P = len(maps), mu.shape[-1]
     # Contract on the points-last layout of the products: B A of every
     # polygon (c, 2n, P) times products (c, P, m) and gradients (2, c, P, m).
     # The gradients are written component-major through ``out``: by default
     # matmul would keep the (c, 2, ...) stride order of the products.
     BA = maps[0].B @ np.stack([sm.A for sm in maps])
-    psi = BA @ np.swapaxes(mu, -1, -2).reshape(c, P, -1)
+    psi = np.swapaxes(BA @ np.swapaxes(mu, -1, -2).reshape(c, P, -1), 1, 2) if values else None
     dmu_pl = np.swapaxes(dmu, -1, -3).reshape(c, 2, P, -1).transpose(1, 0, 2, 3)
     dpsi = np.matmul(BA, dmu_pl, out=np.empty((2, c, 2 * n, dmu_pl.shape[-1])))
-    psi, dpsi = np.swapaxes(psi, 1, 2), dpsi.transpose(1, 3, 2, 0)
-    return (psi[0], dpsi[0]) if single else (psi, dpsi)
+    dpsi = dpsi.transpose(1, 3, 2, 0)
+    if single:
+        return (None if psi is None else psi[0]), dpsi[0]
+    return psi, dpsi
 
 
 def boundary_basis_values(

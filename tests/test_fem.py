@@ -1039,6 +1039,23 @@ class TestElementKernel:
             assert np.max(np.abs(mat.toarray() - stiffness)) <= 1e-13 * np.max(np.abs(stiffness))
             assert np.max(np.abs(rhs - load)) <= 1e-13 * np.max(np.abs(load))
 
+    @pytest.mark.parametrize("name, kind", [
+        (name, kind) for name in KERNEL_MESHES for kind in CoordinateKind
+        if not (name in FLAT_MESHES and kind is CoordinateKind.WACHSPRESS)
+    ])
+    def test_stiffness_bits_do_not_depend_on_the_chunk_size(self, name, kind, monkeypatch):
+        """A representative's element matrix is formed from its own basis
+        alone, whichever chunk holds it, so the stiffness matrix is bitwise
+        the same at every chunk size, with or without a source: the
+        conjugate gradient iterates do not move when the chunk size does."""
+        mesh = KERNEL_MESHES[name]()
+        source = lambda p: np.cos(3.0 * p[:, 0]) + p[:, 1]
+        seen = set()
+        for _ in kernel_chunk_sizes(monkeypatch):
+            for m, _ in (assemble(mesh, kind), assemble(mesh, kind, source=source)):
+                seen.add((m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()))
+        assert len(seen) == 1
+
     @pytest.mark.parametrize("kind", list(CoordinateKind))
     @pytest.mark.parametrize("name", list(KERNEL_MESHES))
     def test_error_norms_match_per_cell_reference(self, name, kind, monkeypatch):

@@ -6,7 +6,8 @@ the booleans as 0 and 1, so each gave the result of the numbers they spell.
 The scalar counts, sizes and parameters of the ``SCALARS`` table used to
 succeed too, or to end in a bare TypeError from Python's own arithmetic.
 The last calls of ``CALLS`` pass a map or xi of another polygon's size, which
-used to end in numpy's matmul error.
+used to end in numpy's matmul error, or build a map whose A or B does not
+fit its n, which used to build and then fail in numpy's broadcast or matmul.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from polyserend.fem import DiscreteSolution
 from polyserend.geometry import _as_array
 from polyserend.linalg import SolveReport
 from polyserend.quadrature import triangle_rule
-from polyserend.serendipity import build_A, build_B
+from polyserend.serendipity import SerendipityMap, build_A, build_B
 
 SQUARE = Polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 PENTAGON = Polygon([[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [1.0, 2.0], [-0.5, 1.0]])
@@ -116,6 +117,16 @@ CALLS = {
     "precision_residuals-other-xi": (
         lambda: precision_residuals(SQUARE, np.zeros((1, 10)), [[0.5, 0.5]]),
         SerendipityError, r"xi_values \(m, 2n\) with 2n = 8, got \(1, 2\) and \(1, 10\)"),
+    "SerendipityMap-wide-A": (lambda: SerendipityMap(n=4, A=np.zeros((8, 15)), B=build_B(4)),
+                              SerendipityError,
+                              r"n = 4 needs A of shape \(8, 10\) and B of shape \(8, 8\), "
+                              r"got \(8, 15\) and \(8, 8\)"),
+    "SerendipityMap-other-B": (lambda: SerendipityMap(n=4, A=np.zeros((8, 10)), B=build_B(5)),
+                               SerendipityError,
+                               r"n = 4 needs A of shape \(8, 10\) and B of shape \(8, 8\), "
+                               r"got \(8, 10\) and \(10, 10\)"),
+    "SerendipityMap-string-A": (lambda: SerendipityMap(n=3, A=[["0"] * 6] * 6, B=build_B(3)),
+                                SerendipityError, "A must be an array of numbers, got '0'"),
 }
 
 
@@ -135,6 +146,10 @@ SCALARS = {
     "build_B-string": (lambda: build_B("4"),
                        SerendipityError, "nodal transform requires an integer n, got '4'"),
     "build_B-two": (lambda: build_B(2), SerendipityError, "nodal transform requires n >= 3"),
+    "SerendipityMap-float-n": (lambda: SerendipityMap(n=4.0, A=np.zeros((8, 10)), B=build_B(4)),
+                               SerendipityError, "a serendipity map requires an integer n, got 4.0"),
+    "SerendipityMap-two": (lambda: SerendipityMap(n=2, A=np.zeros((4, 3)), B=np.zeros((4, 4))),
+                           SerendipityError, "a serendipity map requires an integer n >= 3, got 2"),
     "triangle_rule-array": (lambda: triangle_rule(np.array([3])),
                             GeometryError, r"quadrature degree must be in \[1, \d+\], got \[3\]"),
     "trapezoid_mesh-string-offset": (lambda: trapezoid_mesh(4, "0.1"),

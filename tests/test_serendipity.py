@@ -674,8 +674,9 @@ class TestBasisEvaluation:
     @pytest.mark.parametrize("kind", [CoordinateKind.WACHSPRESS, CoordinateKind.MEAN_VALUE])
     def test_chunk_memory_per_point(self, kind):
         """One chunk of the element kernel, hexagons at 432 rule points each,
-        allocates at most 1.1 KB per point at its peak, results included;
-        the chunk size of fem.CHUNK_POINTS rests on this figure."""
+        allocates at most 890 B per point at its peak, results included
+        (811 B measured); the chunk size of fem.CHUNK_POINTS rests on this
+        figure."""
         rng = np.random.default_rng(61)
         hexagons = oracles.polygon_batch([corpus.random_convex_polygon(rng, 6) for _ in range(3)])
         rule = polygon_rule(hexagons, 10)
@@ -690,33 +691,48 @@ class TestBasisEvaluation:
         finally:
             tracemalloc.stop()
         assert result[1].shape == (3, 432, 12, 2)
-        assert peak <= 1100 * rule.weights.size
+        assert peak <= 890 * rule.weights.size
 
-    # Arrays of the whole mesh or group that error_norms holds besides one
-    # chunk: the group's representative batch in chunk order, member indices
-    # and shifts, and the exact field at one member slice.
-    KERNEL_ALLOWANCE = 256 * 1024
+    # What the element kernel may allocate at its peak, in bytes, whatever
+    # fem.CHUNK_POINTS is: 2.40 MiB, 1.1 KB for each point of a 2048-point
+    # chunk plus 256 KiB for the arrays of the mesh or group it holds besides
+    # one chunk (the group's representative batch in chunk order, member
+    # indices and shifts, the exact field at one member slice).  Larger
+    # chunks fit in it only as far as the memory per point shrinks.
+    KERNEL_PEAK = 1100 * 2048 + 256 * 1024
+
+    @staticmethod
+    def kernel_peak(run) -> int:
+        """Bytes ``run()`` allocates at its peak, measured on a second call."""
+        run()                                                        # fill the caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("kind", list(CoordinateKind))
     def test_kernel_memory_per_chunk_point(self, kind):
-        """The whole element kernel, as error_norms runs it on a Voronoi mesh,
-        peaks within 1.1 KB per chunk point plus a fixed allowance: no chunk's
-        coordinates or products outlive its basis evaluation, and only one
-        chunk is alive at a time.  A kernel that kept the products of a chunk
-        across its yield would peak 0.7 to 1.1 MB higher here."""
+        """The whole element kernel, as error_norms runs it on a Voronoi mesh
+        (the solution as a form in each cell's coordinates), peaks within
+        ``KERNEL_PEAK``: no chunk's coordinates outlive it, and only one
+        chunk is alive at a time."""
         mesh = corpus.voronoi_mesh()
         values = harmonic_exact(node_coordinates(mesh))
         sol = DiscreteSolution(mesh=mesh, kind=kind, values=values,
                                report=SolveReport(values, 0, 0.0, True))
-        error_norms(sol, harmonic_exact, harmonic_gradient)          # fill the caches
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            error_norms(sol, harmonic_exact, harmonic_gradient)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1100 * fem.CHUNK_POINTS + self.KERNEL_ALLOWANCE
+        assert self.kernel_peak(lambda: error_norms(sol, harmonic_exact, harmonic_gradient)) \
+            <= self.KERNEL_PEAK
+
+    @pytest.mark.parametrize("kind", list(CoordinateKind))
+    def test_assembly_kernel_memory(self, kind):
+        """assemble without a source, on the same mesh, forms only the basis
+        gradients and peaks within ``KERNEL_PEAK`` too, its triplet arrays
+        and the sparse matrix included."""
+        mesh = corpus.voronoi_mesh()
+        assert self.kernel_peak(lambda: fem.assemble(mesh, kind)) <= self.KERNEL_PEAK
 
     def test_assembly_memory_per_triplet(self):
         """assemble writes every cell's (2n)^2 triplets in place, into int32

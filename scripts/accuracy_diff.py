@@ -13,6 +13,11 @@ solved two ways: directly (scipy's ``spsolve`` of the interior system) and
 by the checkout's ``solve_dirichlet`` (conjugate gradients), each with its
 interior solution and L2/H1 errors, and the CG iteration count.  The
 trapezoid levels of each kind also give the L2/H1 rates of both solutions.
+The element kernel is recorded apart from any mesh: the coordinates, their
+products and the basis, each with its gradients, from the public
+``eval_coords_batch``, ``pairwise_batch`` and ``eval_basis_batch``, on
+seeded ``tests/corpus.random_convex_polygon`` polygons with n = 3-10, one
+alone and three as one batch, with every coordinate kind.
 
 For every array the script prints "bitwise" or the largest move relative to
 the parent's largest entry.  Two kinds of move are gated: a direct-solve L2
@@ -40,6 +45,9 @@ from scipy.sparse.linalg import spsolve
 
 TRAPEZOID_LEVELS = (4, 8, 16, 64)
 VORONOI_SEEDS = (0, 1, 2, 3)
+KERNEL_SIZES = range(3, 11)
+KERNEL_BATCHES = (1, 3)
+KERNEL_POINTS = 24
 # Gated names, by their last part, and the relative move each may make.
 GATES = {"direct_l2": 1e-10, "direct_h1": 1e-10, "direct_l2_rate": 1e-6, "direct_h1_rate": 1e-6}
 
@@ -73,6 +81,34 @@ def record_case(fem, mesh, kind) -> dict[str, np.ndarray]:
     return out
 
 
+def record_kernels(corpus, polyserend) -> dict[str, np.ndarray]:
+    """The element kernel's arrays, by "kernel-n{n}-batch{b}-{kind}/{array}"
+    name: a batch of 1 is one ``Polygon`` with points (m, 2), a batch of 3
+    one ``PolygonBatch`` with points (3, m, 2).  The points are seeded
+    convex combinations of the vertices, so they depend on no program code."""
+    arrays: dict[str, np.ndarray] = {}
+    for n in KERNEL_SIZES:
+        for size in KERNEL_BATCHES:
+            rng = np.random.default_rng(100 * n + size)
+            polys = [corpus.random_convex_polygon(rng, n) for _ in range(size)]
+            points = np.stack([rng.dirichlet(np.ones(n), KERNEL_POINTS) @ p.vertices
+                               for p in polys])
+            if size == 1:
+                polygon, points = polys[0], points[0]
+            else:
+                polygon = polyserend.PolygonBatch.from_vertices(np.stack([p.vertices
+                                                                          for p in polys]))
+            maps = polyserend.build_map(polygon)
+            for kind in polyserend.CoordinateKind:
+                lam, dlam = polyserend.eval_coords_batch(polygon, kind, points)
+                mu, dmu = polyserend.pairwise_batch(lam, dlam)
+                psi, dpsi = polyserend.eval_basis_batch(polygon, kind, maps, points)
+                arrays.update({f"kernel-n{n}-batch{size}-{kind.value}/{name}": value
+                               for name, value in (("lam", lam), ("dlam", dlam), ("mu", mu),
+                                                   ("dmu", dmu), ("psi", psi), ("dpsi", dpsi))})
+    return arrays
+
+
 def record(checkout: Path) -> dict[str, np.ndarray]:
     """Every case of ``checkout``, by "case/array" name; run in a fresh
     interpreter whose import path starts with the checkout's own code."""
@@ -81,9 +117,10 @@ def record(checkout: Path) -> dict[str, np.ndarray]:
     import corpus
     import workloads
 
+    import polyserend
     from polyserend import fem
 
-    arrays: dict[str, np.ndarray] = {}
+    arrays = record_kernels(corpus, polyserend)
     for kind in [k.value for k in fem.CoordinateKind]:
         errors = {}
         for n in TRAPEZOID_LEVELS:

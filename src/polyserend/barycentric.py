@@ -54,39 +54,53 @@ class BoundaryEvaluationError(GeometryError):
 
 
 def _edge_rotations(verts: np.ndarray) -> np.ndarray:
-    """Constant gradient (c, 2, n, 1) of the area A(x, v_i, v_{i+1}) with respect to x."""
+    """Constant gradient (2, n, c, 1) of the area A(x, v_i, v_{i+1}) with respect to x."""
     nxt = verts[:, _neighbours(verts.shape[1])[0]]
-    rot = 0.5 * np.stack([verts[..., 1] - nxt[..., 1], nxt[..., 0] - verts[..., 0]], axis=1)
-    return rot[..., None]
+    rot = 0.5 * np.stack([verts[..., 1] - nxt[..., 1], nxt[..., 0] - verts[..., 0]])
+    return np.swapaxes(rot, 1, 2)[..., None]
 
 
-# The kernels below take vertices (c, n, 2) and points (c, m, 2) and return
-# values (c, n, m) and gradients (c, 2, n, m).  With the points last, every
-# elementwise step and every sum over vertices runs along rows of m
-# contiguous values.  A quantity needed at vertex i and at its neighbour
+# The kernels below take vertices (c, n, 2) and points (c, m, 2) and write
+# vertex-major arrays: values (n, c, m) and gradients (2, n, c, m).  Every
+# vertex, every neighbour slice and every gradient component is then one
+# contiguous block of c m values, so each elementwise step and each sum over
+# vertices runs over whole blocks (a pass over a strided view costs about
+# three times as much).  A quantity needed at vertex i and at its neighbour
 # i + 1 (or i - 1) is computed once on n + 1 rows, the extra row repeating
 # the first (or last) one, and both are slices of it: no neighbour is a
 # gathered copy.
 
 
 def _offsets(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vertex offsets v_i - x, (c, 2, n + 1, m); row n repeats row 0, so rows
+    """Vertex offsets v_i - x, (2, n + 1, c, m); row n repeats row 0, so rows
     ``:n`` are the offsets of v_i and rows ``1:`` those of v_{i+1}."""
+    c, n, _ = verts.shape
     closed = np.concatenate([verts, verts[:, :1]], axis=1)
     # Contiguous point rows: a broadcast subtraction from strided ones is 4x slower.
-    coords = np.ascontiguousarray(np.swapaxes(pts, 1, 2))
-    return np.swapaxes(closed, 1, 2)[..., None] - coords[:, :, None, :]
+    coords = np.ascontiguousarray(np.moveaxis(pts, 2, 0))
+    out = np.empty((2, n + 1, c, pts.shape[1]))
+    return np.subtract(closed.T[..., None], coords[:, None], out=out)
+
+
+def _vertex_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum (1, c, m) of rows (n, c, m) over the vertices, in the order of a
+    sum over contiguous points: row after row, or with one point per polygon
+    numpy's pairwise sum of each polygon's n values, which ``np.sum`` over
+    the vertex axis alone would take only for one polygon."""
+    if rows.shape[-1] > 1:
+        return np.sum(rows, axis=0, keepdims=True)
+    return np.sum(np.ascontiguousarray(np.moveaxis(rows, 0, -1)), axis=-1)[None]
 
 
 def _edge_rows(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Storage (rows, prev, cur) for a per-edge quantity of ``shape`` (..., n, m), with n + 1 rows.
+    """Storage (rows, prev, cur) for a per-edge quantity of ``shape`` (..., n, c, m), with n + 1 rows.
 
     Fill ``cur`` (rows ``1:``) with the value of edge (v_i, v_{i+1}) at row i
     and copy row n to row 0: then ``prev`` (rows ``:n``) holds the value of
     edge (v_{i-1}, v_i) at row i.
     """
-    rows = np.empty(shape[:-2] + (shape[-2] + 1, shape[-1]))
-    return rows, rows[..., :-1, :], rows[..., 1:, :]
+    rows = np.empty(shape[:-3] + (shape[-3] + 1,) + shape[-2:])
+    return rows, rows[..., :-1, :, :], rows[..., 1:, :, :]
 
 
 def _wachspress(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,27 +108,31 @@ def _wachspress(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     m = pts.shape[1]
     nxt, prv = _neighbours(n)
     offsets = _offsets(verts, pts)
-    d, dn = offsets[:, :, :n], offsets[:, :, 1:]
-    rows, area_prev, area = _edge_rows((c, n, m))
-    np.multiply(d[:, 0], dn[:, 1], out=area)
-    area -= d[:, 1] * dn[:, 0]
+    d, dn = offsets[:, :n], offsets[:, 1:]
+    rows, area_prev, area = _edge_rows((n, c, m))
+    np.multiply(d[0], dn[1], out=area)
+    area -= d[1] * dn[0]
     del offsets, d, dn
     area *= 0.5                                    # A(x, v_i, v_{i+1}) > 0 inside
-    rows[:, 0] = rows[:, n]
+    rows[0] = rows[n]
     corner = 0.5 * _cross(verts - verts[:, prv], verts[:, nxt] - verts)  # 0 at flat vertices
     grad_area = _edge_rotations(verts)
     w = np.multiply(area_prev, area)
-    np.divide(corner[..., None], w, out=w)
+    np.divide(corner.T[..., None], w, out=w)
     # One gradient component at a time, in place: the ratio
-    # grad A_{i-1} / A_{i-1} + grad A_i / A_i, then lam (mean ratio - ratio).
-    grads = np.empty((c, 2, n, m))
+    # grad A_{i-1} / A_{i-1} + grad A_i / A_i, each quotient divided once on
+    # edge rows, then lam (mean ratio - ratio).
+    grads = np.empty((2, n, c, m))
+    q_rows, q_prev, q = _edge_rows((n, c, m))
     for k in range(2):
-        np.divide(grad_area[:, k, prv], area_prev, out=grads[:, k])
-        grads[:, k] += grad_area[:, k] / area
-    lam = np.divide(w, np.sum(w, axis=1, keepdims=True), out=w)
+        np.divide(grad_area[k], area, out=q)
+        q_rows[0] = q_rows[n]
+        np.add(q_prev, q, out=grads[k])
+    del q_rows, q_prev, q
+    lam = np.divide(w, _vertex_sum(w), out=w)
     for k in range(2):
-        ratio = grads[:, k]
-        np.subtract(np.sum(lam * ratio, axis=1, keepdims=True), ratio, out=ratio)
+        ratio = grads[k]
+        np.subtract(_vertex_sum(lam * ratio), ratio, out=ratio)
         ratio *= lam
     return lam, grads
 
@@ -123,44 +141,44 @@ def _mean_value(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     c, n, _ = verts.shape
     m = pts.shape[1]
     offsets = _offsets(verts, pts)
-    d, dn = offsets[:, :, :n], offsets[:, :, 1:]
-    radii = np.empty((c, n + 1, m))
-    r, rn = radii[:, :n], radii[:, 1:]
-    np.hypot(d[:, 0], d[:, 1], out=r)
-    radii[:, n] = radii[:, 0]
-    crs = np.multiply(d[:, 0], dn[:, 1])           # 2 A(x, v_i, v_{i+1}) > 0 inside
-    crs -= d[:, 1] * dn[:, 0]
-    t_rows, t_prev, t = _edge_rows((c, n, m))
-    np.multiply(d[:, 0], dn[:, 0], out=t)          # first the dot product d . dn
-    t += d[:, 1] * dn[:, 1]
+    d, dn = offsets[:, :n], offsets[:, 1:]
+    radii = np.empty((n + 1, c, m))
+    r, rn = radii[:n], radii[1:]
+    np.hypot(d[0], d[1], out=r)
+    radii[n] = radii[0]
+    crs = np.multiply(d[0], dn[1])                 # 2 A(x, v_i, v_{i+1}) > 0 inside
+    crs -= d[1] * dn[0]
+    t_rows, t_prev, t = _edge_rows((n, c, m))
+    np.multiply(d[0], dn[0], out=t)                # first the dot product d . dn
+    t += d[1] * dn[1]
     np.subtract(r * rn, t, out=t)
     t /= crs                                       # tan of half the subtended angle
-    t_rows[:, 0] = t_rows[:, n]
+    t_rows[0] = t_rows[n]
     grad_crs = 2.0 * _edge_rotations(verts)        # constant in x
-    neg_ratio, ratio, scratch = -(rn / r), r / rn, np.empty((c, n, m))
+    neg_ratio, ratio, scratch = -(rn / r), r / rn, np.empty((n, c, m))
     # One gradient component at a time, in place.
-    grad_t_rows, grad_t_prev, grad_t = _edge_rows((c, 2, n, m))
+    grad_t_rows, grad_t_prev, grad_t = _edge_rows((2, n, c, m))
     for k in range(2):
-        g = grad_t[:, k]
-        np.multiply(neg_ratio, d[:, k], out=g)
-        g -= np.multiply(ratio, dn[:, k], out=scratch)
-        g += np.add(d[:, k], dn[:, k], out=scratch)   # minus the gradient of dot, -(d + dn)
-        g -= np.multiply(t, grad_crs[:, k], out=scratch)
+        g = grad_t[k]
+        np.multiply(neg_ratio, d[k], out=g)
+        g -= np.multiply(ratio, dn[k], out=scratch)
+        g += np.add(d[k], dn[k], out=scratch)      # minus the gradient of dot, -(d + dn)
+        g -= np.multiply(t, grad_crs[k], out=scratch)
         g /= crs
     del neg_ratio, ratio, crs
-    grad_t_rows[:, :, 0] = grad_t_rows[:, :, n]
+    grad_t_rows[:, 0] = grad_t_rows[:, n]
     w = np.add(t_prev, t)
     w /= r
     grad_w = np.add(grad_t_prev, grad_t)
     np.divide(w, np.multiply(r, r, out=scratch), out=scratch)
     for k in range(2):                             # d is not read again
-        grad_w[:, k] /= r
-        grad_w[:, k] += np.multiply(scratch, d[:, k], out=d[:, k])
-    total = np.sum(w, axis=1, keepdims=True)
+        grad_w[k] /= r
+        grad_w[k] += np.multiply(scratch, d[k], out=d[k])
+    total = _vertex_sum(w)
     lam = np.divide(w, total, out=w)
     for k in range(2):
-        grad_w[:, k] -= np.multiply(lam, np.sum(grad_w[:, k], axis=1, keepdims=True), out=scratch)
-        grad_w[:, k] /= total
+        grad_w[k] -= np.multiply(lam, _vertex_sum(grad_w[k]), out=scratch)
+        grad_w[k] /= total
     return lam, grad_w
 
 
@@ -189,25 +207,33 @@ def _triangulation(batch: PolygonBatch, pts: np.ndarray) -> tuple[np.ndarray, np
     g1 = 0.5 * np.stack([s[..., 1] - p[..., 1], p[..., 0] - s[..., 0]], axis=-1)
     g2 = 0.5 * np.stack([p[..., 1] - q[..., 1], q[..., 0] - p[..., 0]], axis=-1)
     gall = np.stack([g0, g1, g2], axis=-1) / (0.5 * area2)[..., None, None]  # (c, T, 2, 3)
-    # Barycentric coordinates of every point in every fan triangle.
-    x = pts[:, :, None, :]
-    p, q, s, area2 = p[:, None], q[:, None], s[:, None], area2[:, None]
-    b0 = _cross(q - x, s - x) / area2
-    b1 = _cross(s - x, p - x) / area2
-    b2 = _cross(p - x, q - x) / area2
-    bary = np.stack([b0, b1, b2], axis=-1)                    # (c, m, T, 3)
-    inside = np.all(bary >= -1e-12, axis=-1)
+    x = np.ascontiguousarray(np.moveaxis(pts, 2, 0))          # (2, c, m)
+
+    def bary(p, q, s, area2):
+        """Barycentric coordinates (3 of (c, m)) of the points in triangles
+        with corners (c, m | 1, 2) and doubled areas (c, m | 1)."""
+        dp, dq, ds = (np.moveaxis(corner, -1, 0) - x for corner in (p, q, s))
+        return [(u[0] * v[1] - u[1] * v[0]) / area2 for u, v in ((dq, ds), (ds, dp), (dp, dq))]
+
     # Points on interior fan edges belong to the lowest-index triangle; a
     # point in none (round-off) to the triangle it is least outside of.
-    tsel = np.where(np.any(inside, axis=-1), np.argmax(inside, axis=-1),
-                    np.argmax(np.min(bary, axis=-1), axis=-1))  # (c, m)
-    cols = np.swapaxes(tris[rows, tsel], 1, 2)                # (c, 3, m)
-    picked = np.take_along_axis(bary, tsel[..., None, None], axis=2)[:, :, 0]
-    lam = np.zeros((c, n, m))
-    np.put_along_axis(lam, cols, np.swapaxes(picked, 1, 2), axis=1)
-    grads = np.zeros((c, 2, n, m))
-    np.put_along_axis(grads, np.broadcast_to(cols[:, None], (c, 2, 3, m)),
-                      np.moveaxis(gall[rows, tsel], 1, 3), axis=2)
+    tsel = np.full((c, m), -1)
+    least, fallback = np.full((c, m), -np.inf), np.zeros((c, m), dtype=tsel.dtype)
+    for t in range(n - 2):
+        low = np.minimum.reduce(bary(p[:, t, None], q[:, t, None], s[:, t, None], area2[:, t, None]))
+        np.copyto(tsel, t, where=(low >= -1e-12) & (tsel < 0))
+        better = low > least
+        np.copyto(least, low, where=better)
+        np.copyto(fallback, t, where=better)
+    tsel = np.where(tsel < 0, fallback, tsel)
+    picked = bary(p[rows, tsel], q[rows, tsel], s[rows, tsel], area2[rows, tsel])
+    cols, slopes = tris[rows, tsel], np.moveaxis(gall[rows, tsel], 2, 0)    # (c, m, 3), (2, c, m, 3)
+    lam = np.zeros((n, c, m))
+    grads = np.zeros((2, n, c, m))
+    at = (rows, np.arange(m))
+    for k in range(3):
+        lam[(cols[..., k],) + at] = picked[k]
+        grads[(slice(None), cols[..., k]) + at] = slopes[..., k]
     return lam, grads
 
 
@@ -257,6 +283,11 @@ def eval_coords_batch(
     of points per polygon, and the results gain a leading axis: values
     (c, m, n) and gradients (c, m, n, 2).
 
+    Both results are views of vertex-major arrays, values (n, c, m) and
+    gradients (2, n, c, m), in which each vertex (and each gradient
+    component of it) is one contiguous block; ``pairwise_batch`` takes that
+    layout back with views.
+
     Wachspress coordinates raise ``GeometryError`` on a polygon with a flat
     vertex: the vertex's weight, its corner area, is 0, so its coordinate
     would vanish and the basis would not interpolate there.
@@ -276,8 +307,7 @@ def eval_coords_batch(
         lam, grads = _triangulation(batch, pts)
     else:
         lam, grads = _DISPATCH[kind](batch.vertices, pts)
-    # Views of the points-last arrays, which pairwise_batch takes back.
-    lam, grads = np.swapaxes(lam, 1, 2), np.swapaxes(grads, 1, 3)
+    lam, grads = lam.transpose(1, 2, 0), grads.transpose(2, 3, 1, 0)
     return (lam[0], grads[0]) if isinstance(polygon, Polygon) else (lam, grads)
 
 
@@ -357,30 +387,30 @@ def pairwise_batch(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarra
     second-moment identities), which is the property the serendipity
     reduction preserves.
 
+    The factors are read through vertex-major views (n, ..., m) and
+    (2, n, ..., m), contiguous for the views ``eval_coords_batch`` returns.
     The pairs come in a few runs whose first and second factors are each a
     slice of the vertices (``_pair_blocks``), so every block is written in
     place into the preallocated results by products of slices, with no
-    gathered copy of the factors.  Both results are views of one
-    component-major array (3, ..., n(n+1)/2, m): the products, then their x
-    and y derivatives.
+    gathered copy of the factors.  Both results are views of one pair-major
+    array (3, n(n+1)/2, ..., m): the products, then their x and y
+    derivatives, each pair block one contiguous run.
     """
     n = values.shape[-1]
-    # Points-last views (..., n, m) and (..., 2, n, m); the results are views
-    # of points-last arrays too (see eval_coords_batch).
-    v = np.swapaxes(values, -1, -2)
-    g = np.swapaxes(gradients, -1, -3)
-    lead, m = v.shape[:-2], v.shape[-1]
+    v = np.moveaxis(values, -1, 0)
+    g = np.moveaxis(gradients, (-1, -2), (0, 1))
+    lead, m = v.shape[1:-1], v.shape[-1]
     # One allocation, the largest of an element-kernel chunk.  glibc's malloc
     # returns the top of its heap to the system once it exceeds twice the
     # largest block freed; with the products and their gradients apart, a
     # chunk's memory did at the end of every chunk, and faulting it back in
     # made a Voronoi-mesh assembly about 25% slower.
-    products = np.empty((3,) + lead + (n * (n + 1) // 2, m), np.result_type(values, gradients))
-    mu, dmu = products[0], np.moveaxis(products[1:], 0, -3)
+    products = np.empty((3, n * (n + 1) // 2) + lead + (m,), np.result_type(values, gradients))
+    mu, dmu = products[0], products[1:]
     for pairs, a, b in _pair_blocks(n):
-        va, vb = v[..., a, :], v[..., b, :]
-        np.multiply(va, vb, out=mu[..., pairs, :])
-        block = dmu[..., pairs, :]
-        np.multiply(va[..., None, :, :], g[..., b, :], out=block)
-        block += vb[..., None, :, :] * g[..., a, :]
-    return np.swapaxes(mu, -1, -2), np.swapaxes(dmu, -1, -3)
+        va, vb = v[a], v[b]
+        np.multiply(va, vb, out=mu[pairs])
+        block = dmu[:, pairs]
+        np.multiply(va, g[:, b], out=block)
+        block += vb * g[:, a]
+    return np.moveaxis(mu, 0, -1), np.moveaxis(dmu, (0, 1), (-1, -2))

@@ -133,6 +133,9 @@ def _as_array(values, error: type[Exception], message: str, integer: bool = Fals
     kinds = "iu" if integer else "iuf"
     if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
         return values if integer or values.dtype == np.float64 else values.astype(float)
+    # A Python int or float by its exact type, so never a bool: a 0-d array at once.
+    if type(values) is int and -2**63 <= values < 2**63 or type(values) is float and not integer:
+        return np.array(values, np.int64 if integer else np.float64)
     values = values.tolist() if isinstance(values, np.ndarray) else values     # walked as a list
     entries = np.array(values, dtype=object)                 # only a list pays for this walk
     try:
@@ -140,7 +143,9 @@ def _as_array(values, error: type[Exception], message: str, integer: bool = Fals
     except ValueError as exc:                                # a ragged list
         array, reason = entries, f": {exc}"
     hidden = {bool, np.bool_} & set(map(type, entries.flat))     # numpy reads True as 1
-    if (array.dtype.kind in kinds or not array.size) and not hidden:
+    # An integer in [2**63, 2**64) reads as uint64, which int64 would wrap.
+    wraps = integer and array.dtype == np.uint64 and np.any(array > np.iinfo(np.int64).max)
+    if (array.dtype.kind in kinds or not array.size) and not hidden and not wraps:
         return array.astype(np.int64 if integer else float, copy=False)
     at, entry = next(((at, e) for at, e in np.ndenumerate(entries) if not (
         isinstance(e, (int, float, np.number)) and np.asarray(e).dtype.kind in kinds)),

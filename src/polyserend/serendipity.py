@@ -238,9 +238,11 @@ def eval_basis_batch(
 
     Both are views of points-last arrays: the values of (c, 2n, m) and the
     gradients of a component-major (2, c, 2n, m), so each gradient
-    component of the whole batch is one contiguous block.  The coordinates
-    are dropped once their products exist, so they, the products and the
-    basis are never all alive at once.
+    component of the whole batch is one contiguous block.  They are
+    contracted from the pair-major storage of the products
+    (``pairwise_batch``), read in place.  The coordinates are dropped once
+    their products exist, so they, the products and the basis are never
+    all alive at once.
     """
     lam, dlam = eval_coords_batch(polygon, kind, points)
     single = lam.ndim == 2
@@ -251,14 +253,15 @@ def eval_basis_batch(
     mu, dmu = pairwise_batch(lam, dlam)
     del lam, dlam
     c, P = len(maps), mu.shape[-1]
-    # Contract on the points-last layout of the products: B A of every
-    # polygon (c, 2n, P) times products (c, P, m) and gradients (2, c, P, m).
-    # The gradients are written component-major through ``out``: by default
-    # matmul would keep the (c, 2, ...) stride order of the products.
+    # Contract on the pair-major storage of the products, (P, c, m) and
+    # (2, P, c, m) (see pairwise_batch), read as strided batch operands
+    # (c, P, m) and (2, c, P, m) with no copy: B A of every polygon
+    # (c, 2n, P) times each.
+    mu = np.moveaxis(mu, -1, 0).reshape(P, c, -1).transpose(1, 0, 2)
+    dmu = np.moveaxis(dmu, (-1, -2), (0, 1)).reshape(2, P, c, -1).transpose(0, 2, 1, 3)
     BA = maps[0].B @ np.stack([sm.A for sm in maps])
-    psi = np.swapaxes(BA @ np.swapaxes(mu, -1, -2).reshape(c, P, -1), 1, 2) if values else None
-    dmu_pl = np.swapaxes(dmu, -1, -3).reshape(c, 2, P, -1).transpose(1, 0, 2, 3)
-    dpsi = np.matmul(BA, dmu_pl, out=np.empty((2, c, 2 * n, dmu_pl.shape[-1])))
+    psi = np.swapaxes(BA @ mu, 1, 2) if values else None
+    dpsi = np.matmul(BA, dmu, out=np.empty((2, c, 2 * n, dmu.shape[-1])))
     dpsi = dpsi.transpose(1, 3, 2, 0)
     if single:
         return (None if psi is None else psi[0]), dpsi[0]

@@ -17,6 +17,8 @@ from polyserend import (
     CoordinateKind,
     GeometryError,
     Polygon,
+    build_map,
+    eval_basis_batch,
     eval_boundary,
     eval_coords_batch,
     pair_order,
@@ -144,9 +146,9 @@ class TestExactSpecialCases:
         poly = corpus.degenerate_pentagon()
         rng = np.random.default_rng(4)
         pts = sample_interior(poly, 50, rng, margin=1e-3)
-        lam, grad = _wachspress(poly.vertices[None], pts[None])
-        assert np.max(np.abs(lam[0, 0])) <= 1e-13
-        assert np.max(np.abs(grad[0, :, 0])) <= 1e-12
+        lam, grad = _wachspress(poly.vertices[None], pts[None])      # vertex-major
+        assert np.max(np.abs(lam[0])) <= 1e-13
+        assert np.max(np.abs(grad[:, 0])) <= 1e-12
         pentagon = corpus.regular_polygon(5)
         with pytest.raises(GeometryError, match="polygon 1 has a flat vertex"):
             eval_coords_batch(oracles.polygon_batch([pentagon, poly]), CoordinateKind.WACHSPRESS,
@@ -334,6 +336,12 @@ def _equal(got, want) -> bool:
     return all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _cell_major(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A coordinate kernel's vertex-major (n, c, m) and (2, n, c, m) results
+    as the oracles' (c, n, m) and (c, 2, n, m), by views."""
+    return values.transpose(1, 0, 2), gradients.transpose(2, 0, 1, 3)
+
+
 class TestKernelOracles:
     """The kernels take neighbours and pairs as slices; the gathered-index
     formulas of tests/oracles.py give bitwise the same values."""
@@ -346,13 +354,13 @@ class TestKernelOracles:
         verts = np.stack([p.vertices for p in polys])
         for kernel, oracle in ((_wachspress, oracles.wachspress),
                                (_mean_value, oracles.mean_value)):
-            assert _equal(kernel(verts, pts), oracle(verts, pts))
-            assert _equal(kernel(verts[:1], pts[:1]), oracle(verts[:1], pts[:1]))
+            assert _equal(_cell_major(*kernel(verts, pts)), oracle(verts, pts))
+            assert _equal(_cell_major(*kernel(verts[:1], pts[:1])), oracle(verts[:1], pts[:1]))
 
     def test_mean_value_on_flat_vertex_polygon(self):
         poly = corpus.degenerate_pentagon()
         pts = sample_interior(poly, 40, np.random.default_rng(6), margin=1e-4)[None]
-        assert _equal(_mean_value(poly.vertices[None], pts),
+        assert _equal(_cell_major(*_mean_value(poly.vertices[None], pts)),
                       oracles.mean_value(poly.vertices[None], pts))
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -365,6 +373,41 @@ class TestKernelOracles:
         assert _equal(pairwise_batch(lam, dlam), oracles.pairwise(lam, dlam))
         single = eval_coords_batch(polys[0], kind, pts[0])
         assert _equal(pairwise_batch(*single), oracles.pairwise(*single))
+
+
+class TestLayoutIndependence:
+    """The kernel stores coordinates and products vertex-major and returns
+    views of that storage; no result depends on it, bit for bit."""
+
+    @staticmethod
+    def polygons_and_points(n: int, m: int, seed: int):
+        rng = np.random.default_rng(seed)
+        polys = [corpus.random_convex_polygon(rng, n) for _ in range(3)]
+        return polys, np.stack([sample_interior(p, m, rng, margin=1e-4) for p in polys])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_pairwise_on_arrays_a_caller_builds(self, n, kind):
+        polys, pts = self.polygons_and_points(n, 13, 300 + n)
+        for polygon, points in ((oracles.polygon_batch(polys), pts), (polys[0], pts[0])):
+            views = eval_coords_batch(polygon, kind, points)
+            built = tuple(np.ascontiguousarray(a) for a in views)
+            assert all(a.flags.c_contiguous for a in built)
+            assert _equal(pairwise_batch(*built), pairwise_batch(*views))
+
+    @pytest.mark.parametrize("m", [1, 2, 13])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_batch_equals_each_polygon_alone(self, n, kind, m):
+        """One point per polygon included: there a sum over vertices is no
+        longer a sum of rows of points, and must still add in one order."""
+        polys, pts = self.polygons_and_points(n, m, 400 + n)
+        batch, maps = oracles.polygon_batch(polys), [build_map(p) for p in polys]
+        coords = eval_coords_batch(batch, kind, pts)
+        basis = eval_basis_batch(batch, kind, maps, pts)
+        for k, poly in enumerate(polys):
+            assert _equal([a[k] for a in coords], eval_coords_batch(poly, kind, pts[k]))
+            assert _equal([a[k] for a in basis], eval_basis_batch(poly, kind, maps[k], pts[k]))
 
 
 class TestPairOrder:

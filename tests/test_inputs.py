@@ -188,6 +188,21 @@ def test_input_that_is_not_numbers_rejected(call, error, message):
         call()
 
 
+def test_python_scalars_take_the_fast_path():
+    """A Python int or float becomes a 0-d int64 or float64 array with no
+    walk as a list; a bool, an integer beyond int64 and a float where an
+    index is wanted still raise the caller's error."""
+    for value, integer, dtype in [(6, True, np.int64), (6, False, np.float64),
+                                  (-2**63, True, np.int64), (2**63 - 1, True, np.int64),
+                                  (1.5, False, np.float64), (2**63, False, np.float64)]:
+        array = _as_array(value, ValueError, "", integer=integer)
+        assert array.ndim == 0 and array.dtype == dtype and array == value
+    for value, integer in [(True, True), (True, False), (2**64, True), (2**64, False),
+                           (2**63, True), (-2**63 - 1, True), (1.5, True)]:
+        with pytest.raises(GeometryError, match=f"got {value!r}"):
+            _as_array(value, GeometryError, "got {entry!r}", integer=integer)
+
+
 def test_float64_and_integer_arrays_pass_uncopied():
     """Valid array input costs the rule no copy: int32 triplets reach scipy
     as they are, and so does every float64 vector conjugate gradients makes."""

@@ -9,6 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import corpus
+import polyserend
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -226,6 +229,25 @@ def test_accuracy_diff_rows_and_table():
     parent, _ = fixed_records()
     assert script.render(script.diff_rows(parent, parent)).splitlines()[-1] == (
         "6 of 6 arrays bitwise; every gate passed")
+
+
+def test_accuracy_diff_records_the_element_kernel():
+    """The kernel cases: every n of 3-10, alone and as a batch of three,
+    with every kind, give coordinates, products and basis with their
+    gradients, in the shapes of the public functions."""
+    script = load_script("accuracy_diff")
+    arrays = script.record_kernels(corpus, polyserend)
+    kinds = [kind.value for kind in polyserend.CoordinateKind]
+    assert set(arrays) == {f"kernel-n{n}-batch{size}-{kind}/{name}"
+                           for n in range(3, 11) for size in (1, 3) for kind in kinds
+                           for name in ("lam", "dlam", "mu", "dmu", "psi", "dpsi")}
+    m = script.KERNEL_POINTS
+    for kind in kinds:
+        assert arrays[f"kernel-n7-batch1-{kind}/lam"].shape == (m, 7)
+        assert arrays[f"kernel-n7-batch3-{kind}/dmu"].shape == (3, m, 28, 2)
+        assert arrays[f"kernel-n7-batch3-{kind}/dpsi"].shape == (3, m, 14, 2)
+    assert script.render(script.diff_rows(arrays, arrays)).splitlines()[-1] == (
+        f"{len(arrays)} of {len(arrays)} arrays bitwise; every gate passed")
 
 
 def test_accuracy_diff_records_each_checkout_apart(tmp_path, monkeypatch, capsys):

@@ -35,6 +35,7 @@ from polyserend import (
     error_norms,
     eval_basis_batch,
     eval_coords_batch,
+    fan_rule,
     harmonic_exact,
     harmonic_gradient,
     lagrange_table,
@@ -671,17 +672,20 @@ class TestBasisEvaluation:
             eval_basis_batch(hexagon, "meanvalue", build_map(corpus.regular_polygon(5)),
                              pts[0])
 
-    @pytest.mark.parametrize("kind", [CoordinateKind.WACHSPRESS, CoordinateKind.MEAN_VALUE])
+    @pytest.mark.parametrize("kind", list(CoordinateKind))
     def test_chunk_memory_per_point(self, kind):
-        """One chunk of the element kernel, hexagons at 432 rule points each,
-        allocates at most 890 B per point at its peak, results included
-        (811 B measured); the chunk size of fem.CHUNK_POINTS rests on this
-        figure."""
+        """One chunk of the element kernel, three hexagons on the rule fem
+        uses for the kind (432 points each, or 144 on the fan rule of
+        triangulation coordinates), allocates at most 890 B per point at its
+        peak, results included (798 B measured, 851 B on the fan rule, where
+        the chunk's fixed arrays weigh more); the chunk size of
+        fem.CHUNK_POINTS rests on this figure."""
         rng = np.random.default_rng(61)
         hexagons = oracles.polygon_batch([corpus.random_convex_polygon(rng, 6) for _ in range(3)])
-        rule = polygon_rule(hexagons, 10)
+        fan = kind is CoordinateKind.TRIANGULATION
+        rule = fan_rule(hexagons, 10) if fan else polygon_rule(hexagons, 10)
         maps = build_map(hexagons)
-        assert rule.weights.size >= 1024
+        assert rule.weights.size == (432 if fan else 1296)
         eval_basis_batch(hexagons, kind, maps, rule.points)          # fill the caches
         tracemalloc.start()
         try:
@@ -690,7 +694,7 @@ class TestBasisEvaluation:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert result[1].shape == (3, 432, 12, 2)
+        assert result[1].shape == (3, rule.weights.shape[1], 12, 2)
         assert peak <= 890 * rule.weights.size
 
     # What the element kernel may allocate at its peak, in bytes, whatever

@@ -12,6 +12,10 @@ source ``1 + x y``, and the harmonic Dirichlet problem of ``convergence_study``
 solved two ways: directly (scipy's ``spsolve`` of the interior system) and
 by the checkout's ``solve_dirichlet`` (conjugate gradients), each with its
 interior solution and L2/H1 errors, and the CG iteration count.  The
+floor of the direct-solve errors is recorded beside them, as
+``direct_l2_floor`` and ``direct_h1_floor``: the largest relative move of
+each error when every stored stiffness entry moves one ulp up or down, the
+same way at (i, j) and (j, i), over three seeded draws.  The
 trapezoid levels of each kind also give the L2/H1 rates of both solutions.
 The element kernel is recorded apart from any mesh: the coordinates, their
 products and the basis, each with its gradients, from the public
@@ -23,8 +27,10 @@ For every array the script prints "bitwise" or the largest move relative to
 the parent's largest entry.  Two kinds of move are gated: a direct-solve L2
 or H1 error beyond 1e-10 (the accuracy rule of ROADMAP.md) and a direct-solve
 rate beyond 1e-6, both relative.  CG results are reported ungated, since
-where CG stops moves them with no change to the discretisation.  The exit
-code is 1 when a gate fails.
+where CG stops moves them with no change to the discretisation.  The floors
+are ungated too; the change's floor is printed beside each gated error, so
+a failed gate can be read against the round-off floor of its own matrix.
+The exit code is 1 when a gate fails.
 
 Example:
     python3 scripts/accuracy_diff.py ../parent .
@@ -48,6 +54,7 @@ VORONOI_SEEDS = (0, 1, 2, 3)
 KERNEL_SIZES = range(3, 11)
 KERNEL_BATCHES = (1, 3)
 KERNEL_POINTS = 24
+FLOOR_SEEDS = (0, 1, 2)
 # Gated names, by their last part, and the relative move each may make.
 GATES = {"direct_l2": 1e-10, "direct_h1": 1e-10, "direct_l2_rate": 1e-6, "direct_h1_rate": 1e-6}
 
@@ -56,21 +63,38 @@ def _source(points: np.ndarray) -> np.ndarray:
     return 1.0 + points[:, 0] * points[:, 1]
 
 
+def direct_solve(fem, mesh, dofmap, kind, stiffness: sp.csr_matrix):
+    """The harmonic Dirichlet problem solved by scipy's ``spsolve`` of the
+    interior system of ``stiffness``; it reads no code under comparison."""
+    inner, bnd = dofmap.interior_dofs, dofmap.boundary_dofs
+    values = np.zeros(dofmap.n_dofs)
+    values[bnd] = fem.harmonic_exact(fem.node_coordinates(mesh)[bnd])
+    values[inner] = spsolve(stiffness[np.ix_(inner, inner)].tocsc(),
+                            -(stiffness @ values)[inner])
+    return fem.DiscreteSolution(mesh=mesh, kind=fem.CoordinateKind(kind), values=values,
+                                report=fem.SolveReport(values[inner], 0, 0.0, True))
+
+
+def one_ulp(stiffness: sp.csr_matrix, seed: int) -> sp.csr_matrix:
+    """``stiffness`` with every stored entry moved one ulp up or down, at
+    random from ``seed`` and the same way at (i, j) and (j, i)."""
+    coo = stiffness.tocoo()
+    lo, hi = np.minimum(coo.row, coo.col), np.maximum(coo.row, coo.col)
+    _, pair = np.unique(lo.astype(np.int64) * stiffness.shape[0] + hi, return_inverse=True)
+    up = np.random.default_rng(seed).integers(0, 2, pair.max() + 1)[pair] == 1
+    data = np.nextafter(coo.data, np.where(up, np.inf, -np.inf))
+    return sp.csr_matrix((data, (coo.row, coo.col)), shape=stiffness.shape)
+
+
 def record_case(fem, mesh, kind) -> dict[str, np.ndarray]:
     """The arrays of one case, as the module docstring lists them."""
     dofmap = fem.dof_map(mesh)
     matrix, load = fem.assemble(mesh, kind, source=_source)
     zero = np.zeros(dofmap.n_dofs)
     cg = fem.solve_dirichlet(matrix, zero, mesh, dofmap, kind, fem.harmonic_exact)
-    # The direct solve reads only the stiffness arrays, not the code under comparison.
-    n, inner, bnd = dofmap.n_dofs, dofmap.interior_dofs, dofmap.boundary_dofs
+    n, inner = dofmap.n_dofs, dofmap.interior_dofs
     stiffness = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=(n, n))
-    values = np.zeros(n)
-    values[bnd] = fem.harmonic_exact(fem.node_coordinates(mesh)[bnd])
-    values[inner] = spsolve(stiffness[np.ix_(inner, inner)].tocsc(),
-                            -(stiffness @ values)[inner])
-    direct = fem.DiscreteSolution(mesh=mesh, kind=fem.CoordinateKind(kind), values=values,
-                                  report=fem.SolveReport(values[inner], 0, 0.0, True))
+    direct = direct_solve(fem, mesh, dofmap, kind, stiffness)
     out = {"stiffness_data": matrix.data, "stiffness_indices": matrix.indices,
            "stiffness_indptr": matrix.indptr, "load": load,
            "cg_iterations": np.array(cg.report.iterations)}
@@ -78,6 +102,12 @@ def record_case(fem, mesh, kind) -> dict[str, np.ndarray]:
         err = fem.error_norms(solution, fem.harmonic_exact, fem.harmonic_gradient)
         out[f"{name}_solution"] = solution.values[inner]
         out[f"{name}_l2"], out[f"{name}_h1"] = np.array(err.l2), np.array(err.h1)
+    moved = [fem.error_norms(direct_solve(fem, mesh, dofmap, kind, one_ulp(stiffness, seed)),
+                             fem.harmonic_exact, fem.harmonic_gradient) for seed in FLOOR_SEEDS]
+    for norm in ("l2", "h1"):
+        error = float(out[f"direct_{norm}"])
+        out[f"direct_{norm}_floor"] = np.array(
+            max(abs(getattr(err, norm) - error) for err in moved) / error)
     return out
 
 
@@ -158,8 +188,9 @@ def compare(parent: np.ndarray, change: np.ndarray) -> tuple[str, float | None]:
 
 
 def diff_rows(parent: dict[str, np.ndarray], change: dict[str, np.ndarray]) -> list[dict]:
-    """One row per array name of either side: its verdict, and whether it
-    passes its gate ("ok" or "FAIL"; "-" for an ungated array)."""
+    """One row per array name of either side: its verdict, whether it
+    passes its gate ("ok" or "FAIL"; "-" for an ungated array), and the
+    change's ``_floor`` of that array, if it has one (else None)."""
     rows = []
     for name in sorted(parent.keys() | change.keys()):
         if name not in change or name not in parent:
@@ -169,7 +200,9 @@ def diff_rows(parent: dict[str, np.ndarray], change: dict[str, np.ndarray]) -> l
         tol = GATES.get(name.rsplit("/", 1)[1])
         gate = "-" if tol is None else ("ok" if relative is not None and relative <= tol
                                         else "FAIL")
-        rows.append({"name": name, "verdict": verdict, "gate": gate})
+        floor = change.get(f"{name}_floor")
+        rows.append({"name": name, "verdict": verdict, "gate": gate,
+                     "floor": None if floor is None else float(floor)})
     return rows
 
 
@@ -177,7 +210,9 @@ def render(rows: list[dict]) -> str:
     bitwise = sum(row["verdict"] == "bitwise" for row in rows)
     failed = [row["name"] for row in rows if row["gate"] == "FAIL"]
     lines = ["| array | parent -> change | gate |", "|---|---|---|"]
-    lines += [f"| {row['name']} | {row['verdict']} | {row['gate']} |" for row in rows]
+    lines += [f"| {row['name']} | {row['verdict']} | {row['gate']}"
+              + ("" if row["floor"] is None else f" (floor {row['floor']:.3g})") + " |"
+              for row in rows]
     lines.append(f"\n{bitwise} of {len(rows)} arrays bitwise; "
                  + (f"gates failed: {', '.join(failed)}" if failed else "every gate passed"))
     return "\n".join(lines)

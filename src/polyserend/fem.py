@@ -30,11 +30,9 @@ coordinate kind ``solve_dirichlet`` checks, and keeps its interior system.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -68,8 +66,6 @@ __all__ = [
     "harmonic_gradient",
     "mesh_from_json",
     "mesh_to_json",
-    "load_mesh",
-    "save_mesh",
 ]
 
 
@@ -996,11 +992,3 @@ def mesh_from_json(data: dict) -> PolyMesh:
     except (KeyError, TypeError) as exc:
         raise MeshError(f"malformed mesh data: {exc}") from exc
     return PolyMesh.build(vertices, cells)
-
-
-def save_mesh(path: str | Path, mesh: PolyMesh) -> None:
-    Path(path).write_text(json.dumps(mesh_to_json(mesh), indent=2) + "\n")
-
-
-def load_mesh(path: str | Path) -> PolyMesh:
-    return mesh_from_json(json.loads(Path(path).read_text()))

@@ -26,9 +26,7 @@ __all__ = [
     "check_conditions",
     "sample_interior",
     "polygon_from_json",
-    "polygon_to_json",
     "load_polygon",
-    "save_polygon",
 ]
 
 
@@ -266,13 +264,6 @@ class Polygon:
     def diameter(self) -> float:
         """Largest vertex-to-vertex distance; equals the set diameter for convex polygons."""
         return float(self._batch.diameters[0])
-
-    @cached_property
-    def edge_lengths(self) -> np.ndarray:
-        e = self.vertices[_neighbours(self.n)[0]] - self.vertices
-        out = np.hypot(e[:, 0], e[:, 1])
-        out.setflags(write=False)
-        return out
 
     @property
     def inward_normals(self) -> np.ndarray:
@@ -573,16 +564,6 @@ def polygon_from_json(data: str | dict) -> Polygon:
     return Polygon(obj["vertices"])
 
 
-def polygon_to_json(polygon: Polygon) -> dict:
-    return {"vertices": polygon.vertices.tolist()}
-
-
 def load_polygon(path: str) -> Polygon:
     with open(path, "r", encoding="utf-8") as fh:
         return polygon_from_json(fh.read())
-
-
-def save_polygon(polygon: Polygon, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(polygon_to_json(polygon), fh, indent=2)
-        fh.write("\n")

@@ -38,7 +38,6 @@ __all__ = [
     "polygon_rule",
     "fan_rule",
     "rule_layouts",
-    "integrate",
 ]
 
 MAX_DEGREE = 20
@@ -51,7 +50,8 @@ class QuadratureRule:
     A rule for a batch of c polygons has points (c, m, 2) and weights (c, m);
     its length is the total point count.  Indexing a batch rule by rows, like
     ``PolygonBatch``, gives the rule of those polygons, as read-only views
-    for a slice; one row gives that polygon's rule.
+    for a slice; one row gives that polygon's rule.  A rule for one polygon
+    has no rows to index: indexing it raises ``GeometryError``.
     """
 
     points: np.ndarray
@@ -66,6 +66,8 @@ class QuadratureRule:
         return self.weights.size
 
     def __getitem__(self, rows: slice | int) -> QuadratureRule:
+        if self.weights.ndim != 2:
+            raise GeometryError("only a batch rule has rows to index")
         return QuadratureRule(points=self.points[rows], weights=self.weights[rows],
                               degree=self.degree)
 
@@ -214,21 +216,3 @@ def rule_layouts(batch: PolygonBatch, degree: int,
     degrees = _rule_degrees(batch.flat, degree)
     return [(np.flatnonzero(degrees == d), 2 * batch.n * len(_triangle_rule(d)))
             for d in np.unique(degrees).tolist()]
-
-
-def integrate(rule: QuadratureRule, f) -> float | np.ndarray:
-    """Integrate a callable f(points) -> one value per rule point against the rule.
-
-    A rule for one polygon gives a float; a rule for a batch of c polygons,
-    points (c, m, 2), gives the integral over each polygon, (c,).  Raises
-    ``GeometryError`` unless f returns values shaped like the weights.
-    """
-    values = _as_array(f(rule.points), GeometryError, "f must return numbers, got {entry!r}")
-    if values.shape != rule.weights.shape:
-        raise GeometryError(
-            f"f must return one value per rule point, shape {rule.weights.shape}, "
-            f"got shape {values.shape}"
-        )
-    if rule.weights.ndim == 1:
-        return float(np.dot(rule.weights, values))
-    return np.einsum("cm,cm->c", rule.weights, values)

@@ -49,7 +49,6 @@ __all__ = [
     "build_B",
     "build_map",
     "eval_basis_batch",
-    "basis_nodes",
     "boundary_basis_values",
     "lagrange_table",
     "ConstraintReport",
@@ -217,12 +216,6 @@ def build_map(polygon: Polygon | PolygonBatch) -> SerendipityMap | tuple[Serendi
     return maps[0] if single else maps
 
 
-def basis_nodes(polygon: Polygon) -> np.ndarray:
-    """Interpolation nodes: the n vertices followed by the n edge midpoints."""
-    v = polygon.vertices
-    return np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0))])
-
-
 def eval_basis_batch(
     polygon: Polygon | PolygonBatch,
     kind: CoordinateKind | str,
@@ -303,12 +296,10 @@ class ConstraintReport:
     the second-moment constraint.
     """
 
-    pairs: tuple[tuple[int, int], ...]
     q1: np.ndarray
     q2: np.ndarray
     q3: np.ndarray
     max_residual: float
-    tolerance: float
     passed: bool
     worst_pair: tuple[int, int]
 
@@ -351,22 +342,13 @@ def verify_constraints(
             or not 0.0 < tol < math.inf:
         raise SerendipityError(f"tol must be finite and positive, got {tol!r}")
     n = polygon.n
-    pairs = pair_order(n)
     M = _moments((polygon.vertices - polygon.centroid) / polygon.diameter)
     q1, q2, q3 = _group_maxima(M[:, :2 * n] @ smap.A - M)
     per_column = np.maximum(q1, np.maximum(q2, q3))
     worst = int(np.argmax(per_column))
     max_res = float(per_column[worst])
-    return ConstraintReport(
-        pairs=pairs,
-        q1=q1,
-        q2=q2,
-        q3=q3,
-        max_residual=max_res,
-        tolerance=tol,
-        passed=bool(max_res <= tol),
-        worst_pair=pairs[worst],
-    )
+    return ConstraintReport(q1=q1, q2=q2, q3=q3, max_residual=max_res,
+                            passed=bool(max_res <= tol), worst_pair=pair_order(n)[worst])
 
 
 def precision_residuals(
@@ -380,8 +362,11 @@ def precision_residuals(
     unity, linear reproduction (max-abs over components) and quadratic
     moment reproduction (max-abs over the three distinct entries of x x^T).
     Inputs are rescaled to the unit-diameter frame so results are scale-free.
+    Raises SerendipityError for a non-finite point, which has no residual.
     """
     pts = _as_array(points, SerendipityError, "points must be an array of numbers, got {entry!r}")
+    if not np.all(np.isfinite(pts)):
+        raise SerendipityError("points must be finite to have residuals")
     xi = _as_array(xi_values, SerendipityError, "xi_values must be an array of numbers, got {entry!r}")
     pts, xi = np.atleast_2d(pts, xi)
     n = polygon.n

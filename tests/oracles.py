@@ -269,6 +269,12 @@ def translation_classes(mesh: PolyMesh) -> np.ndarray:
     return np.array(rep)
 
 
+def edge_lengths(polygon: Polygon) -> np.ndarray:
+    """Length of each edge (v_i, v_{i+1})."""
+    v = polygon.vertices
+    return np.hypot(*(np.roll(v, -1, axis=0) - v).T)
+
+
 def angles_and_closest_pair(polygon: Polygon) -> tuple[np.ndarray, float]:
     """Interior angles of a polygon and its closest vertex distance, with one
     Python step per vertex and per vertex pair (numpy's ``arctan2`` and

@@ -11,13 +11,13 @@ import pytest
 
 import corpus
 import polyserend.cli as cli
-from polyserend import ConvergenceError, Polygon, save_polygon
+from polyserend import ConvergenceError, Polygon
 from polyserend.linalg import SolveReport
 
 
 def write_polygon(tmp_path, poly, name="poly.json"):
     path = tmp_path / name
-    save_polygon(poly, path)
+    path.write_text(json.dumps({"vertices": poly.vertices.tolist()}))
     return path
 
 

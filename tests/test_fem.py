@@ -3,6 +3,7 @@ inter-element continuity, and the refinement study driver."""
 
 from __future__ import annotations
 
+import json
 import re
 from collections import defaultdict
 
@@ -34,12 +35,10 @@ from polyserend import (
     harmonic_exact,
     harmonic_gradient,
     interior_angles,
-    load_mesh,
     mesh_from_json,
     mesh_to_json,
     node_coordinates,
     polygon_rule,
-    save_mesh,
     solve_dirichlet,
     trapezoid_mesh,
 )
@@ -116,7 +115,7 @@ class TestTrapezoidMesh:
     def test_zero_offset_gives_squares(self):
         mesh = trapezoid_mesh(3, 0.0)
         for poly in mesh.polygons:
-            lengths = poly.edge_lengths
+            lengths = oracles.edge_lengths(poly)
             assert lengths == pytest.approx(np.full(4, 1.0 / 3.0), abs=1e-15)
 
     def test_cells_are_trapezoids_with_vertical_parallel_sides(self):
@@ -1546,15 +1545,13 @@ class TestConvergenceStudy:
 
 
 class TestMeshSerialization:
-    def test_json_roundtrip(self, tmp_path):
+    def test_json_roundtrip(self):
         mesh = corpus.mixed_mesh()
         data = mesh_to_json(mesh)
         back = mesh_from_json(data)
         assert back.vertices == pytest.approx(mesh.vertices, abs=0.0)
         assert back.cells == mesh.cells
-        path = tmp_path / "mesh.json"
-        save_mesh(path, mesh)
-        loaded = load_mesh(path)
+        loaded = mesh_from_json(json.loads(json.dumps(data)))
         assert loaded.cells == mesh.cells
         assert loaded.vertices == pytest.approx(mesh.vertices, abs=0.0)
 

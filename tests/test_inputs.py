@@ -5,6 +5,8 @@ Every call below used to succeed: numpy parsed the numeric strings and read
 the booleans as 0 and 1, so each gave the result of the numbers they spell.
 The scalar counts, sizes and parameters of the ``SCALARS`` table used to
 succeed too, or to end in a bare TypeError from Python's own arithmetic.
+A non-finite point given to ``precision_residuals`` used to give inf or NaN
+residuals, with a RuntimeWarning for an infinite one.
 The last calls of ``CALLS`` pass a map or xi of another polygon's size, which
 used to end in numpy's matmul error, or build a map whose A or B does not
 fit its n, which used to build and then fail in numpy's broadcast or matmul.
@@ -32,9 +34,7 @@ from polyserend import (
     eval_boundary,
     eval_coords_batch,
     harmonic_gradient,
-    integrate,
     lagrange_table,
-    polygon_rule,
     precision_residuals,
     sample_interior,
     solve_dirichlet,
@@ -101,8 +101,6 @@ CALLS = {
                                ValueError, "source must return numbers, got '1'"),
     "error_norms-string-exact": (lambda: norms_against(strings),
                                  ValueError, "u_exact must return numbers, got '1'"),
-    "integrate-strings": (lambda: integrate(polygon_rule(SQUARE, 4), strings),
-                          GeometryError, "f must return numbers, got '1'"),
     "sample_interior-bool-count": (lambda: sample_interior(SQUARE, True, np.random.default_rng(0)),
                                    GeometryError, "sample count must be an integer, got True"),
     "solve_dirichlet-bool-rhs": (lambda: solve_with_rhs(np.ones(21, dtype=bool)),
@@ -114,6 +112,12 @@ CALLS = {
     "boundary_basis_values-other-map": (
         lambda: boundary_basis_values(PENTAGON, build_map(SQUARE), [0], [0.5]),
         SerendipityError, "map size does not match polygon"),
+    "precision_residuals-inf-point": (
+        lambda: precision_residuals(SQUARE, np.zeros((1, 8)), [[np.inf, 0.5]]),
+        SerendipityError, "points must be finite"),
+    "precision_residuals-nan-point": (
+        lambda: precision_residuals(SQUARE, np.zeros((1, 8)), [[np.nan, 0.5]]),
+        SerendipityError, "points must be finite"),
     "precision_residuals-other-xi": (
         lambda: precision_residuals(SQUARE, np.zeros((1, 10)), [[0.5, 0.5]]),
         SerendipityError, r"xi_values \(m, 2n\) with 2n = 8, got \(1, 2\) and \(1, 10\)"),

@@ -18,7 +18,6 @@ from polyserend import (
     build_map,
     eval_basis_batch,
     eval_coords_batch,
-    integrate,
     pairwise_batch,
     polygon_rule,
     triangle_rule,
@@ -322,45 +321,29 @@ class TestBatchedRules:
         assert groups == {(0, 3): 2 * m * m, (1, 2): 3 * m * m}
 
 
-class TestIntegrateHelper:
-    def test_matches_manual_dot(self):
-        poly = corpus.regular_polygon(6)
-        rule = polygon_rule(poly, 4)
-        f = lambda p: np.cos(p[:, 0]) * p[:, 1]
-        assert integrate(rule, f) == pytest.approx(
-            float(np.dot(rule.weights, f(rule.points))), abs=0.0
-        )
-
+class TestRuleIntegrals:
     def test_constant_gives_area(self):
         poly = corpus.regular_polygon(9)
-        rule = polygon_rule(poly, 1)
-        assert integrate(rule, lambda p: np.ones(len(p))) == pytest.approx(
-            poly.area, rel=1e-12
-        )
+        assert polygon_rule(poly, 1).weights.sum() == pytest.approx(poly.area, rel=1e-12)
 
     def test_batch_rule_gives_one_integral_per_polygon(self):
         square = corpus.unit_square()
         square2 = Polygon(2.0 * square.vertices + 1.0)
         rule = polygon_rule(oracles.polygon_batch([square, square2]), 3)
         f = lambda p: p[..., 0] * p[..., 1]
-        got = integrate(rule, f)
-        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        got = np.einsum("cm,cm->c", rule.weights, f(rule.points))
         assert got == pytest.approx([0.25, 16.0], rel=1e-13)
         for k, poly in enumerate((square, square2)):
-            single = integrate(polygon_rule(poly, 3), f)
-            assert isinstance(single, float)
-            assert got[k] == pytest.approx(single, rel=1e-14)
+            single = polygon_rule(poly, 3)
+            assert got[k] == pytest.approx(single.weights @ f(single.points), rel=1e-14)
 
-    @pytest.mark.parametrize("f", [lambda p: 1.0, lambda p: p[..., 0].ravel(),
-                                   lambda p: p[:, 0]])
-    def test_one_value_per_point_required(self, f):
-        square = corpus.unit_square()
-        with pytest.raises(GeometryError, match="one value per rule point"):
-            integrate(polygon_rule(oracles.polygon_batch([square, square]), 3), f)
-
-    def test_scalar_on_single_rule_rejected(self):
-        with pytest.raises(GeometryError, match="one value per rule point"):
-            integrate(polygon_rule(corpus.unit_square(), 3), lambda p: 1.0)
+    def test_single_polygon_rule_has_no_rows(self):
+        """Indexing a rule of one polygon used to give a 'rule' of one point's
+        coordinates, with weights of shape () and length 1."""
+        rule = polygon_rule(corpus.unit_square(), 4)
+        for rows in (0, slice(0, 1), np.array([0])):
+            with pytest.raises(GeometryError, match="only a batch rule has rows"):
+                rule[rows]
 
 
 class TestCoordinateIntegrandStability:
@@ -376,7 +359,8 @@ class TestCoordinateIntegrandStability:
             return psi[:, 0] * psi[:, 1]
 
         oracle = corpus.refined_polygon_integral(poly, product, levels=3, degree=12)
-        direct = integrate(polygon_rule(poly, 14), product)
+        rule = polygon_rule(poly, 14)
+        direct = rule.weights @ product(rule.points)
         assert direct == pytest.approx(oracle, abs=1e-8)
 
     def test_stiffness_entries_stable_under_degree_increase(self):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import corpus
 import polyserend
@@ -229,6 +230,38 @@ def test_accuracy_diff_rows_and_table():
     parent, _ = fixed_records()
     assert script.render(script.diff_rows(parent, parent)).splitlines()[-1] == (
         "6 of 6 arrays bitwise; every gate passed")
+
+
+def test_accuracy_diff_one_ulp_is_symmetric_and_seeded():
+    script = load_script("accuracy_diff")
+    matrix = sp.random(7, 7, density=0.5, random_state=3, format="csr")
+    matrix = (matrix + matrix.T).tocsr()
+    moved = script.one_ulp(matrix, 0)
+    assert (moved.indices.tobytes(), moved.indptr.tobytes()) == (matrix.indices.tobytes(),
+                                                                 matrix.indptr.tobytes())
+    assert np.array_equal(np.abs(moved.data - matrix.data), np.spacing(np.abs(matrix.data)))
+    step = (moved - matrix).toarray()
+    assert np.array_equal(step, step.T)
+    assert np.array_equal(script.one_ulp(matrix, 0).data, moved.data)
+    assert not np.array_equal(script.one_ulp(matrix, 1).data, moved.data)
+
+
+def test_accuracy_diff_records_the_floor_beside_the_gated_errors():
+    """A case records the relative floor of each direct-solve error, ungated,
+    and the table prints the change's floor beside each gated error."""
+    script = load_script("accuracy_diff")
+    case = script.record_case(polyserend.fem, polyserend.trapezoid_mesh(4), "meanvalue")
+    records = {f"t4/{name}": value for name, value in case.items()}
+    for norm in ("l2", "h1"):
+        floor = float(case[f"direct_{norm}_floor"])
+        assert 0.0 < floor < 1e-12
+    rows = {row["name"]: row for row in script.diff_rows(records, records)}
+    assert rows["t4/direct_l2_floor"]["gate"] == rows["t4/direct_h1_floor"]["gate"] == "-"
+    assert rows["t4/direct_l2"]["floor"] == float(case["direct_l2_floor"])
+    assert rows["t4/cg_l2"]["floor"] is None
+    table = script.render(list(rows.values())).splitlines()
+    assert (f"| t4/direct_h1 | bitwise | ok (floor {float(case['direct_h1_floor']):.3g}) |"
+            in table)
 
 
 def test_accuracy_diff_records_the_element_kernel():

@@ -24,7 +24,6 @@ from polyserend import (
     PolygonBatch,
     SerendipityError,
     Strategy,
-    basis_nodes,
     bound_from_margin,
     boundary_basis_values,
     build_A,
@@ -341,7 +340,7 @@ class TestBlowupFamily:
         """Once the short edges reach ~1e-3 of the diameter the scale factor
         is far beyond any uniform constant."""
         poly = corpus.blowup_hexagon(2e-3)  # edge length ~2e-3, diameter 2
-        assert float(np.min(poly.edge_lengths)) <= 1e-3 * poly.diameter
+        assert float(np.min(oracles.edge_lengths(poly))) <= 1e-3 * poly.diameter
         col = diagonal_column(build_map(poly).A, 6, 0, 3)
         assert col.s > 10.0
         assert max(abs(col.vertex_a), abs(col.vertex_b)) > 10.0
@@ -393,7 +392,7 @@ class TestCoefficientBound:
         bound almost exactly matches the largest entry actually produced
         (3 for the hexagon, about 5.83 for the octagon)."""
         poly = corpus.regular_polygon(n)
-        side = float(poly.edge_lengths[0])
+        side = float(oracles.edge_lengths(poly)[0])
         beta = math.pi * (n - 2) / n + 1e-9
         cond = check_conditions(poly, gamma_star=10.0, d_star=side * (1 - 1e-9),
                                 beta_star=beta)
@@ -538,7 +537,8 @@ class TestBasisEvaluation:
         rng = np.random.default_rng(31)
         poly = corpus.random_convex_polygon(rng, 6)
         smap = build_map(poly)
-        nodes = basis_nodes(poly)
+        v = poly.vertices
+        nodes = np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0))])
         pts = sample_interior(poly, 50, rng, margin=1e-4)
         psi, _ = eval_basis_batch(poly, kind, smap, pts)
         monomials = [
@@ -552,12 +552,6 @@ class TestBasisEvaluation:
         for m in monomials:
             interp = psi @ m(nodes)
             assert np.max(np.abs(interp - m(pts))) <= 1e-9
-
-    def test_nodes_are_vertices_then_midpoints(self):
-        poly = corpus.regular_polygon(5)
-        nodes = basis_nodes(poly)
-        assert nodes[:5] == pytest.approx(poly.vertices, abs=0.0)
-        assert nodes[5] == pytest.approx(0.5 * (poly.vertices[0] + poly.vertices[1]))
 
     def test_lagrange_tables_identity(self):
         rng = np.random.default_rng(37)

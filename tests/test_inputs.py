@@ -71,11 +71,17 @@ def solve_with_rhs(rhs):
     return solve_dirichlet(matrix, rhs, mesh, dof_map(mesh), "meanvalue", lambda p: np.zeros(len(p)))
 
 
-def norms_against(u_exact):
+def solve_with_dirichlet(dirichlet):
+    mesh = trapezoid_mesh(2)
+    matrix, rhs = assemble(mesh, "meanvalue")
+    return solve_dirichlet(matrix, rhs, mesh, dof_map(mesh), "meanvalue", dirichlet)
+
+
+def norms_against(u_exact, grad_u_exact=harmonic_gradient):
     mesh = trapezoid_mesh(2)
     values = np.zeros(dof_map(mesh).n_dofs)
     solution = DiscreteSolution(mesh, "meanvalue", values, SolveReport(values, 0, 0.0, True))
-    return error_norms(solution, u_exact, harmonic_gradient)
+    return error_norms(solution, u_exact, grad_u_exact)
 
 
 CALLS = {
@@ -101,6 +107,10 @@ CALLS = {
                                ValueError, "source must return numbers, got '1'"),
     "error_norms-string-exact": (lambda: norms_against(strings),
                                  ValueError, "u_exact must return numbers, got '1'"),
+    "error_norms-string-gradient": (lambda: norms_against(lambda p: np.zeros(len(p)), strings),
+                                    ValueError, "grad_u_exact must return numbers, got '1'"),
+    "solve_dirichlet-string-dirichlet": (lambda: solve_with_dirichlet(strings),
+                                         ValueError, "dirichlet must return numbers, got '1'"),
     "sample_interior-bool-count": (lambda: sample_interior(SQUARE, True, np.random.default_rng(0)),
                                    GeometryError, "sample count must be an integer, got True"),
     "solve_dirichlet-bool-rhs": (lambda: solve_with_rhs(np.ones(21, dtype=bool)),

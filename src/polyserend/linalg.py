@@ -123,10 +123,15 @@ class SparseMatrix:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """What a solve returned.  ``residual_history`` (iterations + 1,) holds the
+    relative residual ||b - A x|| / ||b|| at the start and after each
+    iteration, its last entry ``residual``; None where no solver recorded it."""
+
     solution: np.ndarray
     iterations: int
     residual: float
     converged: bool
+    residual_history: np.ndarray | None = None
 
 
 def cg_solve(
@@ -142,7 +147,8 @@ def cg_solve(
     ConvergenceError (carrying the best iterate in its ``report``) if the
     iteration budget, ``max_iter`` >= 1 iterations (10 n if None), is
     exhausted.  A non-finite right-hand side raises ValueError: it is bad
-    input, not a solver failure.
+    input, not a solver failure.  The report's ``residual_history`` holds
+    the relative residual of every iterate, the zero start included.
     """
     if _as_array(tol, ValueError, "tol must be a number, got {entry!r}").ndim or not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -163,13 +169,15 @@ def cg_solve(
     inv_diag = 1.0 / diag
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return SolveReport(solution=np.zeros(n), iterations=0, residual=0.0, converged=True)
+        return SolveReport(solution=np.zeros(n), iterations=0, residual=0.0, converged=True,
+                           residual_history=np.zeros(1))
     x, Ap, scaled = np.zeros(n), np.empty(n), np.empty(n)
     r = b.copy()
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
     res = math.sqrt(r @ r)
+    history = [res]
     it = 0
     while res > tol * b_norm and it < max_iter:
         Ap.fill(0.0)                                        # csr_matvec adds A p to Ap
@@ -183,9 +191,11 @@ def cg_solve(
         p += z
         rz = rz_new
         res = math.sqrt(r @ r)
+        history.append(res)
         it += 1
     converged = res <= tol * b_norm
-    report = SolveReport(solution=x, iterations=it, residual=res / b_norm, converged=converged)
+    report = SolveReport(solution=x, iterations=it, residual=res / b_norm, converged=converged,
+                         residual_history=np.array(history) / b_norm)
     if not converged:
         raise ConvergenceError(
             f"conjugate gradients stalled at relative residual {res / b_norm:.3e} "

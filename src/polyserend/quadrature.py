@@ -24,7 +24,7 @@ piecewise-polynomial integrands exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -52,11 +52,17 @@ class QuadratureRule:
     ``PolygonBatch``, gives the rule of those polygons, as read-only views
     for a slice; one row gives that polygon's rule.  A rule for one polygon
     has no rows to index: indexing it raises ``GeometryError``.
+
+    The points of ``polygon_rule`` and ``fan_rule`` are a view of
+    coordinate-major storage (2, c, m).
     """
 
     points: np.ndarray
     weights: np.ndarray
     degree: int
+    # Per polygon, a lower bound on the distance of its points from its
+    # boundary, as ``Polygon.edge_distances`` computes it (``_mapped_rule``).
+    _clearance: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.points.setflags(write=False)
@@ -69,7 +75,8 @@ class QuadratureRule:
         if self.weights.ndim != 2:
             raise GeometryError("only a batch rule has rows to index")
         return QuadratureRule(points=self.points[rows], weights=self.weights[rows],
-                              degree=self.degree)
+                              degree=self.degree,
+                              _clearance=None if self._clearance is None else self._clearance[rows])
 
 
 def _gauss_jacobi(m: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,27 +124,45 @@ def _triangle_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(points=points, weights=weights, degree=2 * m - 1)
 
 
+# Relative to the largest vertex coordinate, a bound on the rounding of a
+# mapped point and of its computed edge distances: about 450 ulps.
+_ROUNDING = 1e-13
+
+
 def _mapped_rule(base: QuadratureRule, A: np.ndarray, B: np.ndarray,
                  C: np.ndarray) -> QuadratureRule:
     """Push the reference rule through affine maps onto triangles (A, B, C) of shape (c, T, 2).
 
     The reference corner (0, 1) -- where the conical rule clusters points --
     lands on C.  Every triangle must be positively oriented.
+
+    The rule's ``_clearance`` bounds each polygon's point distances from
+    below: a point whose barycentric coordinates in its triangle are at
+    least beta lies at least beta h from the triangle's sides, h the
+    triangle's smallest height, and so at least as far from the sides of a
+    convex polygon the triangle lies in.  Beta is the smallest reference
+    barycentric coordinate; the bound takes the smallest h of the polygon's
+    triangles, less ``_ROUNDING`` times its largest coordinate.
     """
     e1 = B - A
     e2 = C - A
     areas2 = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
     if not np.all(areas2 > 0.0):
         raise GeometryError("empty or negatively oriented triangle in quadrature decomposition")
-    # A + x e1 + y e2 with the points last (c, T, 2, k), so every step runs
-    # along rows of k values; the reshape stores the coordinates last.
-    pts = e1[..., None] * base.points[:, 0]
-    pts += A[..., None]
-    pts += e2[..., None] * base.points[:, 1]
+    # A + x e1 + y e2 coordinate-major (2, c, T, k), so every step runs along
+    # rows of k values and the reshape to (2, c, T k) is a view.
+    x, y = base.points.T
+    coords = np.moveaxis(e1, -1, 0)[..., None] * x
+    coords += np.moveaxis(A, -1, 0)[..., None]
+    coords += np.moveaxis(e2, -1, 0)[..., None] * y
     wts = areas2[:, :, None] * base.weights
     c = len(A)
-    return QuadratureRule(points=np.swapaxes(pts, 2, 3).reshape(c, -1, 2),
-                          weights=wts.reshape(c, -1), degree=base.degree)
+    longest = np.max(np.hypot(*np.moveaxis(np.stack([e1, e2, C - B]), -1, 0)), axis=0)
+    beta = min(x.min(), y.min(), (1.0 - x - y).min())
+    scale = np.max(np.abs(np.stack([A, B, C], axis=1)), axis=(1, 2, 3))
+    clearance = beta * np.min(areas2 / longest, axis=1) - _ROUNDING * scale
+    return QuadratureRule(points=np.moveaxis(coords.reshape(2, c, -1), 0, -1),
+                          weights=wts.reshape(c, -1), degree=base.degree, _clearance=clearance)
 
 
 def _single_or_batch(polygon: Polygon | PolygonBatch, rule: QuadratureRule) -> QuadratureRule:

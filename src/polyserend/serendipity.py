@@ -31,12 +31,17 @@ import numpy as np
 
 from .barycentric import (
     CoordinateKind,
+    _checked_points,
+    _coordinates,
     _pair_arrays,
+    _products,
     eval_boundary,
-    eval_coords_batch,
     pair_order,
-    pairwise_batch,
 )
+# Unused here: the basis calls the kernels above.  perfbench/spans.py traces
+# coordinate work by these two names on this module and reports a missing
+# name as absent, so both stay importable from it.
+from .barycentric import eval_coords_batch, pairwise_batch  # noqa: F401
 from .geometry import (GeometryError, Polygon, PolygonBatch, _as_array, _as_batch, _diagonal_frames,
                        _VERTICES, _neighbours)
 
@@ -216,6 +221,31 @@ def build_map(polygon: Polygon | PolygonBatch) -> SerendipityMap | tuple[Serendi
     return maps[0] if single else maps
 
 
+def _basis(batch: PolygonBatch, kind: CoordinateKind, maps: Sequence[SerendipityMap],
+           x: np.ndarray, values: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """The basis kernel: values (c, 2n, m), or None unless ``values``, and
+    gradients (2, c, 2n, m), component-major, on the c polygons of ``batch``
+    with one map each, at coordinate-major points (2, c, m).
+
+    It checks nothing, as the coordinate kernel (``_coordinates``) it calls.
+    The basis is contracted from the pair-major products (``_products``),
+    read in place; with ``values=False`` the products themselves are not
+    formed.  The coordinates are dropped once their products exist, so
+    they, the products and the basis are never all alive at once.
+    """
+    lam, dlam = _coordinates(batch, kind, x)
+    products = _products(lam, dlam, values)
+    del lam, dlam
+    # The products (P, c, m) and their gradients (2, P, c, m), read as
+    # strided batch operands (c, P, m) and (2, c, P, m) with no copy: B A of
+    # every polygon (c, 2n, P) times each.
+    c, n = len(maps), maps[0].n
+    BA = maps[0].B @ np.stack([sm.A for sm in maps])
+    psi = BA @ products[0].transpose(1, 0, 2) if values else None
+    dmu = products[1:].transpose(0, 2, 1, 3)
+    return psi, np.matmul(BA, dmu, out=np.empty((2, c, 2 * n, dmu.shape[-1])))
+
+
 def eval_basis_batch(
     polygon: Polygon | PolygonBatch,
     kind: CoordinateKind | str,
@@ -228,33 +258,19 @@ def eval_basis_batch(
     Given a ``PolygonBatch`` of c polygons, one map each and points
     (c, m, 2), the results are (c, m, 2n) and (c, m, 2n, 2).  With
     ``values=False`` only the gradients are formed and the values are None.
+    The points are refused as ``eval_coords_batch`` refuses them.
 
     Both are views of points-last arrays: the values of (c, 2n, m) and the
     gradients of a component-major (2, c, 2n, m), so each gradient
-    component of the whole batch is one contiguous block.  They are
-    contracted from the pair-major storage of the products
-    (``pairwise_batch``), read in place.  The coordinates are dropped once
-    their products exist, so they, the products and the basis are never
-    all alive at once.
+    component of the whole batch is one contiguous block.
     """
-    lam, dlam = eval_coords_batch(polygon, kind, points)
-    single = lam.ndim == 2
+    kind, batch, x = _checked_points(polygon, kind, points)
+    single = isinstance(polygon, Polygon)
     maps = (smap,) if isinstance(smap, SerendipityMap) else tuple(smap)
-    n = lam.shape[-1]
-    if len(maps) != (1 if single else len(lam)) or any(sm.n != n for sm in maps):
+    if len(maps) != len(batch) or any(sm.n != batch.n for sm in maps):
         raise SerendipityError("needs one serendipity map per polygon, built for that polygon")
-    mu, dmu = pairwise_batch(lam, dlam)
-    del lam, dlam
-    c, P = len(maps), mu.shape[-1]
-    # Contract on the pair-major storage of the products, (P, c, m) and
-    # (2, P, c, m) (see pairwise_batch), read as strided batch operands
-    # (c, P, m) and (2, c, P, m) with no copy: B A of every polygon
-    # (c, 2n, P) times each.
-    mu = np.moveaxis(mu, -1, 0).reshape(P, c, -1).transpose(1, 0, 2)
-    dmu = np.moveaxis(dmu, (-1, -2), (0, 1)).reshape(2, P, c, -1).transpose(0, 2, 1, 3)
-    BA = maps[0].B @ np.stack([sm.A for sm in maps])
-    psi = np.swapaxes(BA @ mu, 1, 2) if values else None
-    dpsi = np.matmul(BA, dmu, out=np.empty((2, c, 2 * n, dmu.shape[-1])))
+    psi, dpsi = _basis(batch, kind, maps, x, values)
+    psi = None if psi is None else np.swapaxes(psi, 1, 2)
     dpsi = dpsi.transpose(1, 3, 2, 0)
     if single:
         return (None if psi is None else psi[0]), dpsi[0]

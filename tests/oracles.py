@@ -352,7 +352,7 @@ def basis_error_norms(solution: fem.DiscreteSolution, u_exact, grad_u_exact,
     acc_l2 = acc_h1 = 0.0
     kind = solution.kind
     for chunk, maps, rule, members in fem._element_chunks(solution.mesh, kind, quad_degree):
-        psi, dpsi = fem._basis(chunk, kind, maps, rule.points)
+        psi, dpsi = fem._basis(chunk, kind, maps, np.moveaxis(rule.points, -1, 0))
         r, size, m = psi.shape
         basis = psi.reshape(-1, m)                                  # (r 2n, m)
         grads = dpsi.reshape(2, -1, m)                              # (2, r 2n, m)

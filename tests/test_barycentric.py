@@ -25,7 +25,7 @@ from polyserend import (
     pairwise_batch,
     sample_interior,
 )
-from polyserend.barycentric import _mean_value, _wachspress, fan_apex
+from polyserend.barycentric import _coordinates, fan_apex
 
 KINDS = list(CoordinateKind)
 SQUARE = corpus.unit_square()
@@ -146,7 +146,7 @@ class TestExactSpecialCases:
         poly = corpus.degenerate_pentagon()
         rng = np.random.default_rng(4)
         pts = sample_interior(poly, 50, rng, margin=1e-3)
-        lam, grad = _wachspress(poly.vertices[None], pts[None])      # vertex-major
+        lam, grad = _kernel(oracles.polygon_batch([poly]), CoordinateKind.WACHSPRESS, pts[None])
         assert np.max(np.abs(lam[0])) <= 1e-13
         assert np.max(np.abs(grad[:, 0])) <= 1e-12
         pentagon = corpus.regular_polygon(5)
@@ -336,6 +336,12 @@ def _equal(got, want) -> bool:
     return all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _kernel(batch, kind: CoordinateKind, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unchecked coordinate kernel, vertex-major, at points (c, m, 2),
+    which it reads coordinate-major (2, c, m) through a view."""
+    return _coordinates(batch, kind, np.moveaxis(pts, -1, 0))
+
+
 def _cell_major(values: np.ndarray, gradients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A coordinate kernel's vertex-major (n, c, m) and (2, n, c, m) results
     as the oracles' (c, n, m) and (c, 2, n, m), by views."""
@@ -352,15 +358,18 @@ class TestKernelOracles:
         polys = [corpus.random_convex_polygon(rng, n) for _ in range(4)]
         pts = np.stack([sample_interior(p, 33, rng, margin=1e-4) for p in polys])
         verts = np.stack([p.vertices for p in polys])
-        for kernel, oracle in ((_wachspress, oracles.wachspress),
-                               (_mean_value, oracles.mean_value)):
-            assert _equal(_cell_major(*kernel(verts, pts)), oracle(verts, pts))
-            assert _equal(_cell_major(*kernel(verts[:1], pts[:1])), oracle(verts[:1], pts[:1]))
+        batch = oracles.polygon_batch(polys)
+        for kind, oracle in ((CoordinateKind.WACHSPRESS, oracles.wachspress),
+                             (CoordinateKind.MEAN_VALUE, oracles.mean_value)):
+            assert _equal(_cell_major(*_kernel(batch, kind, pts)), oracle(verts, pts))
+            assert _equal(_cell_major(*_kernel(batch[:1], kind, pts[:1])),
+                          oracle(verts[:1], pts[:1]))
 
     def test_mean_value_on_flat_vertex_polygon(self):
         poly = corpus.degenerate_pentagon()
         pts = sample_interior(poly, 40, np.random.default_rng(6), margin=1e-4)[None]
-        assert _equal(_cell_major(*_mean_value(poly.vertices[None], pts)),
+        assert _equal(_cell_major(*_kernel(oracles.polygon_batch([poly]), CoordinateKind.MEAN_VALUE,
+                                           pts)),
                       oracles.mean_value(poly.vertices[None], pts))
 
     @pytest.mark.parametrize("kind", KINDS)

@@ -42,10 +42,10 @@ from polyserend import (
     solve_dirichlet,
     trapezoid_mesh,
 )
-from polyserend.barycentric import fan_apex
+from polyserend.barycentric import DEFAULT_BOUNDARY_EPS, BoundaryEvaluationError, fan_apex
 from polyserend import fem
 from polyserend.fem import DiscreteSolution
-from polyserend.quadrature import fan_rule
+from polyserend.quadrature import fan_rule, rule_layouts
 from polyserend.serendipity import Strategy
 
 MV = CoordinateKind.MEAN_VALUE
@@ -1131,24 +1131,24 @@ class TestElementKernel:
         mesh = trapezoid_mesh(16)
         classes = len(np.unique(mesh.translation_classes))
         evaluated, built = [], []
-        real_eval, real_build = fem.eval_basis_batch, fem.build_map
+        real_eval, real_build = fem._basis, fem.build_map
 
-        def counting_eval(polygon, *args):
+        def counting_eval(polygon, *args, **kwargs):
             evaluated.append(len(polygon))
-            return real_eval(polygon, *args)
+            return real_eval(polygon, *args, **kwargs)
 
         def counting_build(polygons):
             built.extend(polygons)
             return real_build(polygons)
 
-        monkeypatch.setattr(fem, "eval_basis_batch", counting_eval)
+        monkeypatch.setattr(fem, "_basis", counting_eval)
         monkeypatch.setattr(fem, "build_map", counting_build)
         maps = cell_maps(mesh)
         assert len(built) == classes
         matrix, rhs = assemble(mesh, MV, source=lambda p: p[:, 0], maps=maps)
         sol = make_solution(mesh, harmonic_exact(node_coordinates(mesh)))
         error_norms(sol, harmonic_exact, harmonic_gradient)
-        assert sum(evaluated) <= 2 * classes
+        assert 0 < sum(evaluated) <= 2 * classes
 
 
     @staticmethod
@@ -1193,6 +1193,116 @@ class TestElementKernel:
         assert built == []
 
 
+def strip_mesh(w: float) -> PolyMesh:
+    """The unit square split at y = w: a strip of height w under a near-square."""
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, w], [0.0, w], [1.0, 1.0], [0.0, 1.0]])
+    return PolyMesh.build(vertices, [[0, 1, 2, 3], [3, 2, 4, 5]])
+
+
+def translated(mesh: PolyMesh, shift: float) -> PolyMesh:
+    return PolyMesh.build(mesh.vertices + shift, [list(cell) for cell in mesh.cells])
+
+
+def every_cell_rule(mesh: PolyMesh, degree: int, fan: bool):
+    """(polygon, rule) of every cell of ``mesh``, each rule a row of the batch
+    rule of its cells' layout, as the element kernel maps it."""
+    rule_of = fan_rule if fan else polygon_rule
+    for ids, cells, _ in mesh.groups:
+        batch = PolygonBatch.from_vertices(mesh.vertices[cells])
+        for rows, _ in rule_layouts(batch, degree, fan=fan):
+            rule = rule_of(batch[rows], degree)
+            for k, cell in enumerate(ids[rows].tolist()):
+                yield mesh.polygons[cell], rule[k]
+
+
+class TestRulePointsInside:
+    """The element kernel evaluates its own rule points unchecked; a per-cell
+    clearance bound of each rule vouches for them, and where it cannot, the
+    points are checked one by one and refused as ``eval_coords_batch``
+    refuses them."""
+
+    # The point and edge distance that the per-point check names on the strip
+    # of height 1e-9, from assemble (degree 10) and from error_norms (degree 14).
+    SLIVER = {
+        "wachspress": (("0.0365272, 1.23335e-12", "1.233e-12"), ("0.977683, 4.43105e-13", "4.431e-13")),
+        "triangulation": (("0.0705876, 9.97533e-10", "2.467e-12"),
+                          ("0.0437477, 9.99114e-10", "8.862e-13")),
+    }
+    SLIVER["meanvalue"] = SLIVER["wachspress"]
+
+    @staticmethod
+    def refusal(point: str, distance: str) -> str:
+        return (f"point ({point}) is not strictly inside the polygon "
+                f"(closest edge distance {distance}, required > 1.000e-10)")
+
+    @pytest.mark.parametrize("kind", list(CoordinateKind))
+    def test_sliver_cell_is_refused(self, kind):
+        """A strip of height 1e-9 has rule points within 1e-10 diameters of
+        its edges: assemble and error_norms raise, with the per-point message.
+        A strip of height 1e-6 assembles and measures; one of 1e-11 is no mesh."""
+        mesh = strip_mesh(1e-9)
+        in_assembly, in_norms = self.SLIVER[kind.value]
+        for source in (None, lambda p: p[:, 0]):
+            with pytest.raises(BoundaryEvaluationError) as raised:
+                assemble(mesh, kind, source=source)
+            assert str(raised.value) == self.refusal(*in_assembly)
+        solution = make_solution(mesh, np.zeros(dof_map(mesh).n_dofs), kind=kind.value)
+        with pytest.raises(BoundaryEvaluationError) as raised:
+            error_norms(solution, harmonic_exact, harmonic_gradient)
+        assert str(raised.value) == self.refusal(*in_norms)
+        mesh = strip_mesh(1e-6)
+        matrix, _ = assemble(mesh, kind.value)
+        assert np.all(np.isfinite(matrix.data))
+        solution = make_solution(mesh, harmonic_exact(node_coordinates(mesh)), kind=kind.value)
+        norms = error_norms(solution, harmonic_exact, harmonic_gradient)
+        assert 0.0 < norms.l2 < norms.h1 < 1.0
+        with pytest.raises(MeshError, match="lie at one point"):
+            strip_mesh(1e-11)
+
+    @pytest.mark.parametrize("name, mesh", [
+        ("mixed", corpus.mixed_mesh),
+        ("refined", lambda: refined_levels()[-1]),
+        ("voronoi", corpus.voronoi_mesh),
+        *((f"voronoi16-{seed}", lambda seed=seed: corpus.voronoi_mesh(16, seed))
+          for seed in range(10)),
+        ("trapezoid4", lambda: trapezoid_mesh(4)),
+        ("trapezoid16", lambda: trapezoid_mesh(16)),
+        ("trapezoid16-far", lambda: translated(trapezoid_mesh(16), 1e6)),
+    ])
+    def test_clearance_bounds_every_rule_point(self, name, mesh):
+        """No point of a polygon_rule or fan_rule lies nearer its polygon's
+        edges, as edge_distances computes them, than the rule's clearance
+        bound, and on these meshes the bound clears the boundary check."""
+        mesh = mesh()
+        for degree, fan in ((10, False), (14, False), (10, True), (14, True)):
+            for polygon, rule in every_cell_rule(mesh, degree, fan):
+                assert rule._clearance <= np.min(polygon.edge_distances(rule.points))
+                assert rule._clearance > DEFAULT_BOUNDARY_EPS * polygon.diameter
+
+    def test_no_point_is_checked_on_the_benchmark_meshes(self, monkeypatch):
+        """Assembly and error norms on the meshes of the benchmark workloads
+        never fall back to checking points one by one; the strip of height
+        1e-9, whose bound cannot vouch for it, does, and is refused there."""
+        checked = []
+        real = fem._reject_boundary_points
+
+        def counting(chunk, points):
+            checked.append(len(chunk))
+            return real(chunk, points)
+
+        monkeypatch.setattr(fem, "_reject_boundary_points", counting)
+        cases = [(corpus.voronoi_mesh(16, seed), CoordinateKind.WACHSPRESS) for seed in (0, 1)]
+        cases += [(trapezoid_mesh(n), kind) for n in (4, 8, 16) for kind in CoordinateKind]
+        cases += [(trapezoid_mesh(64), CoordinateKind.TRIANGULATION)]
+        for mesh, kind in cases:
+            for degree in (10, 14):
+                assert sum(1 for _ in fem._element_chunks(mesh, kind, degree)) > 0
+        assert checked == []
+        with pytest.raises(BoundaryEvaluationError):
+            assemble(strip_mesh(1e-9), MV)
+        assert checked
+
+
 # Meshes with the kinds they admit, on which error_norms takes the solution's
 # quadratic form on some or all chunks: the Voronoi mesh has no two cells
 # alike, the mixed mesh a single flat-vertex pentagon next to two squares.
@@ -1233,7 +1343,7 @@ class TestQuadraticFormNorms:
 
     def test_no_basis_on_a_mesh_of_distinct_cells(self, monkeypatch):
         """On corpus.voronoi_mesh error_norms evaluates coordinates only; the
-        assembly on the same mesh, the control, calls both counted names."""
+        assembly on the same mesh, the control, calls both counted kernels."""
         from polyserend import serendipity
         calls = defaultdict(int)
 
@@ -1245,14 +1355,14 @@ class TestQuadraticFormNorms:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, count)
 
-        counting(fem, "eval_basis_batch")
-        counting(serendipity, "pairwise_batch")
+        counting(fem, "_basis")
+        counting(serendipity, "_products")
         mesh = corpus.voronoi_mesh()
         sol = self.rough_solution(mesh, CoordinateKind.WACHSPRESS)
         error_norms(sol, harmonic_exact, harmonic_gradient)
         assert calls == {}
         assemble(mesh, CoordinateKind.WACHSPRESS)
-        assert calls["eval_basis_batch"] > 0 and calls["pairwise_batch"] > 0
+        assert calls["_basis"] > 0 and calls["_products"] > 0
 
 
 class TestLocalRefinement:

@@ -246,12 +246,33 @@ class TestConjugateGradients:
         assert not report.converged
         assert report.iterations == 1
         assert report.residual > 1e-14
+        assert len(report.residual_history) == 2
+        assert report.residual_history[-1] == report.residual
         assert report.solution.shape == (40,)
         # the carried iterate is the actual CG step, not garbage
         r = b - dense @ report.solution
         assert float(np.linalg.norm(r) / np.linalg.norm(b)) == pytest.approx(
             report.residual, rel=1e-9
         )
+
+    def test_residual_history_holds_every_iterate(self):
+        """The history starts at the zero iterate's relative residual, 1, and
+        ends at the report's; its entry k is the residual a solve stopped
+        after k iterations reports."""
+        mesh = trapezoid_mesh(8)
+        matrix, load = assemble(mesh, CoordinateKind.MEAN_VALUE, source=lambda p: 1.0 + p[:, 0])
+        system, b = matrix.interior, load[dof_map(mesh).interior_dofs]
+        report = cg_solve(system, b)
+        history = report.residual_history
+        assert history.shape == (report.iterations + 1,)
+        assert history[0] == pytest.approx(1.0, rel=1e-15)
+        assert history[-1] == report.residual <= 1e-12
+        for budget in (1, report.iterations // 2, report.iterations - 1):
+            with pytest.raises(ConvergenceError) as excinfo:
+                cg_solve(system, b, max_iter=budget)
+            stalled = excinfo.value.report.residual_history
+            assert np.array_equal(stalled, history[:budget + 1])
+        assert np.array_equal(cg_solve(system, np.zeros_like(b)).residual_history, [0.0])
 
     @pytest.mark.parametrize("build, kind", [
         *((lambda: trapezoid_mesh(8), kind) for kind in CoordinateKind),

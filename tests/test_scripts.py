@@ -248,14 +248,22 @@ def test_accuracy_diff_one_ulp_is_symmetric_and_seeded():
 
 def test_accuracy_diff_records_the_floor_beside_the_gated_errors():
     """A case records the relative floor of each direct-solve error, ungated,
-    and the table prints the change's floor beside each gated error."""
+    and the table prints the change's floor beside each gated error.  It
+    also records the stiffness assembled with no source, ungated, which is
+    bitwise the one assembled with a source."""
     script = load_script("accuracy_diff")
     case = script.record_case(polyserend.fem, polyserend.trapezoid_mesh(4), "meanvalue")
     records = {f"t4/{name}": value for name, value in case.items()}
     for norm in ("l2", "h1"):
         floor = float(case[f"direct_{norm}_floor"])
         assert 0.0 < floor < 1e-12
+    matrix, _ = polyserend.assemble(polyserend.trapezoid_mesh(4), "meanvalue")
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(case[f"zero_source_stiffness_{name}"], getattr(matrix, name))
+        assert np.array_equal(case[f"zero_source_stiffness_{name}"], case[f"stiffness_{name}"])
     rows = {row["name"]: row for row in script.diff_rows(records, records)}
+    assert rows["t4/zero_source_stiffness_data"] == {
+        "name": "t4/zero_source_stiffness_data", "verdict": "bitwise", "gate": "-", "floor": None}
     assert rows["t4/direct_l2_floor"]["gate"] == rows["t4/direct_h1_floor"]["gate"] == "-"
     assert rows["t4/direct_l2"]["floor"] == float(case["direct_l2_floor"])
     assert rows["t4/cg_l2"]["floor"] is None

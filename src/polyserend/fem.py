@@ -658,7 +658,16 @@ def _check_interior(chunk: PolygonBatch, rule: QuadratureRule) -> None:
     such as one with a sliver cell.
     """
     if not np.all(rule._clearance > DEFAULT_BOUNDARY_EPS * chunk.diameters):
+        # In a caller's (c, m, 2) layout, so that the distances, and the
+        # message, are bitwise those of eval_coords_batch.
         _reject_boundary_points(chunk, np.ascontiguousarray(rule.points))
+
+
+def _member_points(rule: QuadratureRule, owner: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The own points (N, 2) of a member slice, ``rule.points[owner] + shift[:, None]``
+    in cell order, added coordinate-major so that they are a view of (2, N) storage."""
+    own = np.moveaxis(rule.points, -1, 0)[:, owner] + shift.T[:, :, None]     # (2, c, m)
+    return np.moveaxis(own, 0, -1).reshape(-1, 2)
 
 
 def _solution_forms(maps: Sequence[SerendipityMap], coeff: np.ndarray) -> np.ndarray:
@@ -755,7 +764,7 @@ def assemble(
             vals[block].reshape(c, size, size)[...] = k_loc[owner]
             at = block.stop
             if source is not None:
-                points = (rule.points[owner] + shift[:, None]).reshape(-1, 2)
+                points = _member_points(rule, owner, shift)
                 wf = rule.weights[owner] * _values_at(source, "source", points).reshape(c, -1)
                 # Every cell against every basis row of the chunk; each keeps its owner's block.
                 # A non-finite source value (inf - inf here) is raised below, from rhs.
@@ -880,7 +889,7 @@ def _solution_slices(solution: DiscreteSolution, quad_degree: int):
             coeff = np.zeros((c, r, dofs.shape[1]))
             coeff[np.arange(c), owner] = solution.values[dofs]
             coeff = coeff.reshape(c, -1)                                # (c, r 2n)
-            yield ((rule.points[owner] + shift[:, None]).reshape(-1, 2), rule.weights[owner].ravel(),
+            yield (_member_points(rule, owner, shift), rule.weights[owner].ravel(),
                    (coeff @ basis).ravel(), (coeff @ gradients).reshape(2, -1))
         del psi, dpsi, basis, gradients             # before the next chunk's basis
 

@@ -350,7 +350,7 @@ def basis_error_norms(solution: fem.DiscreteSolution, u_exact, grad_u_exact,
     chunks all hold a repeated class this is the program's own computation.
     """
     acc_l2 = acc_h1 = 0.0
-    kind = solution.kind
+    kind = fem.CoordinateKind(solution.kind)
     for chunk, maps, rule, members in fem._element_chunks(solution.mesh, kind, quad_degree):
         psi, dpsi = fem._basis(chunk, kind, maps, np.moveaxis(rule.points, -1, 0))
         r, size, m = psi.shape

@@ -418,9 +418,9 @@ def _products(v: np.ndarray, g: np.ndarray, values: bool = True) -> np.ndarray:
     # block freed; with the products and their gradients apart, a chunk's
     # memory did at the end of every chunk, and faulting it back in made a
     # Voronoi-mesh assembly about 25% slower.  Allocating only the gradients
-    # when the products go unread trimmed the same way: over six processes
-    # each, 1.5-8.4 k minor faults per zero-source Voronoi-mesh assembly
-    # against 0-0.7 k, and a median assembly 20% slower.
+    # when the products go unread trimmed the same way: over two sets of six
+    # processes each, 1.5-8.4 k minor faults per zero-source Voronoi-mesh
+    # assembly against 0-1.4 k, and a median assembly 7-20% slower.
     products = np.empty((3, n * (n + 1) // 2) + lead + (m,), np.result_type(v, g))
     mu, dmu = products[0], products[1:]
     for pairs, a, b in _pair_blocks(n):

@@ -206,6 +206,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
             "n": r.n, "dofs": r.dofs,
             "l2_error": r.l2_error, "l2_rate": r.l2_rate,
             "h1_error": r.h1_error, "h1_rate": r.h1_rate,
+            "timings": r.timings,
         } for r in rows], indent=2))
     else:
         print("| n | dofs | L2 error | rate | H1 error | rate |")

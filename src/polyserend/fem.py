@@ -31,6 +31,7 @@ coordinate kind ``solve_dirichlet`` checks, and keeps its interior system.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -65,6 +66,7 @@ __all__ = [
     "error_norms",
     "ConvergenceRow",
     "convergence_study",
+    "harmonic_field",
     "harmonic_exact",
     "harmonic_gradient",
     "mesh_from_json",
@@ -694,12 +696,27 @@ def _values_at(f: Callable[[np.ndarray], np.ndarray], name: str, points: np.ndar
     """``f(points)`` as floats: one value (N,), or with ``gradient`` one
     gradient (N, 2), per point (N, 2).  Raises ValueError naming ``name``
     for any other shape."""
-    values = _as_array(f(points), ValueError, f"{name} must return numbers, got {{entry!r}}")
-    want = (len(points), 2) if gradient else (len(points),)
+    return _shaped(f(points), name, (len(points), 2) if gradient else (len(points),))
+
+
+def _shaped(values, name: str, want: tuple[int, ...]) -> np.ndarray:
+    """``values`` as floats of shape ``want``, one row per point, or ValueError naming ``name``."""
+    values = _as_array(values, ValueError, f"{name} must return numbers, got {{entry!r}}")
     if values.shape != want:
-        raise ValueError(f"{name} must return shape {want} at {len(points)} points, "
+        raise ValueError(f"{name} must return shape {want} at {want[0]} points, "
                          f"got shape {values.shape}")
     return values
+
+
+def _field_at(field: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+              points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``field(points)`` as floats: the pair of one value (N,) and one gradient
+    (N, 2) per point (N, 2).  Raises ValueError naming ``field`` for anything else."""
+    pair = field(points)
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+        raise ValueError(f"field must return a pair (u, grad), got {type(pair).__name__}")
+    n = len(points)
+    return _shaped(pair[0], "field", (n,)), _shaped(pair[1], "field", (n, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -751,8 +768,9 @@ def assemble(
     rhs = np.zeros(ndof)
     for chunk, chunk_maps, rule, members in _element_chunks(mesh, kind, quad_degree):
         # The stiffness reads only the gradients; the values serve the load.
-        psi, dpsi = _basis(chunk, kind, chunk_maps, np.moveaxis(rule.points, -1, 0),
-                           values=source is not None)
+        basis = _basis(chunk, kind, chunk_maps, np.moveaxis(rule.points, -1, 0),
+                       values=source is not None)
+        dpsi = basis[-2:]
         k_loc = np.sum((dpsi * rule.weights[:, None]) @ np.swapaxes(dpsi, 2, 3), axis=0)
         del dpsi
         r, size, _ = k_loc.shape
@@ -769,9 +787,9 @@ def assemble(
                 # Every cell against every basis row of the chunk; each keeps its owner's block.
                 # A non-finite source value (inf - inf here) is raised below, from rhs.
                 with np.errstate(invalid="ignore"):
-                    loads = wf @ psi.reshape(r * size, -1).T                # (c, r 2n)
+                    loads = wf @ basis[0].reshape(r * size, -1).T           # (c, r 2n)
                 np.add.at(rhs, dofs, loads.reshape(c, r, size)[np.arange(c), owner])
-        del psi                                     # before the next chunk's basis
+        del basis                                   # before the next chunk's basis
     if not np.all(np.isfinite(rhs)):
         raise ValueError("source must return finite values")
     matrix = SparseMatrix.from_triplets(ndof, rows, cols, vals)
@@ -855,18 +873,20 @@ class ErrorNorms:
 
 
 def _solution_slices(solution: DiscreteSolution, quad_degree: int):
-    """The solution on slices of cells: (points (N, 2), weights (N,), values
-    (N,), gradients (2, N)) at the quadrature points of every cell.
+    """The solution on slices of cells: (points (N, 2), weights (N,), block
+    (3, N)) at the quadrature points of every cell, the block holding the
+    values and then the two gradient components, a new array per slice.
 
     A chunk in which every translation class is one cell (every chunk of a
     mesh with no two cells alike) is one slice, and forms no basis: on each
     cell u_h = lambda^T M lambda (``_solution_forms``) and
     grad u_h = 2 sum_i (M lambda)_i grad lambda_i.  A chunk with a repeated
     class evaluates the basis on its representatives, and each slice of
-    members takes two matrix products with it: each cell's coefficients fill
-    its representative's block of an otherwise zero row.  There one basis
-    serves many cells: a form per member, at its representative's
-    coordinates, made the trapezoid refinement study 5% slower.
+    members takes one matrix product with its values and gradients: each
+    cell's coefficients fill its representative's block of an otherwise
+    zero row.  There one basis serves many cells: a form per member, at its
+    representative's coordinates, made the trapezoid refinement study 5%
+    slower.
     """
     kind = CoordinateKind(solution.kind)
     for chunk, chunk_maps, rule, members in _element_chunks(solution.mesh, kind, quad_degree):
@@ -876,51 +896,83 @@ def _solution_slices(solution: DiscreteSolution, quad_degree: int):
             lam, dlam = _coordinates(chunk, kind, np.moveaxis(rule.points, -1, 0))
             lam, dlam = lam.transpose(1, 0, 2), dlam.transpose(2, 0, 1, 3)  # (r, n, m), (r, 2, n, m)
             m_lam = _solution_forms(chunk_maps, solution.values[dofs]) @ lam  # (r, n, m)
-            values = np.einsum("rnm,rnm->rm", lam, m_lam)
-            grads = 2.0 * np.einsum("rdnm,rnm->drm", dlam, m_lam)           # (2, r, m)
+            block = np.empty((3, r, m))
+            np.einsum("rnm,rnm->rm", lam, m_lam, out=block[0])
+            np.einsum("rdnm,rnm->drm", dlam, m_lam, out=block[1:])
+            block[1:] *= 2.0
             del lam, dlam, m_lam                    # before the next chunk's coordinates
-            yield rule.points.reshape(-1, 2), rule.weights.ravel(), values.ravel(), grads.reshape(2, -1)
+            yield rule.points.reshape(-1, 2), rule.weights.ravel(), block.reshape(3, -1)
             continue
-        psi, dpsi = _basis(chunk, kind, chunk_maps, np.moveaxis(rule.points, -1, 0))
-        basis = psi.reshape(-1, m)                                      # (r 2n, m)
-        gradients = dpsi.reshape(2, -1, m)                              # (2, r 2n, m)
+        basis = _basis(chunk, kind, chunk_maps, np.moveaxis(rule.points, -1, 0)).reshape(3, -1, m)
         for dofs, owner, shift in members:
             c = len(dofs)
             coeff = np.zeros((c, r, dofs.shape[1]))
             coeff[np.arange(c), owner] = solution.values[dofs]
             coeff = coeff.reshape(c, -1)                                # (c, r 2n)
             yield (_member_points(rule, owner, shift), rule.weights[owner].ravel(),
-                   (coeff @ basis).ravel(), (coeff @ gradients).reshape(2, -1))
-        del psi, dpsi, basis, gradients             # before the next chunk's basis
+                   (coeff @ basis).reshape(3, -1))                      # (3, c m)
+        del basis                                   # before the next chunk's basis
 
 
 def error_norms(
     solution: DiscreteSolution,
-    u_exact: Callable[[np.ndarray], np.ndarray],
-    grad_u_exact: Callable[[np.ndarray], np.ndarray],
+    field: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    grad_u_exact: Callable[[np.ndarray], np.ndarray] | None = None,
     quad_degree: int = 14,
 ) -> ErrorNorms:
     """L2 and H1-seminorm errors of ``solution`` against an exact field.
 
-    ``u_exact`` maps points (N, 2) to one finite value each (N,) and
-    ``grad_u_exact`` to one gradient each (N, 2); any other shape, or a
-    non-finite error sum, raises ValueError naming the callable.
+    ``field`` maps points (N, 2) to the pair of one finite value each (N,)
+    and one gradient each (N, 2), as ``harmonic_field`` does; anything else,
+    or a non-finite error sum, raises ValueError naming ``field``.  Given
+    ``grad_u_exact``, ``field`` is the value alone, u_exact (N,), and
+    ``grad_u_exact`` the gradient (N, 2), and the errors name those two.
     The exact field is evaluated at every cell's own quadrature points, and
     the solution there as ``_solution_slices`` says: a cell that is its own
     translation class as one quadratic form in its coordinates, with no
     basis formed, and any other from its class representative's basis.
+    Each slice's block of values and gradients becomes the squared errors
+    in place.  The L2 row takes its own dot product with the weights and
+    the two gradient rows one product: a single product of all three rows
+    sums in another order, and moved the errors in their last digit.
     """
+    if grad_u_exact is None:
+        names, exact = ("field", "field"), lambda points: _field_at(field, points)
+    else:
+        names = ("u_exact", "grad_u_exact")
+        exact = lambda points: (_values_at(field, "u_exact", points),
+                                _values_at(grad_u_exact, "grad_u_exact", points, gradient=True))
     acc_l2 = 0.0
     acc_h1 = 0.0
-    for points, weights, values, grads in _solution_slices(solution, quad_degree):
-        du = values - _values_at(u_exact, "u_exact", points)
-        grads -= _values_at(grad_u_exact, "grad_u_exact", points, gradient=True).T
-        acc_l2 += float(weights @ du**2)
-        acc_h1 += float(np.sum(grads**2 @ weights))
-    for name, acc in (("u_exact", acc_l2), ("grad_u_exact", acc_h1)):
+    for points, weights, block in _solution_slices(solution, quad_degree):
+        u, grad = exact(points)
+        block[0] -= u
+        block[1:] -= grad.T
+        np.square(block, out=block)
+        acc_l2 += float(block[0] @ weights)
+        gx, gy = (block[1:] @ weights).tolist()
+        acc_h1 += gx + gy
+    for name, acc in zip(names, (acc_l2, acc_h1)):
         if not math.isfinite(acc):
             raise ValueError(f"{name} must return finite values")
     return ErrorNorms(l2=float(np.sqrt(acc_l2)), h1=float(np.sqrt(acc_h1)))
+
+
+def harmonic_field(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``harmonic_exact`` and ``harmonic_gradient`` at points (N, 2), bitwise,
+    with sin(x), cos(x) and e^y computed once.
+
+    Both are views of one (3, N) array: u its first row, and the gradient
+    (N, 2) the transpose of the other two, as ``harmonic_gradient`` returns it.
+    """
+    pts = np.atleast_2d(points)
+    block = np.empty((3, len(pts)))
+    np.sin(pts[:, 0], out=block[0])
+    np.cos(pts[:, 0], out=block[1])
+    np.exp(pts[:, 1], out=block[2])
+    block[:2] *= block[2]                       # sin(x) e^y, cos(x) e^y
+    block[2] = block[0]
+    return block[0], block[1:].T
 
 
 def harmonic_exact(points: np.ndarray) -> np.ndarray:
@@ -945,12 +997,17 @@ def harmonic_gradient(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    """One level of ``convergence_study``.  ``timings`` holds the seconds
+    (``time.perf_counter``) of its phases: "mesh", "maps" (the DOF map and
+    the cell maps), "assemble", "solve" and "norms"; rows compare without it."""
+
     n: int
     dofs: int
     l2_error: float
     l2_rate: float | None
     h1_error: float
     h1_rate: float | None
+    timings: dict[str, float] = field(compare=False)
 
 
 def convergence_study(
@@ -966,18 +1023,26 @@ def convergence_study(
     Solves the zero-source Dirichlet problem whose solution is the
     harmonic field sin(x) e^y.  Rates compare successive levels through the
     mesh-size ratio, so any strictly increasing sequence of n works (others
-    raise MeshError); doubling gives the classic log2 ratios.
+    raise MeshError); doubling gives the classic log2 ratios.  The maps are
+    built before the assembly, so that each row's ``timings`` show them apart.
     """
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise MeshError(f"levels must be strictly increasing, got {tuple(levels)}")
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for n in levels:
+        clock = [time.perf_counter()]
         mesh = trapezoid_mesh(n, offset)
+        clock.append(time.perf_counter())
         dofmap = dof_map(mesh)
+        cell_maps(mesh)
+        clock.append(time.perf_counter())
         matrix, rhs = assemble(mesh, kind, quad_degree=quad_degree)
+        clock.append(time.perf_counter())
         sol = solve_dirichlet(matrix, rhs, mesh, dofmap, kind, harmonic_exact, tol=tol)
-        err = error_norms(sol, harmonic_exact, harmonic_gradient, quad_degree=norm_degree)
+        clock.append(time.perf_counter())
+        err = error_norms(sol, harmonic_field, quad_degree=norm_degree)
+        clock.append(time.perf_counter())
         if prev is None:
             l2_rate = h1_rate = None
         else:
@@ -991,6 +1056,8 @@ def convergence_study(
             l2_rate=l2_rate,
             h1_error=err.h1,
             h1_rate=h1_rate,
+            timings=dict(zip(("mesh", "maps", "assemble", "solve", "norms"),
+                             np.diff(clock).tolist())),
         )
         rows.append(row)
         prev = row

@@ -222,10 +222,11 @@ def build_map(polygon: Polygon | PolygonBatch) -> SerendipityMap | tuple[Serendi
 
 
 def _basis(batch: PolygonBatch, kind: CoordinateKind, maps: Sequence[SerendipityMap],
-           x: np.ndarray, values: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    """The basis kernel: values (c, 2n, m), or None unless ``values``, and
-    gradients (2, c, 2n, m), component-major, on the c polygons of ``batch``
-    with one map each, at coordinate-major points (2, c, m).
+           x: np.ndarray, values: bool = True) -> np.ndarray:
+    """The basis kernel: values and gradients (3, c, 2n, m), the values
+    first and then the gradient components, or with ``values=False`` the
+    gradients alone (2, c, 2n, m), on the c polygons of ``batch`` with one
+    map each, at coordinate-major points (2, c, m).
 
     It checks nothing, as the coordinate kernel (``_coordinates``) it calls.
     The basis is contracted from the pair-major products (``_products``),
@@ -236,14 +237,13 @@ def _basis(batch: PolygonBatch, kind: CoordinateKind, maps: Sequence[Serendipity
     lam, dlam = _coordinates(batch, kind, x)
     products = _products(lam, dlam, values)
     del lam, dlam
-    # The products (P, c, m) and their gradients (2, P, c, m), read as
-    # strided batch operands (c, P, m) and (2, c, P, m) with no copy: B A of
-    # every polygon (c, 2n, P) times each.
-    c, n = len(maps), maps[0].n
+    # The pair-major products and their gradients (3, P, c, m), or the
+    # gradients alone, read as a strided batch operand (3, c, P, m) with no
+    # copy: B A of every polygon (c, 2n, P) times each block, in one product.
+    n = maps[0].n
     BA = maps[0].B @ np.stack([sm.A for sm in maps])
-    psi = BA @ products[0].transpose(1, 0, 2) if values else None
-    dmu = products[1:].transpose(0, 2, 1, 3)
-    return psi, np.matmul(BA, dmu, out=np.empty((2, c, 2 * n, dmu.shape[-1])))
+    mu = (products if values else products[1:]).transpose(0, 2, 1, 3)
+    return np.matmul(BA, mu, out=np.empty(mu.shape[:2] + (2 * n, mu.shape[-1])))
 
 
 def eval_basis_batch(
@@ -260,18 +260,18 @@ def eval_basis_batch(
     ``values=False`` only the gradients are formed and the values are None.
     The points are refused as ``eval_coords_batch`` refuses them.
 
-    Both are views of points-last arrays: the values of (c, 2n, m) and the
-    gradients of a component-major (2, c, 2n, m), so each gradient
-    component of the whole batch is one contiguous block.
+    Both are views of one points-last array (3, c, 2n, m), the values and
+    then each gradient component (without the values, (2, c, 2n, m)), so
+    each of them over the whole batch is one contiguous block.
     """
     kind, batch, x = _checked_points(polygon, kind, points)
     single = isinstance(polygon, Polygon)
     maps = (smap,) if isinstance(smap, SerendipityMap) else tuple(smap)
     if len(maps) != len(batch) or any(sm.n != batch.n for sm in maps):
         raise SerendipityError("needs one serendipity map per polygon, built for that polygon")
-    psi, dpsi = _basis(batch, kind, maps, x, values)
-    psi = None if psi is None else np.swapaxes(psi, 1, 2)
-    dpsi = dpsi.transpose(1, 3, 2, 0)
+    basis = _basis(batch, kind, maps, x, values)
+    psi = np.swapaxes(basis[0], 1, 2) if values else None
+    dpsi = basis[-2:].transpose(1, 3, 2, 0)
     if single:
         return (None if psi is None else psi[0]), dpsi[0]
     return psi, dpsi

@@ -352,10 +352,10 @@ def basis_error_norms(solution: fem.DiscreteSolution, u_exact, grad_u_exact,
     acc_l2 = acc_h1 = 0.0
     kind = fem.CoordinateKind(solution.kind)
     for chunk, maps, rule, members in fem._element_chunks(solution.mesh, kind, quad_degree):
-        psi, dpsi = fem._basis(chunk, kind, maps, np.moveaxis(rule.points, -1, 0))
-        r, size, m = psi.shape
-        basis = psi.reshape(-1, m)                                  # (r 2n, m)
-        grads = dpsi.reshape(2, -1, m)                              # (2, r 2n, m)
+        values_and_gradients = fem._basis(chunk, kind, maps, np.moveaxis(rule.points, -1, 0))
+        _, r, size, m = values_and_gradients.shape
+        basis = values_and_gradients[0].reshape(-1, m)              # (r 2n, m)
+        grads = values_and_gradients[1:].reshape(2, -1, m)          # (2, r 2n, m)
         for dofs, owner, shift in members:
             c = len(dofs)
             coeff = np.zeros((c, r, size))

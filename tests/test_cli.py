@@ -215,6 +215,9 @@ class TestConvergence:
         assert payload[0]["n"] == 2
         assert payload[0]["dofs"] == 21
         assert payload[0]["l2_rate"] is None
+        timings = payload[0]["timings"]
+        assert set(timings) == {"mesh", "maps", "assemble", "solve", "norms"}
+        assert all(t >= 0.0 for t in timings.values())
 
     def test_single_level_has_empty_rates(self, tmp_path, capsys):
         dest = tmp_path / "one.csv"

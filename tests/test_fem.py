@@ -33,6 +33,7 @@ from polyserend import (
     error_norms,
     eval_basis_batch,
     harmonic_exact,
+    harmonic_field,
     harmonic_gradient,
     interior_angles,
     mesh_from_json,
@@ -640,8 +641,7 @@ class TestDerivedFromTheMesh:
         for load in (longer, rhs[:-1], rhs[:, None]):
             with pytest.raises(ValueError, match=r"rhs must have shape \(65,\)"):
                 solve_dirichlet(mat, load, mesh, dm, MV, harmonic_exact)
-        err = error_norms(solve_dirichlet(mat, rhs, mesh, dm, MV, harmonic_exact),
-                          harmonic_exact, harmonic_gradient)
+        err = error_norms(solve_dirichlet(mat, rhs, mesh, dm, MV, harmonic_exact), harmonic_field)
         assert err.l2 == pytest.approx(4.49e-4, rel=1e-2)
         assert err.h1 == pytest.approx(9.26e-3, rel=1e-2)
 
@@ -693,7 +693,7 @@ class TestAssembly:
         mat, rhs = assemble(mesh, kind)
         sol = solve_dirichlet(mat, rhs, mesh, dof_map(mesh), kind, harmonic_exact)
         with pytest.raises(GeometryError, match="expected integer quadrature degree"):
-            error_norms(sol, harmonic_exact, harmonic_gradient, quad_degree=3.5)
+            error_norms(sol, harmonic_field, quad_degree=3.5)
 
     def test_row_sums_vanish(self):
         mesh = trapezoid_mesh(2, 0.25)
@@ -762,6 +762,8 @@ class TestSolveAndErrors:
             error_norms(sol, poisoned, harmonic_gradient)
         with pytest.raises(ValueError, match="grad_u_exact must return finite values"):
             error_norms(sol, harmonic_exact, lambda p: np.where(p > 0.5, bad, 1.0))
+        with pytest.raises(ValueError, match="field must return finite values"):
+            error_norms(sol, lambda p: (harmonic_exact(p), np.where(p > 0.5, bad, 1.0)))
 
     def test_field_values_need_one_per_point(self):
         """A scalar or wrongly shaped field used to fail inside numpy's
@@ -1071,7 +1073,7 @@ class TestElementKernel:
             return
         l2, h1 = reference_norms(sol, harmonic_exact, harmonic_gradient)
         for _ in kernel_chunk_sizes(monkeypatch):
-            err = error_norms(sol, harmonic_exact, harmonic_gradient)
+            err = error_norms(sol, harmonic_field)
             assert err.l2 == pytest.approx(l2, rel=1e-13)
             assert err.h1 == pytest.approx(h1, rel=1e-13)
 
@@ -1147,7 +1149,7 @@ class TestElementKernel:
         assert len(built) == classes
         matrix, rhs = assemble(mesh, MV, source=lambda p: p[:, 0], maps=maps)
         sol = make_solution(mesh, harmonic_exact(node_coordinates(mesh)))
-        error_norms(sol, harmonic_exact, harmonic_gradient)
+        error_norms(sol, harmonic_field)
         assert 0 < sum(evaluated) <= 2 * classes
 
 
@@ -1188,7 +1190,7 @@ class TestElementKernel:
         kind = CoordinateKind.WACHSPRESS
         matrix, rhs = assemble(mesh, kind, maps=maps, dofmap=dm)
         sol = solve_dirichlet(matrix, rhs, mesh, dm, kind, harmonic_exact, maps=maps)
-        err = error_norms(sol, harmonic_exact, harmonic_gradient)
+        err = error_norms(sol, harmonic_field)
         assert err.l2 < 1e-3
         assert built == []
 
@@ -1248,13 +1250,13 @@ class TestRulePointsInside:
             assert str(raised.value) == self.refusal(*in_assembly)
         solution = make_solution(mesh, np.zeros(dof_map(mesh).n_dofs), kind=kind.value)
         with pytest.raises(BoundaryEvaluationError) as raised:
-            error_norms(solution, harmonic_exact, harmonic_gradient)
+            error_norms(solution, harmonic_field)
         assert str(raised.value) == self.refusal(*in_norms)
         mesh = strip_mesh(1e-6)
         matrix, _ = assemble(mesh, kind.value)
         assert np.all(np.isfinite(matrix.data))
         solution = make_solution(mesh, harmonic_exact(node_coordinates(mesh)), kind=kind.value)
-        norms = error_norms(solution, harmonic_exact, harmonic_gradient)
+        norms = error_norms(solution, harmonic_field)
         assert 0.0 < norms.l2 < norms.h1 < 1.0
         with pytest.raises(MeshError, match="lie at one point"):
             strip_mesh(1e-11)
@@ -1330,7 +1332,7 @@ class TestQuadraticFormNorms:
         sol = self.rough_solution(make(), kind)
         want = oracles.basis_error_norms(sol, harmonic_exact, harmonic_gradient)
         for _ in kernel_chunk_sizes(monkeypatch):
-            err = error_norms(sol, harmonic_exact, harmonic_gradient)
+            err = error_norms(sol, harmonic_field)
             assert err.l2 == pytest.approx(want.l2, rel=1e-12, abs=0.0)
             assert err.h1 == pytest.approx(want.h1, rel=1e-12, abs=0.0)
 
@@ -1339,7 +1341,7 @@ class TestQuadraticFormNorms:
         """Every chunk of trapezoid_mesh(16) holds a repeated class."""
         sol = self.rough_solution(trapezoid_mesh(16), kind)
         want = oracles.basis_error_norms(sol, harmonic_exact, harmonic_gradient)
-        assert error_norms(sol, harmonic_exact, harmonic_gradient) == want
+        assert error_norms(sol, harmonic_field) == want
 
     def test_no_basis_on_a_mesh_of_distinct_cells(self, monkeypatch):
         """On corpus.voronoi_mesh error_norms evaluates coordinates only; the
@@ -1359,10 +1361,63 @@ class TestQuadraticFormNorms:
         counting(serendipity, "_products")
         mesh = corpus.voronoi_mesh()
         sol = self.rough_solution(mesh, CoordinateKind.WACHSPRESS)
-        error_norms(sol, harmonic_exact, harmonic_gradient)
+        error_norms(sol, harmonic_field)
         assert calls == {}
         assemble(mesh, CoordinateKind.WACHSPRESS)
         assert calls["_basis"] > 0 and calls["_products"] > 0
+
+
+class TestExactField:
+    """``error_norms(solution, field)`` with one callable for the value and
+    the gradient, and ``harmonic_field``, the study's field, computed once."""
+
+    def test_harmonic_field_is_the_two_callables_bitwise(self):
+        rng = np.random.default_rng(11)
+        for points in (rng.uniform(-3.0, 3.0, (500, 2)), rng.uniform(-3.0, 3.0, (1, 2)),
+                       np.moveaxis(rng.uniform(size=(2, 37)), 0, -1)):   # coordinate-major storage
+            u, grad = harmonic_field(points)
+            assert u.tobytes() == harmonic_exact(points).tobytes()
+            assert grad.shape == (len(points), 2)
+            assert grad.tobytes() == harmonic_gradient(points).tobytes()
+
+    @pytest.mark.parametrize("name, make, kind", [
+        *FORM_MESHES, *(("trapezoid8", lambda: trapezoid_mesh(8), kind) for kind in CoordinateKind)])
+    def test_field_form_equals_the_two_callable_form(self, name, make, kind):
+        """Both forms take the one accumulation, so they agree bit for bit."""
+        sol = TestQuadraticFormNorms.rough_solution(make(), kind)
+        assert error_norms(sol, harmonic_field) == error_norms(sol, harmonic_exact, harmonic_gradient)
+
+    def test_study_calls_the_field_once_per_slice(self, monkeypatch):
+        """The study evaluates its exact field once per solution slice, and
+        never computes the gradient apart."""
+        slices, calls = [], []
+        real_slices, real_field = fem._solution_slices, fem.harmonic_field
+
+        def counting_slices(*args):
+            for points, weights, block in real_slices(*args):
+                slices.append(len(points))
+                yield points, weights, block
+
+        def counting_field(points):
+            calls.append(len(points))
+            return real_field(points)
+
+        def gradient_apart(points):
+            raise AssertionError("harmonic_gradient was called")
+
+        monkeypatch.setattr(fem, "_solution_slices", counting_slices)
+        monkeypatch.setattr(fem, "harmonic_field", counting_field)
+        monkeypatch.setattr(fem, "harmonic_gradient", gradient_apart)
+        convergence_study((2, 4))
+        assert calls == slices and len(calls) >= 2
+
+    def test_rows_carry_phase_timings(self):
+        """Every row times its five phases; rows compare without them."""
+        first, second = convergence_study((2, 4)), convergence_study((2, 4))
+        assert first == second
+        for row in first + second:
+            assert set(row.timings) == {"mesh", "maps", "assemble", "solve", "norms"}
+            assert all(isinstance(t, float) and t >= 0.0 for t in row.timings.values())
 
 
 class TestLocalRefinement:

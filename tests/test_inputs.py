@@ -10,6 +10,8 @@ residuals, with a RuntimeWarning for an infinite one.
 The last calls of ``CALLS`` pass a map or xi of another polygon's size, which
 used to end in numpy's matmul error, or build a map whose A or B does not
 fit its n, which used to build and then fail in numpy's broadcast or matmul.
+The ``field`` calls give ``error_norms`` one exact field that returns no
+pair of one value and one gradient per point, or a non-finite value.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from polyserend import (
     error_norms,
     eval_boundary,
     eval_coords_batch,
+    harmonic_exact,
     harmonic_gradient,
     lagrange_table,
     precision_residuals,
@@ -77,11 +80,16 @@ def solve_with_dirichlet(dirichlet):
     return solve_dirichlet(matrix, rhs, mesh, dof_map(mesh), "meanvalue", dirichlet)
 
 
-def norms_against(u_exact, grad_u_exact=harmonic_gradient):
+def norms_against(*exact):
     mesh = trapezoid_mesh(2)
     values = np.zeros(dof_map(mesh).n_dofs)
     solution = DiscreteSolution(mesh, "meanvalue", values, SolveReport(values, 0, 0.0, True))
-    return error_norms(solution, u_exact, grad_u_exact)
+    return error_norms(solution, *exact)
+
+
+def field_of(u=lambda p: np.zeros(len(p)), grad=lambda p: np.zeros((len(p), 2))):
+    """An exact field that returns the pair (u(points), grad(points))."""
+    return lambda points: (u(points), grad(points))
 
 
 CALLS = {
@@ -105,10 +113,22 @@ CALLS = {
                              ValueError, "source must return numbers, got True"),
     "assemble-string-source": (lambda: assemble(trapezoid_mesh(2), "meanvalue", source=strings),
                                ValueError, "source must return numbers, got '1'"),
-    "error_norms-string-exact": (lambda: norms_against(strings),
+    "error_norms-string-exact": (lambda: norms_against(strings, harmonic_gradient),
                                  ValueError, "u_exact must return numbers, got '1'"),
     "error_norms-string-gradient": (lambda: norms_against(lambda p: np.zeros(len(p)), strings),
                                     ValueError, "grad_u_exact must return numbers, got '1'"),
+    "error_norms-string-field": (lambda: norms_against(field_of(u=strings)),
+                                 ValueError, "field must return numbers, got '1'"),
+    "error_norms-field-single-array": (lambda: norms_against(harmonic_exact),
+                                       ValueError, r"field must return a pair \(u, grad\), got ndarray"),
+    "error_norms-field-column-u": (lambda: norms_against(field_of(u=lambda p: np.zeros((len(p), 1)))),
+                                   ValueError, r"field must return shape \((\d+),\) at \1 points, "
+                                               r"got shape \(\1, 1\)"),
+    "error_norms-field-transposed-grad": (
+        lambda: norms_against(field_of(grad=lambda p: np.zeros((2, len(p))))),
+        ValueError, r"field must return shape \((\d+), 2\) at \1 points, got shape \(2, \1\)"),
+    "error_norms-field-nan": (lambda: norms_against(field_of(u=lambda p: np.full(len(p), np.nan))),
+                              ValueError, "field must return finite values"),
     "solve_dirichlet-string-dirichlet": (lambda: solve_with_dirichlet(strings),
                                          ValueError, "dirichlet must return numbers, got '1'"),
     "sample_interior-bool-count": (lambda: sample_interior(SQUARE, True, np.random.default_rng(0)),
